@@ -7,7 +7,6 @@ from .exactlin import (
     EigenProfile,
     IntMatrix,
     LatticeBasis,
-    RatMatrix,
     SNFResult,
     det,
     eigenlattice,

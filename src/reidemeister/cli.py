@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .exactlin import IntMatrix, MatrixParseError, parse_matrix, parse_vector
@@ -33,6 +34,7 @@ from .groups import (
 from dataclasses import replace as _dc_replace
 from .spectra import (
     HypothesisError,
+    SpectrumDescriptor,
     SpectrumResult,
     THREE_STEP,
     classify_hn_semidirect,
@@ -128,27 +130,71 @@ def _matrix_arg(args, dim=None) -> IntMatrix:
     return m
 
 
-def _family_for_automorphism(args):
-    slug = _need(args, "family", "--family is required without --spec-json")
-    if slug == "z2-semidirect":
-        return ZnSemidirectZ(_matrix_arg(args, 2))
-    if slug == "z3-semidirect":
-        return ZnSemidirectZ(_matrix_arg(args, 3))
-    if slug == "double-ext":
-        n0 = parse_vector(_need(args, "n0", "--n0 is required for double-ext"))
-        return Z2MinusIExt(_matrix_arg(args, 2), n0)
-    if slug == "hn-semidirect":
-        n = _need(args, "n", "--n is required for hn-semidirect")
-        k = args.k if args.k is not None else 0
-        l = args.l if args.l is not None else 0
-        return HnSemidirectZ(n, k, l)
-    if slug == "free-abelian":
-        return FreeAbelian(_need(args, "n", "--n is required for free-abelian"))
-    if slug == "heisenberg":
-        return Heisenberg(_need(args, "n", "--n is required for heisenberg"))
-    if slug == "heisenberg-times-z":
-        return HeisenbergTimesZ(_need(args, "n", "--n is required for heisenberg-times-z"))
-    raise CliError("unknown family %r" % slug)
+def _n_arg(args) -> int:
+    return _need(args, "n", "--n is required for %s" % args.family)
+
+
+def _n0_arg(args) -> tuple[int, ...]:
+    return parse_vector(_need(args, "n0", "--n0 is required for double-ext"))
+
+
+def _hn_family(args) -> HnSemidirectZ:
+    return HnSemidirectZ(_n_arg(args), args.k if args.k is not None else 0, args.l if args.l is not None else 0)
+
+
+def _hn_spectrum(args, bound) -> SpectrumResult:
+    n = _n_arg(args)
+    if args.matrix is not None:
+        twists = parse_vector(args.twists) if args.twists else (0, 0)
+        return classify_hn_semidirect(n, _matrix_arg(args, 2), bound, tuple(twists))
+    k = _need(args, "k", "--k/--l or --matrix is required for hn-semidirect")
+    l = _need(args, "l", "--k/--l or --matrix is required for hn-semidirect")
+    return classify_hn_semidirect(n, (k, l), bound)
+
+
+class CliFamily(NamedTuple):
+    """One row of the CLI family table: ``build(args)`` makes the group
+    family that ``--witness`` acts on (None for a slug that only has a
+    spectrum), and ``classify(args, bound)`` computes its spectrum."""
+
+    build: Callable | None
+    classify: Callable
+
+
+def _nilpotent(cls) -> CliFamily:
+    def build(args):
+        return cls(_n_arg(args))
+
+    return CliFamily(build, lambda args, bound: classify_nilpotent(build(args)))
+
+
+FAMILY_TABLE = {
+    "z2-semidirect": CliFamily(
+        lambda args: ZnSemidirectZ(_matrix_arg(args, 2)),
+        lambda args, bound: classify_z2_semidirect(_matrix_arg(args, 2), bound),
+    ),
+    "z3-semidirect": CliFamily(
+        lambda args: ZnSemidirectZ(_matrix_arg(args, 3)),
+        lambda args, bound: classify_z3_semidirect(_matrix_arg(args, 3), bound),
+    ),
+    "double-ext": CliFamily(
+        lambda args: Z2MinusIExt(_matrix_arg(args, 2), _n0_arg(args)),
+        lambda args, bound: classify_z2_minusI_ext(_matrix_arg(args, 2), _n0_arg(args), bound),
+    ),
+    "hn-semidirect": CliFamily(_hn_family, _hn_spectrum),
+    "free-abelian": _nilpotent(FreeAbelian),
+    "heisenberg": _nilpotent(Heisenberg),
+    "heisenberg-times-z": _nilpotent(HeisenbergTimesZ),
+    "three-step": CliFamily(None, lambda args, bound: classify_nilpotent(THREE_STEP)),
+}
+
+
+def _family_row(args) -> CliFamily:
+    slug = _need(args, "family", "--family is required")
+    row = FAMILY_TABLE.get(slug)
+    if row is None:
+        raise CliError("unknown family %r" % slug)
+    return row
 
 
 def _spec_from_args(args) -> AutomorphismSpec:
@@ -165,37 +211,10 @@ def _spec_from_args(args) -> AutomorphismSpec:
         return _dc_replace(spec, verified=True)
     name = _need(args, "witness", "either --spec-json or --witness/--param is required")
     param = _need(args, "param", "--param is required with --witness")
-    return witness(_family_for_automorphism(args), name, param)
-
-
-def _spectrum_result(args, bound) -> SpectrumResult:
-    slug = _need(args, "family", "--family is required")
-    if slug == "z2-semidirect":
-        return classify_z2_semidirect(_matrix_arg(args, 2), bound)
-    if slug == "z3-semidirect":
-        return classify_z3_semidirect(_matrix_arg(args, 3), bound)
-    if slug == "double-ext":
-        n0 = parse_vector(_need(args, "n0", "--n0 is required for double-ext"))
-        return classify_z2_minusI_ext(_matrix_arg(args, 2), n0, bound)
-    if slug == "hn-semidirect":
-        n = _need(args, "n", "--n is required for hn-semidirect")
-        if args.matrix is not None:
-            twists = (0, 0)
-            if args.twists:
-                twists = parse_vector(args.twists)
-            return classify_hn_semidirect(n, _matrix_arg(args, 2), bound, tuple(twists))
-        k = _need(args, "k", "--k/--l or --matrix is required for hn-semidirect")
-        l = _need(args, "l", "--k/--l or --matrix is required for hn-semidirect")
-        return classify_hn_semidirect(n, (k, l), bound)
-    if slug == "free-abelian":
-        return classify_nilpotent(FreeAbelian(_need(args, "n", "--n is required")))
-    if slug == "heisenberg":
-        return classify_nilpotent(Heisenberg(_need(args, "n", "--n is required")))
-    if slug == "heisenberg-times-z":
-        return classify_nilpotent(HeisenbergTimesZ(_need(args, "n", "--n is required")))
-    if slug == "three-step":
-        return classify_nilpotent(THREE_STEP)
-    raise CliError("unknown family %r" % slug)
+    build = _family_row(args).build
+    if build is None:
+        raise CliError("family %r has no automorphism witnesses" % args.family)
+    return witness(build(args), name, param)
 
 
 def _envelope(result, trace, bound) -> dict:
@@ -204,7 +223,7 @@ def _envelope(result, trace, bound) -> dict:
 
 def _emit(envelope: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=SpectrumDescriptor.to_json_dict))
         out.write("\n")
         return
     out.write(_render_text(envelope))
@@ -217,14 +236,14 @@ def _render_text(envelope: dict) -> str:
         for table_name in sorted(result["tables"]):
             lines.append("== %s ==" % table_name)
             for row in result["tables"][table_name]:
-                cell = " or ".join(_render_descriptor(d) for d in row["spectrum"])
+                cell = " or ".join(d.render() for d in row["spectrum"])
                 lines.append("  %-48s %s" % (row["case"], cell))
             lines.append("")
     else:
         for key in sorted(result):
             value = result[key]
-            if key == "spectrum" and isinstance(value, dict):
-                value = _render_descriptor(value)
+            if isinstance(value, SpectrumDescriptor):
+                value = value.render()
             lines.append("%s: %s" % (key, _plain(value)))
     lines.append("trace: %s" % " > ".join(envelope["trace"]))
     lines.append("bound: %s" % envelope["bound"])
@@ -235,24 +254,6 @@ def _plain(value) -> str:
     if isinstance(value, dict):
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return str(value)
-
-
-def _render_descriptor(d: dict) -> str:
-    kind = d["kind"]
-    if kind == "r_infinity":
-        return "{oo}"
-    if kind == "finite":
-        return "{%s,oo}" % ",".join(str(v) for v in d["values"])
-    if kind == "multiples":
-        return "%dN u {oo}" % d["c"]
-    if kind == "full":
-        return "N u {oo}"
-    if kind == "undecided":
-        return "undecided(%s, bound %d)" % (
-            " | ".join(_render_descriptor(c) for c in d["candidates"]),
-            d["bound"],
-        )
-    return json.dumps(d, sort_keys=True)
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -271,8 +272,8 @@ def run(argv, stdout=None, stderr=None) -> int:
             _emit(_envelope({"rnumber": value.to_json()}, trace, bound), args.format, stdout)
             return EXIT_OK
         if args.command == "spectrum":
-            res = _spectrum_result(args, bound)
-            payload = {"spectrum": res.spectrum.to_json_dict()}
+            res = _family_row(args).classify(args, bound)
+            payload = {"spectrum": res.spectrum}
             if res.evidence:
                 payload["evidence"] = dict(res.evidence)
             _emit(_envelope(payload, res.trace, bound), args.format, stdout)
@@ -287,13 +288,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             _emit(_envelope(payload, trace, bound), args.format, stdout)
             return EXIT_UNDECIDED if decision.outcome == "none-up-to-bound" else EXIT_OK
         if args.command == "tables":
-            tables = {
-                name: [
-                    {"case": row["case"], "spectrum": [d.to_json_dict() for d in row["spectrum"]]}
-                    for row in rows
-                ]
-                for name, rows in conclusion_tables().items()
-            }
+            tables = conclusion_tables()
             _emit(_envelope({"tables": tables}, ["tables:classification"], bound), args.format, stdout)
             return EXIT_OK
         if args.command == "oracle":

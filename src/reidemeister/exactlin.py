@@ -1,13 +1,12 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-All arithmetic is done with arbitrary-precision Python integers (or
-``fractions.Fraction`` for the rational helpers); no floating point is
-used anywhere.  Matrix entries routinely exceed 64 bits during witness
+All arithmetic is done with arbitrary-precision Python integers; no
+floating point is used anywhere.  Matrix entries routinely exceed 64 bits during witness
 searches, so there is deliberately no fixed-width fast path.
 
 The module provides:
 
-* ``IntMatrix`` / ``RatMatrix``, immutable dense matrices;
+* ``IntMatrix``, an immutable dense matrix;
 * exact determinants and unimodular inverses;
 * Smith normal form with recorded unimodular transforms (deterministic
   pivoting, so U, D, V are reproducible);
@@ -15,15 +14,16 @@ The module provides:
   (integer roots are extracted exactly, irrational eigenvalues are never
   materialised);
 * saturated eigenlattices, finite-order detection, centralizer-span
-  membership and integer lattice membership.
+  membership and integer lattice membership;
+* the divisor enumeration and search order shared by the bounded
+  witness searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -198,14 +198,6 @@ class IntMatrix:
         # adjugate is the transposed cofactor matrix
         return IntMatrix(n, n, tuple(cof[j * n + i] for i in range(n) for j in range(n)))
 
-    def rat_inverse(self) -> "RatMatrix":
-        """Exact rational inverse of any nonsingular square matrix."""
-        d = self.det()
-        if d == 0:
-            raise ValueError("matrix is singular")
-        adj = self._adjugate()
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(e, d) for e in adj.entries))
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise DimensionError("row counts differ: %d vs %d" % (self.rows, other.rows))
@@ -275,62 +267,34 @@ def matrix_power_sum(a: IntMatrix, k: int) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# RatMatrix
+# Bounded witness searches
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense matrix of reduced fractions (Fraction keeps gcd 1, denominator > 0)."""
+def _divisors(k: int) -> list[int]:
+    """Positive divisors of k >= 1 in ascending order."""
+    # trial division is fine while isqrt(k) is small; sympy takes over for
+    # the deep end of a large search bound
+    if k <= 250_000:
+        small, large = [], []
+        d = 1
+        while d * d <= k:
+            if k % d == 0:
+                small.append(d)
+                if d * d != k:
+                    large.append(k // d)
+            d += 1
+        return small + large[::-1]
+    from sympy import divisors as sympy_divisors
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError("entry count does not match shape")
-
-    @classmethod
-    def from_int(cls, m: IntMatrix) -> "RatMatrix":
-        return cls(m.rows, m.cols, tuple(Fraction(e) for e in m.entries))
-
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
-        i, j = idx
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __mul__(self, other: "RatMatrix | IntMatrix") -> "RatMatrix":
-        if isinstance(other, IntMatrix):
-            other = RatMatrix.from_int(other)
-        if self.cols != other.rows:
-            raise DimensionError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return RatMatrix(self.rows, other.cols, tuple(out))
-
-    def __rmul__(self, other: IntMatrix) -> "RatMatrix":
-        return RatMatrix.from_int(other) * self
-
-    @property
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
-
-    def to_int_matrix(self) -> IntMatrix:
-        if not self.is_integral:
-            raise ValueError("matrix has non-integral entries")
-        return IntMatrix(self.rows, self.cols, tuple(int(e) for e in self.entries))
+    return list(sympy_divisors(k))
 
 
-def rat_row_mul(row: Sequence[int], m: RatMatrix) -> tuple[Fraction, ...]:
-    """Row vector times rational matrix."""
-    if len(row) != m.rows:
-        raise DimensionError("row length %d does not match %d rows" % (len(row), m.rows))
-    return tuple(sum(Fraction(row[i]) * m[i, j] for i in range(m.rows)) for j in range(m.cols))
+def _search_m_order(bound: int) -> Iterator[int]:
+    """0, -1, 1, -2, 2, ..., -bound, bound."""
+    yield 0
+    for m in range(1, bound + 1):
+        yield -m
+        yield m
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,11 @@ routine and must not overflow anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import product
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
@@ -42,6 +42,8 @@ from .exactlin import (
     finite_order,
     lattice_membership,
     matrix_power_sum,
+    _divisors,
+    _search_m_order,
 )
 from .twisted import HolonomySet, INFINITE, RNumber, r_abelian, r_averaging
 
@@ -69,8 +71,16 @@ def _msum(a: IntMatrix, k: int) -> IntMatrix:
 
 
 class GroupFamily:
-    """Base class; subclasses provide collection rules and relations."""
+    """Base class of the family table.
 
+    Each subclass is one row: its JSON tag and decoder, its group law on
+    exponent tuples, its defining relations, the matrices an automorphism
+    induces on its layers, the layer check that completes verification,
+    and its formula route for the Reidemeister number.  FAMILIES maps
+    each tag to its subclass.
+    """
+
+    json_tag: ClassVar[str]
     generator_names: tuple[str, ...] = ()
 
     @property
@@ -109,14 +119,85 @@ class GroupFamily:
         raise NotImplementedError
 
     def tag(self) -> str:
+        return self.json_tag
+
+    # JSON: the tag plus the integer parameters; families with matrix
+    # parameters override both directions
+    def to_json_dict(self) -> dict:
+        return {"tag": self.json_tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "GroupFamily":
+        return cls(*(int(data[f.name]) for f in fields(cls)))
+
+    # layers and formula route of an automorphism spec of this family
+    def fitting_matrix(self, spec: "AutomorphismSpec") -> IntMatrix:
+        """Action on the canonical abelian normal layer of the family."""
         raise NotImplementedError
 
-    def to_json_dict(self) -> dict:
+    def quotient_matrix(self, spec: "AutomorphismSpec") -> IntMatrix:
+        """Action on the abelianized top layer of the family."""
         raise NotImplementedError
+
+    def layer_failure(self, spec: "AutomorphismSpec") -> str | None:
+        """Why the induced layer maps are not bijective, or None; may
+        raise ValueError when the images do not preserve a layer."""
+        raise NotImplementedError
+
+    def rnumber_route(self, spec: "AutomorphismSpec") -> tuple[RNumber, tuple[str, ...]]:
+        """Reidemeister number of a verified spec and the rule it used."""
+        raise NotImplementedError
+
+
+def _xy_block(spec: "AutomorphismSpec") -> IntMatrix:
+    """Action on the Heisenberg quotient <x, y>: the first two exponents
+    of the images of the first two generators."""
+    return IntMatrix.from_columns([spec.images[0].exponents[:2], spec.images[1].exponents[:2]])
+
+
+def _lattice_block(spec: "AutomorphismSpec", n: int) -> IntMatrix:
+    """Action on the lattice spanned by the first n generators."""
+    cols = []
+    for img in spec.images[:n]:
+        if any(img.exponents[n:]):
+            raise ValueError("images do not preserve the lattice subgroup")
+        cols.append(img.exponents[:n])
+    return IntMatrix.from_columns(cols)
+
+
+def _center_failure(spec: "AutomorphismSpec") -> str | None:
+    z_img = spec.image_of("z").exponents
+    if any(z_img[:2]) or any(z_img[3:]) or abs(z_img[2]) != 1:
+        return "center image is not z^(+-1)"
+    return None
+
+
+def _commutator(i: int, j: int) -> tuple:
+    return ((i, 1), (j, 1), (i, -1), (j, -1))
+
+
+def _heis_relations(n: int) -> list[tuple[str, tuple, tuple]]:
+    X, Y, Z = 0, 1, 2
+    return [
+        ("[z,x] = 1", _commutator(Z, X), ()),
+        ("[z,y] = 1", _commutator(Z, Y), ()),
+        ("[y,x] = z^n", _commutator(Y, X), ((Z, n),)),
+    ]
+
+
+def _action_relations(name: str, conj: int, gens: Sequence[int], a: IntMatrix) -> list:
+    """conj g_i conj^-1 = (column i of A) over the generators gens."""
+    rels = []
+    for i, gen in enumerate(gens):
+        col = a.column(i)
+        rhs = tuple((gens[j], col[j]) for j in range(len(gens)) if col[j])
+        rels.append(("%s e%d %s^-1 = action" % (name, i + 1, name), ((conj, 1), (gen, 1), (conj, -1)), rhs))
+    return rels
 
 
 @dataclass(frozen=True)
 class FreeAbelian(GroupFamily):
+    json_tag = "free-abelian"
     n: int
 
     def __post_init__(self):
@@ -133,11 +214,18 @@ class FreeAbelian(GroupFamily):
     def relations(self):
         return []  # the target is abelian, commutators vanish automatically
 
-    def tag(self):
-        return "free-abelian"
+    def fitting_matrix(self, spec):
+        return _lattice_block(spec, self.n)
 
-    def to_json_dict(self):
-        return {"tag": self.tag(), "n": self.n}
+    quotient_matrix = fitting_matrix
+
+    def layer_failure(self, spec):
+        if not self.fitting_matrix(spec).is_unimodular:
+            return "lattice matrix is not unimodular"
+        return None
+
+    def rnumber_route(self, spec):
+        return r_abelian(self.fitting_matrix(spec)), ("rnumber:lattice",)
 
 
 def _heis_mul(n: int, a: tuple, b: tuple) -> tuple:
@@ -151,6 +239,7 @@ def _heis_inv(n: int, a: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class Heisenberg(GroupFamily):
+    json_tag = "heisenberg"
     n: int
 
     def __post_init__(self):
@@ -165,22 +254,28 @@ class Heisenberg(GroupFamily):
         return _heis_inv(self.n, a)
 
     def relations(self):
-        X, Y, Z = 0, 1, 2
-        return [
-            ("[z,x] = 1", ((Z, 1), (X, 1), (Z, -1), (X, -1)), ()),
-            ("[z,y] = 1", ((Z, 1), (Y, 1), (Z, -1), (Y, -1)), ()),
-            ("[y,x] = z^n", ((Y, 1), (X, 1), (Y, -1), (X, -1)), ((Z, self.n),)),
-        ]
+        return _heis_relations(self.n)
 
-    def tag(self):
-        return "heisenberg"
+    def fitting_matrix(self, spec):
+        return _xy_block(spec)
 
-    def to_json_dict(self):
-        return {"tag": self.tag(), "n": self.n}
+    quotient_matrix = fitting_matrix
+
+    def layer_failure(self, spec):
+        failure = _center_failure(spec)
+        if failure is None and not self.quotient_matrix(spec).is_unimodular:
+            failure = "quotient matrix is not unimodular"
+        return failure
+
+    def rnumber_route(self, spec):
+        e = spec.image_of("z").exponents[2]
+        r = _r_scalar(e) * r_abelian(self.quotient_matrix(spec))
+        return r, ("rnumber:center-times-quotient",)
 
 
 @dataclass(frozen=True)
 class HeisenbergTimesZ(GroupFamily):
+    json_tag = "heisenberg-times-z"
     n: int
 
     def __post_init__(self):
@@ -196,24 +291,34 @@ class HeisenbergTimesZ(GroupFamily):
 
     def relations(self):
         X, Y, Z, U = 0, 1, 2, 3
-        rels = [
-            ("[z,x] = 1", ((Z, 1), (X, 1), (Z, -1), (X, -1)), ()),
-            ("[z,y] = 1", ((Z, 1), (Y, 1), (Z, -1), (Y, -1)), ()),
-            ("[y,x] = z^n", ((Y, 1), (X, 1), (Y, -1), (X, -1)), ((Z, self.n),)),
+        return _heis_relations(self.n) + [
+            ("[u,%s] = 1" % self.generator_names[g], _commutator(U, g), ()) for g in (X, Y, Z)
         ]
-        for name, g in (("[u,x] = 1", X), ("[u,y] = 1", Y), ("[u,z] = 1", Z)):
-            rels.append((name, ((U, 1), (g, 1), (U, -1), (g, -1)), ()))
-        return rels
 
-    def tag(self):
-        return "heisenberg-times-z"
+    def fitting_matrix(self, spec):
+        z_img, u_img = spec.image_of("z"), spec.image_of("u")
+        if any(z_img.exponents[:2]) or any(u_img.exponents[:2]):
+            raise ValueError("images do not preserve the center")
+        return IntMatrix.from_columns([z_img.exponents[2:], u_img.exponents[2:]])
 
-    def to_json_dict(self):
-        return {"tag": self.tag(), "n": self.n}
+    def quotient_matrix(self, spec):
+        return _xy_block(spec)
+
+    def layer_failure(self, spec):
+        if not self.fitting_matrix(spec).is_unimodular:
+            return "center matrix is not unimodular"
+        if not self.quotient_matrix(spec).is_unimodular:
+            return "quotient matrix is not unimodular"
+        return None
+
+    def rnumber_route(self, spec):
+        r = r_abelian(self.fitting_matrix(spec)) * r_abelian(self.quotient_matrix(spec))
+        return r, ("rnumber:center-times-quotient",)
 
 
 @dataclass(frozen=True)
 class ZnSemidirectZ(GroupFamily):
+    json_tag = "zn-semidirect-z"
     action: IntMatrix
 
     def __post_init__(self):
@@ -241,30 +346,76 @@ class ZnSemidirectZ(GroupFamily):
 
     def relations(self):
         n = self.n
-        T = n
-        rels = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append(
-                    ("[e%d,e%d] = 1" % (i + 1, j + 1), ((i, 1), (j, 1), (i, -1), (j, -1)), ())
-                )
-        for i in range(n):
-            col = self.action.column(i)
-            rhs = tuple((j, col[j]) for j in range(n) if col[j])
-            rels.append(("t e%d t^-1 = action" % (i + 1), ((T, 1), (i, 1), (T, -1)), rhs))
-        return rels
-
-    def tag(self):
-        return "zn-semidirect-z"
+        rels = [
+            ("[e%d,e%d] = 1" % (i + 1, j + 1), _commutator(i, j), ())
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        return rels + _action_relations("t", n, range(n), self.action)
 
     def to_json_dict(self):
-        return {"tag": self.tag(), "matrix": self.action.to_rows()}
+        return {"tag": self.json_tag, "matrix": self.action.to_rows()}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(IntMatrix.from_rows(data["matrix"]))
+
+    def fitting_matrix(self, spec):
+        return _lattice_block(spec, self.n)
+
+    def quotient_matrix(self, spec):
+        return IntMatrix(1, 1, (spec.image_of("t").exponents[self.n],))
+
+    def layer_failure(self, spec):
+        n, a = self.n, self.action
+        if a == IntMatrix.identity(n):
+            full = IntMatrix.from_columns([img.exponents for img in spec.images])
+            return None if full.is_unimodular else "full abelian matrix is not unimodular"
+        if self._lattice_preserved(spec):
+            if not self.fitting_matrix(spec).is_unimodular:
+                return "lattice matrix is not unimodular"
+            if abs(spec.image_of("t").exponents[n]) != 1:
+                return "quotient exponent of t is not +-1"
+            return None
+        d = finite_order(a)
+        if d is None:
+            # With an infinite-order action the lattice is characteristic
+            # whenever 1 is not an eigenvalue, so leaving it is a failure; in
+            # the unipotent corner this check is sound but conservative.
+            return "images leave the lattice subgroup"
+        if not translation_matrix(spec, d).is_unimodular:
+            return "translation-lattice matrix is not unimodular"
+        if math.gcd(spec.image_of("t").exponents[n], d) != 1:
+            return "induced map on the finite quotient is not bijective"
+        return None
+
+    def rnumber_route(self, spec):
+        n, a = self.n, self.action
+        if a == IntMatrix.identity(n):
+            full = IntMatrix.from_columns([img.exponents for img in spec.images])
+            return r_abelian(full), ("rnumber:lattice",)
+        if self._lattice_preserved(spec):
+            if spec.image_of("t").exponents[n] == 1:
+                return INFINITE, ("rnumber:identity-quotient",)
+            m = self.fitting_matrix(spec)
+            return r_abelian(m) + r_abelian(a * m), ("rnumber:two-step-addition",)
+        d = finite_order(a)
+        if d is None:
+            raise ValueError("images leave the lattice for an infinite-order action")
+        mt = translation_matrix(spec, d)
+        holonomy = HolonomySet.cyclic(holonomy_embedding(a))
+        return r_averaging(holonomy, mt), ("rnumber:holonomy-averaging",)
+
+    def _lattice_preserved(self, spec) -> bool:
+        n = self.n
+        return all(img.exponents[n] == 0 for img in spec.images[:n])
 
 
 @dataclass(frozen=True)
 class Z2MinusIExt(GroupFamily):
     """(Z^2 x|_{-I} Z) x|_psi Z with psi(v t^k) = A(v) (n0 t)^k."""
 
+    json_tag = "z2-minusi-ext"
     action: IntMatrix
     n0: tuple[int, int]
 
@@ -301,31 +452,54 @@ class Z2MinusIExt(GroupFamily):
 
     def relations(self):
         E1, E2, T, U = 0, 1, 2, 3
-        a = self.action
         rels = [
-            ("[e1,e2] = 1", ((E1, 1), (E2, 1), (E1, -1), (E2, -1)), ()),
+            ("[e1,e2] = 1", _commutator(E1, E2), ()),
             ("t e1 t^-1 = e1^-1", ((T, 1), (E1, 1), (T, -1)), ((E1, -1),)),
             ("t e2 t^-1 = e2^-1", ((T, 1), (E2, 1), (T, -1)), ((E2, -1),)),
         ]
-        for i, gen in enumerate((E1, E2)):
-            col = a.column(i)
-            rhs = tuple((j, col[j]) for j in range(2) if col[j])
-            rels.append(("u e%d u^-1 = action" % (i + 1), ((U, 1), (gen, 1), (U, -1)), rhs))
+        rels += _action_relations("u", U, (E1, E2), self.action)
         rhs_t = tuple((j, self.n0[j]) for j in range(2) if self.n0[j]) + ((T, 1),)
         rels.append(("u t u^-1 = n0 t", ((U, 1), (T, 1), (U, -1)), rhs_t))
         return rels
 
-    def tag(self):
-        return "z2-minusi-ext"
-
     def to_json_dict(self):
-        return {"tag": self.tag(), "matrix": self.action.to_rows(), "n0": list(self.n0)}
+        return {"tag": self.json_tag, "matrix": self.action.to_rows(), "n0": list(self.n0)}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(IntMatrix.from_rows(data["matrix"]), tuple(data["n0"]))
+
+    def fitting_matrix(self, spec):
+        return _lattice_block(spec, 2)
+
+    def quotient_matrix(self, spec):
+        return IntMatrix.from_columns([spec.image_of("t").exponents[2:], spec.image_of("u").exponents[2:]])
+
+    def layer_failure(self, spec):
+        if not self.fitting_matrix(spec).is_unimodular:
+            return "lattice matrix is not unimodular"
+        if not self.quotient_matrix(spec).is_unimodular:
+            return "quotient matrix is not unimodular"
+        return None
+
+    def rnumber_route(self, spec):
+        m = self.fitting_matrix(spec)
+        reps = coset_representatives(IntMatrix.identity(2) - self.quotient_matrix(spec))
+        if reps is None:
+            return INFINITE, ("rnumber:identity-quotient",)
+        minus = -IntMatrix.identity(2)
+        total = None
+        for e, f in reps:
+            term = r_abelian(_mpow(minus, e) * _mpow(self.action, f) * m)
+            total = term if total is None else total + term
+        return total, ("rnumber:quotient-class-sum",)
 
 
 @dataclass(frozen=True)
 class HnSemidirectZ(GroupFamily):
     """H_n x|_psi Z with psi(x) = x^-1 z^k, psi(y) = y^-1 z^l, psi(z) = z."""
 
+    json_tag = "hn-semidirect-z"
     n: int
     k: int
     l: int
@@ -353,47 +527,58 @@ class HnSemidirectZ(GroupFamily):
 
     def relations(self):
         X, Y, Z, T = 0, 1, 2, 3
-        return [
-            ("[z,x] = 1", ((Z, 1), (X, 1), (Z, -1), (X, -1)), ()),
-            ("[z,y] = 1", ((Z, 1), (Y, 1), (Z, -1), (Y, -1)), ()),
-            ("[y,x] = z^n", ((Y, 1), (X, 1), (Y, -1), (X, -1)), ((Z, self.n),)),
+        return _heis_relations(self.n) + [
             ("t x t^-1 = x^-1 z^k", ((T, 1), (X, 1), (T, -1)), ((X, -1), (Z, self.k))),
             ("t y t^-1 = y^-1 z^l", ((T, 1), (Y, 1), (T, -1)), ((Y, -1), (Z, self.l))),
             ("t z t^-1 = z", ((T, 1), (Z, 1), (T, -1)), ((Z, 1),)),
         ]
 
-    def tag(self):
-        return "hn-semidirect-z"
+    def fitting_matrix(self, spec):
+        return _xy_block(spec)
 
-    def to_json_dict(self):
-        return {"tag": self.tag(), "n": self.n, "k": self.k, "l": self.l}
+    def quotient_matrix(self, spec):
+        return IntMatrix(1, 1, (spec.image_of("t").exponents[3],))
+
+    def layer_failure(self, spec):
+        failure = _center_failure(spec)
+        if failure:
+            return failure
+        for name in ("x", "y"):
+            if spec.image_of(name).exponents[3]:
+                return "image of %s leaves the Heisenberg subgroup" % name
+        if not self.fitting_matrix(spec).is_unimodular:
+            return "Heisenberg quotient matrix is not unimodular"
+        if abs(spec.image_of("t").exponents[3]) != 1:
+            return "quotient exponent of t is not +-1"
+        return None
+
+    def rnumber_route(self, spec):
+        if spec.image_of("t").exponents[3] == 1:
+            return INFINITE, ("rnumber:identity-quotient",)
+        m = self.fitting_matrix(spec)
+        e = spec.image_of("z").exponents[2]
+        r = _r_scalar(e) * (r_abelian(m) + r_abelian(-m))
+        return r, ("rnumber:two-step-addition",)
 
 
-FAMILY_TAGS = {
-    "free-abelian": FreeAbelian,
-    "heisenberg": Heisenberg,
-    "heisenberg-times-z": HeisenbergTimesZ,
-    "zn-semidirect-z": ZnSemidirectZ,
-    "z2-minusi-ext": Z2MinusIExt,
-    "hn-semidirect-z": HnSemidirectZ,
-}
+FAMILIES: dict[str, type[GroupFamily]] = {cls.json_tag: cls for cls in GroupFamily.__subclasses__()}
 
 
 def family_from_json(data: Mapping) -> GroupFamily:
+    """Decode a family from its JSON object; every malformed input ends in
+    one ValueError naming what is wrong."""
+    if not isinstance(data, Mapping):
+        raise ValueError("a family must be a JSON object, got %s" % type(data).__name__)
     tag = data.get("tag")
-    if tag == "free-abelian":
-        return FreeAbelian(int(data["n"]))
-    if tag == "heisenberg":
-        return Heisenberg(int(data["n"]))
-    if tag == "heisenberg-times-z":
-        return HeisenbergTimesZ(int(data["n"]))
-    if tag == "zn-semidirect-z":
-        return ZnSemidirectZ(IntMatrix.from_rows(data["matrix"]))
-    if tag == "z2-minusi-ext":
-        return Z2MinusIExt(IntMatrix.from_rows(data["matrix"]), tuple(data["n0"]))
-    if tag == "hn-semidirect-z":
-        return HnSemidirectZ(int(data["n"]), int(data["k"]), int(data["l"]))
-    raise ValueError("unknown family tag %r" % tag)
+    cls = FAMILIES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError("unknown family tag %r" % (tag,))
+    try:
+        return cls.from_json(data)
+    except KeyError as exc:
+        raise ValueError("family %r lacks the field %s" % (tag, exc)) from None
+    except TypeError as exc:
+        raise ValueError("family %r has a malformed field: %s" % (tag, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -493,63 +678,32 @@ class AutomorphismSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AutomorphismSpec":
-        return cls.from_images(family_from_json(data["family"]), data["images"])
+        """Decode a spec; malformed JSON ends in one ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError("an automorphism must be a JSON object, got %s" % type(data).__name__)
+        for key in ("family", "images"):
+            if key not in data:
+                raise ValueError("automorphism JSON lacks the key %r" % key)
+        family = family_from_json(data["family"])
+        images = data["images"]
+        if not isinstance(images, Mapping) or not all(isinstance(v, (list, tuple)) for v in images.values()):
+            raise ValueError("'images' must map each generator name to an array of exponents")
+        try:
+            return cls.from_images(family, images)
+        except TypeError as exc:
+            raise ValueError("malformed generator image: %s" % exc) from None
 
     # -- derived matrices --------------------------------------------------
 
     @property
     def fitting_matrix(self) -> IntMatrix:
         """Action on the canonical abelian normal layer of the family."""
-        fam = self.family
-        if isinstance(fam, FreeAbelian):
-            return IntMatrix.from_columns([img.exponents for img in self.images])
-        if isinstance(fam, (Heisenberg, HnSemidirectZ)):
-            return IntMatrix.from_columns(
-                [self.image_of("x").exponents[:2], self.image_of("y").exponents[:2]]
-            )
-        if isinstance(fam, HeisenbergTimesZ):
-            z_img, u_img = self.image_of("z"), self.image_of("u")
-            if any(z_img.exponents[:2]) or any(u_img.exponents[:2]):
-                raise ValueError("images do not preserve the center")
-            return IntMatrix.from_columns([z_img.exponents[2:], u_img.exponents[2:]])
-        if isinstance(fam, ZnSemidirectZ):
-            n = fam.n
-            cols = []
-            for i in range(n):
-                img = self.images[i]
-                if img.exponents[n] != 0:
-                    raise ValueError("images do not preserve the lattice subgroup")
-                cols.append(img.exponents[:n])
-            return IntMatrix.from_columns(cols)
-        if isinstance(fam, Z2MinusIExt):
-            cols = []
-            for i in range(2):
-                img = self.images[i]
-                if img.exponents[2] or img.exponents[3]:
-                    raise ValueError("images do not preserve the lattice subgroup")
-                cols.append(img.exponents[:2])
-            return IntMatrix.from_columns(cols)
-        raise TypeError("unknown family")
+        return self.family.fitting_matrix(self)
 
     @property
     def quotient_matrix(self) -> IntMatrix:
         """Action on the abelianized top layer of the family."""
-        fam = self.family
-        if isinstance(fam, FreeAbelian):
-            return self.fitting_matrix
-        if isinstance(fam, (Heisenberg, HeisenbergTimesZ)):
-            return IntMatrix.from_columns(
-                [self.image_of("x").exponents[:2], self.image_of("y").exponents[:2]]
-            )
-        if isinstance(fam, ZnSemidirectZ):
-            return IntMatrix(1, 1, (self.image_of("t").exponents[fam.n],))
-        if isinstance(fam, Z2MinusIExt):
-            return IntMatrix.from_columns(
-                [self.image_of("t").exponents[2:], self.image_of("u").exponents[2:]]
-            )
-        if isinstance(fam, HnSemidirectZ):
-            return IntMatrix(1, 1, (self.image_of("t").exponents[3],))
-        raise TypeError("unknown family")
+        return self.family.quotient_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -578,87 +732,13 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     for name, lhs, rhs in spec.family.relations():
         if _eval_word(spec, lhs) != _eval_word(spec, rhs):
             return VerificationResult(False, "relation violated: %s" % name)
-    failure = _layer_failure(spec)
+    try:
+        failure = spec.family.layer_failure(spec)
+    except ValueError as exc:
+        failure = str(exc)
     if failure:
         return VerificationResult(False, failure)
     return VerificationResult(True)
-
-
-def _layer_failure(spec: AutomorphismSpec) -> str | None:
-    fam = spec.family
-    try:
-        if isinstance(fam, FreeAbelian):
-            if not spec.fitting_matrix.is_unimodular:
-                return "lattice matrix is not unimodular"
-            return None
-        if isinstance(fam, Heisenberg):
-            z_img = spec.image_of("z")
-            if any(z_img.exponents[:2]) or abs(z_img.exponents[2]) != 1:
-                return "center image is not z^(+-1)"
-            if not spec.quotient_matrix.is_unimodular:
-                return "quotient matrix is not unimodular"
-            return None
-        if isinstance(fam, HeisenbergTimesZ):
-            if not spec.fitting_matrix.is_unimodular:
-                return "center matrix is not unimodular"
-            if not spec.quotient_matrix.is_unimodular:
-                return "quotient matrix is not unimodular"
-            return None
-        if isinstance(fam, ZnSemidirectZ):
-            return _zn_layer_failure(spec)
-        if isinstance(fam, Z2MinusIExt):
-            if not spec.fitting_matrix.is_unimodular:
-                return "lattice matrix is not unimodular"
-            if not spec.quotient_matrix.is_unimodular:
-                return "quotient matrix is not unimodular"
-            return None
-        if isinstance(fam, HnSemidirectZ):
-            z_img = spec.image_of("z")
-            if any(z_img.exponents[:2]) or z_img.exponents[3] or abs(z_img.exponents[2]) != 1:
-                return "center image is not z^(+-1)"
-            for name in ("x", "y"):
-                if spec.image_of(name).exponents[3]:
-                    return "image of %s leaves the Heisenberg subgroup" % name
-            if not spec.fitting_matrix.is_unimodular:
-                return "Heisenberg quotient matrix is not unimodular"
-            if abs(spec.image_of("t").exponents[3]) != 1:
-                return "quotient exponent of t is not +-1"
-            return None
-    except ValueError as exc:
-        return str(exc)
-    return "unknown family"
-
-
-def _zn_layer_failure(spec: AutomorphismSpec) -> str | None:
-    fam = spec.family
-    n = fam.n
-    a = fam.action
-    ident = IntMatrix.identity(n)
-    if a == ident:
-        full = IntMatrix.from_columns([img.exponents for img in spec.images])
-        return None if full.is_unimodular else "full abelian matrix is not unimodular"
-    lattice_preserved = all(spec.images[i].exponents[n] == 0 for i in range(n))
-    if lattice_preserved:
-        if not spec.fitting_matrix.is_unimodular:
-            return "lattice matrix is not unimodular"
-        if abs(spec.image_of("t").exponents[n]) != 1:
-            return "quotient exponent of t is not +-1"
-        return None
-    d = finite_order(a)
-    if d is None:
-        # With an infinite-order action the lattice is characteristic
-        # whenever 1 is not an eigenvalue, so leaving it is a failure; in
-        # the unipotent corner this check is sound but conservative.
-        return "images leave the lattice subgroup"
-    try:
-        mt = translation_matrix(spec, d)
-    except ValueError as exc:
-        return str(exc)
-    if not mt.is_unimodular:
-        return "translation-lattice matrix is not unimodular"
-    if math.gcd(spec.image_of("t").exponents[n], d) != 1:
-        return "induced map on the finite quotient is not bijective"
-    return None
 
 
 def translation_matrix(spec: AutomorphismSpec, d: int) -> IntMatrix:
@@ -668,10 +748,9 @@ def translation_matrix(spec: AutomorphismSpec, d: int) -> IntMatrix:
     t-exponent divisible by d (the lattice is characteristic when the
     action has finite order d, so genuine automorphisms always restrict).
     """
-    fam = spec.family
-    if not isinstance(fam, ZnSemidirectZ):
+    if not isinstance(spec.family, ZnSemidirectZ):
         raise TypeError("translation matrix only applies to ZnSemidirectZ")
-    n = fam.n
+    n = spec.family.n
     cols = []
     t_power = spec.image_of("t") ** d
     for img in [t_power] + [spec.images[i] for i in range(n)]:
@@ -703,69 +782,7 @@ def rnumber_with_trace(spec: AutomorphismSpec) -> tuple[RNumber, tuple[str, ...]
     """Reidemeister number of a verified spec along the family's formula route."""
     if not spec.verified:
         raise ValueError("spec must be verified first")
-    fam = spec.family
-    if isinstance(fam, FreeAbelian):
-        return r_abelian(spec.fitting_matrix), ("rnumber:lattice",)
-    if isinstance(fam, Heisenberg):
-        e = spec.image_of("z").exponents[2]
-        r = _r_scalar(e) * r_abelian(spec.quotient_matrix)
-        return r, ("rnumber:center-times-quotient",)
-    if isinstance(fam, HeisenbergTimesZ):
-        r = r_abelian(spec.fitting_matrix) * r_abelian(spec.quotient_matrix)
-        return r, ("rnumber:center-times-quotient",)
-    if isinstance(fam, ZnSemidirectZ):
-        return _rnumber_zn(spec)
-    if isinstance(fam, Z2MinusIExt):
-        return _rnumber_double_ext(spec)
-    if isinstance(fam, HnSemidirectZ):
-        eps = spec.image_of("t").exponents[3]
-        if eps == 1:
-            return INFINITE, ("rnumber:identity-quotient",)
-        m = spec.fitting_matrix
-        e = spec.image_of("z").exponents[2]
-        r = _r_scalar(e) * (r_abelian(m) + r_abelian(-m))
-        return r, ("rnumber:two-step-addition",)
-    raise TypeError("unknown family")
-
-
-def _rnumber_zn(spec: AutomorphismSpec) -> tuple[RNumber, tuple[str, ...]]:
-    fam = spec.family
-    n = fam.n
-    a = fam.action
-    if a == IntMatrix.identity(n):
-        full = IntMatrix.from_columns([img.exponents for img in spec.images])
-        return r_abelian(full), ("rnumber:lattice",)
-    lattice_preserved = all(spec.images[i].exponents[n] == 0 for i in range(n))
-    if lattice_preserved:
-        eps = spec.image_of("t").exponents[n]
-        if eps == 1:
-            return INFINITE, ("rnumber:identity-quotient",)
-        m = spec.fitting_matrix
-        return r_abelian(m) + r_abelian(a * m), ("rnumber:two-step-addition",)
-    d = finite_order(a)
-    if d is None:
-        raise ValueError("images leave the lattice for an infinite-order action")
-    mt = translation_matrix(spec, d)
-    holonomy = HolonomySet.cyclic(holonomy_embedding(a))
-    return r_averaging(holonomy, mt), ("rnumber:holonomy-averaging",)
-
-
-def _rnumber_double_ext(spec: AutomorphismSpec) -> tuple[RNumber, tuple[str, ...]]:
-    fam = spec.family
-    a = fam.action
-    m = spec.fitting_matrix
-    k = spec.quotient_matrix
-    shifted = IntMatrix.identity(2) - k
-    reps = coset_representatives(shifted)
-    if reps is None:
-        return INFINITE, ("rnumber:identity-quotient",)
-    minus = -IntMatrix.identity(2)
-    total = None
-    for e, f in reps:
-        conj = _mpow(minus, e) * _mpow(a, f)
-        term = r_abelian(conj * m)
-        total = term if total is None else total + term
-    return total, ("rnumber:quotient-class-sum",)
+    return spec.family.rnumber_route(spec)
 
 
 def rnumber(spec: AutomorphismSpec) -> RNumber:
@@ -801,16 +818,16 @@ def _witness_phi_m_heis(fam: Heisenberg, m: int) -> AutomorphismSpec:
 
 
 def _witness_target_abelian(fam: FreeAbelian, alpha: int) -> AutomorphismSpec:
-    if fam.n == 1:
+    n = fam.n
+    if n == 1:
         raise UnknownWitnessError("rank-1 lattices only admit the negation witness")
-    # det(I - M) = -alpha for the leading 2x2 block, identity elsewhere
-    images = {}
-    images["e1"] = (0, 1) + (0,) * (fam.n - 2)
-    images["e2"] = (-1, alpha + 2) + (0,) * (fam.n - 2)
-    for i in range(2, fam.n):
-        vec = [0] * fam.n
-        vec[i] = 1
-        images["e%d" % (i + 1)] = tuple(vec)
+    if n == 2:
+        # det(I - M) = -alpha
+        return AutomorphismSpec.from_images(fam, {"e1": (0, 1), "e2": (-1, alpha + 2)})
+    # companion matrix of x^n + alpha x^(n-1) - 1, so det(I - M) = alpha:
+    # e_i -> e_(i+1), and e_n -> e_1 - alpha e_n
+    images = {"e%d" % (i + 1): tuple(int(j == i + 1) for j in range(n)) for i in range(n - 1)}
+    images["e%d" % n] = (1,) + (0,) * (n - 2) + (-alpha,)
     return AutomorphismSpec.from_images(fam, images)
 
 
@@ -941,11 +958,9 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     cc, dd = a[1, 0], a[1, 1]
     gens = (a + a).hstack(IntMatrix.identity(2) - a)  # columns of [2A | I-A]
     bound = max(50, param)
-    for m_val in _search_order(bound):
+    for m_val in _search_m_order(bound):
         kk = 1 + m_val * m_val
-        for div in range(1, kk + 1):
-            if kk % div:
-                continue
+        for div in _divisors(kk):
             for n_val, p_val in ((div, -kk // div), (-div, kk // div)):
                 if (aa - dd) * m_val + bb * p_val + cc * n_val:
                     continue
@@ -964,13 +979,6 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
                 }
                 return AutomorphismSpec.from_images(fam, images)
     raise UnknownWitnessError("no eight-class automorphism found within the search bound")
-
-
-def _search_order(bound: int):
-    yield 0
-    for m in range(1, bound + 1):
-        yield -m
-        yield m
 
 
 _WITNESS_BUILDERS = {

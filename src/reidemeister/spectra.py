@@ -32,10 +32,19 @@ from .exactlin import (
     finite_order,
     kernel_lattice,
     lattice_membership,
-    rat_row_mul,
     smith_normal_form,
+    _divisors,
+    _search_m_order,
 )
-from .groups import AutomorphismSpec, Heisenberg, _mpow, _msum, verify_automorphism
+from .groups import (
+    AutomorphismSpec,
+    FreeAbelian,
+    Heisenberg,
+    HeisenbergTimesZ,
+    _mpow,
+    _msum,
+    verify_automorphism,
+)
 
 
 class HypothesisError(ValueError):
@@ -184,31 +193,6 @@ class System2Decision:
     outcome: str  # "witness" | "none-up-to-bound" | "proven-empty"
     witness: System2Witness | None
     bound: int
-
-
-def _divisors(k: int) -> list[int]:
-    # trial division is fine while isqrt(k) is small; sympy takes over for
-    # the deep end of a large search bound
-    if k <= 250_000:
-        small, large = [], []
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                small.append(d)
-                if d * d != k:
-                    large.append(k // d)
-            d += 1
-        return small + large[::-1]
-    from sympy import divisors as sympy_divisors
-
-    return list(sympy_divisors(k))
-
-
-def _search_m_order(bound: int) -> Iterator[int]:
-    yield 0
-    for m in range(1, bound + 1):
-        yield -m
-        yield m
 
 
 def _system2_require(a: IntMatrix):
@@ -398,7 +382,17 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
     if len(c_row) != 2:
         raise HypothesisError("the coupling row must have two entries")
     ident = IntMatrix.identity(2)
-    inv = (ident - a_prime).rat_inverse()
+    shift = ident - a_prime
+    det_shift = shift.det()
+    adj_t = shift._adjugate().transpose()
+
+    def integral_row(q: IntMatrix) -> tuple[int, ...] | None:
+        # C (I - Q A') (I - A')^-1 as a row, when integral: the adjugate
+        # gives det(I - A') times it
+        combo = adj_t.apply((ident - q * a_prime).transpose().apply(c_row))
+        if any(v % det_shift for v in combo):
+            return None
+        return tuple(v // det_shift for v in combo)
 
     seen: set[IntMatrix] = set()
     count = 0
@@ -410,31 +404,19 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
             if q in seen:
                 continue
             seen.add(q)
-            row = rat_row_mul(
-                (ident - q * a_prime).transpose().apply(c_row),  # C (I - Q A') as a row
-                inv,
-            )
-            if all(v.denominator == 1 for v in row):
-                base = _to_witness(q)
-                return Z3EightDecision("eight", base, tuple(int(v) for v in row), bound)
+            n_row = integral_row(q)
+            if n_row is not None:
+                return Z3EightDecision("eight", _to_witness(q), n_row, bound)
 
     # bounded failure: try to prove emptiness on residue classes
-    det_shift = (ident - a_prime).det()
     modulus = _lcm(8, abs(det_shift))
     if modulus <= RESIDUE_MODULUS_GATE:
-        adj = (ident - a_prime)._adjugate()
-        dmod = abs(det_shift)
-        all_fail = True
-        for m, n, p in _feasible_residues(a_prime, modulus):
-            q = IntMatrix.from_rows([[m, n], [p, -m]])
-            # integrality of C (I - Q A') (I - A')^-1 depends only on the
-            # residue of Q modulo det(I - A')
-            row = (ident - q * a_prime).transpose().apply(c_row)
-            combo = adj.transpose().apply(row)
-            if all(v % dmod == 0 for v in combo):
-                all_fail = False
-                break
-        if all_fail:
+        # integrality of the coupling row depends only on the residue of Q
+        # modulo det(I - A')
+        if all(
+            integral_row(IntMatrix.from_rows([[m, n], [p, -m]])) is None
+            for m, n, p in _feasible_residues(a_prime, modulus)
+        ):
             return Z3EightDecision("r-infinity", None, None, bound, obstruction_modulus=modulus)
     return Z3EightDecision("undecided", None, None, bound)
 
@@ -712,10 +694,7 @@ def canonicalize_z2_by_z2(pres: ExtensionPresentation) -> ExtensionPresentation:
             # a finite-order B != +-I would force A into a finite
             # centralizer, contradicting its infinite order
             raise ValueError("commuting pair violates the finite centralizer structure")
-        found = _find_torsion_direction(a, b)
-        if found is None:
-            raise ValueError("canonicalization search exhausted; no torsion direction found")
-        i, j = found
+        i, j = _find_torsion_direction(a, b)
         g, s, t = _xgcd(i, j)
         # rows (t, -s) and (i, j) have determinant ti + sj = 1
         sub = Substitution(IntMatrix.from_rows([[t, -s], [i, j]]), "y -> x^%d y^%d" % (i, j))
@@ -723,23 +702,45 @@ def canonicalize_z2_by_z2(pres: ExtensionPresentation) -> ExtensionPresentation:
     raise AssertionError("canonicalization did not terminate")
 
 
-def _find_torsion_direction(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
-    """Smallest (i, j) != 0 with A^i B^j = +-I, by expanding diamonds.
+def _find_torsion_direction(a: IntMatrix, b: IntMatrix) -> tuple[int, int]:
+    """The primitive (i, j) with A^i B^j = +-I and i < 0.
 
-    For two commuting infinite-order matrices the set of such pairs is a
-    rank-1 subgroup whose diamond-minimal element is a primitive vector.
+    A and B commute and have infinite order, so both are +-eps^x, +-eps^y
+    for one generator eps of their centralizer modulo +-I, and the pairs
+    (i, j) with A^i B^j = +-I form the rank-1 lattice (y, -x) Z.  Euclid
+    on (x, y) reaches it without knowing eps: the size of +-eps^k grows
+    strictly with |k| away from +-I, so multiplying the larger element by
+    the smaller one or its inverse, whichever is smaller, subtracts the
+    smaller exponent from the larger.  Exponent vectors stay a basis of
+    Z^2, so the one reaching +-I is primitive.
     """
     ident = IntMatrix.identity(2)
-    for radius in range(1, 31):
-        for i in range(-radius, radius + 1):
-            j_abs = radius - abs(i)
-            for j in ({j_abs, -j_abs} if j_abs else {0}):
-                if i == 0 and j == 0:
-                    continue
-                m = _mpow(a, i) * _mpow(b, j)
-                if m == ident or m == -ident:
-                    return (i, j)
-    return None
+    minus = -ident
+    size = _hyperbolic_size if a.det() == -1 or abs(a.trace()) > 2 else _parabolic_size
+    big, e_big = a, (1, 0)
+    small, e_small = b, (0, 1)
+    while True:
+        for m, (i, j) in ((big, e_big), (small, e_small)):
+            if m == ident or m == minus:
+                return (i, j) if i < 0 else (-i, -j)
+        if size(big) < size(small):
+            big, e_big, small, e_small = small, e_small, big, e_big
+        inv = small.inverse_unimodular()
+        plus, minus_step = big * small, big * inv
+        if size(plus) < size(minus_step):
+            big, e_big = plus, (e_big[0] + e_small[0], e_big[1] + e_small[1])
+        else:
+            big, e_big = minus_step, (e_big[0] - e_small[0], e_big[1] - e_small[1])
+
+
+def _hyperbolic_size(m: IntMatrix) -> int:
+    return abs(m.trace())
+
+
+def _parabolic_size(m: IntMatrix) -> int:
+    # +-(I + kN) has 2M - tr(M) I = +-2kN
+    tr = m.trace()
+    return max(abs(2 * m[i, j] - (tr if i == j else 0)) for i in range(2) for j in range(2))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -950,23 +951,23 @@ def _classify_hn_mixed(
 
 THREE_STEP = "three-step"
 
+_NILPOTENT_SPECTRA = {
+    THREE_STEP: (SpectrumDescriptor.r_infinity(), "nilpotent:three-step"),
+    FreeAbelian: (SpectrumDescriptor.full(), "nilpotent:lattice"),
+    Heisenberg: (SpectrumDescriptor.multiples(2), "nilpotent:heisenberg"),
+    HeisenbergTimesZ: (SpectrumDescriptor.multiples(4), "nilpotent:heisenberg-times-z"),
+}
+
 
 def classify_nilpotent(family) -> SpectrumResult:
     """Spectrum of a nilpotent family: lattices, Heisenberg groups, their
     product with a line, and the three-step marker."""
-    from .groups import FreeAbelian, Heisenberg as HeisFamily, HeisenbergTimesZ
-
-    if family == THREE_STEP:
-        return _result(SpectrumDescriptor.r_infinity(), ["nilpotent:three-step"])
-    if isinstance(family, FreeAbelian):
-        if family.n == 1:
-            return _result(SpectrumDescriptor.finite([2]), ["nilpotent:rank-one"])
-        return _result(SpectrumDescriptor.full(), ["nilpotent:lattice"])
-    if isinstance(family, HeisFamily):
-        return _result(SpectrumDescriptor.multiples(2), ["nilpotent:heisenberg"])
-    if isinstance(family, HeisenbergTimesZ):
-        return _result(SpectrumDescriptor.multiples(4), ["nilpotent:heisenberg-times-z"])
-    raise HypothesisError("not a nilpotent family: %r" % (family,))
+    if family == FreeAbelian(1):
+        return _result(SpectrumDescriptor.finite([2]), ["nilpotent:rank-one"])
+    entry = _NILPOTENT_SPECTRA.get(THREE_STEP if family == THREE_STEP else type(family))
+    if entry is None:
+        raise HypothesisError("not a nilpotent family: %r" % (family,))
+    return _result(entry[0], [entry[1]])
 
 
 # ---------------------------------------------------------------------------

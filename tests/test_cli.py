@@ -2,7 +2,12 @@ import io
 import json
 from pathlib import Path
 
-from reidemeister.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, run
+import argparse
+
+import pytest
+
+from reidemeister.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, FAMILY_TABLE, run
+from reidemeister.groups import family_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -171,6 +176,48 @@ def test_rnumber_spec_json_rejects_non_automorphism(tmp_path):
     )
     code, _, err = invoke(["rnumber", "--spec-json", str(spec_file)])
     assert code == EXIT_ERROR and "verification failed" in err
+
+
+@pytest.mark.parametrize(
+    "data, missing",
+    [
+        ({"images": {"e1": [1]}}, "family"),
+        ({"family": {"tag": "free-abelian", "n": 1}}, "images"),
+        ({"family": {"tag": "zn-semidirect-z"}, "images": {"e1": [1], "e2": [0, 1], "t": [0, 0, 1]}}, "matrix"),
+        ([{"tag": "free-abelian", "n": 1}], "object"),
+        ({"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": "10", "e2": "01"}}, "images"),
+    ],
+)
+def test_rnumber_spec_json_rejects_malformed_json(tmp_path, data, missing):
+    spec_file = tmp_path / "malformed.json"
+    spec_file.write_text(json.dumps(data))
+    code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
+
+SLUG_ARGS = {
+    "z2-semidirect": {"matrix": "2,3;3,5"},
+    "z3-semidirect": {"matrix": "1,0,1;0,-1,0;0,0,-1"},
+    "double-ext": {"matrix": "5,2;2,1", "n0": "1,1"},
+    "hn-semidirect": {"n": 2, "k": 1, "l": 0},
+    "free-abelian": {"n": 2},
+    "heisenberg": {"n": 3},
+    "heisenberg-times-z": {"n": 1},
+    "three-step": {},
+}
+
+
+def test_every_slug_builds_and_classifies_through_the_table():
+    assert set(FAMILY_TABLE) == set(SLUG_ARGS)
+    for slug, extra in SLUG_ARGS.items():
+        fields = {"family": slug, "matrix": None, "n0": None, "n": None, "k": None, "l": None, "twists": None}
+        args = argparse.Namespace(**{**fields, **extra})
+        row = FAMILY_TABLE[slug]
+        assert row.classify(args, 50).trace
+        if row.build is not None:
+            fam = row.build(args)
+            assert family_from_json(json.loads(json.dumps(fam.to_json_dict()))) == fam
 
 
 def test_env_bound_override(monkeypatch):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -281,12 +280,6 @@ def test_char_poly():
     assert char_poly(FIB) == (1, -7, 1)
     # (x - 1)(x + 1)^2 = x^3 + x^2 - x - 1, ascending coefficients
     assert char_poly(parse_matrix("1,0,1;0,-1,0;0,0,-1")) == (-1, -1, 1, 1)
-
-
-def test_rat_inverse():
-    inv = (I2 - parse_matrix("5,2;2,1")).rat_inverse()
-    assert inv.entries == (Fraction(0), Fraction(-1, 2), Fraction(-1, 2), Fraction(1))
-    assert not inv.is_integral
 
 
 def test_parse_matrix_text_and_json():

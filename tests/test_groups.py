@@ -13,6 +13,7 @@ from reidemeister.groups import (
     UnknownWitnessError,
     Z2MinusIExt,
     ZnSemidirectZ,
+    FAMILIES,
     family_from_json,
     label_classes,
     minus_i_block_matrix,
@@ -170,6 +171,9 @@ def test_witness_contract_closed_forms():
         assert rnumber(witness(HnSemidirectZ(2, 1, 1), "M_r", r)) == RNumber.finite(4 * r)
     assert rnumber(witness(Z2MinusIExt(FIB, (2, -1)), "phi_eight", 1)) == RNumber.finite(8)
     assert rnumber(witness(FreeAbelian(2), "target", 9)) == RNumber.finite(9)
+    for n in (3, 4):
+        for alpha in (1, 2, 7, 10 ** 12):
+            assert rnumber(witness(FreeAbelian(n), "target", alpha)) == RNumber.finite(alpha)
     assert rnumber(witness(FreeAbelian(1), "negation", 1)) == RNumber.finite(2)
 
 
@@ -286,3 +290,36 @@ def test_spec_json_roundtrip():
     assert family_from_json({"tag": "heisenberg", "n": 2}) == Heisenberg(2)
     with pytest.raises(ValueError):
         family_from_json({"tag": "mystery"})
+
+
+def test_family_registry_json_roundtrip():
+    samples = {
+        "free-abelian": FreeAbelian(3),
+        "heisenberg": Heisenberg(2),
+        "heisenberg-times-z": HeisenbergTimesZ(1),
+        "zn-semidirect-z": ZnSemidirectZ(tahara_form_order3(1)),
+        "z2-minusi-ext": Z2MinusIExt(FIB, (1, -2)),
+        "hn-semidirect-z": HnSemidirectZ(2, 1, 3),
+    }
+    assert set(FAMILIES) == set(samples)
+    for tag, fam in samples.items():
+        assert FAMILIES[tag] is type(fam)
+        data = json.loads(json.dumps(fam.to_json_dict()))
+        assert data["tag"] == tag
+        assert family_from_json(data) == fam
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"tag": "zn-semidirect-z"},
+        {"tag": "z2-minusi-ext", "matrix": [[2, 3], [3, 5]]},
+        {"tag": "z2-minusi-ext", "matrix": [[2, 3], [3, 5]], "n0": 5},
+        {"tag": "heisenberg", "n": [1]},
+        {"tag": ["heisenberg"], "n": 1},
+    ],
+)
+def test_family_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        family_from_json(data)

@@ -7,6 +7,7 @@ from reidemeister.groups import (
     Heisenberg,
     HeisenbergTimesZ,
     HnSemidirectZ,
+    Z2MinusIExt,
     ZnSemidirectZ,
     label_classes,
     rnumber,
@@ -412,6 +413,44 @@ def test_extension_arithmetic_group_axioms(rng):
         assert conj_t == tuple(pres.action_y.column(0)) + (0, 0)
         comm = _ext_mul(pres, _ext_mul(pres, u, t), _ext_mul(pres, _ext_inv(pres, u), _ext_inv(pres, t)))
         assert comm == (pres.n0[0], pres.n0[1], 0, 0)
+
+
+def test_double_ext_law_matches_generic_extension_law(rng):
+    # Z2MinusIExt is the extension of Z^2 by Z^2 with action_y = -I; its
+    # closed-form law must agree with the generic one
+    from reidemeister.spectra import _ext_inv, _ext_mul
+
+    for a, n0 in ((FIB, (1, 0)), (NIET, (2, -3)), (parse_matrix("1,2;0,-1"), (1, 1))):
+        fam = Z2MinusIExt(a, n0)
+        pres = ExtensionPresentation(a, -I2, n0)
+        for _ in range(200):
+            g, h = (tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(2))
+            assert fam.multiply(g, h) == _ext_mul(pres, g, h)
+            assert fam.inverse(g) == _ext_inv(pres, g)
+
+
+def test_torsion_direction_beyond_small_exponents():
+    from reidemeister.spectra import _find_torsion_direction
+
+    # A = I + 4N, B = -(I + 31N): A^i B^j = +-I exactly when 4i + 31j = 0
+    a = parse_matrix("1,0;4,1")
+    b = -parse_matrix("1,0;31,1")
+    assert _find_torsion_direction(a, b) == (-31, 4)
+    # hyperbolic: A = FIB^2, B = -FIB^-3 gives 2i - 3j = 0
+    assert _find_torsion_direction(FIB ** 2, -(FIB ** -3)) == (-3, -2)
+
+
+def test_hn_inputs_needing_large_torsion_directions():
+    # these mixed-eigenvalue actions canonicalize through a commuting pair
+    # whose torsion direction lies far from the origin
+    for a, twist_list in (
+        (parse_matrix("-2,3;-1,2"), ((-2, -1), (-2, 1), (-1, -2), (-1, 0))),
+        (parse_matrix("2,-1;3,-2"), ((-2, -1), (-1, -2), (0, -1), (1, -2))),
+    ):
+        for twists in twist_list:
+            res = classify_hn_semidirect(4, a, 300, twists)
+            assert res.spectrum == R_INF
+            assert res.trace[-1] == "z3:minus-one-unipotent-block"
 
 
 # ---------------------------------------------------------------------------
