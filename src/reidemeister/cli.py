@@ -146,6 +146,8 @@ def _hn_spectrum(args, bound) -> SpectrumResult:
     n = _n_arg(args)
     if args.matrix is not None:
         twists = parse_vector(args.twists) if args.twists else (0, 0)
+        if len(twists) != 2:
+            raise CliError("--twists needs two values 'k,l', got %d" % len(twists))
         return classify_hn_semidirect(n, _matrix_arg(args, 2), bound, tuple(twists))
     k = _need(args, "k", "--k/--l or --matrix is required for hn-semidirect")
     l = _need(args, "l", "--k/--l or --matrix is required for hn-semidirect")

@@ -30,10 +30,12 @@ routine and must not overflow anything.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import product
 import math
+import operator
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .exactlin import (
@@ -82,6 +84,9 @@ class GroupFamily:
 
     json_tag: ClassVar[str]
     generator_names: tuple[str, ...] = ()
+    # Every twist g -> z g w is affine in the first ``affine_slots`` slots
+    # once the remaining (top) slots are fixed; 0 declares no such slots.
+    affine_slots: ClassVar[int] = 0
 
     @property
     def slots(self) -> int:
@@ -331,6 +336,11 @@ class ZnSemidirectZ(GroupFamily):
     def n(self) -> int:
         return self.action.rows
 
+    @property
+    def affine_slots(self) -> int:
+        # z (v, k) w = (z_v + A^(z_k) v + A^(z_k + k) w_v, z_k + k + w_k)
+        return self.n
+
     def multiply(self, a, b):
         n = self.n
         z1, k1 = a[:n], a[n]
@@ -416,6 +426,7 @@ class Z2MinusIExt(GroupFamily):
     """(Z^2 x|_{-I} Z) x|_psi Z with psi(v t^k) = A(v) (n0 t)^k."""
 
     json_tag = "z2-minusi-ext"
+    affine_slots = 2  # e1, e2: t and u act on them by integer affine maps
     action: IntMatrix
     n0: tuple[int, int]
 
@@ -949,6 +960,12 @@ def _hn_spec_from_block(fam: HnSemidirectZ, m: IntMatrix) -> AutomorphismSpec:
     return AutomorphismSpec.from_images(fam, images)
 
 
+# The phi_eight search runs over |m| <= max(50, param), clamped to this
+# constant so that its time does not grow with the parameter; it also keeps
+# 1 + m^2 in the trial-division range of _divisors.
+PHI_EIGHT_M_CAP = 400
+
+
 def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     """An automorphism of the double extension with eight classes, when
     one exists: a trace-zero block solving the intertwining equation plus
@@ -957,7 +974,7 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     aa, bb = a[0, 0], a[0, 1]
     cc, dd = a[1, 0], a[1, 1]
     gens = (a + a).hstack(IntMatrix.identity(2) - a)  # columns of [2A | I-A]
-    bound = max(50, param)
+    bound = min(max(50, param), PHI_EIGHT_M_CAP)
     for m_val in _search_m_order(bound):
         kk = 1 + m_val * m_val
         for div in _divisors(kk):
@@ -978,7 +995,10 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
                     "u": (m0[0], m0[1], 0, -1),
                 }
                 return AutomorphismSpec.from_images(fam, images)
-    raise UnknownWitnessError("no eight-class automorphism found within the search bound")
+    raise UnknownWitnessError(
+        "no eight-class automorphism found with |m| <= %d (the search is capped at PHI_EIGHT_M_CAP = %d)"
+        % (bound, PHI_EIGHT_M_CAP)
+    )
 
 
 _WITNESS_BUILDERS = {
@@ -997,38 +1017,25 @@ _WITNESS_BUILDERS = {
 # Twisted-conjugacy labeling oracle
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        elif self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        self.parent[ry] = rx
+# The outer ball of label_classes has (2 r + 5)^slots sites; above this cap
+# the oracle refuses before it allocates anything.  The largest ball in the
+# tests and the benchmark is 13^4 = 28 561 sites.
+MAX_BALL_SITES = 100_000
 
 
 @dataclass(frozen=True)
 class ClassLabeling:
     """Twisted-conjugacy labels over a bounded exponent ball.
 
-    ``complete`` is a heuristic fixed-point certificate: the class count
-    did not change when the radius grew by one and every class already
-    meets the interior of the ball.  It is never a proof; the formula
-    paths stay authoritative and the oracle is a falsifier.
+    The labels come from one incremental union-find saturation of the
+    radius-(r+2) ball (see ``label_classes``): the edges inside the
+    radius-(r+1) ball are merged first and the radius-r labels read off
+    there, so merge paths grazing the boundary are not reported as
+    spurious extra classes.  ``complete`` is a heuristic fixed-point
+    certificate read off the finished saturation: the class count did not
+    change when the radius grew by one and every class already meets the
+    interior of the ball.  It is never a proof; the formula paths stay
+    authoritative and the oracle is a falsifier.
     """
 
     ball_radius: int
@@ -1040,54 +1047,114 @@ class ClassLabeling:
         return len(set(self.labels.values()))
 
 
+def _twist_map(family: GroupFamily, z: tuple[int, ...], w: tuple[int, ...]):
+    """The map g -> z g w on exponent tuples.
+
+    On a family that declares affine slots the map is compiled: for each
+    value of the top slots it is affine in the affine slots, and the
+    affine piece is read off the family's own ``multiply`` at 0 and at the
+    unit vectors, then cached by the top slots for the life of the map.
+    Other families multiply twice.
+    """
+    mul = family.multiply
+    n = family.affine_slots
+    if not n:
+        return lambda g: mul(mul(z, g), w)
+    zero = (0,) * n
+    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
+    pieces: dict[tuple[int, ...], list] = {}
+
+    def apply(g):
+        top = g[n:]
+        rows = pieces.get(top)
+        if rows is None:
+            # one row per output slot: its constant and, unless the slot is
+            # constant, the coefficient of each affine slot
+            base = mul(mul(z, zero + top), w)
+            cols = [mul(mul(z, unit + top), w) for unit in units]
+            rows = []
+            for i, b in enumerate(base):
+                coeffs = tuple(col[i] - b for col in cols)
+                rows.append((b, coeffs if any(coeffs) else None))
+            pieces[top] = rows
+        v = g[:n]
+        return tuple([b if coeffs is None else b + sum(map(operator.mul, coeffs, v)) for b, coeffs in rows])
+
+    return apply
+
+
 def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     """Union-find saturation of g ~ z g phi(z)^-1 over an exponent ball.
 
-    Labels over the radius-r ball are read off the saturation of the
-    radius-(r+1) ball, so that merge paths grazing the boundary are not
-    reported as spurious extra classes.
+    One saturation of the radius-(r+2) ball, z running over the generators
+    and their inverses.  The radius-(r+1) edges are exactly the
+    radius-(r+2) edges with both ends in the radius-(r+1) ball, so those
+    are merged first and the radius-r labels and class count taken as a
+    snapshot, in first-seen order over the sorted ball; then the edges
+    leaving the radius-(r+1) ball are merged, and the class count over
+    the radius-(r+1) ball and the interior certificate are read off the
+    finished structure.  Raises ValueError when the outer ball would hold
+    more than MAX_BALL_SITES sites.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if not spec.verified:
         raise ValueError("spec must be verified first")
     fam = spec.family
+    slots = fam.slots
+    inner, outer = radius + 1, radius + 2
+    side = 2 * outer + 1
+    size = side ** slots
+    if size > MAX_BALL_SITES:
+        raise ValueError(
+            "the radius-%d oracle needs a ball of %d^%d = %d sites, above the cap of %d"
+            % (radius, side, slots, size, MAX_BALL_SITES)
+        )
     twists = []
     for gen in fam.generators():
         for z in (gen, gen.inverse()):
-            twists.append((z.exponents, spec.apply(z).inverse().exponents))
+            twists.append(_twist_map(fam, z.exponents, spec.apply(z).inverse().exponents))
 
-    def saturate(r):
-        ball = set(product(range(-r, r + 1), repeat=fam.slots))
-        uf = _UnionFind(ball)
-        mul = fam.multiply
-        for g in ball:
-            for z_exp, phiz_inv in twists:
-                h = mul(mul(z_exp, g), phiz_inv)
-                if h in ball:
-                    uf.union(g, h)
-        return uf
+    # site index = position in the sorted outer ball
+    index = {g: i for i, g in enumerate(product(range(-outer, outer + 1), repeat=slots))}
+    reach = [max(max(g), -min(g)) for g in index]  # sup norm
+    parent = list(range(size))
 
-    uf = saturate(radius + 1)
-    uf_next = saturate(radius + 2)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    ball = sorted(product(range(-radius, radius + 1), repeat=fam.slots))
-    count = len({uf.find(g) for g in ball})
-    roots_next: dict[tuple, list] = {}
-    for g in product(range(-radius - 1, radius + 2), repeat=fam.slots):
-        roots_next.setdefault(uf_next.find(g), []).append(g)
-    count_next = len(roots_next)
-    interior = radius - 1
-    complete = count == count_next and all(
-        any(max(abs(e) for e in member) <= interior for member in members)
-        for members in roots_next.values()
-    )
+    def union(x, y):
+        x, y = find(x), find(y)
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+
+    leaving = array("l")  # flat (g, h) index pairs of the edges leaving ball(r+1)
+    for g, gi in index.items():
+        g_inside = reach[gi] <= inner
+        for twist in twists:
+            hi = index.get(twist(g))
+            if hi is None:
+                continue
+            if g_inside and reach[hi] <= inner:
+                union(gi, hi)
+            else:
+                leaving.extend((gi, hi))
 
     labels: dict[tuple[int, ...], int] = {}
-    assigned: dict[tuple, int] = {}
-    for g in ball:
-        root = uf.find(g)
-        if root not in assigned:
-            assigned[root] = len(assigned)
-        labels[g] = assigned[root]
+    assigned: dict[int, int] = {}
+    for g, gi in index.items():
+        if reach[gi] <= radius:
+            labels[g] = assigned.setdefault(find(gi), len(assigned))
+    count = len(assigned)
+
+    pairs = iter(leaving)
+    for gi, hi in zip(pairs, pairs):
+        union(gi, hi)
+    roots_next = {find(i) for i in range(size) if reach[i] <= inner}
+    roots_interior = {find(i) for i in range(size) if reach[i] <= radius - 1}
+    complete = count == len(roots_next) == len(roots_interior)
     return ClassLabeling(radius, labels, complete)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import argparse
@@ -7,7 +8,7 @@ import argparse
 import pytest
 
 from reidemeister.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, FAMILY_TABLE, run
-from reidemeister.groups import family_from_json
+from reidemeister.groups import MAX_BALL_SITES, PHI_EIGHT_M_CAP, family_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +81,14 @@ def test_dimension_errors_exit_one():
     assert code == EXIT_ERROR and "3x3" in err
 
 
+def test_short_twists_vector_names_the_flag():
+    code, out, err = invoke(
+        ["spectrum", "--family", "hn-semidirect", "--n", "1", "--matrix", "0,1;1,0", "--twists", "1"]
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert err.count("\n") == 1 and "--twists" in err and "k,l" in err
+
+
 def test_unknown_family_exit_one():
     code, _, err = invoke(["spectrum", "--family", "mystery", "--matrix", "1,0;0,1"])
     assert code == EXIT_ERROR and "mystery" in err
@@ -136,6 +145,30 @@ def test_oracle_exit_codes():
          "--param", "1", "--radius", "2"]
     )
     assert code == EXIT_OK and payload(out)["result"]["classes"] == 2
+
+
+def test_oracle_radius_beyond_the_ball_cap_exits_at_once():
+    started = time.perf_counter()
+    code, out, err = invoke(
+        ["oracle", "--family", "heisenberg-times-z", "--n", "1", "--witness", "phi_m",
+         "--param", "1", "--radius", "50"]
+    )
+    assert time.perf_counter() - started < 5.0
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "105^4 = 121550625 sites" in err and str(MAX_BALL_SITES) in err
+    assert MAX_BALL_SITES >= 13 ** 4  # the largest ball in the tests and the benchmark
+
+
+def test_phi_eight_search_is_capped():
+    started = time.perf_counter()
+    code, out, err = invoke(
+        ["rnumber", "--family", "double-ext", "--matrix", "5,2;2,1", "--n0", "1,0",
+         "--witness", "phi_eight", "--param", "1000000000000"]
+    )
+    assert time.perf_counter() - started < 5.0
+    assert code == EXIT_ERROR and out == ""
+    assert err.count("\n") == 1 and "PHI_EIGHT_M_CAP = %d" % PHI_EIGHT_M_CAP in err
 
 
 def test_oracle_incomplete_exit_code(tmp_path):

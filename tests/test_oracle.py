@@ -1,0 +1,141 @@
+"""The ball oracle against its two-pass reference, and its compiled twists."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reidemeister.exactlin import IntMatrix, parse_matrix
+from reidemeister.groups import (
+    AutomorphismSpec,
+    FreeAbelian,
+    Heisenberg,
+    HeisenbergTimesZ,
+    HnSemidirectZ,
+    Z2MinusIExt,
+    ZnSemidirectZ,
+    _twist_map,
+    label_classes,
+    tahara_form_order2,
+    tahara_form_order3,
+    verify_automorphism,
+    witness,
+)
+from dataclasses import replace
+from oracle_reference import reference_label_classes
+
+I2 = IntMatrix.identity(2)
+I3 = IntMatrix.identity(3)
+WEL = parse_matrix("2,3;3,5")
+
+# the corpus of test_acceptance.test_oracle_equivalence: (family, witness, param, radius)
+ACCEPTANCE_CORPUS = [
+    (ZnSemidirectZ(-I2), "M_m", 1, 3),
+    (ZnSemidirectZ(-I2), "M_m", 2, 3),
+    (ZnSemidirectZ(-I2), "M_m", 3, 4),
+    (ZnSemidirectZ(-I3), "M_m", 1, 3),
+    (HeisenbergTimesZ(1), "phi_m", 1, 4),
+    (Heisenberg(1), "phi_m", 1, 3),
+    (Heisenberg(2), "phi_m", 2, 4),
+    (ZnSemidirectZ(tahara_form_order2(0)), "phi_alpha", 1, 4),
+    (ZnSemidirectZ(tahara_form_order3(0)), "phi_alpha", 1, 4),
+    (HnSemidirectZ(1, 0, 0), "M_r", 1, 3),
+    (FreeAbelian(2), "target", 5, 4),
+    (FreeAbelian(1), "negation", 1, 2),
+    (ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 1, 3),
+    (Z2MinusIExt(WEL, (0, 0)), "phi_eight", 1, 3),
+]
+
+# one labeling of each shape (family, witness, radius) of the benchmark's
+# oracle-balls workload, at the top of its parameter range
+ORACLE_SHAPES = [
+    (ZnSemidirectZ(-I2), "M_m", 8, 4),
+    (ZnSemidirectZ(-I2), "M_m", 7, 3),
+    (ZnSemidirectZ(-I3), "M_m", 4, 2),
+    (ZnSemidirectZ(tahara_form_order3(0)), "phi_alpha", 2, 2),
+    (ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 4, 2),
+    (Z2MinusIExt(WEL, (2, -3)), "phi_eight", 1, 2),
+    (Heisenberg(3), "phi_m", 5, 4),
+    (Heisenberg(2), "phi_m", 5, 3),
+    (Heisenberg(1), "phi_m", 4, 2),
+    (HeisenbergTimesZ(2), "phi_m", 4, 3),
+    (HeisenbergTimesZ(1), "phi_m", 4, 2),
+    (HnSemidirectZ(1, 1, 0), "M_r", 2, 3),
+    (HnSemidirectZ(1, 1, 1), "M_r", 2, 2),
+]
+
+
+def _assert_same_labeling(spec, radius):
+    new = label_classes(spec, radius)
+    old = reference_label_classes(spec, radius)
+    assert list(new.labels.items()) == list(old.labels.items())
+    assert new.complete == old.complete
+    assert new.ball_radius == old.ball_radius == radius
+
+
+@pytest.mark.parametrize(
+    "family, wid, param, radius",
+    ACCEPTANCE_CORPUS + ORACLE_SHAPES,
+    ids=lambda v: v.tag() if hasattr(v, "tag") else str(v),
+)
+def test_label_classes_matches_two_pass_reference(family, wid, param, radius):
+    _assert_same_labeling(witness(family, wid, param), radius)
+
+
+def _hyperbolic_flip() -> AutomorphismSpec:
+    # J A J^-1 = A^-1 for J = [[0,-1],[1,0]] and symmetric A, so
+    # e_i -> J e_i, t -> t^-1 is an automorphism of Z^2 x|_A Z
+    spec = AutomorphismSpec.from_images(
+        ZnSemidirectZ(WEL), {"e1": (0, 1, 0), "e2": (-1, 0, 0), "t": (0, 0, -1)}
+    )
+    assert verify_automorphism(spec)
+    return replace(spec, verified=True)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        witness(ZnSemidirectZ(-I2), "M_m", 3),
+        witness(ZnSemidirectZ(-I3), "M_m", 2),
+        witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 2),
+        witness(ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha", 2),
+        _hyperbolic_flip(),
+        witness(Z2MinusIExt(WEL, (1, -2)), "phi_eight", 1),
+    ],
+    ids=["minus-I2", "minus-I3", "tahara-order2", "tahara-order3", "hyperbolic", "double-ext"],
+)
+def test_compiled_twist_maps_equal_two_multiplies(spec):
+    fam = spec.family
+    assert fam.affine_slots > 0
+    outer = 4  # the outer ball of a radius-2 labeling
+    sites = list(product(range(-outer, outer + 1), repeat=fam.slots))
+    for gen in fam.generators():
+        for z in (gen, gen.inverse()):
+            w = spec.apply(z).inverse().exponents
+            compiled = _twist_map(fam, z.exponents, w)
+            for g in sites:
+                assert compiled(g) == fam.multiply(fam.multiply(z.exponents, g), w)
+
+
+# (family, witness id, parameter range, largest radius): the radius stops
+# where the reference oracle would take more than a fraction of a second
+PROPERTY_CASES = [
+    (FreeAbelian(1), "negation", (1, 1), 3),
+    (FreeAbelian(2), "target", (1, 6), 3),
+    (Heisenberg(1), "phi_m", (1, 6), 3),
+    (Heisenberg(3), "phi_m", (1, 6), 3),
+    (ZnSemidirectZ(-I2), "M_m", (1, 6), 3),
+    (HeisenbergTimesZ(1), "phi_m", (1, 4), 2),
+    (HnSemidirectZ(1, 1, 0), "M_r", (1, 3), 2),
+    (ZnSemidirectZ(tahara_form_order3(0)), "phi_alpha", (1, 3), 1),
+    (Z2MinusIExt(WEL, (1, 1)), "phi_eight", (1, 1), 1),
+]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_label_classes_property_against_reference(data):
+    family, wid, (lo, hi), max_radius = data.draw(st.sampled_from(PROPERTY_CASES))
+    param = data.draw(st.integers(lo, hi))
+    radius = data.draw(st.integers(1, max_radius))
+    _assert_same_labeling(witness(family, wid, param), radius)
