@@ -4,8 +4,9 @@ Subcommands: rnumber, spectrum, decide, tables, oracle.  Results go to
 stdout wrapped in an envelope (result payload, derivation trace, tool
 version, search bound); diagnostics go to stderr.  Exit codes: 0 for a
 decided result, 2 when a bounded search ends undecided, 1 on input
-errors.  The environment variable TWISTED_BOUND overrides the default
-search bound; --bound overrides both.
+errors and internal failures.  The environment variable TWISTED_BOUND
+overrides the default search bound; --bound overrides both.  Either is
+refused above MAX_BOUND.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .spectra import (
 )
 
 DEFAULT_BOUND = 10_000
+# largest accepted search bound: a hyperbolic search at the cap answers in
+# about a second, and the time of a search grows linearly with its bound
+MAX_BOUND = 10**6
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,17 +106,21 @@ def _resolve_bound(args) -> int:
     if getattr(args, "bound", None) is not None:
         if args.bound < 1:
             raise CliError("bound must be >= 1")
-        return args.bound
-    env = os.environ.get("TWISTED_BOUND")
-    if env:
+        source, value = "--bound", args.bound
+    else:
+        env = os.environ.get("TWISTED_BOUND")
+        if not env:
+            return DEFAULT_BOUND
         try:
             value = int(env)
         except ValueError:
             raise CliError("TWISTED_BOUND is not an integer: %r" % env) from None
         if value < 1:
             raise CliError("TWISTED_BOUND must be >= 1")
-        return value
-    return DEFAULT_BOUND
+        source = "TWISTED_BOUND"
+    if value > MAX_BOUND:
+        raise CliError("%s %d exceeds the search bound cap MAX_BOUND = %d" % (source, value, MAX_BOUND))
+    return value
 
 
 def _need(args, attr, message):
@@ -308,6 +316,11 @@ def run(argv, stdout=None, stderr=None) -> int:
         raise CliError("unknown command %r" % args.command)
     except (CliError, MatrixParseError, HypothesisError, ValueError, OSError) as exc:
         stderr.write("error: %s\n" % exc)
+        return EXIT_ERROR
+    except AssertionError as exc:
+        # a failed internal consistency check (witness verification, a
+        # basis change, canonicalization) is reported, never a traceback
+        stderr.write("error: internal error: %s\n" % exc)
         return EXIT_ERROR
 
 

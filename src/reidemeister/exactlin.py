@@ -15,14 +15,15 @@ The module provides:
   materialised);
 * saturated eigenlattices, finite-order detection, centralizer-span
   membership and integer lattice membership;
-* the divisor enumeration and search order shared by the bounded
-  witness searches.
+* the solver of the quadratic system and the search order shared by the
+  bounded witness searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import math
 from typing import Iterator, Sequence
 
 
@@ -270,31 +271,56 @@ def matrix_power_sum(a: IntMatrix, k: int) -> IntMatrix:
 # Bounded witness searches
 
 
-def _divisors(k: int) -> list[int]:
-    """Positive divisors of k >= 1 in ascending order."""
-    # trial division is fine while isqrt(k) is small; sympy takes over for
-    # the deep end of a large search bound
-    if k <= 250_000:
-        small, large = [], []
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                small.append(d)
-                if d * d != k:
-                    large.append(k // d)
-            d += 1
-        return small + large[::-1]
-    from sympy import divisors as sympy_divisors
-
-    return list(sympy_divisors(k))
-
-
 def _search_m_order(bound: int) -> Iterator[int]:
     """0, -1, 1, -2, 2, ..., -bound, bound."""
     yield 0
     for m in range(1, bound + 1):
         yield -m
         yield m
+
+
+def _system2_rows(a: IntMatrix, bound: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Every solution of -m^2 - np = 1, (a-d)m + bp + cn = 0 with
+    |m| <= bound, as (m, pairs) for each m in ``_search_m_order(bound)``
+    that has one; pairs lists the (n, p) in ascending |n|, positive n first.
+
+    With k = 1 + m^2, np = -k makes n a nonzero divisor of k, and n times
+    the linear equation gives c n^2 + (a-d) m n - b k = 0.  For c != 0 the
+    discriminant is (tr^2 - 4 det) m^2 + 4bc, so one integer square root
+    per m finds the candidate roots; each candidate is checked exactly
+    against both equations.  Only a scalar action (b = c = 0, a = d)
+    leaves n free, and then every factorisation of k solves.
+    """
+    aa, bb, cc, dd = a.entries
+    e = aa - dd
+    disc_0 = 4 * bb * cc
+    disc_m2 = e * e + disc_0
+    two_c = 2 * cc
+    for m in _search_m_order(bound):
+        k = 1 + m * m
+        em = e * m
+        if cc:
+            disc = disc_m2 * m * m + disc_0
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            roots = {num // two_c for num in (s - em, -s - em) if num % two_c == 0}
+        elif em:
+            roots = {bb * k // em} if bb * k % em == 0 else ()
+        elif bb:
+            continue
+        else:
+            roots = {n for d in range(1, math.isqrt(k) + 1) if k % d == 0 for n in (d, -d, k // d, -k // d)}
+        pairs = []
+        for n in sorted(roots, key=lambda n: (abs(n), n < 0)):
+            if n and k % n == 0:
+                p = -k // n
+                if em + bb * p + cc * n == 0:
+                    pairs.append((n, p))
+        if pairs:
+            yield m, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,7 @@ from .exactlin import (
     finite_order,
     lattice_membership,
     matrix_power_sum,
-    _divisors,
-    _search_m_order,
+    _system2_rows,
 )
 from .twisted import HolonomySet, INFINITE, RNumber, r_abelian, r_averaging
 
@@ -961,8 +960,7 @@ def _hn_spec_from_block(fam: HnSemidirectZ, m: IntMatrix) -> AutomorphismSpec:
 
 
 # The phi_eight search runs over |m| <= max(50, param), clamped to this
-# constant so that its time does not grow with the parameter; it also keeps
-# 1 + m^2 in the trial-division range of _divisors.
+# constant so that its time does not grow with the parameter.
 PHI_EIGHT_M_CAP = 400
 
 
@@ -971,30 +969,24 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     one exists: a trace-zero block solving the intertwining equation plus
     an integral solution of the lifting constraint."""
     a = fam.action
-    aa, bb = a[0, 0], a[0, 1]
-    cc, dd = a[1, 0], a[1, 1]
     gens = (a + a).hstack(IntMatrix.identity(2) - a)  # columns of [2A | I-A]
     bound = min(max(50, param), PHI_EIGHT_M_CAP)
-    for m_val in _search_m_order(bound):
-        kk = 1 + m_val * m_val
-        for div in _divisors(kk):
-            for n_val, p_val in ((div, -kk // div), (-div, kk // div)):
-                if (aa - dd) * m_val + bb * p_val + cc * n_val:
-                    continue
-                m = IntMatrix.from_rows([[m_val, n_val], [p_val, -m_val]])
-                target = (IntMatrix.identity(2) + a * m).apply(fam.n0)
-                coeffs = lattice_membership(target, gens)
-                if coeffs is None:
-                    continue
-                m0 = coeffs[:2]
-                z0 = coeffs[2:]
-                images = {
-                    "e1": tuple(m.column(0)) + (0, 0),
-                    "e2": tuple(m.column(1)) + (0, 0),
-                    "t": (z0[0], z0[1], -1, 0),
-                    "u": (m0[0], m0[1], 0, -1),
-                }
-                return AutomorphismSpec.from_images(fam, images)
+    for m_val, pairs in _system2_rows(a, bound):
+        for n_val, p_val in pairs:
+            m = IntMatrix.from_rows([[m_val, n_val], [p_val, -m_val]])
+            target = (IntMatrix.identity(2) + a * m).apply(fam.n0)
+            coeffs = lattice_membership(target, gens)
+            if coeffs is None:
+                continue
+            m0 = coeffs[:2]
+            z0 = coeffs[2:]
+            images = {
+                "e1": tuple(m.column(0)) + (0, 0),
+                "e2": tuple(m.column(1)) + (0, 0),
+                "t": (z0[0], z0[1], -1, 0),
+                "u": (m0[0], m0[1], 0, -1),
+            }
+            return AutomorphismSpec.from_images(fam, images)
     raise UnknownWitnessError(
         "no eight-class automorphism found with |m| <= %d (the search is capped at PHI_EIGHT_M_CAP = %d)"
         % (bound, PHI_EIGHT_M_CAP)

@@ -33,8 +33,7 @@ from .exactlin import (
     kernel_lattice,
     lattice_membership,
     smith_normal_form,
-    _divisors,
-    _search_m_order,
+    _system2_rows,
 )
 from .groups import (
     AutomorphismSpec,
@@ -207,15 +206,8 @@ def _system2_require(a: IntMatrix):
 def _system2_solutions(a: IntMatrix, bound: int) -> Iterator[System2Witness]:
     """All solutions with |m| <= bound, in deterministic order: m walks
     0, -1, 1, -2, 2, ... and (n, p) ascends lexicographically per m."""
-    aa, bb, cc, dd = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    for m in _search_m_order(bound):
-        k = 1 + m * m
-        found = []
-        for d in _divisors(k):
-            for n, p in ((d, -(k // d)), (-d, k // d)):
-                if (aa - dd) * m + bb * p + cc * n == 0:
-                    found.append((n, p))
-        for n, p in sorted(found):
+    for m, pairs in _system2_rows(a, bound):
+        for n, p in sorted(pairs):
             yield System2Witness(m, n, p)
 
 
@@ -223,9 +215,9 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     """Decide the quadratic system for A up to the given |m| bound.
 
     Non-real eigenvalues prove the system empty without a search; a real
-    search is complete in m up to the bound, enumerating divisor pairs of
-    1 + m^2 for (n, p).  The first solution in the deterministic order is
-    the one reported.
+    search is complete in m up to the bound, solving one quadratic for n
+    per m (``exactlin._system2_rows``).  The first solution in the
+    deterministic order is the one reported.
     """
     _system2_require(a)
     if bound < 1:

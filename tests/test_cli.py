@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -7,7 +11,16 @@ import argparse
 
 import pytest
 
-from reidemeister.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, FAMILY_TABLE, run
+from reidemeister import cli as cli_module
+from reidemeister.cli import (
+    DEFAULT_BOUND,
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_UNDECIDED,
+    FAMILY_TABLE,
+    MAX_BOUND,
+    run,
+)
 from reidemeister.groups import MAX_BALL_SITES, PHI_EIGHT_M_CAP, family_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -270,3 +283,67 @@ def test_text_format_renders():
     assert code == EXIT_OK
     assert "spectrum: {4,oo}" in out
     assert "trace:" in out
+
+
+@pytest.mark.parametrize("source", ["--bound", "TWISTED_BOUND"])
+def test_bound_above_the_cap_exits_at_once(monkeypatch, source):
+    argv = ["decide", "--matrix=-6,1;-1,0"]
+    if source == "--bound":
+        argv += ["--bound", "1000000000000"]
+    else:
+        monkeypatch.setenv("TWISTED_BOUND", "1000000000000")
+    started = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert source in err and "1000000000000" in err and "MAX_BOUND = %d" % MAX_BOUND in err
+
+
+def test_bound_at_the_cap_is_accepted():
+    code, out, _ = invoke(["decide", "--matrix", "2,3;3,5", "--bound", str(MAX_BOUND)])
+    assert code == EXIT_OK and payload(out)["bound"] == MAX_BOUND
+
+
+def test_internal_failure_is_one_error_line(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("basis change failed to produce the block form")
+
+    monkeypatch.setattr(cli_module, "classify_z3_semidirect", broken)
+    code, out, err = invoke(["spectrum", "--family", "z3-semidirect", "--matrix", "1,0,1;0,5,2;0,2,1"])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: internal error: basis change failed to produce the block form\n"
+    assert "Traceback" not in err
+
+
+def test_readme_searches_never_import_sympy():
+    # the README's z3 and double-extension examples run the hyperbolic
+    # search at the default bound; nothing on that path may need sympy
+    script = textwrap.dedent(
+        """
+        import io, json, sys
+        from reidemeister import cli
+        answers = []
+        for argv in (
+            ["spectrum", "--family", "z3-semidirect", "--matrix", "1,0,1;0,5,2;0,2,1"],
+            ["spectrum", "--family", "double-ext", "--matrix", "5,2;2,1", "--n0", "1,0"],
+        ):
+            out = io.StringIO()
+            code = cli.run(argv, out, io.StringIO())
+            envelope = json.loads(out.getvalue())
+            answers.append([code, envelope["bound"], envelope["result"]["spectrum"], envelope["trace"]])
+        print(json.dumps({"answers": answers, "sympy": "sympy" in sys.modules}))
+        """
+    )
+    env = dict(os.environ)
+    env.pop("TWISTED_BOUND", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["sympy"] is False
+    (z3_code, z3_bound, z3_spectrum, z3_trace), (ext_code, ext_bound, ext_spectrum, ext_trace) = report["answers"]
+    assert z3_code == ext_code == EXIT_OK and z3_bound == ext_bound == DEFAULT_BOUND
+    assert z3_spectrum == ext_spectrum == {"kind": "r_infinity"}
+    assert z3_trace[-1] == "z3:parity-obstruction" and ext_trace[-1] == "ext:parity-obstruction"
