@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -697,11 +697,12 @@ def eigenlattice(a: IntMatrix, eps: int) -> LatticeBasis:
     return kernel_lattice(shifted)
 
 
-def in_centralizer_span(m: IntMatrix, x: IntMatrix) -> bool:
-    """Whether X = +-M^k for some k; M must have finite order and M != +-I.
+def centralizer_exponent(m: IntMatrix, x: IntMatrix) -> int | None:
+    """The least k >= 0 with X = +-M^k, or None; M must have finite order
+    and M != +-I.
 
     For finite-order M != +-I in GL2(Z), the centralizer is exactly the
-    finite set {+-M^k}, so exhaustive comparison decides membership.
+    finite set {+-M^k}, so one walk over k < order decides membership.
     """
     if m.rows != 2 or x.rows != 2 or not m.is_square or not x.is_square:
         raise DimensionError("centralizer-span check is for 2x2 matrices")
@@ -712,38 +713,49 @@ def in_centralizer_span(m: IntMatrix, x: IntMatrix) -> bool:
     if order is None:
         raise ValueError("M must have finite order")
     power = ident
-    for _ in range(order):
+    for k in range(order):
         if x == power or x == -power:
-            return True
+            return k
         power = power * m
-    return False
+    return None
+
+
+def in_centralizer_span(m: IntMatrix, x: IntMatrix) -> bool:
+    """Whether X = +-M^k for some k; M must have finite order and M != +-I."""
+    return centralizer_exponent(m, x) is not None
+
+
+def lattice_solver(generators: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
+    """Solve generators * c = target over the integers through one Smith
+    normal form for every target: c, or None when some elementary divisor
+    (or a rank constraint) certifies that no solution exists."""
+    snf = smith_normal_form(generators)
+    limit = min(generators.rows, generators.cols)
+
+    def solve(target: Sequence[int]) -> tuple[int, ...] | None:
+        target = tuple(int(t) for t in target)
+        if len(target) != generators.rows:
+            raise DimensionError(
+                "target length %d does not match ambient dimension %d" % (len(target), generators.rows)
+            )
+        s = snf.U.apply(target)
+        w = [0] * generators.cols
+        for i in range(generators.rows):
+            if i < limit and snf.elementary_divisors[i] != 0:
+                di = snf.elementary_divisors[i]
+                if s[i] % di:
+                    return None
+                w[i] = s[i] // di
+            elif s[i] != 0:
+                return None
+        return snf.V.apply(w)
+
+    return solve
 
 
 def lattice_membership(target: Sequence[int], generators: IntMatrix) -> tuple[int, ...] | None:
-    """Solve generators * c = target over the integers, or return None.
-
-    Solved through the Smith normal form; when no solution exists some
-    elementary divisor fails to divide the transformed target (or a rank
-    constraint fails), which certifies absence.
-    """
-    target = tuple(int(t) for t in target)
-    if len(target) != generators.rows:
-        raise DimensionError(
-            "target length %d does not match ambient dimension %d" % (len(target), generators.rows)
-        )
-    snf = smith_normal_form(generators)
-    s = snf.U.apply(target)
-    limit = min(generators.rows, generators.cols)
-    w = [0] * generators.cols
-    for i in range(generators.rows):
-        if i < limit and snf.elementary_divisors[i] != 0:
-            di = snf.elementary_divisors[i]
-            if s[i] % di:
-                return None
-            w[i] = s[i] // di
-        elif s[i] != 0:
-            return None
-    return snf.V.apply(w)
+    """Solve generators * c = target over the integers, or return None."""
+    return lattice_solver(generators)(target)
 
 
 def coset_representatives(m: IntMatrix) -> list[tuple[int, ...]] | None:

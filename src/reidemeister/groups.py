@@ -36,13 +36,13 @@ from functools import lru_cache
 from itertools import product
 import math
 import operator
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
     coset_representatives,
     finite_order,
-    lattice_membership,
+    lattice_solver,
     matrix_power_sum,
     _system2_rows,
 )
@@ -503,6 +503,16 @@ class Z2MinusIExt(GroupFamily):
             term = r_abelian(_mpow(minus, e) * _mpow(self.action, f) * m)
             total = term if total is None else total + term
         return total, ("rnumber:quotient-class-sum",)
+
+
+def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tuple[int, ...] | None]:
+    """The lifting equation of the double extension with action A and
+    inner twist n0: for a block M, the coefficients (m0, z0) of
+    (I + A M) n0 = 2A m0 + (I - A) z0, or None when no integral solution
+    exists.  The Smith form of [2A | I - A] is computed once."""
+    solve = lattice_solver((a + a).hstack(IntMatrix.identity(2) - a))
+    # (I + A M) n0 as n0 + A (M n0)
+    return lambda m: solve([u + v for u, v in zip(n0, a.apply(m.apply(n0)))])
 
 
 @dataclass(frozen=True)
@@ -969,13 +979,17 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     one exists: a trace-zero block solving the intertwining equation plus
     an integral solution of the lifting constraint."""
     a = fam.action
-    gens = (a + a).hstack(IntMatrix.identity(2) - a)  # columns of [2A | I-A]
+    if a.det() != 1:
+        # the quadratic system encodes the intertwining only for det 1
+        raise UnknownWitnessError(
+            "phi_eight needs an action of determinant 1; with determinant -1 the spectrum is {oo}"
+        )
+    lift = lifting_solver(a, fam.n0)
     bound = min(max(50, param), PHI_EIGHT_M_CAP)
     for m_val, pairs in _system2_rows(a, bound):
         for n_val, p_val in pairs:
             m = IntMatrix.from_rows([[m_val, n_val], [p_val, -m_val]])
-            target = (IntMatrix.identity(2) + a * m).apply(fam.n0)
-            coeffs = lattice_membership(target, gens)
+            coeffs = lift(m)
             if coeffs is None:
                 continue
             m0 = coeffs[:2]

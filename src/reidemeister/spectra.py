@@ -11,13 +11,17 @@ obstruction applies: non-real eigenvalues, determinant -1, or the
 residue-class (parity) obstruction, which enumerates the finitely many
 residue classes that solutions of the quadratic system can occupy and
 checks that the integrality constraint fails on every one of them.
+The hyperbolic Z^3 block and the double extension share one eight-class
+decision, ``_eight_class_search``, which holds the search limits and the
+residue obstruction; each case passes in its own lifting test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
@@ -27,11 +31,11 @@ from .exactlin import (
     KIND_REPEATED_MINUS_ONE,
     KIND_REPEATED_ONE,
     TAG_COMPLEX_PAIR,
+    centralizer_exponent,
     eigenlattice,
     eigenvalue_profile,
     finite_order,
     kernel_lattice,
-    lattice_membership,
     smith_normal_form,
     _system2_rows,
 )
@@ -42,6 +46,7 @@ from .groups import (
     HeisenbergTimesZ,
     _mpow,
     _msum,
+    lifting_solver,
     verify_automorphism,
 )
 
@@ -357,6 +362,36 @@ def _orbit_of(q: IntMatrix, a: IntMatrix) -> Iterator[IntMatrix]:
             yield -base
 
 
+def _eight_class_search(
+    a: IntMatrix, bound: int, lifts: Callable[[IntMatrix], tuple[int, ...] | None], modulus: int
+) -> tuple[str, System2Witness | None, tuple[int, ...] | None]:
+    """The eight-class decision shared by the z3 block and the double
+    extension: does some solution Q of the quadratic system for A lift?
+
+    ``lifts(Q)`` returns the lifting data of Q, or None when Q does not
+    lift; it must depend only on Q modulo ``modulus``.  The search walks
+    the first WITNESS_ENUM_LIMIT solutions with |m| <= bound, each with
+    its orbit, and returns ("eight", witness, data) for the first Q that
+    lifts.  Otherwise, under the gate, ("r-infinity", None, None) when no
+    residue class of solutions modulo ``modulus`` lifts, a proof that no
+    solution does; else ("undecided", None, None).
+    """
+    seen: set[IntMatrix] = set()
+    for wit in islice(_system2_solutions(a, bound), WITNESS_ENUM_LIMIT):
+        for q in _orbit_of(wit.matrix, a):
+            if q in seen:
+                continue
+            seen.add(q)
+            data = lifts(q)
+            if data is not None:
+                return "eight", System2Witness(q[0, 0], q[0, 1], q[1, 0]), data
+    if modulus <= RESIDUE_MODULUS_GATE and all(
+        lifts(IntMatrix.from_rows([[m, n], [p, -m]])) is None for m, n, p in _feasible_residues(a, modulus)
+    ):
+        return "r-infinity", None, None
+    return "undecided", None, None
+
+
 def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3EightDecision:
     """Decide between eight classes and the infinite spectrum for the
     block form (1, C; 0, A') with hyperbolic A' of determinant 1.
@@ -386,39 +421,10 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
             return None
         return tuple(v // det_shift for v in combo)
 
-    seen: set[IntMatrix] = set()
-    count = 0
-    for wit in _system2_solutions(a_prime, bound):
-        count += 1
-        if count > WITNESS_ENUM_LIMIT:
-            break
-        for q in _orbit_of(wit.matrix, a_prime):
-            if q in seen:
-                continue
-            seen.add(q)
-            n_row = integral_row(q)
-            if n_row is not None:
-                return Z3EightDecision("eight", _to_witness(q), n_row, bound)
-
-    # bounded failure: try to prove emptiness on residue classes
-    modulus = _lcm(8, abs(det_shift))
-    if modulus <= RESIDUE_MODULUS_GATE:
-        # integrality of the coupling row depends only on the residue of Q
-        # modulo det(I - A')
-        if all(
-            integral_row(IntMatrix.from_rows([[m, n], [p, -m]])) is None
-            for m, n, p in _feasible_residues(a_prime, modulus)
-        ):
-            return Z3EightDecision("r-infinity", None, None, bound, obstruction_modulus=modulus)
-    return Z3EightDecision("undecided", None, None, bound)
-
-
-def _to_witness(q: IntMatrix) -> System2Witness:
-    return System2Witness(q[0, 0], q[0, 1], q[1, 0])
-
-
-def _lcm(a: int, b: int) -> int:
-    return abs(a * b) // math.gcd(a, b) if a and b else max(abs(a), abs(b))
+    # integral_row depends only on Q modulo det(I - A'), which divides this
+    modulus = math.lcm(8, abs(det_shift))
+    outcome, wit, n_row = _eight_class_search(a_prime, bound, integral_row, modulus)
+    return Z3EightDecision(outcome, wit, n_row, bound, modulus if outcome == "r-infinity" else None)
 
 
 def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
@@ -622,16 +628,6 @@ def apply_substitution(pres: ExtensionPresentation, sub: Substitution) -> Extens
     return ExtensionPresentation(new_a, new_b, (comm[0], comm[1]), pres.change_log + (sub,))
 
 
-def _find_power_match(base: IntMatrix, target: IntMatrix, order: int) -> int | None:
-    """k with target = +-base^k, searching k = 0..order-1; None if absent."""
-    power = IntMatrix.identity(2)
-    for k in range(order):
-        if target == power or target == -power:
-            return k
-        power = power * base
-    return None
-
-
 def canonicalize_z2_by_z2(pres: ExtensionPresentation) -> ExtensionPresentation:
     """Drive the quotient generators into one of the canonical situations:
 
@@ -671,10 +667,9 @@ def canonicalize_z2_by_z2(pres: ExtensionPresentation) -> ExtensionPresentation:
         if a in (ident, -ident):
             current = apply_substitution(current, Substitution(IntMatrix.from_rows([[0, 1], [1, 0]]), "swap x and y"))
             continue
-        order_a = finite_order(a)
-        if order_a is not None:
+        if finite_order(a) is not None:
             # commuting with a finite-order matrix != +-I forces B = +-A^k
-            k = _find_power_match(a, b, order_a)
+            k = centralizer_exponent(a, b)
             if k is None:
                 raise ValueError("commuting pair violates the finite centralizer structure")
             current = apply_substitution(
@@ -757,12 +752,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> SpectrumResult:
     """Spectrum of (Z^2 x|_{-I} Z) x|_psi Z with psi acting by A and
     twisting the inner generator by n0."""
+    n0 = tuple(int(v) for v in n0)
+    if len(n0) != 2:
+        raise HypothesisError("n0 must have exactly two entries, got %d" % len(n0))
     if a.rows != 2 or not a.is_unimodular:
         raise HypothesisError("the outer action must be a unimodular 2x2 matrix")
     ident = IntMatrix.identity(2)
     if a in (ident, -ident):
         raise HypothesisError("A = +-I lies outside this case; the group is a lattice semidirect product")
-    n0 = tuple(int(v) for v in n0)
     order = finite_order(a)
     if order == 2:
         return _result(SpectrumDescriptor.r_infinity(), ["ext:order-two-action"])
@@ -774,48 +771,16 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
     if a.det() == -1:
         return _result(SpectrumDescriptor.r_infinity(), ["ext:hyperbolic-det-minus-one"])
 
-    # hyperbolic, det 1: search for a block M whose lifting constraint
-    # (I + A M) n0 in im(2A) + im(I - A) has an integral solution
-    gens = (a + a).hstack(ident - a)
-    seen: set[IntMatrix] = set()
-    count = 0
-    for wit in _system2_solutions(a, bound):
-        count += 1
-        if count > WITNESS_ENUM_LIMIT:
-            break
-        for m in _orbit_of(wit.matrix, a):
-            if m in seen:
-                continue
-            seen.add(m)
-            target = (ident + a * m).apply(n0)
-            coeffs = lattice_membership(target, gens)
-            if coeffs is not None:
-                return _result(
-                    SpectrumDescriptor.finite([8]),
-                    ["ext:hyperbolic", "ext:lifting-witness"],
-                    {
-                        "witness": _to_witness(m).to_json_dict(),
-                        "m0": list(coeffs[:2]),
-                        "z0": list(coeffs[2:]),
-                    },
-                )
-
-    # residue obstruction: the lifting constraint only depends on M mod 2,
-    # and the system constrains (m, n, p) mod 8
-    cols_mod2 = [tuple(v % 2 for v in (ident - a).column(j)) for j in range(2)]
-    span2 = set()
-    for c1 in range(2):
-        for c2 in range(2):
-            vec = tuple((c1 * cols_mod2[0][i] + c2 * cols_mod2[1][i]) % 2 for i in range(2))
-            span2.add(vec)
-    all_fail = True
-    for m_res, n_res, p_res in _feasible_residues(a, 8):
-        m = IntMatrix.from_rows([[m_res, n_res], [p_res, -m_res]])
-        target = (ident + a * m).apply(n0)
-        if tuple(v % 2 for v in target) in span2:
-            all_fail = False
-            break
-    if all_fail:
+    # hyperbolic, det 1: im(2A) = 2Z^2, so whether a block M lifts depends
+    # only on M mod 2, and the system constrains (m, n, p) mod 8
+    outcome, wit, coeffs = _eight_class_search(a, bound, lifting_solver(a, n0), 8)
+    if outcome == "eight":
+        return _result(
+            SpectrumDescriptor.finite([8]),
+            ["ext:hyperbolic", "ext:lifting-witness"],
+            {"witness": wit.to_json_dict(), "m0": list(coeffs[:2]), "z0": list(coeffs[2:])},
+        )
+    if outcome == "r-infinity":
         return _result(
             SpectrumDescriptor.r_infinity(),
             ["ext:hyperbolic", "ext:parity-obstruction"],

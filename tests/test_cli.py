@@ -184,6 +184,24 @@ def test_phi_eight_search_is_capped():
     assert err.count("\n") == 1 and "PHI_EIGHT_M_CAP = %d" % PHI_EIGHT_M_CAP in err
 
 
+@pytest.mark.parametrize("matrix", ["1,0;0,-1", "0,1;1,0", "1,1;1,0"])
+def test_phi_eight_refuses_a_determinant_minus_one_action(matrix):
+    code, out, err = invoke(
+        ["rnumber", "--family", "double-ext", "--matrix", matrix, "--n0", "0,0",
+         "--witness", "phi_eight", "--param", "1"]
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "internal error" not in err and "determinant -1" in err
+
+
+@pytest.mark.parametrize("matrix", ["0,1;1,0", "5,2;2,1"])
+def test_double_ext_spectrum_rejects_an_n0_of_three_entries(matrix):
+    code, out, err = invoke(["spectrum", "--family", "double-ext", "--matrix", matrix, "--n0", "1,2,3"])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: n0 must have exactly two entries, got 3\n"
+
+
 def test_oracle_incomplete_exit_code(tmp_path):
     spec_file = tmp_path / "identity.json"
     spec_file.write_text(

@@ -1,3 +1,6 @@
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from reidemeister.exactlin import IntMatrix, parse_matrix
@@ -485,6 +488,58 @@ def test_double_ext_other_branches():
         classify_z2_minusI_ext(-I2, (0, 0), 50)
     with pytest.raises(HypothesisError):
         classify_z2_minusI_ext(ROT4, (0, 0), 50)  # finite order > 2
+
+
+# every hyperbolic det-1 matrix with entries of absolute value <= 8
+_HYPERBOLIC_8 = [
+    IntMatrix.from_rows([[a, b], [c, d]])
+    for a, b, c, d in product(range(-8, 9), repeat=4)
+    if a * d - b * c == 1 and abs(a + d) > 2
+]
+_SMALL_VECTOR = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+def _solves_system2(a: IntMatrix, m: int, n: int, p: int) -> bool:
+    return -m * m - n * p == 1 and (a[0, 0] - a[1, 1]) * m + a[0, 1] * p + a[1, 0] * n == 0
+
+
+def _span2_obstructs(a: IntMatrix, n0) -> bool:
+    """The mod-2 criterion: no residue class mod 8 of the quadratic system
+    has (I + A M) n0 in the mod-2 span of the columns of I - A."""
+    cols = [tuple(v % 2 for v in (I2 - a).column(j)) for j in range(2)]
+    span2 = {
+        ((x * cols[0][0] + y * cols[1][0]) % 2, (x * cols[0][1] + y * cols[1][1]) % 2)
+        for x, y in product(range(2), repeat=2)
+    }
+    for m, n, p in product(range(8), repeat=3):
+        if (-m * m - n * p - 1) % 8 or ((a[0, 0] - a[1, 1]) * m + a[0, 1] * p + a[1, 0] * n) % 8:
+            continue
+        target = (I2 + a * IntMatrix.from_rows([[m, n], [p, -m]])).apply(n0)
+        if tuple(v % 2 for v in target) in span2:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_HYPERBOLIC_8), n0=_SMALL_VECTOR, c_row=_SMALL_VECTOR)
+def test_eight_class_decisions_property(a, n0, c_row):
+    res = classify_z2_minusI_ext(a, n0, 100)
+    if res.spectrum == EIGHT:
+        w, m0, z0 = res.evidence["witness"], res.evidence["m0"], res.evidence["z0"]
+        assert _solves_system2(a, w["m"], w["n"], w["p"])
+        lhs = (I2 + a * IntMatrix.from_rows(w["matrix"])).apply(n0)
+        rhs = [u + v for u, v in zip((a + a).apply(m0), (I2 - a).apply(z0))]
+        assert list(lhs) == rhs
+    assert ("ext:parity-obstruction" in res.trace) == _span2_obstructs(a, n0)
+
+    decision = decide_z3_eight(a, c_row, 100)
+    if decision.outcome == "eight":
+        w = decision.witness
+        assert _solves_system2(a, w.m, w.n, w.p)
+        # n_row = C (I - Q A') (I - A')^-1, checked without dividing
+        assert IntMatrix.from_rows([decision.n_row]) * (I2 - a) == IntMatrix.from_rows([c_row]) * (
+            I2 - w.matrix * a
+        )
 
 
 # ---------------------------------------------------------------------------
