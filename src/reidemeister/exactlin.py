@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 import math
+import operator
 from typing import Callable, Iterator, Sequence
 
 
@@ -250,21 +251,43 @@ def matrix_power_sum(a: IntMatrix, k: int) -> IntMatrix:
 
     For k < 0 the defining identity (A^k - I) = (A - I) * S_k is kept, i.e.
     S_(-k) = -A^(-k) * S_k; this is what iterated conjugation exponents need.
-    Computed by binary splitting, so huge k stays cheap.
     """
     a._require_square("power sum")
-    n = a.rows
+    return IntMatrix(a.rows, a.rows, _power_and_sum(a.entries, k)[1])
+
+
+def _power_and_sum(entries: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(A^k, S_k) as row-major entries of the square matrix A with these
+    entries, S_k as in ``matrix_power_sum``; k < 0 needs A unimodular.
+
+    One binary walk, high bit first, computes both in O(log |k|) products:
+    (A^j, S_j) -> (A^2j, S_j + A^j S_j), then -> (A^(j+1), S_j + A^j) on a
+    set bit.
+    """
+    n = math.isqrt(len(entries))
+    base = entries if k >= 0 else IntMatrix(n, n, entries).inverse_unimodular().entries
+    power = IntMatrix.identity(n).entries
+    total = (0,) * (n * n)
+    for bit in bin(abs(k))[2:]:
+        total = tuple(map(operator.add, total, _entries_mul(n, power, total)))
+        power = _entries_mul(n, power, power)
+        if bit == "1":
+            total = tuple(map(operator.add, total, power))
+            power = _entries_mul(n, power, base)
     if k < 0:
-        return -((a ** k) * matrix_power_sum(a, -k))
-    if k == 0:
-        return IntMatrix.zero(n, n)
-    if k == 1:
-        return IntMatrix.identity(n)
-    half = matrix_power_sum(a, k // 2)
-    s = half + (a ** (k // 2)) * half
-    if k % 2:
-        s = s + a ** (k - 1)
-    return s
+        # S_k = -(A^-1 + ... + A^k) = -A^-1 (I + A^-1 + ... + A^(k+1))
+        total = tuple(-v for v in _entries_mul(n, base, total))
+    return power, total
+
+
+def _entries_mul(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    if n == 2:
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    rows = [x[i * n:(i + 1) * n] for i in range(n)]
+    cols = [y[j::n] for j in range(n)]
+    return tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
 
 
 # ---------------------------------------------------------------------------

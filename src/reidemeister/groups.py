@@ -26,6 +26,12 @@ HnSemidirectZ(n, k, l)       x, y, z, t       (t x t^-1 = x^-1 z^k,
 
 Exponents are arbitrary-precision; witness parameters up to 10**6 are
 routine and must not overflow anything.
+
+Z2MinusIExt is one case of the extension of Z^2 by Z^2 in which u and t
+act by commuting matrices A and B with [u, t] = n0: its law is
+``_z2_by_z2_mul`` with B = -I, the same law ``spectra`` applies to any
+such presentation.  The matrix-backed laws read A^k, B^k and their
+geometric sums from one bounded cache (``POWER_CACHE_SIZE``).
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from .exactlin import (
     coset_representatives,
     finite_order,
     lattice_solver,
-    matrix_power_sum,
+    _power_and_sum,
     _system2_rows,
 )
-from .twisted import HolonomySet, INFINITE, RNumber, r_abelian, r_averaging
+from .twisted import HolonomySet, INFINITE, RNumber, r_abelian, r_addition, r_averaging
 
 
 class FamilyMismatchError(ValueError):
@@ -57,14 +63,40 @@ class UnknownWitnessError(ValueError):
     """No witness with the requested id exists for the family."""
 
 
-@lru_cache(maxsize=None)
-def _mpow(a: IntMatrix, k: int) -> IntMatrix:
-    return a ** k
+# (A^k, I + A + ... + A^(k-1)) keyed by A's entries tuple and k.  The size
+# is fixed: witness exponents reach 10^13, and a long-lived caller would
+# otherwise keep an entry for every exponent it ever met.
+POWER_CACHE_SIZE = 4096
+_power_sum = lru_cache(maxsize=POWER_CACHE_SIZE)(_power_and_sum)
+_MINUS_I2 = (-1, 0, 0, -1)
 
 
-@lru_cache(maxsize=None)
-def _msum(a: IntMatrix, k: int) -> IntMatrix:
-    return matrix_power_sum(a, k)
+def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
+    """The law of the extension of Z^2 by Z^2 in which u acts on the
+    kernel by A, t by the commuting B (entries, row-major), and [u, t] = n0.
+    With (z1, z2, k, l) = z t^k u^l and S_M(k) = I + M + ... + M^(k-1):
+    z t^k u^l * z' t^k' u^l' = (z + B^k (A^l z' + S_B(k') S_A(l) n0)) t^(k+k') u^(l+l').
+    """
+    x1, y1, k1, l1 = g
+    x2, y2, k2, l2 = h
+    p, s = _power_sum(a, l1)
+    w0 = p[0] * x2 + p[1] * y2
+    w1 = p[2] * x2 + p[3] * y2
+    if k2 and l1:
+        q = _power_sum(b, k2)[1]
+        v0 = s[0] * n0[0] + s[1] * n0[1]
+        v1 = s[2] * n0[0] + s[3] * n0[1]
+        w0 += q[0] * v0 + q[1] * v1
+        w1 += q[2] * v0 + q[3] * v1
+    r = _power_sum(b, k1)[0]
+    return (x1 + r[0] * w0 + r[1] * w1, y1 + r[2] * w0 + r[3] * w1, k1 + k2, l1 + l2)
+
+
+def _z2_by_z2_inv(a: tuple, b: tuple, n0: tuple, g: tuple) -> tuple:
+    # g h lies in the kernel for h = t^-k u^-l, and then g^-1 = h (g h)^-1
+    h = (0, 0, -g[2], -g[3])
+    c = _z2_by_z2_mul(a, b, n0, g, h)
+    return _z2_by_z2_mul(a, b, n0, h, (-c[0], -c[1], 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +374,13 @@ class ZnSemidirectZ(GroupFamily):
 
     def multiply(self, a, b):
         n = self.n
-        z1, k1 = a[:n], a[n]
-        z2, k2 = b[:n], b[n]
-        moved = _mpow(self.action, k1).apply(z2)
-        return tuple(x + y for x, y in zip(z1, moved)) + (k1 + k2,)
+        p = _power_sum(self.action.entries, a[n])[0]
+        return tuple(a[i] + sum(map(operator.mul, p[i * n:(i + 1) * n], b)) for i in range(n)) + (a[n] + b[n],)
 
     def inverse(self, a):
+        # (v t^k)^-1 = t^-k (-v)
         n = self.n
-        z, k = a[:n], a[n]
-        moved = _mpow(self.action, -k).apply(z)
-        return tuple(-x for x in moved) + (-k,)
+        return self.multiply((0,) * n + (-a[n],), tuple(-x for x in a[:n]) + (0,))
 
     def relations(self):
         n = self.n
@@ -437,28 +466,12 @@ class Z2MinusIExt(GroupFamily):
         object.__setattr__(self, "n0", tuple(int(v) for v in self.n0))
         object.__setattr__(self, "generator_names", ("e1", "e2", "t", "u"))
 
+    # the Z^2-by-Z^2 extension law with t acting by B = -I
     def multiply(self, a, b):
-        A = self.action
-        z1, k1, l1 = a[:2], a[2], a[3]
-        z2, k2, l2 = b[:2], b[2], b[3]
-        w = _mpow(A, l1).apply(z2)
-        if k2 % 2:
-            shift = _msum(A, l1).apply(self.n0)
-            w = (w[0] + shift[0], w[1] + shift[1])
-        sign = -1 if k1 % 2 else 1
-        return (z1[0] + sign * w[0], z1[1] + sign * w[1], k1 + k2, l1 + l2)
+        return _z2_by_z2_mul(self.action.entries, _MINUS_I2, self.n0, a, b)
 
     def inverse(self, a):
-        A = self.action
-        z, k, l = a[:2], a[2], a[3]
-        sign = -1 if k % 2 else 1
-        w = [-sign * z[0], -sign * z[1]]
-        if k % 2:
-            shift = _msum(A, l).apply(self.n0)
-            w[0] -= shift[0]
-            w[1] -= shift[1]
-        back = _mpow(A, -l).apply(w)
-        return (back[0], back[1], -k, -l)
+        return _z2_by_z2_inv(self.action.entries, _MINUS_I2, self.n0, a)
 
     def relations(self):
         E1, E2, T, U = 0, 1, 2, 3
@@ -497,11 +510,8 @@ class Z2MinusIExt(GroupFamily):
         reps = coset_representatives(IntMatrix.identity(2) - self.quotient_matrix(spec))
         if reps is None:
             return INFINITE, ("rnumber:identity-quotient",)
-        minus = -IntMatrix.identity(2)
-        total = None
-        for e, f in reps:
-            term = r_abelian(_mpow(minus, e) * _mpow(self.action, f) * m)
-            total = term if total is None else total + term
+        # the class of t^e u^f acts on the lattice by (-I)^e A^f
+        total = r_addition(reps, lambda rep: (self.action ** rep[1]).scale((-1) ** (rep[0] % 2)), m)
         return total, ("rnumber:quotient-class-sum",)
 
 
@@ -983,6 +993,14 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
         # the quadratic system encodes the intertwining only for det 1
         raise UnknownWitnessError(
             "phi_eight needs an action of determinant 1; with determinant -1 the spectrum is {oo}"
+        )
+    if abs(a.trace()) <= 2 and a not in (IntMatrix.identity(2), -IntMatrix.identity(2)):
+        # parabolic or of finite order 3, 4 or 6: no automorphism has finitely many classes
+        case = ("a repeated eigenvalue", "ext:repeated-eigenvalue") if abs(a.trace()) == 2 else (
+            "finite order %d" % finite_order(a), "z3:block-order-four-or-six")
+        raise UnknownWitnessError(
+            "phi_eight needs a hyperbolic action or A = +-I; A = %s has %s, where the spectrum is {oo} (%s)"
+            % (a, *case)
         )
     lift = lifting_solver(a, fam.n0)
     bound = min(max(50, param), PHI_EIGHT_M_CAP)

@@ -14,6 +14,12 @@ checks that the integrality constraint fails on every one of them.
 The hyperbolic Z^3 block and the double extension share one eight-class
 decision, ``_eight_class_search``, which holds the search limits and the
 residue obstruction; each case passes in its own lifting test.
+
+Extensions of Z^2 by Z^2 (``ExtensionPresentation``) use the one group
+law of ``groups``, the one ``Z2MinusIExt`` uses with B = -I.  Both the
+mixed-eigenvalue Heisenberg case and the double extension with an action
+of finite order (+-I, orders 3, 4, 6) reach their spectra through one
+canonical route, ``_classify_canonical``.
 """
 
 from __future__ import annotations
@@ -44,10 +50,11 @@ from .groups import (
     FreeAbelian,
     Heisenberg,
     HeisenbergTimesZ,
-    _mpow,
-    _msum,
     lifting_solver,
     verify_automorphism,
+    _power_sum,
+    _z2_by_z2_inv,
+    _z2_by_z2_mul,
 )
 
 
@@ -156,16 +163,9 @@ def _result(spectrum, trace, evidence=None) -> SpectrumResult:
     return SpectrumResult(spectrum, tuple(trace), evidence)
 
 
-def _undecided_or_eight(bound: int) -> SpectrumDescriptor:
-    return SpectrumDescriptor.undecided(
-        (SpectrumDescriptor.r_infinity(), SpectrumDescriptor.finite([8])), bound
-    )
-
-
-def _undecided_or_four(bound: int) -> SpectrumDescriptor:
-    return SpectrumDescriptor.undecided(
-        (SpectrumDescriptor.r_infinity(), SpectrumDescriptor.finite([4])), bound
-    )
+def _undecided_or(value: int, bound: int) -> SpectrumDescriptor:
+    """Undecided between {oo} and {value, oo}."""
+    return SpectrumDescriptor.undecided((SpectrumDescriptor.r_infinity(), SpectrumDescriptor.finite([value])), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +243,17 @@ def _feasible_residues(a: IntMatrix, modulus: int) -> list[tuple[int, int, int]]
     the residue obstruction.
     """
     aa, bb, cc, dd = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    # p enters both equations linearly: the p with n p = r, per (n, r)
+    solutions = [[[] for _ in range(modulus)] for _ in range(modulus)]
+    for n in range(modulus):
+        for p in range(modulus):
+            solutions[n][n * p % modulus].append(p)
     out = []
     for m in range(modulus):
+        target = (-m * m - 1) % modulus
         for n in range(modulus):
-            for p in range(modulus):
-                if (-m * m - n * p - 1) % modulus:
-                    continue
-                if ((aa - dd) * m + bb * p + cc * n) % modulus:
-                    continue
-                out.append((m, n, p))
+            rest = (aa - dd) * m + cc * n
+            out.extend((m, n, p) for p in solutions[n][target] if (rest + bb * p) % modulus == 0)
     return out
 
 
@@ -300,7 +302,7 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
         )
     if decision.outcome == "proven-empty":
         return _result(SpectrumDescriptor.r_infinity(), ["z2:hyperbolic", "system2:proven-empty"])
-    return _result(_undecided_or_four(bound), ["z2:hyperbolic", "system2:exhausted"])
+    return _result(_undecided_or(4, bound), ["z2:hyperbolic", "system2:exhausted"])
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +353,20 @@ class Z3EightDecision:
     obstruction_modulus: int | None = None
 
 
-def _orbit_of(q: IntMatrix, a: IntMatrix) -> Iterator[IntMatrix]:
-    # plain witness first, then powers of A by growing distance
+_ORBIT_EXPONENTS = tuple(jj for j in range(1, ORBIT_DEPTH + 1) for jj in (j, -j))
+
+
+def _orbit_of(q: IntMatrix, a: IntMatrix, powers: list[IntMatrix]) -> Iterator[IntMatrix]:
+    # plain witness first, then powers of A by growing distance; ``powers``
+    # keeps the A^j already built for the other witnesses of one search
     yield q
     yield -q
-    for j in range(1, ORBIT_DEPTH + 1):
-        for jj in (j, -j):
-            base = _mpow(a, jj) * q
-            yield base
-            yield -base
+    for i, jj in enumerate(_ORBIT_EXPONENTS):
+        if i == len(powers):
+            powers.append(IntMatrix(2, 2, _power_sum(a.entries, jj)[0]))
+        base = powers[i] * q
+        yield base
+        yield -base
 
 
 def _eight_class_search(
@@ -377,8 +384,9 @@ def _eight_class_search(
     solution does; else ("undecided", None, None).
     """
     seen: set[IntMatrix] = set()
+    powers: list[IntMatrix] = []
     for wit in islice(_system2_solutions(a, bound), WITNESS_ENUM_LIMIT):
-        for q in _orbit_of(wit.matrix, a):
+        for q in _orbit_of(wit.matrix, a, powers):
             if q in seen:
                 continue
             seen.add(q)
@@ -528,7 +536,7 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
             ["z3:hyperbolic-block", "z3:parity-obstruction"],
             {"obstruction_modulus": decision.obstruction_modulus},
         )
-    return _result(_undecided_or_eight(bound), ["z3:hyperbolic-block", "z3:search-exhausted"])
+    return _result(_undecided_or(8, bound), ["z3:hyperbolic-block", "z3:search-exhausted"])
 
 
 # ---------------------------------------------------------------------------
@@ -573,56 +581,26 @@ class ExtensionPresentation:
             raise ValueError("the two actions must commute")
         object.__setattr__(self, "n0", tuple(int(v) for v in self.n0))
 
+    # elements (z1, z2, k, l) = z t^k u^l with t = lift(y), u = lift(x),
+    # under the one Z^2-by-Z^2 law of ``groups``
+    def multiply(self, g: tuple, h: tuple) -> tuple:
+        return _z2_by_z2_mul(self.action_x.entries, self.action_y.entries, self.n0, g, h)
 
-def _ext_mul(pres: ExtensionPresentation, g: tuple, h: tuple) -> tuple:
-    # elements (z1, z2, k, l) = z t^k u^l with t = lift(y), u = lift(x)
-    a, b, n0 = pres.action_x, pres.action_y, pres.n0
-    z1, k1, l1 = g[:2], g[2], g[3]
-    z2, k2, l2 = h[:2], h[2], h[3]
-    w = _mpow(a, l1).apply(z2)
-    shift = _msum(b, k2).apply(_msum(a, l1).apply(n0))
-    w = (w[0] + shift[0], w[1] + shift[1])
-    moved = _mpow(b, k1).apply(w)
-    return (z1[0] + moved[0], z1[1] + moved[1], k1 + k2, l1 + l2)
-
-
-def _ext_inv(pres: ExtensionPresentation, g: tuple) -> tuple:
-    a, b, n0 = pres.action_x, pres.action_y, pres.n0
-    z, k, l = g[:2], g[2], g[3]
-    back = _mpow(b, -k).apply(z)
-    shift = _msum(b, -k).apply(_msum(a, l).apply(n0))
-    w = (-back[0] - shift[0], -back[1] - shift[1])
-    out = _mpow(a, -l).apply(w)
-    return (out[0], out[1], -k, -l)
-
-
-def _ext_word(pres: ExtensionPresentation, x_exp: int, y_exp: int) -> tuple:
-    """The plain-word lift u^x_exp t^y_exp as an extension element."""
-    u = (0, 0, 0, 1)
-    t = (0, 0, 1, 0)
-    out = (0, 0, 0, 0)
-    step = u if x_exp >= 0 else _ext_inv(pres, u)
-    for _ in range(abs(x_exp)):
-        out = _ext_mul(pres, out, step)
-    step = t if y_exp >= 0 else _ext_inv(pres, t)
-    for _ in range(abs(y_exp)):
-        out = _ext_mul(pres, out, step)
-    return out
+    def inverse(self, g: tuple) -> tuple:
+        return _z2_by_z2_inv(self.action_x.entries, self.action_y.entries, self.n0, g)
 
 
 def apply_substitution(pres: ExtensionPresentation, sub: Substitution) -> ExtensionPresentation:
     """Rewrite the presentation in the substituted quotient generators."""
     t = sub.matrix
     a, b = pres.action_x, pres.action_y
-    new_a = _mpow(a, t[0, 0]) * _mpow(b, t[0, 1])
-    new_b = _mpow(a, t[1, 0]) * _mpow(b, t[1, 1])
-    u_new = _ext_word(pres, t[0, 0], t[0, 1])
-    t_new = _ext_word(pres, t[1, 0], t[1, 1])
-    comm = _ext_mul(
-        pres,
-        _ext_mul(pres, u_new, t_new),
-        _ext_mul(pres, _ext_inv(pres, u_new), _ext_inv(pres, t_new)),
-    )
+    new_a = a ** t[0, 0] * b ** t[0, 1]
+    new_b = a ** t[1, 0] * b ** t[1, 1]
+    # the plain-word lift u^i t^j of x^i y^j, in normal form
+    u_new = pres.multiply((0, 0, 0, t[0, 0]), (0, 0, t[0, 1], 0))
+    t_new = pres.multiply((0, 0, 0, t[1, 0]), (0, 0, t[1, 1], 0))
+    mul, inv = pres.multiply, pres.inverse
+    comm = mul(mul(u_new, t_new), mul(inv(u_new), inv(t_new)))
     if comm[2] or comm[3]:
         raise AssertionError("commutator of lifted generators left the kernel")
     return ExtensionPresentation(new_a, new_b, (comm[0], comm[1]), pres.change_log + (sub,))
@@ -645,47 +623,35 @@ def canonicalize_z2_by_z2(pres: ExtensionPresentation) -> ExtensionPresentation:
         if b == ident:
             return current
         if b == -ident:
+            order = None if a in (ident, -ident) else finite_order(a)
             if a == ident:
-                current = apply_substitution(current, Substitution(IntMatrix.from_rows([[0, 1], [1, 0]]), "swap x and y"))
-                continue
-            if a == -ident:
-                current = apply_substitution(current, Substitution(IntMatrix.from_rows([[1, 0], [1, 1]]), "y -> x y"))
-                continue
-            order = finite_order(a)
-            if order is None or order == 2:
+                rows, label = [[0, 1], [1, 0]], "swap x and y"
+            elif a == -ident:
+                rows, label = [[1, 0], [1, 1]], "y -> x y"
+            elif order is None or order == 2:
                 return current
-            if order == 3:
-                current = apply_substitution(current, Substitution(IntMatrix.from_rows([[1, 1], [0, 1]]), "x -> x y"))
-                continue
-            half = order // 2  # order 4 or 6: a^(order/2) = -I
-            current = apply_substitution(
-                current,
-                Substitution(IntMatrix.from_rows([[1, 0], [half, 1]]), "y -> x^%d y" % half),
-            )
-            continue
-        # action_y differs from +-I
-        if a in (ident, -ident):
-            current = apply_substitution(current, Substitution(IntMatrix.from_rows([[0, 1], [1, 0]]), "swap x and y"))
-            continue
-        if finite_order(a) is not None:
+            elif order == 3:
+                rows, label = [[1, 1], [0, 1]], "x -> x y"
+            else:  # order 4 or 6: a^(order/2) = -I
+                rows, label = [[1, 0], [order // 2, 1]], "y -> x^%d y" % (order // 2)
+        elif a in (ident, -ident):
+            rows, label = [[0, 1], [1, 0]], "swap x and y"
+        elif finite_order(a) is not None:
             # commuting with a finite-order matrix != +-I forces B = +-A^k
             k = centralizer_exponent(a, b)
             if k is None:
                 raise ValueError("commuting pair violates the finite centralizer structure")
-            current = apply_substitution(
-                current,
-                Substitution(IntMatrix.from_rows([[1, 0], [-k, 1]]), "y -> x^-%d y" % k),
-            )
-            continue
-        if finite_order(b) is not None:
+            rows, label = [[1, 0], [-k, 1]], "y -> x^-%d y" % k
+        elif finite_order(b) is not None:
             # a finite-order B != +-I would force A into a finite
             # centralizer, contradicting its infinite order
             raise ValueError("commuting pair violates the finite centralizer structure")
-        i, j = _find_torsion_direction(a, b)
-        g, s, t = _xgcd(i, j)
-        # rows (t, -s) and (i, j) have determinant ti + sj = 1
-        sub = Substitution(IntMatrix.from_rows([[t, -s], [i, j]]), "y -> x^%d y^%d" % (i, j))
-        current = apply_substitution(current, sub)
+        else:
+            i, j = _find_torsion_direction(a, b)
+            g, s, t = _xgcd(i, j)
+            # rows (t, -s) and (i, j) have determinant ti + sj = 1
+            rows, label = [[t, -s], [i, j]], "y -> x^%d y^%d" % (i, j)
+        current = apply_substitution(current, Substitution(IntMatrix.from_rows(rows), label))
     raise AssertionError("canonicalization did not terminate")
 
 
@@ -757,14 +723,13 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
         raise HypothesisError("n0 must have exactly two entries, got %d" % len(n0))
     if a.rows != 2 or not a.is_unimodular:
         raise HypothesisError("the outer action must be a unimodular 2x2 matrix")
-    ident = IntMatrix.identity(2)
-    if a in (ident, -ident):
-        raise HypothesisError("A = +-I lies outside this case; the group is a lattice semidirect product")
     order = finite_order(a)
-    if order == 2:
+    minus = -IntMatrix.identity(2)
+    if order == 2 and a != minus:
         return _result(SpectrumDescriptor.r_infinity(), ["ext:order-two-action"])
     if order is not None:
-        raise HypothesisError("finite order > 2 cannot occur for the double extension action")
+        # +-I and orders 3, 4, 6: canonicalization trivializes the inner action
+        return _classify_canonical(ExtensionPresentation(a, minus, n0), bound, ["ext:finite-order-action"])
     profile = eigenvalue_profile(a)
     if profile.kind in (KIND_REPEATED_ONE, KIND_REPEATED_MINUS_ONE):
         return _result(SpectrumDescriptor.r_infinity(), ["ext:repeated-eigenvalue"])
@@ -786,7 +751,7 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
             ["ext:hyperbolic", "ext:parity-obstruction"],
             {"obstruction_modulus": 8},
         )
-    return _result(_undecided_or_eight(bound), ["ext:hyperbolic", "ext:search-exhausted"])
+    return _result(_undecided_or(8, bound), ["ext:hyperbolic", "ext:search-exhausted"])
 
 
 # ---------------------------------------------------------------------------
@@ -844,15 +809,9 @@ def _classify_hn_mixed(
     Z^2 and route through the canonicalized presentation."""
     heis = Heisenberg(n)
     cx, cy = (int(v) for v in central_twists)
-    det_a = a.det()  # -1 in this branch
-    psi = AutomorphismSpec.from_images(
-        heis,
-        {
-            "x": (a[0, 0], a[1, 0], cx),
-            "y": (a[0, 1], a[1, 1], cy),
-            "z": (0, 0, det_a),
-        },
-    )
+    # det A = -1 in this branch
+    images = {"x": (a[0, 0], a[1, 0], cx), "y": (a[0, 1], a[1, 1], cy), "z": (0, 0, a.det())}
+    psi = AutomorphismSpec.from_images(heis, images)
     report = verify_automorphism(psi)
     if not report:
         raise HypothesisError("the action data does not define an automorphism: %s" % report.failure)
@@ -861,20 +820,15 @@ def _classify_hn_mixed(
     g, s, t = _xgcd(v_bar[0], v_bar[1])
     if g != 1:
         raise AssertionError("eigenlattice basis is not primitive")
-    # complete v_bar to a basis with det [[v1, w1], [v2, w2]] = 1
-    w_bar = (-t, s)
-
     v = heis.element((v_bar[0], v_bar[1], 0))
-    w = heis.element((w_bar[0], w_bar[1], 0))
+    # w completes v to a basis with det [[v1, w1], [v2, w2]] = 1
+    w = heis.element((-t, s, 0))
     z = heis.generator("z")
 
     def coords(g_elt) -> tuple[int, int]:
         ge = g_elt.exponents
         # kernel coordinates relative to the basis (v, z)
-        if v_bar[0]:
-            i = ge[0] // v_bar[0]
-        else:
-            i = ge[1] // v_bar[1]
+        i = ge[0] // v_bar[0] if v_bar[0] else ge[1] // v_bar[1]
         if (i * v_bar[0], i * v_bar[1]) != (ge[0], ge[1]):
             raise AssertionError("element does not lie in the rank-2 kernel")
         rest = g_elt * (v ** i).inverse()
@@ -885,20 +839,23 @@ def _classify_hn_mixed(
     n0_ext = coords(w * psi.apply(w).inverse())
 
     pres = ExtensionPresentation(a_ext, b_ext, n0_ext)
+    return _classify_canonical(pres, bound, ["hn:mixed-eigenvalues"])
+
+
+def _classify_canonical(pres: ExtensionPresentation, bound: int, trace: list[str]) -> SpectrumResult:
+    """Classify an extension of Z^2 by Z^2 through its canonical
+    presentation: a trivial inner action makes it Z^3 x|_M Z with M =
+    (A, n0; 0, 1); otherwise the inner action is -I and it is a double
+    extension."""
     canon = canonicalize_z2_by_z2(pres)
-    trace = ["hn:mixed-eigenvalues", "ext:canonicalized"]
-    ident = IntMatrix.identity(2)
-    if canon.action_y == ident:
-        m3 = IntMatrix.from_rows(
-            [
-                [canon.action_x[0, 0], canon.action_x[0, 1], canon.n0[0]],
-                [canon.action_x[1, 0], canon.action_x[1, 1], canon.n0[1]],
-                [0, 0, 1],
-            ]
-        )
+    trace = trace + ["ext:canonicalized"]
+    a, n0 = canon.action_x, canon.n0
+    if canon.action_y == IntMatrix.identity(2):
+        m3 = IntMatrix.from_rows([[a[0, 0], a[0, 1], n0[0]], [a[1, 0], a[1, 1], n0[1]], [0, 0, 1]])
         routed = classify_z3_semidirect(m3, bound)
-        return _result(routed.spectrum, trace + ["ext:trivial-inner-action"] + list(routed.trace), routed.evidence)
-    routed = classify_z2_minusI_ext(canon.action_x, canon.n0, bound)
+        trace.append("ext:trivial-inner-action")
+    else:
+        routed = classify_z2_minusI_ext(a, n0, bound)
     return _result(routed.spectrum, trace + list(routed.trace), routed.evidence)
 
 
@@ -935,12 +892,7 @@ def conclusion_tables() -> dict:
     """The classification tables for the four semidirect families, keyed
     by eigenvalue case."""
     inf = SpectrumDescriptor.r_infinity()
-
-    def mult(c):
-        return SpectrumDescriptor.multiples(c)
-
-    def fin(vals):
-        return SpectrumDescriptor.finite(vals)
+    mult, fin = SpectrumDescriptor.multiples, SpectrumDescriptor.finite
 
     return {
         "z2-semidirect": [

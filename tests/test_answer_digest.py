@@ -10,7 +10,8 @@ value in ``golden/answers.sha256``.  The corpus, all at bound 100:
 * the same A with c_row in [-2,2]^2, through ``decide_z3_eight``.
 
 When a change is meant to alter one of these answers, regenerate the
-hash with ``python tests/test_answer_digest.py`` and say why in the change.
+hash with ``PYTHONPATH=src python tests/test_answer_digest.py`` and say why
+in the change.
 """
 
 from __future__ import annotations

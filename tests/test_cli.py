@@ -195,6 +195,50 @@ def test_phi_eight_refuses_a_determinant_minus_one_action(matrix):
     assert "internal error" not in err and "determinant -1" in err
 
 
+@pytest.mark.parametrize(
+    "matrix, rule",
+    [
+        ("1,1;0,1", "ext:repeated-eigenvalue"),
+        ("-1,1;0,-1", "ext:repeated-eigenvalue"),
+        ("0,-1;1,0", "z3:block-order-four-or-six"),
+        ("0,-1;1,-1", "z3:block-order-four-or-six"),
+        ("1,-1;1,0", "z3:block-order-four-or-six"),
+    ],
+)
+def test_phi_eight_refuses_a_non_hyperbolic_action_before_the_search(matrix, rule):
+    code, out, err = invoke(
+        ["rnumber", "--family", "double-ext", "--matrix=" + matrix, "--n0", "1,0",
+         "--witness", "phi_eight", "--param", "1"]
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert rule in err and "{oo}" in err and "PHI_EIGHT_M_CAP" not in err
+
+
+def test_double_ext_spectrum_of_a_finite_order_action():
+    code, out, err = invoke(["spectrum", "--family", "double-ext", "--matrix=0,-1;1,0", "--n0", "1,0"])
+    assert (code, err) == (EXIT_OK, "")
+    assert payload(out)["result"]["spectrum"] == {"kind": "r_infinity"}
+
+
+def test_double_ext_small_actions_end_in_a_result_or_one_error_line():
+    # every det +-1 action in [-2,2]^4 and n0 in [-1,1]^2, spectrum and phi_eight
+    rows = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3) for d in range(-2, 3)]
+    for a, b, c, d in rows:
+        if a * d - b * c not in (1, -1):
+            continue
+        for n0 in ("-1,-1", "-1,0", "-1,1", "0,-1", "0,0", "0,1", "1,-1", "1,0", "1,1"):
+            common = ["--family", "double-ext", "--matrix=%d,%d;%d,%d" % (a, b, c, d), "--n0=" + n0, "--bound", "50"]
+            for argv in (["spectrum"] + common, ["rnumber"] + common + ["--witness", "phi_eight", "--param", "1"]):
+                code, out, err = invoke(argv)
+                if code == EXIT_ERROR:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                    assert "internal error" not in err, argv
+                else:
+                    assert code in (EXIT_OK, EXIT_UNDECIDED) and err == "", argv
+                    payload(out)
+
+
 @pytest.mark.parametrize("matrix", ["0,1;1,0", "5,2;2,1"])
 def test_double_ext_spectrum_rejects_an_n0_of_three_entries(matrix):
     code, out, err = invoke(["spectrum", "--family", "double-ext", "--matrix", matrix, "--n0", "1,2,3"])

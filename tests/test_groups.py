@@ -39,6 +39,8 @@ ALL_FAMILIES = [
     ZnSemidirectZ(FIB),
     ZnSemidirectZ(tahara_form_order2(1)),
     Z2MinusIExt(FIB, (1, 0)),
+    Z2MinusIExt(parse_matrix("0,-1;1,0"), (1, 0)),
+    Z2MinusIExt(-I2, (1, 0)),
     HnSemidirectZ(2, 1, 3),
 ]
 

@@ -6,6 +6,7 @@ import pytest
 from reidemeister.exactlin import IntMatrix, parse_matrix
 from reidemeister.groups import (
     AutomorphismSpec,
+    UnknownWitnessError,
     FreeAbelian,
     Heisenberg,
     HeisenbergTimesZ,
@@ -390,46 +391,73 @@ def test_substitution_requires_unimodular():
 
 
 def test_extension_arithmetic_group_axioms(rng):
-    from reidemeister.spectra import _ext_inv, _ext_mul
-
+    # the one Z^2-by-Z^2 law of groups, applied with each presentation's pair
     presentations = [
         ExtensionPresentation(FIB, FIB ** 2, (1, -2)),
         ExtensionPresentation(parse_matrix("1,1;0,1"), parse_matrix("1,3;0,1"), (0, 1)),
         ExtensionPresentation(parse_matrix("0,-1;1,-1"), -I2, (2, 1)),
         ExtensionPresentation(NIET, -NIET, (1, 1)),
+        ExtensionPresentation(ROT4, -I2, (1, -1)),
+        ExtensionPresentation(parse_matrix("-1,-1;1,0"), -I2, (0, 1)),
+        ExtensionPresentation(I2, -I2, (1, 0)),
     ]
     ident = (0, 0, 0, 0)
     for pres in presentations:
+        mul, inv = pres.multiply, pres.inverse
         for _ in range(60):
             g, h, k = (
                 tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(3)
             )
-            assert _ext_mul(pres, _ext_mul(pres, g, h), k) == _ext_mul(pres, g, _ext_mul(pres, h, k))
-            assert _ext_mul(pres, g, _ext_inv(pres, g)) == ident
-            assert _ext_mul(pres, _ext_inv(pres, g), g) == ident
+            assert mul(mul(g, h), k) == mul(g, mul(h, k))
+            assert mul(g, inv(g)) == ident
+            assert mul(inv(g), g) == ident
         # the defining conjugations hold for the plain generators
         t, u = (0, 0, 1, 0), (0, 0, 0, 1)
         z1 = (1, 0, 0, 0)
-        conj_u = _ext_mul(pres, _ext_mul(pres, u, z1), _ext_inv(pres, u))
-        assert conj_u == tuple(pres.action_x.column(0)) + (0, 0)
-        conj_t = _ext_mul(pres, _ext_mul(pres, t, z1), _ext_inv(pres, t))
-        assert conj_t == tuple(pres.action_y.column(0)) + (0, 0)
-        comm = _ext_mul(pres, _ext_mul(pres, u, t), _ext_mul(pres, _ext_inv(pres, u), _ext_inv(pres, t)))
-        assert comm == (pres.n0[0], pres.n0[1], 0, 0)
+        assert mul(mul(u, z1), inv(u)) == tuple(pres.action_x.column(0)) + (0, 0)
+        assert mul(mul(t, z1), inv(t)) == tuple(pres.action_y.column(0)) + (0, 0)
+        assert mul(mul(u, t), mul(inv(u), inv(t))) == (pres.n0[0], pres.n0[1], 0, 0)
 
 
-def test_double_ext_law_matches_generic_extension_law(rng):
-    # Z2MinusIExt is the extension of Z^2 by Z^2 with action_y = -I; its
-    # closed-form law must agree with the generic one
-    from reidemeister.spectra import _ext_inv, _ext_mul
+def test_plain_word_is_one_product_in_normal_form():
+    # u^x t^y by repeated multiplication equals (0,0,0,x) * (0,0,y,0)
+    for pres in (
+        ExtensionPresentation(FIB, FIB ** 2, (1, -2)),
+        ExtensionPresentation(ROT4, -I2, (1, -1)),
+        ExtensionPresentation(parse_matrix("1,0;4,1"), -parse_matrix("1,0;31,1"), (2, 3)),
+    ):
+        u, t = (0, 0, 0, 1), (0, 0, 1, 0)
+        for x, y in product(range(-4, 5), repeat=2):
+            word = (0, 0, 0, 0)
+            for step, count in ((u, x), (t, y)):
+                step = step if count >= 0 else pres.inverse(step)
+                for _ in range(abs(count)):
+                    word = pres.multiply(word, step)
+            assert word == pres.multiply((0, 0, 0, x), (0, 0, y, 0))
 
-    for a, n0 in ((FIB, (1, 0)), (NIET, (2, -3)), (parse_matrix("1,2;0,-1"), (1, 1))):
-        fam = Z2MinusIExt(a, n0)
-        pres = ExtensionPresentation(a, -I2, n0)
-        for _ in range(200):
-            g, h = (tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(2))
-            assert fam.multiply(g, h) == _ext_mul(pres, g, h)
-            assert fam.inverse(g) == _ext_inv(pres, g)
+
+def test_power_cache_stays_within_its_bound():
+    from reidemeister.groups import POWER_CACHE_SIZE, _power_sum
+
+    fam = ZnSemidirectZ(-I2)
+    for k in range(POWER_CACHE_SIZE + 500):
+        # t^k (1, 2) = (-I)^k (1, 2) t^k, one new cache key per k
+        sign = -1 if k % 2 else 1
+        assert fam.multiply((0, 0, k), (1, 2, 0)) == (sign, 2 * sign, k)
+        assert _power_sum.cache_info().currsize <= POWER_CACHE_SIZE
+    assert _power_sum.cache_info().currsize == POWER_CACHE_SIZE
+
+
+def test_power_cache_matches_matrix_powers_and_sums(rng):
+    from reidemeister.groups import _power_sum
+
+    for a in (FIB, ROT4, -I2, random_unimodular(rng, 3, 2), random_unimodular(rng, 3, 2)):
+        for k in (-9, -2, -1, 0, 1, 2, 7, 40):
+            power, total = _power_sum(a.entries, k)
+            assert power == (a ** k).entries
+            # the defining identity of the geometric sum
+            ident = IntMatrix.identity(a.rows)
+            assert (a - ident) * IntMatrix(a.rows, a.rows, total) == a ** k - ident
 
 
 def test_torsion_direction_beyond_small_exponents():
@@ -482,12 +510,32 @@ def test_double_ext_other_branches():
     assert classify_z2_minusI_ext(repeated_minus, (1, 0), 50).spectrum == R_INF
     det_minus = parse_matrix("1,1;1,0")
     assert classify_z2_minusI_ext(det_minus, (1, 0), 50).spectrum == R_INF
-    with pytest.raises(HypothesisError):
-        classify_z2_minusI_ext(I2, (0, 0), 50)
-    with pytest.raises(HypothesisError):
-        classify_z2_minusI_ext(-I2, (0, 0), 50)
-    with pytest.raises(HypothesisError):
-        classify_z2_minusI_ext(ROT4, (0, 0), 50)  # finite order > 2
+    # +-I and finite order 3, 4, 6 go through canonicalization to Z^3 x| Z
+    assert classify_z2_minusI_ext(I2, (0, 0), 50).spectrum == SpectrumDescriptor.multiples(2)
+    assert classify_z2_minusI_ext(-I2, (1, 0), 50).spectrum == SpectrumDescriptor.multiples(4)
+    rot = classify_z2_minusI_ext(ROT4, (0, 0), 50)
+    assert rot.spectrum == R_INF and rot.trace[-1] == "z3:block-order-four-or-six"
+
+
+_ORDER_THREE = parse_matrix("0,-1;1,-1")
+_ORDER_SIX = parse_matrix("1,-1;1,0")
+
+
+@pytest.mark.parametrize("n0", [(0, 0), (1, 0), (0, 1), (1, 1), (2, -1)])
+def test_finite_order_double_ext_agrees_with_phi_eight(n0):
+    for a in (ROT4, _ORDER_THREE, _ORDER_SIX, -ROT4, -_ORDER_THREE):
+        res = classify_z2_minusI_ext(a, n0, 50)
+        assert res.spectrum == R_INF
+        assert res.trace[:3] == ("ext:finite-order-action", "ext:canonicalized", "ext:trivial-inner-action")
+        assert res.trace[-1] == "z3:block-order-four-or-six"
+        with pytest.raises(UnknownWitnessError, match="z3:block-order-four-or-six"):
+            witness(Z2MinusIExt(a, n0), "phi_eight", 1)
+    for a in (I2, -I2):
+        res = classify_z2_minusI_ext(a, n0, 50)
+        assert res.spectrum in (SpectrumDescriptor.multiples(2), SpectrumDescriptor.multiples(4))
+        assert res.trace[-1] == ("tahara:delta-zero", "tahara:delta-one")[res.evidence["delta"]]
+        value = rnumber(witness(Z2MinusIExt(a, n0), "phi_eight", 1)).value
+        assert value == 8 and value % res.spectrum.c == 0
 
 
 # every hyperbolic det-1 matrix with entries of absolute value <= 8
