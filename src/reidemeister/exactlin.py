@@ -22,6 +22,7 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import json
 import math
 import operator
@@ -262,7 +263,7 @@ def _power_and_sum(entries: tuple[int, ...], k: int) -> tuple[tuple[int, ...], t
 
     One binary walk, high bit first, computes both in O(log |k|) products:
     (A^j, S_j) -> (A^2j, S_j + A^j S_j), then -> (A^(j+1), S_j + A^j) on a
-    set bit.
+    set bit; ``groups._power_sum`` first reduces k modulo a finite order.
     """
     n = math.isqrt(len(entries))
     base = entries if k >= 0 else IntMatrix(n, n, entries).inverse_unimodular().entries
@@ -635,10 +636,17 @@ def finite_order(m: IntMatrix) -> int | None:
         raise DimensionError("finite order check is only valid for dim <= 3")
     if m.det() not in (1, -1):
         raise ValueError("finite order requires a unimodular matrix")
-    ident = IntMatrix.identity(m.rows)
-    power = ident
+    return _entries_order(m.entries)
+
+
+@lru_cache(maxsize=1024)
+def _entries_order(entries: tuple[int, ...]) -> int | None:
+    """The least d in 1..6 with A^d = I, else None, for A with these entries;
+    one cache for ``finite_order`` and the power cache of ``groups``."""
+    n = math.isqrt(len(entries))
+    power = ident = IntMatrix.identity(n).entries
     for d in range(1, 7):
-        power = power * m
+        power = _entries_mul(n, power, entries)
         if power == ident:
             return d
     return None

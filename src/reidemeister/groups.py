@@ -31,24 +31,26 @@ Z2MinusIExt is one case of the extension of Z^2 by Z^2 in which u and t
 act by commuting matrices A and B with [u, t] = n0: its law is
 ``_z2_by_z2_mul`` with B = -I, the same law ``spectra`` applies to any
 such presentation.  The matrix-backed laws read A^k, B^k and their
-geometric sums from one bounded cache (``POWER_CACHE_SIZE``).
+geometric sums from one bounded cache (``POWER_CACHE_SIZE``); an action of
+finite order reduces the exponent modulo its order first, in O(1).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 import math
 import operator
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
     coset_representatives,
     finite_order,
     lattice_solver,
+    _entries_order,
     _power_and_sum,
     _system2_rows,
 )
@@ -63,12 +65,24 @@ class UnknownWitnessError(ValueError):
     """No witness with the requested id exists for the family."""
 
 
-# (A^k, I + A + ... + A^(k-1)) keyed by A's entries tuple and k.  The size
-# is fixed: witness exponents reach 10^13, and a long-lived caller would
-# otherwise keep an entry for every exponent it ever met.
+# Walks (A^k, I + A + ... + A^(k-1)) keyed by A's entries tuple and k; an
+# action of finite order d reduces k modulo d first, so it holds only the
+# keys 0..d.  The size is fixed: witness exponents reach 10^13, and a
+# long-lived caller would otherwise keep an entry for every exponent it met.
 POWER_CACHE_SIZE = 4096
-_power_sum = lru_cache(maxsize=POWER_CACHE_SIZE)(_power_and_sum)
+_walk = lru_cache(maxsize=POWER_CACHE_SIZE)(_power_and_sum)
 _MINUS_I2 = (-1, 0, 0, -1)
+
+
+def _power_sum(a: tuple, k: int) -> tuple:
+    """(A^k, S_k) for A with entries a.  With A^d = I and k = q d + r, 0 <= r < d:
+    A^k = A^r and S_k = q S_d + S_r, exact for every k as S_(x+y) = S_x + A^x S_y."""
+    d = _entries_order(a)
+    if d is None or 0 <= k <= d:
+        return _walk(a, k)
+    q, r = divmod(k, d)
+    power, s_r = _walk(a, r)
+    return power, tuple([q * x + y for x, y in zip(_walk(a, d)[1], s_r)])
 
 
 def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
@@ -629,14 +643,14 @@ class GroupElement:
         return GroupElement(self.family, self.family.inverse(self.exponents))
 
     def __pow__(self, k: int) -> "GroupElement":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = self.family.identity
-        while k:
-            if k & 1:
+        # high bit first, no squaring past the last: g^1 costs no product, g^-1 one inverse
+        if not k:
+            return self.family.identity
+        result = base = self if k > 0 else self.inverse()
+        for bit in bin(abs(k))[3:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            k >>= 1
         return result
 
     @property
@@ -691,11 +705,8 @@ class AutomorphismSpec:
         raised to g's exponents, in slot order."""
         if g.family != self.family:
             raise FamilyMismatchError("element belongs to a different family")
-        result = self.family.identity
-        for img, e in zip(self.images, g.exponents):
-            if e:
-                result = result * img ** e
-        return result
+        powers = [img ** e for img, e in zip(self.images, g.exponents) if e]
+        return reduce(operator.mul, powers) if powers else self.family.identity
 
     def to_json_dict(self) -> dict:
         return {
@@ -745,13 +756,6 @@ class VerificationResult:
         return self.ok
 
 
-def _eval_word(spec: AutomorphismSpec, word: Iterable[tuple[int, int]]) -> GroupElement:
-    result = spec.family.identity
-    for idx, exp in word:
-        result = result * spec.images[idx] ** exp
-    return result
-
-
 def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     """Check that the generator images define an automorphism.
 
@@ -759,8 +763,17 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     and the induced matrices on the layers of the polycyclic series are
     unimodular; the report names the first violated relation.
     """
-    for name, lhs, rhs in spec.family.relations():
-        if _eval_word(spec, lhs) != _eval_word(spec, rhs):
+    family = spec.family
+    relations = family.relations()
+    # words on raw exponent tuples: each (image, exponent) power once, then
+    # one product per letter after the first
+    powers = {w: (spec.images[w[0]] ** w[1]).exponents for _, lhs, rhs in relations for w in lhs + rhs}
+
+    def evaluate(word: tuple) -> tuple[int, ...]:
+        return reduce(family.multiply, map(powers.__getitem__, word)) if word else (0,) * family.slots
+
+    for name, lhs, rhs in relations:
+        if evaluate(lhs) != evaluate(rhs):
             return VerificationResult(False, "relation violated: %s" % name)
     try:
         failure = spec.family.layer_failure(spec)

@@ -916,7 +916,10 @@ def conclusion_tables() -> dict:
             {"case": "simple 1, block of order 3", "spectrum": [mult(6)]},
         ],
         "double-extension": [
-            {"case": "repeated eigenvalue 1 or -1", "spectrum": [inf]},
+            {"case": "A = +-I, n0 in 2Z^2 (delta = 0)", "spectrum": [mult(2)]},
+            {"case": "A = +-I, n0 not in 2Z^2 (delta = 1)", "spectrum": [mult(4)]},
+            {"case": "repeated eigenvalue 1 or -1, A != +-I", "spectrum": [inf]},
+            {"case": "finite order 3, 4 or 6", "spectrum": [inf]},
             {"case": "real eigenvalues, det A = -1", "spectrum": [inf]},
             {"case": "real eigenvalues != +-1, det A = 1", "spectrum": [inf, fin([8])]},
         ],

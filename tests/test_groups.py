@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reidemeister.exactlin import IntMatrix, parse_matrix
+from reidemeister.exactlin import IntMatrix, finite_order, parse_matrix
 from reidemeister.groups import (
     AutomorphismSpec,
     FamilyMismatchError,
@@ -23,9 +23,11 @@ from reidemeister.groups import (
     tahara_form_order3,
     verify_automorphism,
     witness,
+    _WITNESS_BUILDERS,
 )
 from reidemeister.twisted import RNumber
 from dataclasses import replace
+from verify_reference import reference_verify
 
 I2 = IntMatrix.identity(2)
 FIB = parse_matrix("2,3;3,5")
@@ -42,11 +44,31 @@ ALL_FAMILIES = [
     Z2MinusIExt(parse_matrix("0,-1;1,0"), (1, 0)),
     Z2MinusIExt(-I2, (1, 0)),
     HnSemidirectZ(2, 1, 3),
+    ZnSemidirectZ(tahara_form_order2(0)),
+    ZnSemidirectZ(tahara_form_order3(0)),
+    ZnSemidirectZ(tahara_form_order3(1)),
+    ZnSemidirectZ(-IntMatrix.identity(3)),
+    ZnSemidirectZ(parse_matrix("0,0,1;1,0,1;0,1,0")),  # char poly x^3 - x - 1, infinite order
 ]
+HUGE = 10 ** 13
 
 
-def random_element(rng, fam, limit=6):
-    return fam.element([rng.randint(-limit, limit) for _ in range(fam.slots)])
+def huge_slots(fam):
+    """The slots of the generators that act by a matrix of finite order:
+    their exponents may be near 10^13, where a product reduces them modulo
+    the order instead of walking them."""
+    if isinstance(fam, ZnSemidirectZ):
+        return (fam.n,) if finite_order(fam.action) else ()
+    if isinstance(fam, Z2MinusIExt):
+        return (2, 3) if finite_order(fam.action) else (2,)
+    return ()
+
+
+def random_element(rng, fam, limit=6, huge=False):
+    exps = [rng.randint(-limit, limit) for _ in range(fam.slots)]
+    for i in huge_slots(fam) if huge else ():
+        exps[i] += rng.choice((HUGE, -HUGE))
+    return fam.element(exps)
 
 
 def test_heisenberg_collection_example():
@@ -65,10 +87,12 @@ def test_semidirect_action_example():
 
 def test_group_axioms_random(rng):
     for fam in ALL_FAMILIES:
-        for _ in range(120):
-            g = random_element(rng, fam)
-            h = random_element(rng, fam)
-            k = random_element(rng, fam)
+        for i in range(120):
+            # g, h and k take turns carrying t-exponents near 10^13 where the
+            # action has finite order
+            g = random_element(rng, fam, huge=i % 3 == 0)
+            h = random_element(rng, fam, huge=i % 3 == 1)
+            k = random_element(rng, fam, huge=i % 3 == 2)
             assert ((g * h) * k) == (g * (h * k))
             assert (g * g.inverse()).is_identity
             assert (g.inverse() * g).is_identity
@@ -77,12 +101,14 @@ def test_group_axioms_random(rng):
 
 def test_powers_match_repeated_multiplication(rng):
     for fam in ALL_FAMILIES:
-        g = random_element(rng, fam, 3)
-        acc = fam.identity
-        for k in range(7):
-            assert g ** k == acc
-            acc = acc * g
-        assert g ** -3 == (g ** 3).inverse()
+        for huge in (False, True):
+            g = random_element(rng, fam, 3, huge)
+            acc = fam.identity
+            for k in range(7):
+                assert g ** k == acc
+                acc = acc * g
+            assert g ** -3 == (g ** 3).inverse()
+            assert g ** -1 == g.inverse()
 
 
 def test_family_mismatch():
@@ -130,6 +156,74 @@ def test_verify_reports_broken_semidirect_relation():
     )
     report = verify_automorphism(spec)
     assert not report.ok and "t e" in report.failure
+
+
+# every witness builder on families that admit parameters 1, 7 and 10^12 + 3
+WITNESS_CORPUS = {
+    (HeisenbergTimesZ, "phi_m"): (HeisenbergTimesZ(1), HeisenbergTimesZ(2)),
+    (Heisenberg, "phi_m"): (Heisenberg(1), Heisenberg(3)),
+    (FreeAbelian, "target"): (FreeAbelian(2), FreeAbelian(3), FreeAbelian(4)),
+    (FreeAbelian, "negation"): (FreeAbelian(1), FreeAbelian(3)),
+    (ZnSemidirectZ, "M_m"): (ZnSemidirectZ(-I2), ZnSemidirectZ(-IntMatrix.identity(3))),
+    (ZnSemidirectZ, "phi_alpha"): tuple(
+        ZnSemidirectZ(form(delta)) for form in (tahara_form_order2, tahara_form_order3) for delta in (0, 1)
+    ),
+    (HnSemidirectZ, "M_r"): (HnSemidirectZ(3, 2, 5), HnSemidirectZ(2, 0, 2), HnSemidirectZ(1, 1, 1)),
+    (Z2MinusIExt, "phi_eight"): (Z2MinusIExt(FIB, (2, -1)), Z2MinusIExt(I2, (1, 0)), Z2MinusIExt(-I2, (0, 0))),
+}
+
+
+def _perturbations(spec):
+    """The spec itself, then every spec with one image exponent moved by +-1."""
+    yield spec
+    for i, img in enumerate(spec.images):
+        for j in range(len(img.exponents)):
+            for step in (1, -1):
+                exps = list(img.exponents)
+                exps[j] += step
+                images = spec.images[:i] + (spec.family.element(exps),) + spec.images[i + 1:]
+                yield replace(spec, images=images)
+
+
+def test_verification_agrees_with_the_reference_word_evaluation():
+    assert set(WITNESS_CORPUS) == set(_WITNESS_BUILDERS)
+    rejected = 0
+    for key, families in WITNESS_CORPUS.items():
+        for fam in families:
+            for param in (1, 7, 10 ** 12 + 3):
+                spec = _WITNESS_BUILDERS[key](fam, param)
+                for candidate in _perturbations(spec):
+                    report = verify_automorphism(candidate)
+                    assert report == reference_verify(candidate), (key, fam, param, candidate.images)
+                    rejected += not report.ok
+                assert verify_automorphism(spec).ok
+    assert rejected > 1000
+
+
+def test_finite_order_witnesses_never_walk_past_the_order(monkeypatch):
+    # counts walks, not time: witness -> verify_automorphism -> rnumber at
+    # parameter 10^12 must reduce every exponent of a finite-order action
+    from reidemeister import exactlin, groups
+
+    walked = []
+
+    def recording(walk):
+        def record(a, k):
+            walked.append(k)
+            return walk(a, k)
+        return record
+
+    # the cached walks of the group laws, and any uncached one
+    monkeypatch.setattr(groups, "_walk", recording(groups._walk))
+    monkeypatch.setattr(exactlin, "_power_and_sum", recording(exactlin._power_and_sum))
+    cases = [(fam, "phi_alpha") for fam in WITNESS_CORPUS[ZnSemidirectZ, "phi_alpha"]]
+    cases += [(fam, "M_m") for fam in WITNESS_CORPUS[ZnSemidirectZ, "M_m"]]
+    for fam, name in cases:
+        walked.clear()
+        spec = witness(fam, name, 10 ** 12)
+        assert verify_automorphism(spec).ok
+        rnumber(spec)
+        assert walked and max(map(abs, walked)) <= finite_order(fam.action), (fam, name)
 
 
 def test_apply_is_a_homomorphism(rng):

@@ -437,27 +437,65 @@ def test_plain_word_is_one_product_in_normal_form():
 
 
 def test_power_cache_stays_within_its_bound():
-    from reidemeister.groups import POWER_CACHE_SIZE, _power_sum
+    from reidemeister.groups import POWER_CACHE_SIZE, _walk
 
-    fam = ZnSemidirectZ(-I2)
+    # a hyperbolic action walks every exponent it meets; its entries grow
+    # like Fibonacci numbers, the slowest growth of any hyperbolic action
+    a = parse_matrix("1,1;1,0")
+    fam = ZnSemidirectZ(a)
+    v = (1, 2)
+    _walk.cache_clear()
     for k in range(POWER_CACHE_SIZE + 500):
-        # t^k (1, 2) = (-I)^k (1, 2) t^k, one new cache key per k
-        sign = -1 if k % 2 else 1
-        assert fam.multiply((0, 0, k), (1, 2, 0)) == (sign, 2 * sign, k)
-        assert _power_sum.cache_info().currsize <= POWER_CACHE_SIZE
-    assert _power_sum.cache_info().currsize == POWER_CACHE_SIZE
+        # t^k (1, 2) = A^k (1, 2) t^k, one new cache key per k
+        assert fam.multiply((0, 0, k), (1, 2, 0)) == v + (k,)
+        assert _walk.cache_info().currsize <= POWER_CACHE_SIZE
+        v = a.apply(v)
+    assert _walk.cache_info().currsize == POWER_CACHE_SIZE
+    _walk.cache_clear()
+
+
+FINITE_ORDER_ACTIONS = (
+    -I2,
+    ROT4,
+    parse_matrix("0,-1;1,-1"),  # order 3
+    parse_matrix("0,-1;1,1"),  # order 6
+    tahara_form_order2(0),
+    tahara_form_order2(1),
+    tahara_form_order3(0),
+    tahara_form_order3(1),
+)
 
 
 def test_power_cache_matches_matrix_powers_and_sums(rng):
+    from reidemeister.exactlin import _power_and_sum
     from reidemeister.groups import _power_sum
 
-    for a in (FIB, ROT4, -I2, random_unimodular(rng, 3, 2), random_unimodular(rng, 3, 2)):
-        for k in (-9, -2, -1, 0, 1, 2, 7, 40):
+    small = (-9, -2, -1, 0, 1, 2, 7, 40)
+    cases = [(a, small) for a in (FIB, random_unimodular(rng, 3, 2), random_unimodular(rng, 3, 2))]
+    # a finite-order action reduces the exponent: compare with the unreduced walk
+    huge = tuple(s * (10 ** 13 + j) for s in (1, -1) for j in range(-20, 21))
+    cases += [(a, tuple(range(-30, 31)) + huge) for a in FINITE_ORDER_ACTIONS]
+    for a, exponents in cases:
+        ident = IntMatrix.identity(a.rows)
+        for k in exponents:
             power, total = _power_sum(a.entries, k)
+            assert (power, total) == _power_and_sum(a.entries, k), (a, k)
             assert power == (a ** k).entries
             # the defining identity of the geometric sum
-            ident = IntMatrix.identity(a.rows)
             assert (a - ident) * IntMatrix(a.rows, a.rows, total) == a ** k - ident
+
+
+def test_finite_order_actions_keep_order_plus_one_walks():
+    from reidemeister.exactlin import finite_order
+    from reidemeister.groups import _power_sum, _walk
+
+    exponents = list(range(-2000, 2001)) + [s * (10 ** 13 + j) for s in (1, -1) for j in range(-1000, 1001)]
+    for a in FINITE_ORDER_ACTIONS:
+        _walk.cache_clear()
+        for k in exponents:
+            _power_sum(a.entries, k)
+        assert _walk.cache_info().currsize <= finite_order(a) + 1, a
+    _walk.cache_clear()
 
 
 def test_torsion_direction_beyond_small_exponents():
@@ -663,6 +701,23 @@ def test_conclusion_tables_structure():
     for rows in tables.values():
         for row in rows:
             assert row["case"] and row["spectrum"]
+
+
+def test_double_extension_table_rows_match_the_classifier():
+    # one or more representative actions per row of the double-extension table
+    representatives = {
+        "A = +-I, n0 in 2Z^2 (delta = 0)": [(I2, (0, 0)), (-I2, (2, 0)), (I2, (-2, 4))],
+        "A = +-I, n0 not in 2Z^2 (delta = 1)": [(I2, (1, 0)), (-I2, (0, 1)), (-I2, (3, -1))],
+        "repeated eigenvalue 1 or -1, A != +-I": [(parse_matrix("1,1;0,1"), (1, 0)), (parse_matrix("-1,1;0,-1"), (0, 0))],
+        "finite order 3, 4 or 6": [(parse_matrix(m), (1, 0)) for m in ("0,-1;1,-1", "0,-1;1,0", "0,-1;1,1")],
+        "real eigenvalues, det A = -1": [(parse_matrix("1,1;1,0"), (1, 0)), (parse_matrix("1,0;0,-1"), (0, 1))],
+        "real eigenvalues != +-1, det A = 1": [(FIB, (2, -1)), (NIET, (1, 0))],
+    }
+    rows = conclusion_tables()["double-extension"]
+    assert [row["case"] for row in rows] == list(representatives)
+    for row in rows:
+        for a, n0 in representatives[row["case"]]:
+            assert classify_z2_minusI_ext(a, n0, 100).spectrum in row["spectrum"], (row["case"], a, n0)
 
 
 # ---------------------------------------------------------------------------
