@@ -8,24 +8,18 @@ from .exactlin import (
     IntMatrix,
     LatticeBasis,
     SNFResult,
-    det,
     eigenlattice,
     eigenvalue_profile,
     finite_order,
-    in_centralizer_span,
-    lattice_membership,
     parse_matrix,
     smith_normal_form,
 )
 from .twisted import (
-    HolonomySet,
     RNumber,
     r_abelian,
     r_abelian_via_cosets,
     r_addition,
     r_averaging,
-    r_quadruple,
-    r_semidirect_zn,
 )
 from .groups import (
     AutomorphismSpec,

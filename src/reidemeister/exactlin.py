@@ -6,15 +6,18 @@ searches, so there is deliberately no fixed-width fast path.
 
 The module provides:
 
-* ``IntMatrix``, an immutable dense matrix;
+* ``IntMatrix``, an immutable dense matrix (``from_rows`` and the
+  parsers take int entries only; nothing is truncated);
 * exact determinants and unimodular inverses;
+* ``_power_sum``, the one source of matrix powers and geometric sums
+  (``IntMatrix.__pow__`` and the group laws read its bounded cache);
 * Smith normal form with recorded unimodular transforms (deterministic
   pivoting, so U, D, V are reproducible);
 * symbolic eigenvalue profiles for 2x2 and 3x3 unimodular matrices
   (integer roots are extracted exactly, irrational eigenvalues are never
   materialised);
-* saturated eigenlattices, finite-order detection, centralizer-span
-  membership and integer lattice membership;
+* saturated eigenlattices, finite-order detection, centralizer
+  exponents, integer lattice solving and coset representatives;
 * the solver of the quadratic system and the search order shared by the
   bounded witness searches.
 """
@@ -61,8 +64,6 @@ class IntMatrix:
             raise DimensionError(
                 "expected %d entries, got %d" % (self.rows * self.cols, len(self.entries))
             )
-        if not all(isinstance(e, int) for e in self.entries):
-            raise TypeError("matrix entries must be integers")
 
     # -- construction -------------------------------------------------------
 
@@ -75,7 +76,11 @@ class IntMatrix:
         for i, row in enumerate(rows):
             if len(row) != c:
                 raise DimensionError("row %d has %d entries, expected %d" % (i + 1, len(row), c))
-        return cls(r, c, tuple(int(e) for row in rows for e in row))
+        entries = tuple(e for row in rows for e in row)
+        # bool is an int subclass, and a float or a string must not be truncated
+        if not all(type(e) is int for e in entries):
+            raise TypeError("matrix entries must be integers")
+        return cls(r, c, entries)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -153,17 +158,9 @@ class IntMatrix:
         return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
 
     def __pow__(self, k: int) -> "IntMatrix":
+        """M^k through the shared power cache; k < 0 needs M unimodular."""
         self._require_square("power")
-        if k < 0:
-            return self.inverse_unimodular() ** (-k)
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return IntMatrix(self.rows, self.rows, _power_sum(self.entries, k)[0])
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
@@ -242,28 +239,19 @@ def _det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix."""
-    return m.det()
-
-
-def matrix_power_sum(a: IntMatrix, k: int) -> IntMatrix:
-    """Geometric sum I + A + ... + A^(k-1), extended to negative k.
-
-    For k < 0 the defining identity (A^k - I) = (A - I) * S_k is kept, i.e.
-    S_(-k) = -A^(-k) * S_k; this is what iterated conjugation exponents need.
-    """
-    a._require_square("power sum")
-    return IntMatrix(a.rows, a.rows, _power_and_sum(a.entries, k)[1])
+# ---------------------------------------------------------------------------
+# Powers and geometric sums
 
 
 def _power_and_sum(entries: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(A^k, S_k) as row-major entries of the square matrix A with these
-    entries, S_k as in ``matrix_power_sum``; k < 0 needs A unimodular.
+    entries, where S_k = I + A + ... + A^(k-1).  For k < 0 the identity
+    A^k - I = (A - I) S_k is kept, so S_k = -(A^-1 + ... + A^k); this
+    needs A unimodular.
 
     One binary walk, high bit first, computes both in O(log |k|) products:
     (A^j, S_j) -> (A^2j, S_j + A^j S_j), then -> (A^(j+1), S_j + A^j) on a
-    set bit; ``groups._power_sum`` first reduces k modulo a finite order.
+    set bit.
     """
     n = math.isqrt(len(entries))
     base = entries if k >= 0 else IntMatrix(n, n, entries).inverse_unimodular().entries
@@ -289,6 +277,39 @@ def _entries_mul(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, .
     rows = [x[i * n:(i + 1) * n] for i in range(n)]
     cols = [y[j::n] for j in range(n)]
     return tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
+
+
+@lru_cache(maxsize=1024)
+def _entries_order(entries: tuple[int, ...]) -> int | None:
+    """The least d in 1..6 with A^d = I, else None, for A with these entries;
+    one cache for ``finite_order`` and ``_power_sum``."""
+    n = math.isqrt(len(entries))
+    power = ident = IntMatrix.identity(n).entries
+    for d in range(1, 7):
+        power = _entries_mul(n, power, entries)
+        if power == ident:
+            return d
+    return None
+
+
+# Walks (A^k, S_k) keyed by A's entries tuple and k; an action of finite
+# order d reduces k modulo d first, so it holds only the keys 0..d.  The
+# size is fixed: witness exponents reach 10^13, and a long-lived caller
+# would otherwise keep an entry for every exponent it met.
+POWER_CACHE_SIZE = 4096
+_walk = lru_cache(maxsize=POWER_CACHE_SIZE)(_power_and_sum)
+
+
+def _power_sum(a: tuple, k: int) -> tuple:
+    """(A^k, S_k) for A with entries a, the one source of matrix powers.
+    With A^d = I and k = q d + r, 0 <= r < d: A^k = A^r and S_k = q S_d + S_r,
+    exact for every k as S_(x+y) = S_x + A^x S_y."""
+    d = _entries_order(a)
+    if d is None or 0 <= k <= d:
+        return _walk(a, k)
+    q, r = divmod(k, d)
+    power, s_r = _walk(a, r)
+    return power, tuple([q * x + y for x, y in zip(_walk(a, d)[1], s_r)])
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +386,7 @@ def parse_matrix(text: str) -> IntMatrix:
             data = json.loads(s)
         except json.JSONDecodeError as exc:
             raise MatrixParseError("invalid JSON matrix at position %d: %s" % (exc.pos, exc.msg), position=exc.pos)
-        if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-            raise MatrixParseError("JSON matrix must be a non-empty array of arrays")
-        width = len(data[0])
-        for i, r in enumerate(data):
-            if len(r) != width:
-                raise MatrixParseError("row %d has %d entries, expected %d" % (i + 1, len(r), width))
-            for j, e in enumerate(r):
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise MatrixParseError(
-                        "row %d, entry %d: not an integer: %r" % (i + 1, j + 1, e), token=repr(e)
-                    )
-        return IntMatrix.from_rows(data)
+        return matrix_from_json(data)
     if not s:
         raise MatrixParseError("empty matrix text")
     rows = []
@@ -397,6 +407,22 @@ def parse_matrix(text: str) -> IntMatrix:
             raise MatrixParseError("row %d has %d entries, expected %d" % (i + 1, len(row), width))
         rows.append(row)
     return IntMatrix.from_rows(rows)
+
+
+def matrix_from_json(data) -> IntMatrix:
+    """The matrix of a decoded JSON array of arrays of integers; anything
+    else (a float, a string or a boolean entry included) raises
+    MatrixParseError naming the row and entry."""
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+        raise MatrixParseError("JSON matrix must be a non-empty array of arrays")
+    width = len(data[0])
+    for i, r in enumerate(data):
+        if len(r) != width:
+            raise MatrixParseError("row %d has %d entries, expected %d" % (i + 1, len(r), width))
+        for j, e in enumerate(r):
+            if type(e) is not int:
+                raise MatrixParseError("row %d, entry %d: not an integer: %r" % (i + 1, j + 1, e), token=repr(e))
+    return IntMatrix.from_rows(data)
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -554,11 +580,6 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.basis)
 
-    def matrix(self) -> IntMatrix | None:
-        if not self.basis:
-            return None
-        return IntMatrix.from_columns(self.basis)
-
 
 KIND_REPEATED_ONE = "repeated-one"
 KIND_REPEATED_MINUS_ONE = "repeated-minus-one"
@@ -637,19 +658,6 @@ def finite_order(m: IntMatrix) -> int | None:
     if m.det() not in (1, -1):
         raise ValueError("finite order requires a unimodular matrix")
     return _entries_order(m.entries)
-
-
-@lru_cache(maxsize=1024)
-def _entries_order(entries: tuple[int, ...]) -> int | None:
-    """The least d in 1..6 with A^d = I, else None, for A with these entries;
-    one cache for ``finite_order`` and the power cache of ``groups``."""
-    n = math.isqrt(len(entries))
-    power = ident = IntMatrix.identity(n).entries
-    for d in range(1, 7):
-        power = _entries_mul(n, power, entries)
-        if power == ident:
-            return d
-    return None
 
 
 def eigenvalue_profile(m: IntMatrix) -> EigenProfile:
@@ -743,17 +751,7 @@ def centralizer_exponent(m: IntMatrix, x: IntMatrix) -> int | None:
     order = finite_order(m)
     if order is None:
         raise ValueError("M must have finite order")
-    power = ident
-    for k in range(order):
-        if x == power or x == -power:
-            return k
-        power = power * m
-    return None
-
-
-def in_centralizer_span(m: IntMatrix, x: IntMatrix) -> bool:
-    """Whether X = +-M^k for some k; M must have finite order and M != +-I."""
-    return centralizer_exponent(m, x) is not None
+    return next((k for k in range(order) if x in (m ** k, -(m ** k))), None)
 
 
 def lattice_solver(generators: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
@@ -782,11 +780,6 @@ def lattice_solver(generators: IntMatrix) -> Callable[[Sequence[int]], tuple[int
         return snf.V.apply(w)
 
     return solve
-
-
-def lattice_membership(target: Sequence[int], generators: IntMatrix) -> tuple[int, ...] | None:
-    """Solve generators * c = target over the integers, or return None."""
-    return lattice_solver(generators)(target)
 
 
 def coset_representatives(m: IntMatrix) -> list[tuple[int, ...]] | None:

@@ -31,15 +31,17 @@ Z2MinusIExt is one case of the extension of Z^2 by Z^2 in which u and t
 act by commuting matrices A and B with [u, t] = n0: its law is
 ``_z2_by_z2_mul`` with B = -I, the same law ``spectra`` applies to any
 such presentation.  The matrix-backed laws read A^k, B^k and their
-geometric sums from one bounded cache (``POWER_CACHE_SIZE``); an action of
-finite order reduces the exponent modulo its order first, in O(1).
+geometric sums from the bounded power cache of ``exactlin._power_sum``;
+an action of finite order reduces the exponent modulo its order first,
+in O(1).  Exponents, parameters and n0 must be ints: JSON decoding
+refuses a float, a string or a boolean with a ValueError naming the field.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 import math
 import operator
@@ -47,14 +49,15 @@ from typing import Callable, ClassVar, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
+    MatrixParseError,
     coset_representatives,
     finite_order,
     lattice_solver,
-    _entries_order,
-    _power_and_sum,
+    matrix_from_json,
+    _power_sum,
     _system2_rows,
 )
-from .twisted import HolonomySet, INFINITE, RNumber, r_abelian, r_addition, r_averaging
+from .twisted import INFINITE, RNumber, r_abelian, r_addition, r_averaging
 
 
 class FamilyMismatchError(ValueError):
@@ -65,24 +68,21 @@ class UnknownWitnessError(ValueError):
     """No witness with the requested id exists for the family."""
 
 
-# Walks (A^k, I + A + ... + A^(k-1)) keyed by A's entries tuple and k; an
-# action of finite order d reduces k modulo d first, so it holds only the
-# keys 0..d.  The size is fixed: witness exponents reach 10^13, and a
-# long-lived caller would otherwise keep an entry for every exponent it met.
-POWER_CACHE_SIZE = 4096
-_walk = lru_cache(maxsize=POWER_CACHE_SIZE)(_power_and_sum)
 _MINUS_I2 = (-1, 0, 0, -1)
 
 
-def _power_sum(a: tuple, k: int) -> tuple:
-    """(A^k, S_k) for A with entries a.  With A^d = I and k = q d + r, 0 <= r < d:
-    A^k = A^r and S_k = q S_d + S_r, exact for every k as S_(x+y) = S_x + A^x S_y."""
-    d = _entries_order(a)
-    if d is None or 0 <= k <= d:
-        return _walk(a, k)
-    q, r = divmod(k, d)
-    power, s_r = _walk(a, r)
-    return power, tuple([q * x + y for x, y in zip(_walk(a, d)[1], s_r)])
+def _strict_int(value, field: str) -> int:
+    # bool is an int subclass; a float or a string must not be truncated
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return value
+
+
+def _json_matrix(data: Mapping) -> IntMatrix:
+    try:
+        return matrix_from_json(data["matrix"])
+    except MatrixParseError as exc:
+        raise ValueError("field 'matrix': %s" % exc) from None
 
 
 def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
@@ -138,9 +138,11 @@ class GroupFamily:
         return len(self.generator_names)
 
     def element(self, exponents: Sequence[int]) -> "GroupElement":
-        exponents = tuple(int(e) for e in exponents)
+        exponents = tuple(exponents)
         if len(exponents) != self.slots:
             raise ValueError("expected %d exponents, got %d" % (self.slots, len(exponents)))
+        for e in exponents:
+            _strict_int(e, "an exponent")
         return GroupElement(self, exponents)
 
     @property
@@ -178,7 +180,7 @@ class GroupFamily:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupFamily":
-        return cls(*(int(data[f.name]) for f in fields(cls)))
+        return cls(*(_strict_int(data[f.name], "field %r" % f.name) for f in fields(cls)))
 
     # layers and formula route of an automorphism spec of this family
     def fitting_matrix(self, spec: "AutomorphismSpec") -> IntMatrix:
@@ -410,7 +412,7 @@ class ZnSemidirectZ(GroupFamily):
 
     @classmethod
     def from_json(cls, data):
-        return cls(IntMatrix.from_rows(data["matrix"]))
+        return cls(_json_matrix(data))
 
     def fitting_matrix(self, spec):
         return _lattice_block(spec, self.n)
@@ -449,14 +451,15 @@ class ZnSemidirectZ(GroupFamily):
         if self._lattice_preserved(spec):
             if spec.image_of("t").exponents[n] == 1:
                 return INFINITE, ("rnumber:identity-quotient",)
-            m = self.fitting_matrix(spec)
-            return r_abelian(m) + r_abelian(a * m), ("rnumber:two-step-addition",)
+            # the classes of 1 and t act on the lattice by I and A
+            total = r_addition((IntMatrix.identity(n), a), self.fitting_matrix(spec))
+            return total, ("rnumber:two-step-addition",)
         d = finite_order(a)
         if d is None:
             raise ValueError("images leave the lattice for an infinite-order action")
-        mt = translation_matrix(spec, d)
-        holonomy = HolonomySet.cyclic(holonomy_embedding(a))
-        return r_averaging(holonomy, mt), ("rnumber:holonomy-averaging",)
+        h = holonomy_embedding(a)
+        holonomy = [h ** i for i in range(d)]
+        return r_averaging(holonomy, translation_matrix(spec, d)), ("rnumber:holonomy-averaging",)
 
     def _lattice_preserved(self, spec) -> bool:
         n = self.n
@@ -477,7 +480,7 @@ class Z2MinusIExt(GroupFamily):
             raise ValueError("the outer action must be a unimodular 2x2 matrix")
         if len(self.n0) != 2:
             raise ValueError("n0 must be a length-2 integer vector")
-        object.__setattr__(self, "n0", tuple(int(v) for v in self.n0))
+        object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
         object.__setattr__(self, "generator_names", ("e1", "e2", "t", "u"))
 
     # the Z^2-by-Z^2 extension law with t acting by B = -I
@@ -504,7 +507,9 @@ class Z2MinusIExt(GroupFamily):
 
     @classmethod
     def from_json(cls, data):
-        return cls(IntMatrix.from_rows(data["matrix"]), tuple(data["n0"]))
+        if not isinstance(data["n0"], list):
+            raise ValueError("field 'n0' must be an array of two integers, got %r" % (data["n0"],))
+        return cls(_json_matrix(data), tuple(data["n0"]))
 
     def fitting_matrix(self, spec):
         return _lattice_block(spec, 2)
@@ -525,7 +530,7 @@ class Z2MinusIExt(GroupFamily):
         if reps is None:
             return INFINITE, ("rnumber:identity-quotient",)
         # the class of t^e u^f acts on the lattice by (-I)^e A^f
-        total = r_addition(reps, lambda rep: (self.action ** rep[1]).scale((-1) ** (rep[0] % 2)), m)
+        total = r_addition([(self.action ** f).scale((-1) ** (e % 2)) for e, f in reps], m)
         return total, ("rnumber:quotient-class-sum",)
 
 
@@ -599,9 +604,10 @@ class HnSemidirectZ(GroupFamily):
     def rnumber_route(self, spec):
         if spec.image_of("t").exponents[3] == 1:
             return INFINITE, ("rnumber:identity-quotient",)
-        m = self.fitting_matrix(spec)
+        # the classes of 1 and t act on H_n / Z(H_n) by I and -I
+        ident = IntMatrix.identity(2)
         e = spec.image_of("z").exponents[2]
-        r = _r_scalar(e) * (r_abelian(m) + r_abelian(-m))
+        r = _r_scalar(e) * r_addition((ident, -ident), self.fitting_matrix(spec))
         return r, ("rnumber:two-step-addition",)
 
 
@@ -694,7 +700,10 @@ class AutomorphismSpec:
         for name in family.generator_names:
             if name not in images:
                 raise ValueError("missing image for generator %r" % name)
-            elems.append(family.element(images[name]))
+            try:
+                elems.append(family.element(images[name]))
+            except ValueError as exc:
+                raise ValueError("image of %r: %s" % (name, exc)) from None
         return cls(family, tuple(elems))
 
     def image_of(self, name: str) -> GroupElement:

@@ -52,7 +52,6 @@ from .groups import (
     HeisenbergTimesZ,
     lifting_solver,
     verify_automorphism,
-    _power_sum,
     _z2_by_z2_inv,
     _z2_by_z2_mul,
 )
@@ -363,7 +362,7 @@ def _orbit_of(q: IntMatrix, a: IntMatrix, powers: list[IntMatrix]) -> Iterator[I
     yield -q
     for i, jj in enumerate(_ORBIT_EXPONENTS):
         if i == len(powers):
-            powers.append(IntMatrix(2, 2, _power_sum(a.entries, jj)[0]))
+            powers.append(a ** jj)
         base = powers[i] * q
         yield base
         yield -base

@@ -2,31 +2,27 @@
 
 The basic quantity is the number of twisted conjugacy classes of an
 automorphism.  On a lattice Z^n an automorphism is an integer matrix M
-and the count is |det(I - M)| when nonzero, infinite otherwise; the
-other operations assemble that building block along group extensions:
+and the count is |det(I - M)| when nonzero, infinite otherwise.  The
+formula routes multiply such counts across a central layer, and sum
+them across a quotient with one sum:
 
-* ``r_addition``   -- sum over representatives of the quotient classes,
-* ``r_semidirect_zn`` -- the two-representative special case for
-  Z^n x| Z with the quotient generator inverted,
-* ``r_averaging``  -- average over a finite holonomy group,
-* ``r_quadruple``  -- the four-term sum for the rank-2 quotient of the
-  double extension.
+* ``r_addition``  -- the sum of R(A M) over the matrices A induced by
+  representatives of the quotient classes,
+* ``r_averaging`` -- that sum over a finite holonomy group, divided by
+  its order.
 
-Compatibility hypotheses (like M A = A^-1 M) are checked here rather
-than trusted from callers; a violation raises instead of silently
-producing a wrong count.
+The formula routes in ``groups`` choose the matrices.  A route runs
+only on a verified automorphism, so the hypotheses of its sum (such as
+M A = A^-1 M for the two-step sum of Z^n x| Z) hold already and are not
+checked again here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .exactlin import IntMatrix, smith_normal_form
-
-
-class CompatibilityError(ValueError):
-    """A formula's liftability hypothesis fails for the given matrices."""
 
 
 @dataclass(frozen=True)
@@ -82,45 +78,6 @@ class RNumber:
 INFINITE = RNumber.infinite()
 
 
-@dataclass(frozen=True)
-class HolonomySet:
-    """A finite set of integer matrices forming a group under multiplication."""
-
-    matrices: tuple[IntMatrix, ...]
-
-    def __post_init__(self):
-        mats = self.matrices
-        if not mats:
-            raise ValueError("holonomy set must be non-empty")
-        n = mats[0].rows
-        ident = IntMatrix.identity(n)
-        if len(set(mats)) != len(mats):
-            raise ValueError("holonomy matrices must be pairwise distinct")
-        if ident not in mats:
-            raise ValueError("holonomy set must contain the identity")
-        pool = set(mats)
-        for a in mats:
-            for b in mats:
-                if a * b not in pool:
-                    raise ValueError("holonomy set is not closed under multiplication")
-
-    @classmethod
-    def cyclic(cls, a: IntMatrix) -> "HolonomySet":
-        """The powers {I, A, ..., A^(d-1)} of a finite-order matrix."""
-        ident = IntMatrix.identity(a.rows)
-        mats = [ident]
-        power = a
-        while power != ident:
-            mats.append(power)
-            power = power * a
-            if len(mats) > 12:
-                raise ValueError("matrix does not have small finite order")
-        return cls(tuple(mats))
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
 def r_abelian(m: IntMatrix) -> RNumber:
     """Reidemeister number of multiplication by M on Z^n: |det(I - M)| or infinity."""
     m._require_square("abelian Reidemeister number")
@@ -140,79 +97,24 @@ def r_abelian_via_cosets(m: IntMatrix) -> RNumber:
     return RNumber(index)
 
 
-def r_addition(
-    class_reps: Sequence | None,
-    action: Mapping | Callable,
-    inner: IntMatrix,
-) -> RNumber:
-    """Sum of r_abelian(action(rep) * inner) over quotient class representatives.
+def r_addition(matrices: Sequence[IntMatrix], m: IntMatrix) -> RNumber:
+    """Sum of R(A M) over the matrices A, one per quotient class.
 
-    ``class_reps`` must be a complete duplicate-free set of twisted
-    conjugacy representatives of the quotient automorphism; pass None to
-    flag an infinite quotient (the result is then infinite).  ``action``
-    maps a representative to the conjugation matrix it induces.
+    The matrices are those the class representatives induce on the
+    lattice, one per class of a finite quotient, so there is at least one.
     """
-    if class_reps is None:
-        return INFINITE
-    reps = list(class_reps)
-    if not reps:
+    if not matrices:
         raise ValueError("empty representative set")
-    lookup = action.__getitem__ if isinstance(action, Mapping) else action
-    total = None
-    for rep in reps:
-        term = r_abelian(lookup(rep) * inner)
-        total = term if total is None else total + term
+    total = r_abelian(matrices[0] * m)
+    for a in matrices[1:]:
+        total = total + r_abelian(a * m)
     return total
 
 
-def r_semidirect_zn(a: IntMatrix, m: IntMatrix) -> RNumber:
-    """R(M) + R(AM) for an automorphism of Z^n x|_A Z inverting the quotient.
-
-    Requires M A = A^-1 M (equivalently A M A = M), which is exactly the
-    condition for M to extend to an automorphism flipping the quotient
-    generator, and requires A to be unimodular without eigenvalue 1 so
-    that the lattice subgroup is characteristic.
-    """
-    _check_square_pair(a, m)
-    if not a.is_unimodular:
-        raise ValueError("A must be unimodular")
-    if (a - IntMatrix.identity(a.rows)).det() == 0:
-        raise ValueError("A must not have eigenvalue 1")
-    if a * m * a != m:
-        raise CompatibilityError("M A = A^-1 M fails: M does not extend to an automorphism flipping t")
-    return r_abelian(m) + r_abelian(a * m)
-
-
-def r_averaging(holonomy: HolonomySet, m: IntMatrix) -> RNumber:
-    """(1 / |F|) * sum of R(A M) over the holonomy group F.
+def r_averaging(holonomy: Sequence[IntMatrix], m: IntMatrix) -> RNumber:
+    """(1 / |F|) * sum of R(A M) over the finite holonomy group F.
 
     A finite sum that is not divisible by |F| can only come from
     inadmissible input, so that case raises instead of rounding.
     """
-    total = None
-    for a in holonomy.matrices:
-        term = r_abelian(a * m)
-        total = term if total is None else total + term
-    if not total.is_finite:
-        return INFINITE
-    return total.div_exact(len(holonomy))
-
-
-def r_quadruple(a: IntMatrix, m: IntMatrix) -> RNumber:
-    """R(M) + R(-M) + R(AM) + R(-AM) for the double-extension formula.
-
-    Requires M A = +-A^-1 M; both signs occur for genuine automorphisms
-    of the double extension.
-    """
-    _check_square_pair(a, m)
-    ama = a * m * a
-    if ama != m and ama != -m:
-        raise CompatibilityError("neither M A = A^-1 M nor M A = -A^-1 M holds")
-    return r_abelian(m) + r_abelian(-m) + r_abelian(a * m) + r_abelian(-(a * m))
-
-
-def _check_square_pair(a: IntMatrix, m: IntMatrix):
-    a._require_square("formula")
-    m._require_square("formula")
-    if a.rows != m.rows:
-        raise ValueError("A and M must have the same dimension")
+    return r_addition(holonomy, m).div_exact(len(holonomy))

@@ -10,6 +10,7 @@ from pathlib import Path
 import argparse
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reidemeister import cli as cli_module
 from reidemeister.cli import (
@@ -302,6 +303,125 @@ def test_rnumber_spec_json_rejects_malformed_json(tmp_path, data, missing):
     code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
+
+# valid automorphism documents of each JSON family; every one answers exit 0
+SPEC_DOCS = [
+    {
+        "family": {"tag": "heisenberg-times-z", "n": 1},
+        "images": {"x": [0, 1, 0, 0], "y": [1, 2, 0, 0], "z": [0, 0, -1, 0], "u": [0, 0, 0, -1]},
+    },
+    {"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": [0, 1], "e2": [-1, 3]}},
+    {"family": {"tag": "heisenberg", "n": 2}, "images": {"x": [0, 1, 0], "y": [1, 1, 0], "z": [0, 0, -1]}},
+    {
+        "family": {"tag": "zn-semidirect-z", "matrix": [[2, 3], [3, 5]]},
+        "images": {"e1": [1, 0, 0], "e2": [0, 1, 0], "t": [0, 0, 1]},
+    },
+    {
+        "family": {"tag": "z2-minusi-ext", "matrix": [[2, 1], [1, 1]], "n0": [1, 0]},
+        "images": {"e1": [1, 0, 0, 0], "e2": [0, 1, 0, 0], "t": [0, 0, 1, 0], "u": [0, 0, 0, 1]},
+    },
+    {
+        "family": {"tag": "hn-semidirect-z", "n": 1, "k": 0, "l": 0},
+        "images": {"x": [1, 0, 0, 0], "y": [0, 1, 0, 0], "z": [0, 0, 1, 0], "t": [0, 0, 0, 1]},
+    },
+]
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the value at path replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _slots(doc):
+    """Every path of doc below its two top-level keys, each with whether
+    it holds an integer."""
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            paths.append((path + (key,), type(value) is int))
+            if isinstance(value, (dict, list)):
+                walk(value, path + (key,))
+
+    walk(doc, ())
+    return paths
+
+
+def _spec_stdin(doc, command="rnumber"):
+    argv = [command, "--spec-json", "-"] + (["--radius", "1"] if command == "oracle" else [])
+    stdin = io.StringIO(json.dumps(doc))
+    saved, sys.stdin = sys.stdin, stdin
+    try:
+        return invoke(argv)
+    finally:
+        sys.stdin = saved
+
+
+@pytest.mark.parametrize("doc", SPEC_DOCS, ids=[d["family"]["tag"] for d in SPEC_DOCS])
+def test_spec_docs_are_valid_automorphisms(doc):
+    code, out, err = _spec_stdin(doc)
+    assert code == EXIT_OK and err == "" and payload(out)["result"]["rnumber"]
+
+
+NON_INTEGERS = [
+    (SPEC_DOCS[0], ("family", "n"), 1.9, "'n'"),
+    (SPEC_DOCS[0], ("family", "n"), "1", "'n'"),
+    (SPEC_DOCS[0], ("family", "n"), True, "'n'"),
+    (SPEC_DOCS[0], ("images", "y", 1), 2.7, "'y'"),
+    (SPEC_DOCS[0], ("images", "u", 3), "-1", "'u'"),
+    (SPEC_DOCS[1], ("images", "e2", 0), True, "'e2'"),
+    (SPEC_DOCS[3], ("family", "matrix", 1, 0), "3", "'matrix'"),
+    (SPEC_DOCS[3], ("family", "matrix", 0, 0), 2.0, "'matrix'"),
+    (SPEC_DOCS[4], ("family", "matrix", 1, 1), True, "'matrix'"),
+    (SPEC_DOCS[4], ("family", "n0"), "10", "n0"),
+    (SPEC_DOCS[4], ("family", "n0", 0), "1", "n0"),
+    (SPEC_DOCS[4], ("family", "n0", 1), 0.5, "n0"),
+    (SPEC_DOCS[5], ("family", "k"), 1.5, "'k'"),
+    (SPEC_DOCS[5], ("family", "l"), 1e400, "'l'"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value, field",
+    NON_INTEGERS,
+    ids=["%s:%s=%r" % (d["family"]["tag"], ".".join(map(str, p)), v) for d, p, v, _ in NON_INTEGERS],
+)
+def test_spec_json_refuses_a_non_integer_in_an_integer_field(doc, path, value, field):
+    code, out, err = _spec_stdin(_with(doc, path, value))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+# integers stay small: on a hyperbolic action, verification time grows
+# with the size of an image exponent (see ROADMAP item 6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-3, 3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_spec_json_fuzz_ends_in_a_result_or_one_error_line(data):
+    doc = data.draw(st.sampled_from(SPEC_DOCS))
+    path, integer_slot = data.draw(st.sampled_from(_slots(doc)))
+    value = data.draw(JSON_VALUES)
+    command = data.draw(st.sampled_from(("rnumber", "oracle")))
+    code, out, err = _spec_stdin(_with(doc, path, value), command)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_UNDECIDED)
+    assert "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if integer_slot and type(value) is not int:
+        assert code == EXIT_ERROR, (path, value, out)
 
 
 SLUG_ARGS = {

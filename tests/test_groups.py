@@ -49,6 +49,13 @@ ALL_FAMILIES = [
     ZnSemidirectZ(tahara_form_order3(1)),
     ZnSemidirectZ(-IntMatrix.identity(3)),
     ZnSemidirectZ(parse_matrix("0,0,1;1,0,1;0,1,0")),  # char poly x^3 - x - 1, infinite order
+    HeisenbergTimesZ(1),
+    HeisenbergTimesZ(3),
+    # the closed-form law of H_n x| Z for n odd and even, k and l odd and even
+    HnSemidirectZ(1, 0, 0),
+    HnSemidirectZ(3, 1, 2),
+    HnSemidirectZ(2, 0, 1),
+    HnSemidirectZ(4, 2, 0),
 ]
 HUGE = 10 ** 13
 
@@ -203,7 +210,7 @@ def test_verification_agrees_with_the_reference_word_evaluation():
 def test_finite_order_witnesses_never_walk_past_the_order(monkeypatch):
     # counts walks, not time: witness -> verify_automorphism -> rnumber at
     # parameter 10^12 must reduce every exponent of a finite-order action
-    from reidemeister import exactlin, groups
+    from reidemeister import exactlin
 
     walked = []
 
@@ -214,7 +221,7 @@ def test_finite_order_witnesses_never_walk_past_the_order(monkeypatch):
         return record
 
     # the cached walks of the group laws, and any uncached one
-    monkeypatch.setattr(groups, "_walk", recording(groups._walk))
+    monkeypatch.setattr(exactlin, "_walk", recording(exactlin._walk))
     monkeypatch.setattr(exactlin, "_power_and_sum", recording(exactlin._power_and_sum))
     cases = [(fam, "phi_alpha") for fam in WITNESS_CORPUS[ZnSemidirectZ, "phi_alpha"]]
     cases += [(fam, "M_m") for fam in WITNESS_CORPUS[ZnSemidirectZ, "M_m"]]

@@ -1,24 +1,25 @@
+from dataclasses import replace
+
 import pytest
 
 from reidemeister.exactlin import IntMatrix, parse_matrix
 from reidemeister.groups import (
+    AutomorphismSpec,
     ZnSemidirectZ,
     holonomy_embedding,
+    rnumber_with_trace,
     tahara_form_order2,
     tahara_form_order3,
     translation_matrix,
+    verify_automorphism,
     witness,
 )
 from reidemeister.twisted import (
-    CompatibilityError,
-    HolonomySet,
     RNumber,
     r_abelian,
     r_abelian_via_cosets,
     r_addition,
     r_averaging,
-    r_quadruple,
-    r_semidirect_zn,
 )
 from conftest import random_unimodular
 
@@ -64,56 +65,42 @@ def test_r_abelian_conjugation_invariant(rng):
 
 
 def test_r_addition_examples():
-    assert r_addition(["1"], {"1": I2}, -I2) == RNumber.finite(4)
+    assert r_addition([I2], -I2) == RNumber.finite(4)
     m1 = parse_matrix("0,1;1,1")
-    assert r_addition(["1", "t"], {"1": I2, "t": -I2}, m1) == RNumber.finite(2)
-    assert r_addition(["1", "t"], {"1": I2, "t": FIB}, ROT4) == RNumber.finite(4)
-    assert r_addition(None, {}, I2) == RNumber.infinite()
+    assert r_addition([I2, -I2], m1) == RNumber.finite(2)
+    assert r_addition([I2, FIB], ROT4) == RNumber.finite(4)
+    assert r_addition([I2, -I2], I2) == RNumber.infinite()
     with pytest.raises(ValueError):
-        r_addition([], {}, I2)
-
-
-def test_r_addition_accepts_callable_action():
-    assert r_addition([0, 1], lambda r: I2 if r == 0 else -I2, parse_matrix("0,1;1,1")).value == 2
+        r_addition([], I2)
 
 
 def test_r_semidirect_examples():
+    # the two-step sum R(M) + R(AM) of Z^n x| Z with the quotient inverted
     m3 = parse_matrix("0,1;1,3")
-    assert r_semidirect_zn(-I2, m3) == RNumber.finite(6)
-    assert r_semidirect_zn(FIB, ROT4) == RNumber.finite(4)
-    assert r_semidirect_zn(-I2, I2) == RNumber.infinite()
+    assert r_addition((I2, -I2), m3) == RNumber.finite(6)
+    assert r_addition((I2, FIB), ROT4) == RNumber.finite(4)
+    assert r_addition((I2, -I2), I2) == RNumber.infinite()
 
 
-def test_r_semidirect_checks_hypotheses():
-    with pytest.raises(CompatibilityError):
-        r_semidirect_zn(FIB, parse_matrix("1,1;0,1"))
-    with pytest.raises(ValueError):
-        r_semidirect_zn(parse_matrix("1,1;0,1"), I2)  # eigenvalue 1
+def _flip_spec(m):
+    # e_i -> M e_i, t -> t^-1: an automorphism of Z^2 x|_{-I} Z for every M
+    fam = ZnSemidirectZ(-I2)
+    images = {"e1": m.column(0) + (0,), "e2": m.column(1) + (0,), "t": (0, 0, -1)}
+    spec = AutomorphismSpec.from_images(fam, images)
+    assert verify_automorphism(spec).ok
+    return replace(spec, verified=True)
 
 
-def test_r_semidirect_equals_addition_formula(rng):
-    pairs = [(-I2, parse_matrix("0,1;1,1")), (-I2, parse_matrix("0,1;1,5")), (FIB, ROT4)]
-    for _ in range(20):
-        m = random_unimodular(rng, 2, 4)
-        pairs.append((-I2, m))  # every M is admissible for the central flip
-    for a, m in pairs:
-        direct = r_semidirect_zn(a, m)
-        added = r_addition(["1", "t"], {"1": I2, "t": a}, m)
-        assert direct == added
-
-
-def test_holonomy_set_validation():
-    with pytest.raises(ValueError):
-        HolonomySet((I2, ROT4))  # not closed
-    f = HolonomySet.cyclic(ROT4)
-    assert len(f) == 4
-    with pytest.raises(ValueError):
-        HolonomySet.cyclic(parse_matrix("1,1;0,1"))
+def test_two_step_route_matches_the_coset_oracle(rng):
+    ms = [parse_matrix("0,1;1,1"), parse_matrix("0,1;1,5"), I2]
+    ms += [random_unimodular(rng, 2, 4) for _ in range(20)]
+    for m in ms:
+        expected = r_abelian_via_cosets(m) + r_abelian_via_cosets(-m)
+        assert rnumber_with_trace(_flip_spec(m)) == (expected, ("rnumber:two-step-addition",)), m
 
 
 def test_r_averaging_trivial_holonomy():
-    f = HolonomySet((IntMatrix.identity(2),))
-    assert r_averaging(f, -I2) == r_abelian(-I2)
+    assert r_averaging([IntMatrix.identity(2)], -I2) == r_abelian(-I2)
 
 
 def _averaged_witness(form, alpha):
@@ -121,8 +108,8 @@ def _averaged_witness(form, alpha):
     spec = witness(fam, "phi_alpha", alpha)
     d = 2 if form in (tahara_form_order2(0), tahara_form_order2(1)) else 3
     mt = translation_matrix(spec, d)
-    f = HolonomySet.cyclic(holonomy_embedding(form))
-    return r_averaging(f, mt)
+    h = holonomy_embedding(form)
+    return r_averaging([h ** i for i in range(d)], mt)
 
 
 def test_r_averaging_on_block_embeddings():
@@ -149,24 +136,5 @@ def test_block_embedding_counts_factor():
 
 
 def test_r_averaging_divisibility_is_loud():
-    f = HolonomySet((I2, parse_matrix("0,1;1,0")))
     with pytest.raises(ArithmeticError):
-        r_averaging(f, parse_matrix("2,1;1,1"))  # terms 1 and 2, sum 3 odd
-
-
-def test_r_quadruple_examples():
-    assert r_quadruple(FIB, ROT4) == RNumber.finite(8)
-    # admissible block with eigenvalue 1 forces an infinite term
-    a = parse_matrix("-1,1;0,-1")
-    m = parse_matrix("1,0;0,-1")
-    assert r_quadruple(a, m) == RNumber.infinite()
-    with pytest.raises(CompatibilityError):
-        r_quadruple(FIB, parse_matrix("1,1;0,1"))
-
-
-def test_r_quadruple_accepts_anticommuting_sign():
-    # M A = -A^-1 M: build one via the order-2 action with det -1
-    a = parse_matrix("1,0;0,-1")
-    m = parse_matrix("0,1;1,0")
-    assert (a * m * a) == -m
-    assert r_quadruple(a, m) == RNumber.infinite()
+        r_averaging([I2, parse_matrix("0,1;1,0")], parse_matrix("2,1;1,1"))  # terms 1 and 2, sum 3 odd
