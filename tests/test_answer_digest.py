@@ -1,17 +1,28 @@
-"""One hash over a fixed corpus of classifier answers.
+"""Two hashes over fixed corpora of classifier answers.
 
 A change that claims to keep every answer the same is checked here: the
 sha256 of a sorted-key JSON dump of the answers must equal the committed
-value in ``golden/answers.sha256``.  The corpus, all at bound 100:
+value.  Every corpus runs at bound 100.
+
+``golden/answers.sha256``:
 
 * every unimodular 2x2 matrix in [-4,4]^4, through ``classify_z2_semidirect``;
 * every hyperbolic det-1 A in that box with n0 in [-2,2]^2, through
   ``classify_z2_minusI_ext``;
 * the same A with c_row in [-2,2]^2, through ``decide_z3_eight``.
 
-When a change is meant to alter one of these answers, regenerate the
-hash with ``PYTHONPATH=src python tests/test_answer_digest.py`` and say why
-in the change.
+``golden/ladders.sha256`` pins the eigenvalue ladders of the other
+classifiers; a refusal is recorded as its exception class and message:
+
+* every unimodular 3x3 matrix in [-1,1]^9, through ``classify_z3_semidirect``;
+* every det +-1 matrix in [-2,2]^4 with n0 in [-1,1]^2, through
+  ``classify_z2_minusI_ext``;
+* the same matrices with n = 1..4 and central twists in [-1,1]^2, through
+  ``classify_hn_semidirect``.
+
+When a change is meant to alter one of these answers, regenerate both
+hashes with ``PYTHONPATH=src python tests/test_answer_digest.py`` and say
+why in the change.
 """
 
 from __future__ import annotations
@@ -22,9 +33,16 @@ import json
 from pathlib import Path
 
 from reidemeister.exactlin import IntMatrix
-from reidemeister.spectra import classify_z2_minusI_ext, classify_z2_semidirect, decide_z3_eight
+from reidemeister.spectra import (
+    classify_hn_semidirect,
+    classify_z2_minusI_ext,
+    classify_z2_semidirect,
+    classify_z3_semidirect,
+    decide_z3_eight,
+)
 
 DIGEST_FILE = Path(__file__).parent / "golden" / "answers.sha256"
+LADDER_FILE = Path(__file__).parent / "golden" / "ladders.sha256"
 BOUND = 100
 
 
@@ -62,15 +80,60 @@ def answers() -> dict:
     }
 
 
-def digest() -> str:
-    text = json.dumps(answers(), sort_keys=True, separators=(",", ":"))
+def _outcome_json(call) -> dict:
+    try:
+        return _result_json(call())
+    except ValueError as exc:
+        return {"error": "%s: %s" % (type(exc).__name__, exc)}
+
+
+def ladders() -> dict:
+    cube = (IntMatrix(3, 3, e) for e in product(range(-1, 2), repeat=9))
+    box = [IntMatrix.from_rows([[a, b], [c, d]]) for a, b, c, d in product(range(-2, 3), repeat=4)]
+    unimodular = [m for m in box if m.det() in (1, -1)]
+    small = list(product(range(-1, 2), repeat=2))
+    return {
+        "z3": {
+            m.to_text(): _outcome_json(lambda: classify_z3_semidirect(m, BOUND))
+            for m in cube
+            if m.det() in (1, -1)
+        },
+        "double-ext": {
+            "%s|%d,%d" % (m.to_text(), *n0): _outcome_json(lambda: classify_z2_minusI_ext(m, n0, BOUND))
+            for m in unimodular
+            for n0 in small
+        },
+        "hn": {
+            "%d|%s|%d,%d" % (n, m.to_text(), *tw): _outcome_json(lambda: classify_hn_semidirect(n, m, BOUND, tw))
+            for n in range(1, 5)
+            for m in unimodular
+            for tw in small
+        },
+    }
+
+
+def _digest(corpus: dict) -> str:
+    text = json.dumps(corpus, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest() -> str:
+    return _digest(answers())
+
+
+def ladder_digest() -> str:
+    return _digest(ladders())
 
 
 def test_answers_match_committed_digest():
     assert digest() == DIGEST_FILE.read_text().split()[0]
 
 
+def test_ladders_match_committed_digest():
+    assert ladder_digest() == LADDER_FILE.read_text().split()[0]
+
+
 if __name__ == "__main__":
-    DIGEST_FILE.write_text(digest() + "\n")
-    print(DIGEST_FILE.read_text(), end="")
+    for path, compute in ((DIGEST_FILE, digest), (LADDER_FILE, ladder_digest)):
+        path.write_text(compute() + "\n")
+        print(path.name, path.read_text(), end="")
