@@ -4,15 +4,14 @@ groups of Hirsch length at most 4."""
 __version__ = "0.1.0"
 
 from .exactlin import (
-    EigenProfile,
     IntMatrix,
     LatticeBasis,
     SNFResult,
     eigenlattice,
-    eigenvalue_profile,
     finite_order,
     parse_matrix,
     smith_normal_form,
+    unit_root_split,
 )
 from .twisted import (
     RNumber,

@@ -13,9 +13,10 @@ The module provides:
   (``IntMatrix.__pow__`` and the group laws read its bounded cache);
 * Smith normal form with recorded unimodular transforms (deterministic
   pivoting, so U, D, V are reproducible);
-* symbolic eigenvalue profiles for 2x2 and 3x3 unimodular matrices
-  (integer roots are extracted exactly, irrational eigenvalues are never
-  materialised);
+* ``unit_root_split``, the eigenvalue case of a 3x3 unimodular matrix:
+  the multiplicities of 1 and -1 in its characteristic polynomial and the
+  quadratic factor left over (irrational eigenvalues are never
+  materialised; a 2x2 case is read off det and trace);
 * saturated eigenlattices, finite-order detection, centralizer
   exponents, integer lattice solving and coset representatives;
 * the solver of the quadratic system and the search order shared by the
@@ -581,71 +582,6 @@ class LatticeBasis:
         return len(self.basis)
 
 
-KIND_REPEATED_ONE = "repeated-one"
-KIND_REPEATED_MINUS_ONE = "repeated-minus-one"
-KIND_ONE_MINUS_ONE = "one-plus-minus-one"
-KIND_REAL_PAIR = "real-irrational-pair"
-KIND_COMPLEX_PAIR = "complex-pair"
-KIND_MIXED3 = "mixed-3"
-
-TAG_PLUS_ONE = "+1"
-TAG_MINUS_ONE = "-1"
-TAG_REAL_PAIR = "real-pair"
-TAG_COMPLEX_PAIR = "complex-pair"
-
-
-@dataclass(frozen=True)
-class EigenProfile:
-    """Symbolic eigenvalue data of a 2x2 or 3x3 unimodular matrix.
-
-    ``char_poly`` lists the coefficients of det(xI - M) in ascending
-    order a0..a_dim.  For dim 3 the kind is always ``mixed-3`` and
-    ``components`` records the multiset of integer roots (+-1) and the
-    class of the residual quadratic.  ``residual`` holds (c0, c1) for the
-    monic residual x^2 + c1 x + c0 when one exists.
-    """
-
-    dim: int
-    char_poly: tuple[int, ...]
-    det: int
-    trace: int
-    kind: str
-    components: tuple[str, ...] | None
-    residual: tuple[int, int] | None
-    finite_order: int | None
-
-    def multiplicity_of_one(self) -> int:
-        if self.dim == 2:
-            return {KIND_REPEATED_ONE: 2, KIND_ONE_MINUS_ONE: 1}.get(self.kind, 0)
-        return self.components.count(TAG_PLUS_ONE)
-
-    def multiplicity_of_minus_one(self) -> int:
-        if self.dim == 2:
-            return {KIND_REPEATED_MINUS_ONE: 2, KIND_ONE_MINUS_ONE: 1}.get(self.kind, 0)
-        return self.components.count(TAG_MINUS_ONE)
-
-    def char_poly_at(self, x: int) -> int:
-        return sum(c * x ** i for i, c in enumerate(self.char_poly))
-
-
-def char_poly(m: IntMatrix) -> tuple[int, ...]:
-    """Coefficients of det(xI - M), ascending, for dim <= 3."""
-    m._require_square("characteristic polynomial")
-    n = m.rows
-    if n == 1:
-        return (-m[0, 0], 1)
-    if n == 2:
-        return (m.det(), -m.trace(), 1)
-    if n == 3:
-        s2 = sum(
-            m[i, i] * m[j, j] - m[i, j] * m[j, i]
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        return (-m.det(), s2, -m.trace(), 1)
-    raise DimensionError("characteristic polynomial implemented for dim <= 3 only")
-
-
 def finite_order(m: IntMatrix) -> int | None:
     """Order of M if M^d = I for some d in 1..6, else None.
 
@@ -660,69 +596,34 @@ def finite_order(m: IntMatrix) -> int | None:
     return _entries_order(m.entries)
 
 
-def eigenvalue_profile(m: IntMatrix) -> EigenProfile:
-    """Classify the eigenvalues of a 2x2 or 3x3 matrix with det +-1.
+def unit_root_split(m: IntMatrix) -> tuple[int, int, tuple[int, int] | None]:
+    """(ones, minus_ones, residual) for a 3x3 matrix M with det +-1.
 
-    Candidate integer roots of a unimodular characteristic polynomial are
-    +-1; everything else is decided by discriminant sign.
+    det(xI - M) = (x - 1)^ones (x + 1)^minus_ones q(x): x - 1 and x + 1
+    are divided out while they divide, and residual is (c0, c1) when q is
+    a monic quadratic x^2 + c1 x + c0.  It is None when q = 1 or when q is
+    the whole cubic (ones = minus_ones = 0).  The only rational roots of a
+    unimodular characteristic polynomial are +-1, so a quadratic q has
+    c1^2 - 4 c0 != 0: negative for a complex pair of eigenvalues, positive
+    for a real irrational one.
     """
-    m._require_square("eigenvalue profile")
+    if (m.rows, m.cols) != (3, 3):
+        raise DimensionError("the unit-root split is for 3x3 matrices, got %dx%d" % (m.rows, m.cols))
     d = m.det()
     if d not in (1, -1):
-        raise ValueError("eigenvalue profile requires determinant +-1, got %d" % d)
-    if m.rows not in (2, 3):
-        raise DimensionError("eigenvalue profile implemented for dim 2 and 3 only")
-    poly = char_poly(m)
-    tr = m.trace()
-    order = finite_order(m)
-
-    if m.rows == 2:
-        disc = tr * tr - 4 * d
-        if d == 1 and tr == 2:
-            kind = KIND_REPEATED_ONE
-        elif d == 1 and tr == -2:
-            kind = KIND_REPEATED_MINUS_ONE
-        elif d == -1 and tr == 0:
-            kind = KIND_ONE_MINUS_ONE
-        elif disc < 0:
-            kind = KIND_COMPLEX_PAIR
-        else:
-            kind = KIND_REAL_PAIR
-        return EigenProfile(2, poly, d, tr, kind, None, None, order)
-
-    # dim 3: peel off integer roots (only +-1 possible), classify the rest.
-    coeffs = list(poly)
-    roots: list[int] = []
-    changed = True
-    while len(coeffs) > 1 and changed:
-        changed = False
-        for cand in (1, -1):
-            if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
-                coeffs = _deflate(coeffs, cand)
-                roots.append(cand)
-                changed = True
-                break
-    tags = [TAG_PLUS_ONE if r == 1 else TAG_MINUS_ONE for r in roots]
-    residual = None
-    if len(coeffs) == 3:
-        c0, c1, _ = coeffs
-        residual = (c0, c1)
-        disc = c1 * c1 - 4 * c0
-        # A monic integer quadratic without +-1 roots cannot have rational
-        # roots here (any rational root would divide c0 = +-1), so disc != 0.
-        tags.append(TAG_COMPLEX_PAIR if disc < 0 else TAG_REAL_PAIR)
-    components = tuple(sorted(tags))
-    return EigenProfile(3, poly, d, tr, KIND_MIXED3, components, residual, order)
-
-
-def _deflate(coeffs: list[int], root: int) -> list[int]:
-    """Synthetic division of a monic polynomial by (x - root)."""
-    n = len(coeffs) - 1
-    out = [0] * n
-    out[n - 1] = coeffs[n]
-    for i in range(n - 2, -1, -1):
-        out[i] = coeffs[i + 1] + root * out[i + 1]
-    return out
+        raise ValueError("the unit-root split requires determinant +-1, got %d" % d)
+    s2 = sum(m[i, i] * m[j, j] - m[i, j] * m[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    coeffs = [-d, s2, -m.trace(), 1]  # ascending
+    counts = {1: 0, -1: 0}
+    for root in (1, -1):
+        while len(coeffs) > 1 and sum(c * root ** i for i, c in enumerate(coeffs)) == 0:
+            # synthetic division by x - root, from the leading coefficient down
+            quotient = [coeffs[-1]]
+            for c in reversed(coeffs[1:-1]):
+                quotient.append(c + root * quotient[-1])
+            coeffs = quotient[::-1]
+            counts[root] += 1
+    return counts[1], counts[-1], (coeffs[0], coeffs[1]) if len(coeffs) == 3 else None
 
 
 def eigenlattice(a: IntMatrix, eps: int) -> LatticeBasis:

@@ -12,7 +12,7 @@ all serialization):
 ===========================  =====================================
 family                       slots
 ===========================  =====================================
-FreeAbelian(n)               e1 .. en
+FreeAbelian(n)               e1 .. en         (n <= MAX_RANK = 4)
 Heisenberg(n)                x, y, z          (z central, yx = xy z^n)
 HeisenbergTimesZ(n)          x, y, z, u       (u central)
 ZnSemidirectZ(A)             e1 .. en, t      (t v t^-1 = A v)
@@ -33,8 +33,9 @@ act by commuting matrices A and B with [u, t] = n0: its law is
 such presentation.  The matrix-backed laws read A^k, B^k and their
 geometric sums from the bounded power cache of ``exactlin._power_sum``;
 an action of finite order reduces the exponent modulo its order first,
-in O(1).  Exponents, parameters and n0 must be ints: JSON decoding
-refuses a float, a string or a boolean with a ValueError naming the field.
+in O(1).  Exponents, parameters and n0 must be ints: the constructors
+and JSON decoding refuse a float, a string or a boolean with a ValueError
+naming the field.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class UnknownWitnessError(ValueError):
 
 
 _MINUS_I2 = (-1, 0, 0, -1)
+MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
 
 
 def _strict_int(value, field: str) -> int:
@@ -173,14 +175,19 @@ class GroupFamily:
     def tag(self) -> str:
         return self.json_tag
 
-    # JSON: the tag plus the integer parameters; families with matrix
-    # parameters override both directions
+    # JSON: the tag plus the integer parameters, which the constructor
+    # checks (``_require_int_fields``); families with matrix parameters
+    # override both directions
     def to_json_dict(self) -> dict:
         return {"tag": self.json_tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupFamily":
-        return cls(*(_strict_int(data[f.name], "field %r" % f.name) for f in fields(cls)))
+        return cls(*(data[f.name] for f in fields(cls)))
+
+    def _require_int_fields(self):
+        for f in fields(self):
+            _strict_int(getattr(self, f.name), "field %r" % f.name)
 
     # layers and formula route of an automorphism spec of this family
     def fitting_matrix(self, spec: "AutomorphismSpec") -> IntMatrix:
@@ -253,8 +260,11 @@ class FreeAbelian(GroupFamily):
     n: int
 
     def __post_init__(self):
+        self._require_int_fields()
         if self.n < 1:
             raise ValueError("rank must be >= 1")
+        if self.n > MAX_RANK:
+            raise ValueError("rank %d exceeds MAX_RANK = %d, the largest Hirsch length in scope" % (self.n, MAX_RANK))
         object.__setattr__(self, "generator_names", tuple("e%d" % (i + 1) for i in range(self.n)))
 
     def multiply(self, a, b):
@@ -295,6 +305,7 @@ class Heisenberg(GroupFamily):
     n: int
 
     def __post_init__(self):
+        self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         object.__setattr__(self, "generator_names", ("x", "y", "z"))
@@ -331,6 +342,7 @@ class HeisenbergTimesZ(GroupFamily):
     n: int
 
     def __post_init__(self):
+        self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         object.__setattr__(self, "generator_names", ("x", "y", "z", "u"))
@@ -554,6 +566,7 @@ class HnSemidirectZ(GroupFamily):
     l: int
 
     def __post_init__(self):
+        self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         object.__setattr__(self, "generator_names", ("x", "y", "z", "t"))

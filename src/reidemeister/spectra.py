@@ -3,7 +3,9 @@
 Each classifier walks a case analysis on the eigenvalues of the acting
 matrix and returns a ``SpectrumResult``: the spectrum descriptor plus a
 derivation trace of rule identifiers, so a result can be audited without
-re-reading the code.
+re-reading the code.  A 2x2 case is read off (det, trace); a 3x3 case off
+``exactlin.unit_root_split``, the multiplicities of 1 and -1 and the
+quadratic factor left over.
 
 Bounded searches never masquerade as proofs.  A hyperbolic case that
 exhausts its search bound comes back ``undecided`` unless a genuine
@@ -31,18 +33,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
-    KIND_COMPLEX_PAIR,
-    KIND_ONE_MINUS_ONE,
-    KIND_REAL_PAIR,
-    KIND_REPEATED_MINUS_ONE,
-    KIND_REPEATED_ONE,
-    TAG_COMPLEX_PAIR,
     centralizer_exponent,
     eigenlattice,
-    eigenvalue_profile,
     finite_order,
     kernel_lattice,
     smith_normal_form,
+    unit_root_split,
     _system2_rows,
 )
 from .groups import (
@@ -52,6 +48,7 @@ from .groups import (
     HeisenbergTimesZ,
     lifting_solver,
     verify_automorphism,
+    _strict_int,
     _z2_by_z2_inv,
     _z2_by_z2_mul,
 )
@@ -264,12 +261,12 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     """Spectrum of Z^2 x|_A Z by the eigenvalue case ladder."""
     if a.rows != 2 or not a.is_square:
         raise HypothesisError("expected a 2x2 matrix")
-    if a.det() not in (1, -1):
+    d, tr = a.det(), a.trace()
+    if d not in (1, -1):
         raise HypothesisError("the acting matrix must be unimodular")
     ident = IntMatrix.identity(2)
-    profile = eigenvalue_profile(a)
 
-    if profile.kind == KIND_REPEATED_ONE:
+    if (d, tr) == (1, 2):
         if a == ident:
             return _result(SpectrumDescriptor.full(), ["z2:abelian", "nilpotent:lattice"])
         divisors = smith_normal_form(a - ident).elementary_divisors
@@ -279,18 +276,18 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
             ["z2:unipotent", "nilpotent:heisenberg"],
             {"heisenberg_parameter": n},
         )
-    if profile.kind == KIND_REPEATED_MINUS_ONE:
+    if (d, tr) == (1, -2):
         if a == -ident:
             return _result(SpectrumDescriptor.multiples(2), ["z2:minus-identity"])
         return _result(SpectrumDescriptor.r_infinity(), ["z2:repeated-minus-one"])
-    if profile.kind == KIND_ONE_MINUS_ONE:
+    if (d, tr) == (-1, 0):
         return _result(SpectrumDescriptor.r_infinity(), ["z2:eigenvalues-one-and-minus-one"])
-    if profile.kind == KIND_COMPLEX_PAIR:
+    if tr * tr < 4 * d:
         return _result(
             SpectrumDescriptor.r_infinity(), ["z2:complex-eigenvalues", "system2:complex-empty"]
         )
     # real eigenvalues different from +-1
-    if a.det() == -1:
+    if d == -1:
         return _result(SpectrumDescriptor.r_infinity(), ["z2:hyperbolic-det-minus-one"])
     decision = decide_system2(a, bound)
     if decision.outcome == "witness":
@@ -320,8 +317,7 @@ def tahara_delta(a: IntMatrix) -> int:
         raise HypothesisError("the delta invariant lives on 3x3 matrices")
     if not a.is_unimodular:
         raise HypothesisError("the matrix must be unimodular")
-    profile = eigenvalue_profile(a)
-    if profile.multiplicity_of_one() != 1:
+    if unit_root_split(a)[0] != 1:
         raise HypothesisError("eigenvalue 1 must be simple")
     order = finite_order(a)
     if order not in (2, 3):
@@ -409,10 +405,9 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
     claimed via the residue obstruction, never from bounded failure.
     """
     _system2_require(a_prime)
-    profile = eigenvalue_profile(a_prime)
-    if profile.kind != KIND_REAL_PAIR:
+    if abs(a_prime.trace()) < 2:
         raise HypothesisError("the block must have real eigenvalues different from +-1")
-    c_row = tuple(int(v) for v in c_row)
+    c_row = tuple(_strict_int(v, "an entry of the coupling row") for v in c_row)
     if len(c_row) != 2:
         raise HypothesisError("the coupling row must have two entries")
     ident = IntMatrix.identity(2)
@@ -465,8 +460,7 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     if a.det() not in (1, -1):
         raise HypothesisError("the acting matrix must be unimodular")
     ident = IntMatrix.identity(3)
-    profile = eigenvalue_profile(a)
-    mult_one = profile.multiplicity_of_one()
+    mult_one, mult_minus_one, residual = unit_root_split(a)
 
     if mult_one == 0:
         if a == -ident:
@@ -490,7 +484,7 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
         return _result(SpectrumDescriptor.r_infinity(), ["z3:eigenvalue-one-multiplicity-two"])
 
     # simple eigenvalue 1
-    if profile.multiplicity_of_minus_one() == 2:
+    if mult_minus_one == 2:
         if finite_order(a) == 2:
             delta = tahara_delta(a)
             if delta == 0:
@@ -506,10 +500,9 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
             )
         return _result(SpectrumDescriptor.r_infinity(), ["z3:minus-one-unipotent-block"])
 
-    c0, c1 = profile.residual
-    if TAG_COMPLEX_PAIR in profile.components:
-        block_trace = -c1
-        if block_trace == -1:  # block order 3
+    c0, c1 = residual
+    if c1 * c1 < 4 * c0:  # complex pair: a block of order 3, 4 or 6
+        if c1 == 1:  # block trace -1, order 3
             delta = tahara_delta(a)
             return _result(
                 SpectrumDescriptor.multiples(6),
@@ -578,7 +571,7 @@ class ExtensionPresentation:
             raise ValueError("actions must be unimodular 2x2 matrices")
         if a * b != b * a:
             raise ValueError("the two actions must commute")
-        object.__setattr__(self, "n0", tuple(int(v) for v in self.n0))
+        object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
 
     # elements (z1, z2, k, l) = z t^k u^l with t = lift(y), u = lift(x),
     # under the one Z^2-by-Z^2 law of ``groups``
@@ -717,7 +710,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> SpectrumResult:
     """Spectrum of (Z^2 x|_{-I} Z) x|_psi Z with psi acting by A and
     twisting the inner generator by n0."""
-    n0 = tuple(int(v) for v in n0)
+    n0 = tuple(_strict_int(v, "an entry of n0") for v in n0)
     if len(n0) != 2:
         raise HypothesisError("n0 must have exactly two entries, got %d" % len(n0))
     if a.rows != 2 or not a.is_unimodular:
@@ -729,10 +722,10 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
     if order is not None:
         # +-I and orders 3, 4, 6: canonicalization trivializes the inner action
         return _classify_canonical(ExtensionPresentation(a, minus, n0), bound, ["ext:finite-order-action"])
-    profile = eigenvalue_profile(a)
-    if profile.kind in (KIND_REPEATED_ONE, KIND_REPEATED_MINUS_ONE):
+    d, tr = a.det(), a.trace()
+    if d == 1 and abs(tr) == 2:
         return _result(SpectrumDescriptor.r_infinity(), ["ext:repeated-eigenvalue"])
-    if a.det() == -1:
+    if d == -1:
         return _result(SpectrumDescriptor.r_infinity(), ["ext:hyperbolic-det-minus-one"])
 
     # hyperbolic, det 1: im(2A) = 2Z^2, so whether a block M lifts depends
@@ -769,19 +762,20 @@ def classify_hn_semidirect(
     inverting action psi(x) = x^-1 z^k, psi(y) = y^-1 z^l, or the 2x2
     matrix induced on H_n / Z(H_n) (with optional central twists).
     """
-    if n < 1:
+    if _strict_int(n, "the Heisenberg parameter") < 1:
         raise HypothesisError("the Heisenberg parameter must be >= 1")
     ident = IntMatrix.identity(2)
     if not isinstance(action, IntMatrix):
-        k, l = (int(v) for v in action)
+        k, l = (_strict_int(v, "a central twist") for v in action)
         return _classify_hn_twists(n, k, l)
     a = action
     if a.rows != 2 or not a.is_unimodular:
         raise HypothesisError("the induced action must be a unimodular 2x2 matrix")
+    cx, cy = (_strict_int(v, "a central twist") for v in central_twists)
     if a == -ident:
-        return _classify_hn_twists(n, int(central_twists[0]), int(central_twists[1]))
-    profile = eigenvalue_profile(a)
-    if profile.kind == KIND_REPEATED_ONE:
+        return _classify_hn_twists(n, cx, cy)
+    d, tr = a.det(), a.trace()
+    if (d, tr) == (1, 2):
         if a == ident:
             return _result(
                 SpectrumDescriptor.multiples(4),
@@ -790,8 +784,8 @@ def classify_hn_semidirect(
         return _result(
             SpectrumDescriptor.r_infinity(), ["hn:unipotent-action", "nilpotent:three-step"]
         )
-    if profile.kind == KIND_ONE_MINUS_ONE:
-        return _classify_hn_mixed(n, a, central_twists, bound)
+    if (d, tr) == (-1, 0):
+        return _classify_hn_mixed(n, a, cx, cy, bound)
     return _result(SpectrumDescriptor.r_infinity(), ["hn:no-eigenvalue-one"])
 
 
@@ -801,13 +795,10 @@ def _classify_hn_twists(n: int, k: int, l: int) -> SpectrumResult:
     return _result(SpectrumDescriptor.multiples(8), ["hn:inverting-action", "hn:lifting-parity"])
 
 
-def _classify_hn_mixed(
-    n: int, a: IntMatrix, central_twists: tuple[int, int], bound: int
-) -> SpectrumResult:
+def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int, bound: int) -> SpectrumResult:
     """Eigenvalues {1, -1}: realize the group as an extension of Z^2 by
     Z^2 and route through the canonicalized presentation."""
     heis = Heisenberg(n)
-    cx, cy = (int(v) for v in central_twists)
     # det A = -1 in this branch
     images = {"x": (a[0, 0], a[1, 0], cx), "y": (a[0, 1], a[1, 1], cy), "z": (0, 0, a.det())}
     psi = AutomorphismSpec.from_images(heis, images)

@@ -399,6 +399,28 @@ def test_spec_json_refuses_a_non_integer_in_an_integer_field(doc, path, value, f
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
+RANK_ABOVE_FOUR = [
+    ["spectrum", "--family", "free-abelian", "--n", "5"],
+    ["spectrum", "--family", "free-abelian", "--n", "1000000"],
+    ["rnumber", "--family", "free-abelian", "--n", "5", "--witness", "negation", "--param", "1"],
+    ["oracle", "--family", "free-abelian", "--n", "6", "--witness", "target", "--param", "2", "--radius", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", RANK_ABOVE_FOUR, ids=[" ".join(a[:1] + a[4:6]) for a in RANK_ABOVE_FOUR])
+def test_free_abelian_rank_above_four_ends_in_one_error_line(argv):
+    code, out, err = invoke(argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_RANK = 4" in err
+
+
+def test_spec_json_refuses_a_free_abelian_rank_above_four():
+    doc = {"family": {"tag": "free-abelian", "n": 5}, "images": {"e%d" % i: [0] * 5 for i in range(1, 6)}}
+    code, out, err = _spec_stdin(doc)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_RANK = 4" in err
+
+
 # integers stay small: on a hyperbolic action, verification time grows
 # with the size of an image exponent (see ROADMAP item 6)
 JSON_VALUES = st.recursive(

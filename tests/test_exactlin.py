@@ -6,16 +6,15 @@ from reidemeister.exactlin import (
     DimensionError,
     IntMatrix,
     MatrixParseError,
-    char_poly,
     centralizer_exponent,
     coset_representatives,
     eigenlattice,
-    eigenvalue_profile,
     finite_order,
     kernel_lattice,
     lattice_solver,
     parse_matrix,
     smith_normal_form,
+    unit_root_split,
     _power_sum,
 )
 from conftest import random_matrix, random_unimodular
@@ -149,50 +148,49 @@ def test_snf_deterministic():
     assert first == second
 
 
-def test_eigenvalue_profile_examples():
-    unipotent = parse_matrix("1,1;0,1")
-    p = eigenvalue_profile(unipotent)
-    assert p.kind == "repeated-one" and p.finite_order is None
-
-    p = eigenvalue_profile(ROT4)
-    assert p.kind == "complex-pair" and p.finite_order == 4
-
-    p = eigenvalue_profile(FIB)
-    assert p.kind == "real-irrational-pair"
-    assert p.trace == 7 and p.det == 1  # discriminant 45 > 0
-
-
-def test_eigenvalue_profile_dim3_components():
-    a = parse_matrix("1,0,1;0,-1,0;0,0,-1")
-    p = eigenvalue_profile(a)
-    assert p.kind == "mixed-3"
-    assert p.components == ("+1", "-1", "-1")
-    assert p.multiplicity_of_one() == 1 and p.multiplicity_of_minus_one() == 2
-
-    b = parse_matrix("1,0,0;0,0,-1;0,1,-1")
-    p = eigenvalue_profile(b)
-    assert p.components == ("+1", "complex-pair")
-    assert p.residual == (1, 1)  # x^2 + x + 1, the order-3 block
-
-    c = parse_matrix("1,0,0;0,5,2;0,2,1")
-    p = eigenvalue_profile(c)
-    assert p.components == ("+1", "real-pair")
+def test_unit_root_split_examples():
+    # (x - 1)(x + 1)^2 = x^3 + x^2 - x - 1: nothing is left over
+    assert unit_root_split(parse_matrix("1,0,1;0,-1,0;0,0,-1")) == (1, 2, None)
+    # x^2 + x + 1, the order-3 block
+    assert unit_root_split(parse_matrix("1,0,0;0,0,-1;0,1,-1")) == (1, 0, (1, 1))
+    # x^2 - 6x + 1, a hyperbolic block
+    assert unit_root_split(parse_matrix("1,0,0;0,5,2;0,2,1")) == (1, 0, (1, -6))
+    assert unit_root_split(I3) == (3, 0, None)
+    assert unit_root_split(-I3) == (0, 3, None)
+    # x^3 - x^2 - 1 has no root +-1 and no quadratic factor
+    assert unit_root_split(parse_matrix("0,0,1;1,0,0;0,1,1")) == (0, 0, None)
 
 
-def test_eigenvalue_profile_conjugation_invariant(rng):
-    for n in (2, 3):
-        for _ in range(30):
-            m = random_unimodular(rng, n, 3)
-            p = random_unimodular(rng, n, 2)
-            conj = p * m * p.inverse_unimodular()
-            assert eigenvalue_profile(conj) == eigenvalue_profile(m)
-
-
-def test_eigenvalue_profile_rejects_bad_input():
+def test_unit_root_split_rejects_bad_input():
     with pytest.raises(ValueError):
-        eigenvalue_profile(parse_matrix("2,0;0,2"))
+        unit_root_split(parse_matrix("2,0,0;0,1,0;0,0,1"))
     with pytest.raises(DimensionError):
-        eigenvalue_profile(IntMatrix.identity(4))
+        unit_root_split(FIB)
+    with pytest.raises(DimensionError):
+        unit_root_split(IntMatrix.identity(4))
+
+
+def test_unit_root_split_expands_to_the_characteristic_polynomial(rng):
+    # (x - 1)^ones (x + 1)^minus_ones (x^2 + c1 x + c0) against det(xI - M)
+    # at four points, which pins a monic cubic; with nothing split off, the
+    # cubic has no root +-1
+    cubics = 0
+    for _ in range(80):
+        m = random_unimodular(rng, 3, 2)
+        ones, minus_ones, residual = unit_root_split(m)
+        if (ones, minus_ones, residual) == (0, 0, None):
+            cubics += 1
+            assert (I3 - m).det() != 0 and (-I3 - m).det() != 0
+        else:
+            assert ones + minus_ones + (2 if residual else 0) == 3
+            for x in range(4):
+                value = (x - 1) ** ones * (x + 1) ** minus_ones
+                if residual:
+                    value *= x * x + residual[1] * x + residual[0]
+                assert value == (I3.scale(x) - m).det()
+        p = random_unimodular(rng, 3, 1)
+        assert unit_root_split(p * m * p.inverse_unimodular()) == (ones, minus_ones, residual)
+    assert 0 < cubics < 80
 
 
 def test_eigenlattice_examples():
@@ -298,12 +296,6 @@ def test_coset_representatives():
     assert reps is not None and len(reps) == 4
     assert len({tuple(r % 2 for r in rep) for rep in reps}) == 4
     assert coset_representatives(IntMatrix.zero(2, 2)) is None
-
-
-def test_char_poly():
-    assert char_poly(FIB) == (1, -7, 1)
-    # (x - 1)(x + 1)^2 = x^3 + x^2 - x - 1, ascending coefficients
-    assert char_poly(parse_matrix("1,0,1;0,-1,0;0,0,-1")) == (-1, -1, 1, 1)
 
 
 def test_parse_matrix_text_and_json():

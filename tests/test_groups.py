@@ -426,3 +426,31 @@ def test_family_registry_json_roundtrip():
 def test_family_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         family_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FreeAbelian(2.0),
+        lambda: FreeAbelian(True),
+        lambda: Heisenberg(1.5),
+        lambda: HeisenbergTimesZ("1"),
+        lambda: HnSemidirectZ(1, 0.5, 0),
+        lambda: HnSemidirectZ(2, 0, 1.0),
+        lambda: HnSemidirectZ(2.5, 0, 0),
+    ],
+    ids=["free-abelian-float", "free-abelian-bool", "heisenberg-float", "heisenberg-times-z-str", "hn-k", "hn-l", "hn-n"],
+)
+def test_integer_families_refuse_non_integer_parameters(build):
+    # a float parameter used to construct and then compute with the float
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_free_abelian_rank_is_capped_at_the_hirsch_length_in_scope():
+    assert FreeAbelian(4).slots == 4
+    for n in (5, 10 ** 6):
+        with pytest.raises(ValueError, match="exceeds MAX_RANK = 4"):
+            FreeAbelian(n)
+    with pytest.raises(ValueError, match="MAX_RANK"):
+        family_from_json({"tag": "free-abelian", "n": 5})

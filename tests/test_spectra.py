@@ -661,6 +661,26 @@ def test_hn_mixed_eigenvalues_routes_through_extension():
         assert res.spectrum.kind in ("r_infinity", "finite", "undecided")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify_hn_semidirect(2, (1.9, 0), 50),
+        lambda: classify_hn_semidirect(2, (0, True), 50),
+        lambda: classify_hn_semidirect(2.0, (1, 0), 50),
+        lambda: classify_hn_semidirect(2, -I2, 50, (0.5, 0)),
+        lambda: classify_hn_semidirect(2, parse_matrix("1,2;0,-1"), 50, (0, "1")),
+        lambda: classify_z2_minusI_ext(FIB, (1.9, 0), 50),
+        lambda: decide_z3_eight(FIB, (0.5, 1), 50),
+        lambda: ExtensionPresentation(I2, -I2, (1.5, 0)),
+    ],
+    ids=["hn-k", "hn-l-bool", "hn-n", "hn-minus-identity-twist", "hn-mixed-twist", "ext-n0", "z3-c-row", "presentation-n0"],
+)
+def test_entry_points_refuse_non_integers(call):
+    # each of these used to truncate the value with int() and answer
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # nilpotent spectra and descriptors
 
