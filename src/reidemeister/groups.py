@@ -534,6 +534,10 @@ class Z2MinusIExt(GroupFamily):
             return "lattice matrix is not unimodular"
         if not self.quotient_matrix(spec).is_unimodular:
             return "quotient matrix is not unimodular"
+        # the image of t acts on the lattice by +-A^k, k its u-exponent, and
+        # must act by -I; an action of infinite order forces k = 0
+        if spec.image_of("t").exponents[3] and finite_order(self.action) is None:
+            return "u-exponent of the image of t is not 0"
         return None
 
     def rnumber_route(self, spec):
@@ -781,11 +785,19 @@ class VerificationResult:
 def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     """Check that the generator images define an automorphism.
 
-    A spec passes when every defining relation maps to a valid identity
-    and the induced matrices on the layers of the polycyclic series are
-    unimodular; the report names the first violated relation.
+    A spec passes when the induced matrices on the layers of the
+    polycyclic series are unimodular and every defining relation maps to
+    a valid identity; the report names the failed layer or the first
+    violated relation.  The layers come first: they read the images in
+    O(1) and bound the exponents the relation words then power by.
     """
     family = spec.family
+    try:
+        failure = family.layer_failure(spec)
+    except ValueError as exc:
+        failure = str(exc)
+    if failure:
+        return VerificationResult(False, failure)
     relations = family.relations()
     # words on raw exponent tuples: each (image, exponent) power once, then
     # one product per letter after the first
@@ -797,12 +809,6 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     for name, lhs, rhs in relations:
         if evaluate(lhs) != evaluate(rhs):
             return VerificationResult(False, "relation violated: %s" % name)
-    try:
-        failure = spec.family.layer_failure(spec)
-    except ValueError as exc:
-        failure = str(exc)
-    if failure:
-        return VerificationResult(False, failure)
     return VerificationResult(True)
 
 

@@ -15,7 +15,9 @@ residue classes that solutions of the quadratic system can occupy and
 checks that the integrality constraint fails on every one of them.
 The hyperbolic Z^3 block and the double extension share one eight-class
 decision, ``_eight_class_search``, which holds the search limits and the
-residue obstruction; each case passes in its own lifting test.
+residue obstruction; each case passes in its own lifting test.  The
+obstruction runs before the search, and the search tests each residue
+class once, since a lifting test depends only on the residue.
 
 Extensions of Z^2 by Z^2 (``ExtensionPresentation``) use the one group
 law of ``groups``, the one ``Z2MinusIExt`` uses with B = -I.  Both the
@@ -27,6 +29,7 @@ canonical route, ``_classify_canonical``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 import math
 from typing import Callable, Iterator, Mapping, Sequence
@@ -231,6 +234,17 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     return System2Decision("none-up-to-bound", None, bound)
 
 
+@lru_cache(maxsize=RESIDUE_MODULUS_GATE)
+def _quotient_pairs(modulus: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per residue r, the pairs (n, p) mod modulus with n p = r, in
+    ascending (n, p); it depends on the modulus alone."""
+    pairs = [[] for _ in range(modulus)]
+    for n in range(modulus):
+        for p in range(modulus):
+            pairs[n * p % modulus].append((n, p))
+    return tuple(map(tuple, pairs))
+
+
 def _feasible_residues(a: IntMatrix, modulus: int) -> list[tuple[int, int, int]]:
     """Residues (m, n, p) mod modulus compatible with both equations.
 
@@ -238,18 +252,13 @@ def _feasible_residues(a: IntMatrix, modulus: int) -> list[tuple[int, int, int]]
     on all of it fails for every solution; that is the whole content of
     the residue obstruction.
     """
-    aa, bb, cc, dd = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    # p enters both equations linearly: the p with n p = r, per (n, r)
-    solutions = [[[] for _ in range(modulus)] for _ in range(modulus)]
-    for n in range(modulus):
-        for p in range(modulus):
-            solutions[n][n * p % modulus].append(p)
+    aa, bb, cc, dd = a.entries
+    # p enters both equations linearly: -m^2 - 1 = n p picks the pairs
+    pairs = _quotient_pairs(modulus)
     out = []
     for m in range(modulus):
-        target = (-m * m - 1) % modulus
-        for n in range(modulus):
-            rest = (aa - dd) * m + cc * n
-            out.extend((m, n, p) for p in solutions[n][target] if (rest + bb * p) % modulus == 0)
+        em = (aa - dd) * m
+        out.extend((m, n, p) for n, p in pairs[(-m * m - 1) % modulus] if (em + cc * n + bb * p) % modulus == 0)
     return out
 
 
@@ -351,17 +360,20 @@ class Z3EightDecision:
 _ORBIT_EXPONENTS = tuple(jj for j in range(1, ORBIT_DEPTH + 1) for jj in (j, -j))
 
 
-def _orbit_of(q: IntMatrix, a: IntMatrix, powers: list[IntMatrix]) -> Iterator[IntMatrix]:
-    # plain witness first, then powers of A by growing distance; ``powers``
-    # keeps the A^j already built for the other witnesses of one search
+def _orbit_of(q: tuple[int, ...], a: IntMatrix, powers: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    # plain witness first, then powers of A by growing distance, all as
+    # row-major entries; ``powers`` keeps the A^j already built for the
+    # other witnesses of one search
+    q0, q1, q2, q3 = q
     yield q
-    yield -q
+    yield (-q0, -q1, -q2, -q3)
     for i, jj in enumerate(_ORBIT_EXPONENTS):
         if i == len(powers):
-            powers.append(a ** jj)
-        base = powers[i] * q
-        yield base
-        yield -base
+            powers.append((a ** jj).entries)
+        w, x, y, z = powers[i]
+        b0, b1, b2, b3 = w * q0 + x * q2, w * q1 + x * q3, y * q0 + z * q2, y * q1 + z * q3
+        yield (b0, b1, b2, b3)
+        yield (-b0, -b1, -b2, -b3)
 
 
 def _eight_class_search(
@@ -371,28 +383,61 @@ def _eight_class_search(
     extension: does some solution Q of the quadratic system for A lift?
 
     ``lifts(Q)`` returns the lifting data of Q, or None when Q does not
-    lift; it must depend only on Q modulo ``modulus``.  The search walks
-    the first WITNESS_ENUM_LIMIT solutions with |m| <= bound, each with
-    its orbit, and returns ("eight", witness, data) for the first Q that
-    lifts.  Otherwise, under the gate, ("r-infinity", None, None) when no
-    residue class of solutions modulo ``modulus`` lifts, a proof that no
-    solution does; else ("undecided", None, None).
+    lift; it must depend only on Q modulo ``modulus``, so one call decides
+    a whole residue class.  Under the gate the residue obstruction comes
+    first: when no feasible residue class of solutions lifts, no solution
+    does, and the answer is ("r-infinity", None, None) without a search.
+    Otherwise the search walks the first WITNESS_ENUM_LIMIT solutions with
+    |m| <= bound, each with its orbit, tests each residue class once, and
+    returns ("eight", witness, data) for the first Q that lifts; else
+    ("undecided", None, None).
     """
-    seen: set[IntMatrix] = set()
-    powers: list[IntMatrix] = []
+    failed = set()  # residues mod ``modulus`` known not to lift
+    if modulus <= RESIDUE_MODULUS_GATE:
+        feasible = _feasible_residues(a, modulus)
+        failed = {(m, n, p) for m, n, p in feasible if lifts(IntMatrix(2, 2, (m, n, p, -m))) is None}
+        if len(failed) == len(feasible):
+            return "r-infinity", None, None
+    powers: list[tuple[int, ...]] = []
     for wit in islice(_system2_solutions(a, bound), WITNESS_ENUM_LIMIT):
-        for q in _orbit_of(wit.matrix, a, powers):
-            if q in seen:
+        for q in _orbit_of((wit.m, wit.n, wit.p, -wit.m), a, powers):
+            residue = (q[0] % modulus, q[1] % modulus, q[2] % modulus)
+            if residue in failed:
                 continue
-            seen.add(q)
-            data = lifts(q)
+            data = lifts(IntMatrix(2, 2, q))
             if data is not None:
-                return "eight", System2Witness(q[0, 0], q[0, 1], q[1, 0]), data
-    if modulus <= RESIDUE_MODULUS_GATE and all(
-        lifts(IntMatrix.from_rows([[m, n], [p, -m]])) is None for m, n, p in _feasible_residues(a, modulus)
-    ):
-        return "r-infinity", None, None
+                return "eight", System2Witness(q[0], q[1], q[2]), data
+            failed.add(residue)
     return "undecided", None, None
+
+
+def _z3_lifting_test(
+    a_prime: IntMatrix, c_row: tuple[int, int]
+) -> tuple[Callable[[IntMatrix], tuple[int, ...] | None], int]:
+    """The lifting test of the z3 block (1, C; 0, A') and its modulus.
+
+    The test gives the row C (I - Q A') (I - A')^-1 when integral, else
+    None.  It depends only on Q modulo det(I - A'), which divides the
+    modulus lcm(8, |det(I - A')|).
+    """
+    shift = IntMatrix.identity(2) - a_prime
+    det_shift = shift.det()
+    a0, a1, a2, a3 = a_prime.entries
+    j0, j1, j2, j3 = shift._adjugate().entries
+    c0, c1 = c_row
+
+    def integral_row(q: IntMatrix) -> tuple[int, ...] | None:
+        # the row C Q, then C (I - Q A'), then times the adjugate, which
+        # gives det(I - A') times the answer
+        q0, q1, q2, q3 = q.entries
+        s0, s1 = c0 * q0 + c1 * q2, c0 * q1 + c1 * q3
+        r0, r1 = c0 - s0 * a0 - s1 * a2, c1 - s0 * a1 - s1 * a3
+        x, y = r0 * j0 + r1 * j2, r0 * j1 + r1 * j3
+        if x % det_shift or y % det_shift:
+            return None
+        return (x // det_shift, y // det_shift)
+
+    return integral_row, math.lcm(8, abs(det_shift))
 
 
 def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3EightDecision:
@@ -400,9 +445,10 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
     block form (1, C; 0, A') with hyperbolic A' of determinant 1.
 
     An automorphism with eight classes exists iff some Q solving
-    A' Q A' = Q makes C (I - Q A') (I - A')^-1 integral.  The search runs
-    over bounded solutions and their +-A'-power orbit; emptiness is only
-    claimed via the residue obstruction, never from bounded failure.
+    A' Q A' = Q makes C (I - Q A') (I - A')^-1 integral.  Emptiness is
+    only claimed via the residue obstruction, never from bounded failure;
+    otherwise the search runs over bounded solutions and their
+    +-A'-power orbit.
     """
     _system2_require(a_prime)
     if abs(a_prime.trace()) < 2:
@@ -410,22 +456,8 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
     c_row = tuple(_strict_int(v, "an entry of the coupling row") for v in c_row)
     if len(c_row) != 2:
         raise HypothesisError("the coupling row must have two entries")
-    ident = IntMatrix.identity(2)
-    shift = ident - a_prime
-    det_shift = shift.det()
-    adj_t = shift._adjugate().transpose()
-
-    def integral_row(q: IntMatrix) -> tuple[int, ...] | None:
-        # C (I - Q A') (I - A')^-1 as a row, when integral: the adjugate
-        # gives det(I - A') times it
-        combo = adj_t.apply((ident - q * a_prime).transpose().apply(c_row))
-        if any(v % det_shift for v in combo):
-            return None
-        return tuple(v // det_shift for v in combo)
-
-    # integral_row depends only on Q modulo det(I - A'), which divides this
-    modulus = math.lcm(8, abs(det_shift))
-    outcome, wit, n_row = _eight_class_search(a_prime, bound, integral_row, modulus)
+    lifts, modulus = _z3_lifting_test(a_prime, c_row)
+    outcome, wit, n_row = _eight_class_search(a_prime, bound, lifts, modulus)
     return Z3EightDecision(outcome, wit, n_row, bound, modulus if outcome == "r-infinity" else None)
 
 

@@ -421,10 +421,38 @@ def test_spec_json_refuses_a_free_abelian_rank_above_four():
     assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_RANK = 4" in err
 
 
-# integers stay small: on a hyperbolic action, verification time grows
-# with the size of an image exponent (see ROADMAP item 6)
+HUGE_EXPONENTS = [
+    (SPEC_DOCS[3], ("images", "t", 2), "quotient exponent of t is not +-1"),
+    (SPEC_DOCS[3], ("images", "e1", 2), "images leave the lattice subgroup"),
+    (SPEC_DOCS[4], ("images", "t", 3), "u-exponent of the image of t is not 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, path, failure",
+    HUGE_EXPONENTS,
+    ids=["%s:%s" % (d["family"]["tag"], ".".join(map(str, p))) for d, p, _ in HUGE_EXPONENTS],
+)
+@pytest.mark.parametrize("value", [10 ** 6, -(10 ** 12)])
+def test_spec_json_refuses_a_huge_image_exponent_at_once(doc, path, failure, value):
+    # the relation words power the hyperbolic action by the exponent, for
+    # seconds at 10^6 and without end at 10^12: the layer check refuses first
+    started = time.perf_counter()
+    code, out, err = _spec_stdin(_with(doc, path, value))
+    assert time.perf_counter() - started < 5.0
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: automorphism verification failed: %s\n" % failure
+
+
+# huge integers too: the layer check bounds the exponents that the
+# relation words power a hyperbolic action by
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-3, 3),
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.integers(-3, 3)
+    | st.sampled_from((10 ** 6, -(10 ** 6), 10 ** 12, -(10 ** 12))),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from reidemeister.exactlin import IntMatrix, parse_matrix
+from reidemeister import spectra
 from reidemeister.groups import (
     AutomorphismSpec,
     UnknownWitnessError,
@@ -14,6 +15,7 @@ from reidemeister.groups import (
     Z2MinusIExt,
     ZnSemidirectZ,
     label_classes,
+    lifting_solver,
     rnumber,
     tahara_form_order2,
     tahara_form_order3,
@@ -23,6 +25,7 @@ from reidemeister.groups import (
 from reidemeister.spectra import (
     ExtensionPresentation,
     HypothesisError,
+    RESIDUE_MODULUS_GATE,
     SpectrumDescriptor,
     Substitution,
     THREE_STEP,
@@ -37,10 +40,13 @@ from reidemeister.spectra import (
     decide_system2,
     decide_z3_eight,
     tahara_delta,
+    _feasible_residues,
+    _z3_lifting_test,
 )
 from reidemeister.twisted import RNumber
 from conftest import random_det_one, random_unimodular
 from power_reference import reference_power
+from residue_reference import reference_feasible_residues
 
 I2 = IntMatrix.identity(2)
 I3 = IntMatrix.identity(3)
@@ -625,6 +631,57 @@ def test_eight_class_decisions_property(a, n0, c_row):
         assert IntMatrix.from_rows([decision.n_row]) * (I2 - a) == IntMatrix.from_rows([c_row]) * (
             I2 - w.matrix * a
         )
+
+
+_SMALL_MATRIX = st.tuples(*[st.integers(-50, 50)] * 4).map(lambda v: IntMatrix(2, 2, v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_HYPERBOLIC_8), vec=_SMALL_VECTOR, q=_SMALL_MATRIX, e=_SMALL_MATRIX)
+def test_lifting_tests_depend_only_on_the_residue(a, vec, q, e):
+    # the contract _eight_class_search rests on: one call per residue class
+    # decides whether the whole class lifts
+    for lifts, modulus in (_z3_lifting_test(a, vec), (lifting_solver(a, vec), 8)):
+        assert (lifts(q) is None) == (lifts(q + e.scale(modulus)) is None)
+
+
+def test_feasible_residues_match_the_triple_loop():
+    hyperbolic = [
+        IntMatrix.from_rows([[a, b], [c, d]])
+        for a, b, c, d in product(range(-3, 4), repeat=4)
+        if a * d - b * c == 1 and abs(a + d) > 2
+    ]
+    for a in hyperbolic:
+        for modulus in range(1, RESIDUE_MODULUS_GATE + 1):
+            residues = _feasible_residues(a, modulus)
+            assert len(residues) == len(set(residues))
+            assert set(residues) == reference_feasible_residues(a, modulus), (a, modulus)
+
+
+def test_readme_obstructions_never_search(monkeypatch):
+    searched = []
+    rows = spectra._system2_rows
+    monkeypatch.setattr(spectra, "_system2_rows", lambda a, bound: searched.append(bound) or rows(a, bound))
+    ext = classify_z2_minusI_ext(NIET, (1, 0), 10_000)
+    z3 = classify_z3_semidirect(parse_matrix("1,0,1;0,5,2;0,2,1"), 10_000)
+    assert "ext:parity-obstruction" in ext.trace and "z3:parity-obstruction" in z3.trace
+    assert searched == []
+
+
+@pytest.mark.parametrize("a_prime, modulus", [("-3,-1;1,0", 40), ("-5,-3;-3,-2", 72)])
+def test_search_above_the_gate_tests_each_residue_class_once(monkeypatch, a_prime, modulus):
+    a_prime = parse_matrix(a_prime)
+    tested = []
+    lifting_test = spectra._z3_lifting_test
+
+    def recording(a, c_row):
+        lifts, n = lifting_test(a, c_row)
+        return (lambda q: tested.append(tuple(x % n for x in q.entries[:3])) or lifts(q)), n
+
+    monkeypatch.setattr(spectra, "_z3_lifting_test", recording)
+    decision = decide_z3_eight(a_prime, (-2, -2), 300)
+    assert modulus > RESIDUE_MODULUS_GATE and decision.outcome == "undecided"
+    assert 1 < len(tested) == len(set(tested)) <= len(_feasible_residues(a_prime, modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ def _word_product(spec: AutomorphismSpec, word) -> GroupElement:
 
 
 def reference_verify(spec: AutomorphismSpec) -> VerificationResult:
-    """The first violated relation, else the layer check."""
-    for name, lhs, rhs in spec.family.relations():
-        if _word_product(spec, lhs) != _word_product(spec, rhs):
-            return VerificationResult(False, "relation violated: %s" % name)
+    """The layer check, else the first violated relation."""
     try:
         failure = spec.family.layer_failure(spec)
     except ValueError as exc:
         failure = str(exc)
     if failure:
         return VerificationResult(False, failure)
+    for name, lhs, rhs in spec.family.relations():
+        if _word_product(spec, lhs) != _word_product(spec, rhs):
+            return VerificationResult(False, "relation violated: %s" % name)
     return VerificationResult(True)
