@@ -39,7 +39,6 @@ from .spectra import (
     SpectrumDescriptor,
     SpectrumResult,
     System2Witness,
-    canonicalize_z2_by_z2,
     classify_hn_semidirect,
     classify_nilpotent,
     classify_z2_minusI_ext,

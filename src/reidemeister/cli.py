@@ -318,8 +318,8 @@ def run(argv, stdout=None, stderr=None) -> int:
         stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
     except AssertionError as exc:
-        # a failed internal consistency check (witness verification, a
-        # basis change, canonicalization) is reported, never a traceback
+        # a failed internal consistency check (witness verification, the
+        # block basis change of a z3 matrix) is reported, never a traceback
         stderr.write("error: internal error: %s\n" % exc)
         return EXIT_ERROR
 

@@ -17,8 +17,8 @@ The module provides:
   the multiplicities of 1 and -1 in its characteristic polynomial and the
   quadratic factor left over (irrational eigenvalues are never
   materialised; a 2x2 case is read off det and trace);
-* saturated eigenlattices, finite-order detection, centralizer
-  exponents, integer lattice solving and coset representatives;
+* saturated eigenlattices, finite-order detection, integer lattice
+  solving and coset representatives;
 * the solver of the quadratic system and the search order shared by the
   bounded witness searches.
 """
@@ -635,24 +635,6 @@ def eigenlattice(a: IntMatrix, eps: int) -> LatticeBasis:
         raise ValueError("eigenlattice requires a unimodular matrix")
     shifted = a - IntMatrix.identity(a.rows).scale(eps)
     return kernel_lattice(shifted)
-
-
-def centralizer_exponent(m: IntMatrix, x: IntMatrix) -> int | None:
-    """The least k >= 0 with X = +-M^k, or None; M must have finite order
-    and M != +-I.
-
-    For finite-order M != +-I in GL2(Z), the centralizer is exactly the
-    finite set {+-M^k}, so one walk over k < order decides membership.
-    """
-    if m.rows != 2 or x.rows != 2 or not m.is_square or not x.is_square:
-        raise DimensionError("centralizer-span check is for 2x2 matrices")
-    ident = IntMatrix.identity(2)
-    if m == ident or m == -ident:
-        raise ValueError("M must differ from +-I")
-    order = finite_order(m)
-    if order is None:
-        raise ValueError("M must have finite order")
-    return next((k for k in range(order) if x in (m ** k, -(m ** k))), None)
 
 
 def lattice_solver(generators: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...] | None]:

@@ -19,11 +19,14 @@ residue obstruction; each case passes in its own lifting test.  The
 obstruction runs before the search, and the search tests each residue
 class once, since a lifting test depends only on the residue.
 
-Extensions of Z^2 by Z^2 (``ExtensionPresentation``) use the one group
-law of ``groups``, the one ``Z2MinusIExt`` uses with B = -I.  Both the
-mixed-eigenvalue Heisenberg case and the double extension with an action
-of finite order (+-I, orders 3, 4, 6) reach their spectra through one
-canonical route, ``_classify_canonical``.
+The mixed-eigenvalue Heisenberg case and the double extension with an
+action of finite order (+-I, orders 3, 4, 6) are extensions of Z^2 by
+Z^2.  One change of the quotient generators turns each into a double
+extension with a parabolic action or into Z^3 x|_M Z, and the rule it
+lands on is read off in O(1): the parity of n / gcd(n, c), the parity of
+n0, or the order of A.  Their traces keep the rule ids of that route
+(``ext:canonicalized`` and what follows); ``tests/canonical_reference.py``
+keeps the route itself as the reference the rules are tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
-    centralizer_exponent,
     eigenlattice,
     finite_order,
     kernel_lattice,
@@ -45,15 +47,11 @@ from .exactlin import (
     _system2_rows,
 )
 from .groups import (
-    AutomorphismSpec,
     FreeAbelian,
     Heisenberg,
     HeisenbergTimesZ,
     lifting_solver,
-    verify_automorphism,
     _strict_int,
-    _z2_by_z2_inv,
-    _z2_by_z2_mul,
 )
 
 
@@ -485,6 +483,16 @@ def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
     return a_prime, c_row
 
 
+def _order_two_block(delta: int, trace: list[str]) -> SpectrumResult:
+    """A simple eigenvalue 1 and a block of order 2: 2N when the Tahara
+    delta is 0, else 4N."""
+    return _result(
+        SpectrumDescriptor.multiples(2 + 2 * delta),
+        trace + ["z3:order-two-block", ("tahara:delta-zero", "tahara:delta-one")[delta]],
+        {"delta": delta},
+    )
+
+
 def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     """Spectrum of Z^3 x|_A Z by the eigenvalue case ladder."""
     if a.rows != 3 or not a.is_square:
@@ -518,18 +526,7 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     # simple eigenvalue 1
     if mult_minus_one == 2:
         if finite_order(a) == 2:
-            delta = tahara_delta(a)
-            if delta == 0:
-                return _result(
-                    SpectrumDescriptor.multiples(2),
-                    ["z3:order-two-block", "tahara:delta-zero"],
-                    {"delta": 0},
-                )
-            return _result(
-                SpectrumDescriptor.multiples(4),
-                ["z3:order-two-block", "tahara:delta-one"],
-                {"delta": 1},
-            )
+            return _order_two_block(tahara_delta(a), [])
         return _result(SpectrumDescriptor.r_infinity(), ["z3:minus-one-unipotent-block"])
 
     c0, c1 = residual
@@ -564,178 +561,6 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
 
 
 # ---------------------------------------------------------------------------
-# Extensions of Z^2 by Z^2: presentation data and canonicalization
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """A unimodular change of the quotient generators.
-
-    ``matrix`` rows express the new generators in the old ones:
-    x' = x^T[0,0] y^T[0,1], y' = x^T[1,0] y^T[1,1].
-    """
-
-    matrix: IntMatrix
-    label: str
-
-    def __post_init__(self):
-        if not self.matrix.is_unimodular or self.matrix.rows != 2:
-            raise ValueError("substitutions must be unimodular 2x2")
-
-
-@dataclass(frozen=True)
-class ExtensionPresentation:
-    """Data of an extension of Z^2 by Z^2.
-
-    The quotient generators x, y act on the kernel by ``action_x`` and
-    ``action_y``; ``n0`` is the kernel part of the commutator of the
-    chosen lifts, [lift(x), lift(y)].
-    """
-
-    action_x: IntMatrix
-    action_y: IntMatrix
-    n0: tuple[int, int]
-    change_log: tuple[Substitution, ...] = ()
-
-    def __post_init__(self):
-        a, b = self.action_x, self.action_y
-        if a.rows != 2 or b.rows != 2 or not a.is_unimodular or not b.is_unimodular:
-            raise ValueError("actions must be unimodular 2x2 matrices")
-        if a * b != b * a:
-            raise ValueError("the two actions must commute")
-        object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
-
-    # elements (z1, z2, k, l) = z t^k u^l with t = lift(y), u = lift(x),
-    # under the one Z^2-by-Z^2 law of ``groups``
-    def multiply(self, g: tuple, h: tuple) -> tuple:
-        return _z2_by_z2_mul(self.action_x.entries, self.action_y.entries, self.n0, g, h)
-
-    def inverse(self, g: tuple) -> tuple:
-        return _z2_by_z2_inv(self.action_x.entries, self.action_y.entries, self.n0, g)
-
-
-def apply_substitution(pres: ExtensionPresentation, sub: Substitution) -> ExtensionPresentation:
-    """Rewrite the presentation in the substituted quotient generators."""
-    t = sub.matrix
-    a, b = pres.action_x, pres.action_y
-    new_a = a ** t[0, 0] * b ** t[0, 1]
-    new_b = a ** t[1, 0] * b ** t[1, 1]
-    # the plain-word lift u^i t^j of x^i y^j, in normal form
-    u_new = pres.multiply((0, 0, 0, t[0, 0]), (0, 0, t[0, 1], 0))
-    t_new = pres.multiply((0, 0, 0, t[1, 0]), (0, 0, t[1, 1], 0))
-    mul, inv = pres.multiply, pres.inverse
-    comm = mul(mul(u_new, t_new), mul(inv(u_new), inv(t_new)))
-    if comm[2] or comm[3]:
-        raise AssertionError("commutator of lifted generators left the kernel")
-    return ExtensionPresentation(new_a, new_b, (comm[0], comm[1]), pres.change_log + (sub,))
-
-
-def canonicalize_z2_by_z2(pres: ExtensionPresentation) -> ExtensionPresentation:
-    """Drive the quotient generators into one of the canonical situations:
-
-    1. action_y = I;
-    2. action_y = -I with action_x of infinite order;
-    3. action_y = -I with action_x != +-I of order 2.
-
-    Every substitution is appended to the change log, so replaying the
-    log on the input reproduces the output exactly.
-    """
-    ident = IntMatrix.identity(2)
-    current = pres
-    for _ in range(20):
-        a, b = current.action_x, current.action_y
-        if b == ident:
-            return current
-        if b == -ident:
-            order = None if a in (ident, -ident) else finite_order(a)
-            if a == ident:
-                rows, label = [[0, 1], [1, 0]], "swap x and y"
-            elif a == -ident:
-                rows, label = [[1, 0], [1, 1]], "y -> x y"
-            elif order is None or order == 2:
-                return current
-            elif order == 3:
-                rows, label = [[1, 1], [0, 1]], "x -> x y"
-            else:  # order 4 or 6: a^(order/2) = -I
-                rows, label = [[1, 0], [order // 2, 1]], "y -> x^%d y" % (order // 2)
-        elif a in (ident, -ident):
-            rows, label = [[0, 1], [1, 0]], "swap x and y"
-        elif finite_order(a) is not None:
-            # commuting with a finite-order matrix != +-I forces B = +-A^k
-            k = centralizer_exponent(a, b)
-            if k is None:
-                raise ValueError("commuting pair violates the finite centralizer structure")
-            rows, label = [[1, 0], [-k, 1]], "y -> x^-%d y" % k
-        elif finite_order(b) is not None:
-            # a finite-order B != +-I would force A into a finite
-            # centralizer, contradicting its infinite order
-            raise ValueError("commuting pair violates the finite centralizer structure")
-        else:
-            i, j = _find_torsion_direction(a, b)
-            g, s, t = _xgcd(i, j)
-            # rows (t, -s) and (i, j) have determinant ti + sj = 1
-            rows, label = [[t, -s], [i, j]], "y -> x^%d y^%d" % (i, j)
-        current = apply_substitution(current, Substitution(IntMatrix.from_rows(rows), label))
-    raise AssertionError("canonicalization did not terminate")
-
-
-def _find_torsion_direction(a: IntMatrix, b: IntMatrix) -> tuple[int, int]:
-    """The primitive (i, j) with A^i B^j = +-I and i < 0.
-
-    A and B commute and have infinite order, so both are +-eps^x, +-eps^y
-    for one generator eps of their centralizer modulo +-I, and the pairs
-    (i, j) with A^i B^j = +-I form the rank-1 lattice (y, -x) Z.  Euclid
-    on (x, y) reaches it without knowing eps: the size of +-eps^k grows
-    strictly with |k| away from +-I, so multiplying the larger element by
-    the smaller one or its inverse, whichever is smaller, subtracts the
-    smaller exponent from the larger.  Exponent vectors stay a basis of
-    Z^2, so the one reaching +-I is primitive.
-    """
-    ident = IntMatrix.identity(2)
-    minus = -ident
-    size = _hyperbolic_size if a.det() == -1 or abs(a.trace()) > 2 else _parabolic_size
-    big, e_big = a, (1, 0)
-    small, e_small = b, (0, 1)
-    while True:
-        for m, (i, j) in ((big, e_big), (small, e_small)):
-            if m == ident or m == minus:
-                return (i, j) if i < 0 else (-i, -j)
-        if size(big) < size(small):
-            big, e_big, small, e_small = small, e_small, big, e_big
-        inv = small.inverse_unimodular()
-        plus, minus_step = big * small, big * inv
-        if size(plus) < size(minus_step):
-            big, e_big = plus, (e_big[0] + e_small[0], e_big[1] + e_small[1])
-        else:
-            big, e_big = minus_step, (e_big[0] - e_small[0], e_big[1] - e_small[1])
-
-
-def _hyperbolic_size(m: IntMatrix) -> int:
-    return abs(m.trace())
-
-
-def _parabolic_size(m: IntMatrix) -> int:
-    # +-(I + kN) has 2M - tr(M) I = +-2kN
-    tr = m.trace()
-    return max(abs(2 * m[i, j] - (tr if i == j else 0)) for i in range(2) for j in range(2))
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with g = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-# ---------------------------------------------------------------------------
 # dimension 4: the double extension (Z^2 x|_{-I} Z) x|_psi Z
 
 
@@ -748,12 +573,19 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
     if a.rows != 2 or not a.is_unimodular:
         raise HypothesisError("the outer action must be a unimodular 2x2 matrix")
     order = finite_order(a)
-    minus = -IntMatrix.identity(2)
-    if order == 2 and a != minus:
+    if order == 2 and a != -IntMatrix.identity(2):
         return _result(SpectrumDescriptor.r_infinity(), ["ext:order-two-action"])
     if order is not None:
-        # +-I and orders 3, 4, 6: canonicalization trivializes the inner action
-        return _classify_canonical(ExtensionPresentation(a, minus, n0), bound, ["ext:finite-order-action"])
+        # +-I and orders 3, 4, 6: a change of the quotient generators makes
+        # the inner action trivial, leaving Z^3 x|_M Z with M = (A', n0'; 0, 1)
+        trace = ["ext:finite-order-action", "ext:canonicalized", "ext:trivial-inner-action"]
+        if order > 2:
+            # y -> x^(order/2) y, after x -> x y for order 3: A' has order 4 or 6
+            return _result(SpectrumDescriptor.r_infinity(), trace + ["z3:block-order-four-or-six"])
+        # swap x and y (A = I) or y -> x y (A = -I): A' = -I and n0' = +-n0;
+        # M fixes the line through (n0', 2), whose primitive vector spans
+        # Z^3 with Z^2 x 0 (delta 0) exactly when n0' lies in 2Z^2
+        return _order_two_block(0 if n0[0] % 2 == n0[1] % 2 == 0 else 1, trace)
     d, tr = a.det(), a.trace()
     if d == 1 and abs(tr) == 2:
         return _result(SpectrumDescriptor.r_infinity(), ["ext:repeated-eigenvalue"])
@@ -798,12 +630,11 @@ def classify_hn_semidirect(
         raise HypothesisError("the Heisenberg parameter must be >= 1")
     ident = IntMatrix.identity(2)
     if not isinstance(action, IntMatrix):
-        k, l = (_strict_int(v, "a central twist") for v in action)
-        return _classify_hn_twists(n, k, l)
+        return _classify_hn_twists(n, *_twist_pair(action))
     a = action
     if a.rows != 2 or not a.is_unimodular:
         raise HypothesisError("the induced action must be a unimodular 2x2 matrix")
-    cx, cy = (_strict_int(v, "a central twist") for v in central_twists)
+    cx, cy = _twist_pair(central_twists)
     if a == -ident:
         return _classify_hn_twists(n, cx, cy)
     d, tr = a.det(), a.trace()
@@ -817,7 +648,7 @@ def classify_hn_semidirect(
             SpectrumDescriptor.r_infinity(), ["hn:unipotent-action", "nilpotent:three-step"]
         )
     if (d, tr) == (-1, 0):
-        return _classify_hn_mixed(n, a, cx, cy, bound)
+        return _classify_hn_mixed(n, a, cx, cy)
     return _result(SpectrumDescriptor.r_infinity(), ["hn:no-eigenvalue-one"])
 
 
@@ -827,58 +658,41 @@ def _classify_hn_twists(n: int, k: int, l: int) -> SpectrumResult:
     return _result(SpectrumDescriptor.multiples(8), ["hn:inverting-action", "hn:lifting-parity"])
 
 
-def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int, bound: int) -> SpectrumResult:
-    """Eigenvalues {1, -1}: realize the group as an extension of Z^2 by
-    Z^2 and route through the canonicalized presentation."""
-    heis = Heisenberg(n)
-    # det A = -1 in this branch
-    images = {"x": (a[0, 0], a[1, 0], cx), "y": (a[0, 1], a[1, 1], cy), "z": (0, 0, a.det())}
-    psi = AutomorphismSpec.from_images(heis, images)
-    report = verify_automorphism(psi)
-    if not report:
-        raise HypothesisError("the action data does not define an automorphism: %s" % report.failure)
-
-    v_bar = eigenlattice(a, -1).basis[0]
-    g, s, t = _xgcd(v_bar[0], v_bar[1])
-    if g != 1:
-        raise AssertionError("eigenlattice basis is not primitive")
-    v = heis.element((v_bar[0], v_bar[1], 0))
-    # w completes v to a basis with det [[v1, w1], [v2, w2]] = 1
-    w = heis.element((-t, s, 0))
-    z = heis.generator("z")
-
-    def coords(g_elt) -> tuple[int, int]:
-        ge = g_elt.exponents
-        # kernel coordinates relative to the basis (v, z)
-        i = ge[0] // v_bar[0] if v_bar[0] else ge[1] // v_bar[1]
-        if (i * v_bar[0], i * v_bar[1]) != (ge[0], ge[1]):
-            raise AssertionError("element does not lie in the rank-2 kernel")
-        rest = g_elt * (v ** i).inverse()
-        return (i, rest.exponents[2])
-
-    a_ext = IntMatrix.from_columns([coords(w * v * w.inverse()), coords(w * z * w.inverse())])
-    b_ext = IntMatrix.from_columns([coords(psi.apply(v)), coords(psi.apply(z))])
-    n0_ext = coords(w * psi.apply(w).inverse())
-
-    pres = ExtensionPresentation(a_ext, b_ext, n0_ext)
-    return _classify_canonical(pres, bound, ["hn:mixed-eigenvalues"])
+def _twist_pair(values: Sequence[int]) -> tuple[int, int]:
+    values = tuple(_strict_int(v, "a central twist") for v in values)
+    if len(values) != 2:
+        raise HypothesisError("the central twists must have exactly two entries, got %d" % len(values))
+    return values
 
 
-def _classify_canonical(pres: ExtensionPresentation, bound: int, trace: list[str]) -> SpectrumResult:
-    """Classify an extension of Z^2 by Z^2 through its canonical
-    presentation: a trivial inner action makes it Z^3 x|_M Z with M =
-    (A, n0; 0, 1); otherwise the inner action is -I and it is a double
-    extension."""
-    canon = canonicalize_z2_by_z2(pres)
-    trace = trace + ["ext:canonicalized"]
-    a, n0 = canon.action_x, canon.n0
-    if canon.action_y == IntMatrix.identity(2):
-        m3 = IntMatrix.from_rows([[a[0, 0], a[0, 1], n0[0]], [a[1, 0], a[1, 1], n0[1]], [0, 0, 1]])
-        routed = classify_z3_semidirect(m3, bound)
-        trace.append("ext:trivial-inner-action")
-    else:
-        routed = classify_z2_minusI_ext(a, n0, bound)
-    return _result(routed.spectrum, trace + list(routed.trace), routed.evidence)
+def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int) -> SpectrumResult:
+    """Eigenvalues {1, -1}: always {oo}, read off the parity of n / gcd(n, c).
+
+    Every unimodular A with integer twists defines psi, since
+    [psi x, psi y] = z^(n det A) = psi(z)^n.  Let v lift the primitive
+    (-1)-eigenvector of A to H_n, c be the z-exponent of psi(v) v, and w
+    complete v to a basis.  The group is an extension of Z^2 = <w, t> by
+    Z^2 = <v, z>: w acts by (1, 0; +-n, 1) and t by -(1, 0; -c, 1).  Their
+    torsion direction, the primitive (i, j) with i (+-n) = j c, has
+    j = +-n / gcd(n, c); taking w^i t^j as the second generator makes its
+    action (-1)^j I and the first +-(I + gamma N) with gamma != 0.  So odd j
+    gives a double extension with a parabolic action, and even j gives
+    Z^3 x|_M Z with a non-diagonal -1 block.
+    """
+    p, q, r, _ = a.entries
+    # A^2 = I, so each column of A - I lies in the (-1)-eigenlattice
+    v1, v2 = (q, -p - 1) if (q, p + 1) != (0, 0) else (p - 1, r)
+    g = math.gcd(v1, v2)
+    v1, v2 = v1 // g, v2 // g
+    # psi(v) v = z^c with c = v1 cx + v2 cy plus commutator terms, each a
+    # multiple of n, and gcd(n, c) depends only on c mod n
+    c = v1 * cx + v2 * cy
+    trace = ["hn:mixed-eigenvalues", "ext:canonicalized"]
+    if n // math.gcd(n, c) % 2:
+        return _result(SpectrumDescriptor.r_infinity(), trace + ["ext:repeated-eigenvalue"])
+    return _result(
+        SpectrumDescriptor.r_infinity(), trace + ["ext:trivial-inner-action", "z3:minus-one-unipotent-block"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +760,9 @@ def conclusion_tables() -> dict:
             {"case": "real eigenvalues != +-1, det A = 1", "spectrum": [inf, fin([8])]},
         ],
         "heisenberg-semidirect": [
+            {"case": "A = I", "spectrum": [mult(4)]},
+            {"case": "unipotent A != I", "spectrum": [inf]},
+            {"case": "eigenvalues 1 and -1", "spectrum": [inf]},
             {"case": "A != -I and 1 not an eigenvalue", "spectrum": [inf]},
             {"case": "inverting action, k and l even or n odd", "spectrum": [mult(4)]},
             {"case": "inverting action, k or l odd and n even", "spectrum": [mult(8)]},

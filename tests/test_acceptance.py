@@ -23,16 +23,14 @@ from reidemeister.groups import (
     witness,
 )
 from reidemeister.spectra import (
-    ExtensionPresentation,
     SpectrumDescriptor,
-    apply_substitution,
-    canonicalize_z2_by_z2,
     classify_z2_minusI_ext,
     classify_z2_semidirect,
     classify_z3_semidirect,
     decide_system2,
 )
 from reidemeister.twisted import RNumber, r_abelian, r_abelian_via_cosets
+from canonical_reference import ExtensionPresentation, apply_substitution, canonicalize_z2_by_z2
 from conftest import random_unimodular
 
 I2 = IntMatrix.identity(2)

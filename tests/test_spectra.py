@@ -23,14 +23,10 @@ from reidemeister.groups import (
     witness,
 )
 from reidemeister.spectra import (
-    ExtensionPresentation,
     HypothesisError,
     RESIDUE_MODULUS_GATE,
     SpectrumDescriptor,
-    Substitution,
     THREE_STEP,
-    apply_substitution,
-    canonicalize_z2_by_z2,
     classify_hn_semidirect,
     classify_nilpotent,
     classify_z2_minusI_ext,
@@ -44,7 +40,16 @@ from reidemeister.spectra import (
     _z3_lifting_test,
 )
 from reidemeister.twisted import RNumber
-from conftest import random_det_one, random_unimodular
+from canonical_reference import (
+    ExtensionPresentation,
+    Substitution,
+    apply_substitution,
+    canonicalize_z2_by_z2,
+    reference_double_ext_finite_order,
+    reference_hn_mixed,
+    _find_torsion_direction,
+)
+from conftest import random_det_one, random_unimodular, unimodular_matrices
 from power_reference import reference_power
 from residue_reference import reference_feasible_residues
 
@@ -142,14 +147,14 @@ def test_z2_table_rows():
     assert res.evidence["heisenberg_parameter"] == 3
 
 
-def test_z2_classifier_conjugation_invariant(rng):
-    samples = [FIB, NIET, -I2, I2, ROT4, parse_matrix("1,2;0,-1"), parse_matrix("1,3;0,1")]
-    for a in samples:
-        base = classify_z2_semidirect(a, 50).spectrum
-        for _ in range(15):
-            p = random_unimodular(rng, 2, 2)
-            conj = p * a * p.inverse_unimodular()
-            assert classify_z2_semidirect(conj, 50).spectrum == base
+_Z2_SAMPLES = [FIB, NIET, -I2, I2, ROT4, parse_matrix("1,2;0,-1"), parse_matrix("1,3;0,1")]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_Z2_SAMPLES), p=unimodular_matrices(2))
+def test_z2_classifier_conjugation_invariant(a, p):
+    conj = p * a * p.inverse_unimodular()
+    assert classify_z2_semidirect(conj, 50).spectrum == classify_z2_semidirect(a, 50).spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +168,13 @@ def test_tahara_delta_canonical_forms():
     assert tahara_delta(tahara_form_order3(1)) == 1
 
 
-def test_tahara_delta_conjugation_invariant(rng):
-    for form in (tahara_form_order2(0), tahara_form_order2(1), tahara_form_order3(0), tahara_form_order3(1)):
-        base = tahara_delta(form)
-        for _ in range(50):
-            p = random_unimodular(rng, 3, 2)
-            assert tahara_delta(p * form * p.inverse_unimodular()) == base
+_TAHARA_FORMS = [tahara_form_order2(0), tahara_form_order2(1), tahara_form_order3(0), tahara_form_order3(1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(form=st.sampled_from(_TAHARA_FORMS), p=unimodular_matrices(3, 6))
+def test_tahara_delta_conjugation_invariant(form, p):
+    assert tahara_delta(p * form * p.inverse_unimodular()) == tahara_delta(form)
 
 
 def test_tahara_forms_not_conjugate_small_window():
@@ -276,24 +282,24 @@ def test_z3_contrast_with_block_classification():
     assert classify_z2_semidirect(NIET, 100).spectrum == FOUR
 
 
-def test_z3_classifier_conjugation_invariant(rng):
-    samples = [
-        tahara_form_order2(1),
-        tahara_form_order3(0),
-        parse_matrix("1,0,1;0,5,2;0,2,1"),
-        parse_matrix("1,1,0;0,1,0;0,0,1"),
-        -I3,
-    ]
-    for a in samples:
-        base = classify_z3_semidirect(a, 50).spectrum
-        for _ in range(10):
-            p = random_unimodular(rng, 3, 1)
-            conj = p * a * p.inverse_unimodular()
-            assert classify_z3_semidirect(conj, 50).spectrum == base
+_Z3_SAMPLES = [
+    tahara_form_order2(1),
+    tahara_form_order3(0),
+    parse_matrix("1,0,1;0,5,2;0,2,1"),
+    parse_matrix("1,1,0;0,1,0;0,0,1"),
+    -I3,
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_Z3_SAMPLES), p=unimodular_matrices(3))
+def test_z3_classifier_conjugation_invariant(a, p):
+    conj = p * a * p.inverse_unimodular()
+    assert classify_z3_semidirect(conj, 50).spectrum == classify_z3_semidirect(a, 50).spectrum
 
 
 # ---------------------------------------------------------------------------
-# canonicalization of Z^2-by-Z^2 data
+# canonicalization of Z^2-by-Z^2 data (the reference route in canonical_reference)
 
 
 def assert_canonical_situation(pres: ExtensionPresentation):
@@ -504,8 +510,6 @@ def test_finite_order_actions_keep_order_plus_one_walks():
 
 
 def test_torsion_direction_beyond_small_exponents():
-    from reidemeister.spectra import _find_torsion_direction
-
     # A = I + 4N, B = -(I + 31N): A^i B^j = +-I exactly when 4i + 31j = 0
     a = parse_matrix("1,0;4,1")
     b = -parse_matrix("1,0;31,1")
@@ -515,8 +519,8 @@ def test_torsion_direction_beyond_small_exponents():
 
 
 def test_hn_inputs_needing_large_torsion_directions():
-    # these mixed-eigenvalue actions canonicalize through a commuting pair
-    # whose torsion direction lies far from the origin
+    # the canonical route of these mixed-eigenvalue actions goes through a
+    # commuting pair whose torsion direction lies far from the origin
     for a, twist_list in (
         (parse_matrix("-2,3;-1,2"), ((-2, -1), (-2, 1), (-1, -2), (-1, 0))),
         (parse_matrix("2,-1;3,-2"), ((-2, -1), (-1, -2), (0, -1), (1, -2))),
@@ -553,7 +557,7 @@ def test_double_ext_other_branches():
     assert classify_z2_minusI_ext(repeated_minus, (1, 0), 50).spectrum == R_INF
     det_minus = parse_matrix("1,1;1,0")
     assert classify_z2_minusI_ext(det_minus, (1, 0), 50).spectrum == R_INF
-    # +-I and finite order 3, 4, 6 go through canonicalization to Z^3 x| Z
+    # +-I and finite order 3, 4, 6 reduce to Z^3 x| Z
     assert classify_z2_minusI_ext(I2, (0, 0), 50).spectrum == SpectrumDescriptor.multiples(2)
     assert classify_z2_minusI_ext(-I2, (1, 0), 50).spectrum == SpectrumDescriptor.multiples(4)
     rot = classify_z2_minusI_ext(ROT4, (0, 0), 50)
@@ -718,6 +722,61 @@ def test_hn_mixed_eigenvalues_routes_through_extension():
         assert res.spectrum.kind in ("r_infinity", "finite", "undecided")
 
 
+def _box(limit: int) -> list[IntMatrix]:
+    return [IntMatrix(2, 2, e) for e in product(range(-limit, limit + 1), repeat=4)]
+
+
+_UNIMODULAR_6 = [m for m in _box(6) if m.det() in (1, -1)]
+_MIXED_8 = [m for m in _box(8) if m.det() == -1 and m.trace() == 0]
+# +-I and the actions of order 3, 4 and 6
+_FINITE_ORDER_6 = [m for m in _UNIMODULAR_6 if m in (I2, -I2) or (m.det() == 1 and abs(m.trace()) < 2)]
+
+
+def _same_result(res, ref) -> bool:
+    return (res.spectrum, res.trace, res.evidence) == (ref.spectrum, ref.trace, ref.evidence)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    a=st.sampled_from(_UNIMODULAR_6),
+    twists=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+)
+def test_heisenberg_action_data_always_defines_an_automorphism(n, a, twists):
+    # [psi x, psi y] = z^(n det A) = psi(z)^n, so the mixed-eigenvalue rule
+    # needs no verification of its own
+    images = {"x": (a[0, 0], a[1, 0], twists[0]), "y": (a[0, 1], a[1, 1], twists[1]), "z": (0, 0, a.det())}
+    assert verify_automorphism(AutomorphismSpec.from_images(Heisenberg(n), images)).ok
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    a=st.sampled_from(_MIXED_8),
+    twists=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+def test_hn_mixed_rule_matches_the_canonical_route(n, a, twists):
+    res = classify_hn_semidirect(n, a, 100, twists)
+    assert _same_result(res, reference_hn_mixed(n, a, *twists, 100))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_FINITE_ORDER_6), n0=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+def test_finite_order_double_ext_matches_the_canonical_route(a, n0):
+    res = classify_z2_minusI_ext(a, n0, 100)
+    assert _same_result(res, reference_double_ext_finite_order(a, n0, 100))
+
+
+@pytest.mark.parametrize("twists", [(1,), (1, 0, 3)], ids=["one-entry", "three-entries"])
+def test_twist_pairs_need_exactly_two_entries(twists):
+    message = "central twists must have exactly two entries, got %d" % len(twists)
+    with pytest.raises(HypothesisError, match=message):
+        classify_hn_semidirect(2, twists, 50)
+    for a in (-I2, parse_matrix("1,2;0,-1"), FIB):
+        with pytest.raises(HypothesisError, match=message):
+            classify_hn_semidirect(2, a, 50, twists)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -794,6 +853,24 @@ def test_double_extension_table_rows_match_the_classifier():
     for row in rows:
         for a, n0 in representatives[row["case"]]:
             assert classify_z2_minusI_ext(a, n0, 100).spectrum in row["spectrum"], (row["case"], a, n0)
+
+
+def test_hn_table_rows_match_the_classifier():
+    # representative (n, action[, twists]) per row of the Heisenberg table
+    representatives = {
+        "A = I": [(1, I2), (4, I2, (1, -2))],
+        "unipotent A != I": [(2, parse_matrix("1,1;0,1")), (3, parse_matrix("1,0;-2,1"), (1, 1))],
+        "eigenvalues 1 and -1": [(1, parse_matrix("1,0;0,-1"), (1, 0)), (4, parse_matrix("-2,3;-1,2"), (-2, -1))],
+        "A != -I and 1 not an eigenvalue": [(2, FIB), (2, ROT4, (1, 0)), (3, parse_matrix("-1,1;0,-1"), (0, 1))],
+        "inverting action, k and l even or n odd": [(3, (1, 0)), (2, (2, 4)), (1, -I2, (1, 1))],
+        "inverting action, k or l odd and n even": [(2, (1, 0)), (4, -I2, (1, 1))],
+    }
+    rows = conclusion_tables()["heisenberg-semidirect"]
+    assert [row["case"] for row in rows] == list(representatives)
+    for row in rows:
+        for n, action, *twists in representatives[row["case"]]:
+            res = classify_hn_semidirect(n, action, 100, *twists)
+            assert res.spectrum in row["spectrum"], (row["case"], n, action, twists)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from reidemeister.exactlin import IntMatrix, parse_matrix
@@ -21,7 +22,7 @@ from reidemeister.twisted import (
     r_addition,
     r_averaging,
 )
-from conftest import random_unimodular
+from conftest import random_unimodular, unimodular_matrices
 
 I2 = IntMatrix.identity(2)
 FIB = parse_matrix("2,3;3,5")
@@ -56,12 +57,12 @@ def test_r_abelian_agrees_with_coset_oracle(rng):
             assert r_abelian(m) == r_abelian_via_cosets(m)
 
 
-def test_r_abelian_conjugation_invariant(rng):
-    for n in (2, 3):
-        for _ in range(30):
-            m = random_unimodular(rng, n, 4)
-            p = random_unimodular(rng, n, 2)
-            assert r_abelian(p * m * p.inverse_unimodular()) == r_abelian(m)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.sampled_from((2, 3)))
+def test_r_abelian_conjugation_invariant(data, n):
+    m = data.draw(unimodular_matrices(n, 8))
+    p = data.draw(unimodular_matrices(n))
+    assert r_abelian(p * m * p.inverse_unimodular()) == r_abelian(m)
 
 
 def test_r_addition_examples():
