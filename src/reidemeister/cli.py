@@ -3,10 +3,11 @@
 Subcommands: rnumber, spectrum, decide, tables, oracle.  Results go to
 stdout wrapped in an envelope (result payload, derivation trace, tool
 version, search bound); diagnostics go to stderr.  Exit codes: 0 for a
-decided result, 2 when a bounded search ends undecided, 1 on input
-errors and internal failures.  The environment variable TWISTED_BOUND
-overrides the default search bound; --bound overrides both.  Either is
-refused above MAX_BOUND.
+decided result, 2 when a z2-semidirect spectrum or ``decide`` finds no
+solution within the bound or an oracle labeling is incomplete, 1 on
+input errors and internal failures.  The bound affects only those two
+answers.  The environment variable TWISTED_BOUND overrides the default
+bound; --bound overrides both.  Either is refused above MAX_BOUND.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .spectra import (
 )
 
 DEFAULT_BOUND = 10_000
-# largest accepted search bound: a hyperbolic search at the cap answers in
-# about a second, and the time of a search grows linearly with its bound
+# largest accepted bound on |m| for the z2 spectrum and decide
 MAX_BOUND = 10**6
 
 EXIT_OK = 0
@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--bound", type=int, default=None, help="search bound (default: TWISTED_BOUND or %d)" % DEFAULT_BOUND)
+    common.add_argument("--bound", type=int, default=None,
+                        help="bound on |m| for z2-semidirect and decide (default: TWISTED_BOUND or %d)" % DEFAULT_BOUND)
 
     fam = argparse.ArgumentParser(add_help=False)
     fam.add_argument("--family", help="family slug (see README); not needed with --spec-json")

@@ -1,8 +1,9 @@
 """Exact integer linear algebra on small dense matrices.
 
 All arithmetic is done with arbitrary-precision Python integers; no
-floating point is used anywhere.  Matrix entries routinely exceed 64 bits during witness
-searches, so there is deliberately no fixed-width fast path.
+floating point is used anywhere.  Matrix entries routinely exceed 64 bits
+in witnesses and solution orbits, so there is deliberately no fixed-width
+fast path.
 
 The module provides:
 
@@ -19,8 +20,10 @@ The module provides:
   materialised; a 2x2 case is read off det and trace);
 * saturated eigenlattices, finite-order detection, integer lattice
   solving and coset representatives;
-* the solver of the quadratic system and the search order shared by the
-  bounded witness searches.
+* ``system2_orbit``, every solution of the quadratic system as one orbit
+  +-Q0 eps^k, or a proof that there is none, and ``least_solution``, the
+  least solution in a given order that passes a lifting test invariant
+  under Q -> QA.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 import json
 import math
 import operator
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 
 class DimensionError(ValueError):
@@ -311,62 +314,6 @@ def _power_sum(a: tuple, k: int) -> tuple:
     q, r = divmod(k, d)
     power, s_r = _walk(a, r)
     return power, tuple([q * x + y for x, y in zip(_walk(a, d)[1], s_r)])
-
-
-# ---------------------------------------------------------------------------
-# Bounded witness searches
-
-
-def _search_m_order(bound: int) -> Iterator[int]:
-    """0, -1, 1, -2, 2, ..., -bound, bound."""
-    yield 0
-    for m in range(1, bound + 1):
-        yield -m
-        yield m
-
-
-def _system2_rows(a: IntMatrix, bound: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Every solution of -m^2 - np = 1, (a-d)m + bp + cn = 0 with
-    |m| <= bound, as (m, pairs) for each m in ``_search_m_order(bound)``
-    that has one; pairs lists the (n, p) in ascending |n|, positive n first.
-
-    With k = 1 + m^2, np = -k makes n a nonzero divisor of k, and n times
-    the linear equation gives c n^2 + (a-d) m n - b k = 0.  For c != 0 the
-    discriminant is (tr^2 - 4 det) m^2 + 4bc, so one integer square root
-    per m finds the candidate roots; each candidate is checked exactly
-    against both equations.  Only a scalar action (b = c = 0, a = d)
-    leaves n free, and then every factorisation of k solves.
-    """
-    aa, bb, cc, dd = a.entries
-    e = aa - dd
-    disc_0 = 4 * bb * cc
-    disc_m2 = e * e + disc_0
-    two_c = 2 * cc
-    for m in _search_m_order(bound):
-        k = 1 + m * m
-        em = e * m
-        if cc:
-            disc = disc_m2 * m * m + disc_0
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            roots = {num // two_c for num in (s - em, -s - em) if num % two_c == 0}
-        elif em:
-            roots = {bb * k // em} if bb * k % em == 0 else ()
-        elif bb:
-            continue
-        else:
-            roots = {n for d in range(1, math.isqrt(k) + 1) if k % d == 0 for n in (d, -d, k // d, -k // d)}
-        pairs = []
-        for n in sorted(roots, key=lambda n: (abs(n), n < 0)):
-            if n and k % n == 0:
-                p = -k // n
-                if em + bb * p + cc * n == 0:
-                    pairs.append((n, p))
-        if pairs:
-            yield m, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -687,3 +634,91 @@ def coset_representatives(m: IntMatrix) -> list[tuple[int, ...]] | None:
 
     rec([], 0)
     return reps
+
+
+# ---------------------------------------------------------------------------
+# The quadratic system: one solution orbit
+
+
+def system2_orbit(a: IntMatrix) -> tuple[IntMatrix, IntMatrix] | None:
+    """Every solution Q = (m, n; p, -m) of -m^2 - np = 1, (a-d)m + bp + cn = 0
+    for a hyperbolic A of determinant 1, as one orbit: None when there is
+    none, else (Q0, eps) with the solutions exactly +-Q0 eps^k, where eps
+    in SL_2(Z) commutes with A and some eps^j is +-A^(+-1).
+
+    The solutions represent 1 by f = -m^2 - np on the lattice
+    ker (a-d, c, b) of rank 2, an indefinite form of non-square
+    discriminant D >= 5.  Its rho-reduction ends in one cycle of reduced
+    forms (Buchmann-Vollmer, Binary Quadratic Forms, 2007, ch. 6).  As
+    1 < sqrt(D) / 2, f represents 1 iff a form in the cycle begins with 1;
+    the transform up to it sends e1 to Q0, and one more turn of the cycle,
+    the fundamental automorph of f, sends Q0 to Q0 eps.
+    """
+    aa, bb, cc, dd = a.entries
+    u, v = kernel_lattice(IntMatrix(1, 3, (aa - dd, cc, bb))).basis
+    # f(x, y) = fa x^2 + fb xy + fc y^2 on x u + y v
+    fa, fc = -u[0] * u[0] - u[1] * u[2], -v[0] * v[0] - v[1] * v[2]
+    fb = -2 * u[0] * v[0] - u[1] * v[2] - u[2] * v[1]
+    disc = fb * fb - 4 * fa * fc
+    root = math.isqrt(disc)  # floor(sqrt(D)), as D is not a square
+
+    def rho(form, t):
+        # (a, b, c) -> (c, r, (r^2 - D) / 4c) by (x, y) -> (-y, x + s y), with
+        # -|c| < r <= |c| when |c| > sqrt(D), else sqrt(D) - 2|c| < r < sqrt(D)
+        _, fb, fc = form
+        ac = abs(fc)
+        r = (ac - 1 - fb) % (2 * ac) - ac + 1 if ac > root else root - (root + fb) % (2 * ac)
+        s = (r + fb) // (2 * fc)
+        t00, t01, t10, t11 = t
+        return (fc, r, (r * r - disc) // (4 * fc)), (t01, s * t01 - t00, t11, s * t11 - t10)
+
+    def block(t):  # the solution at t e1
+        m, n, p = (t[0] * x + t[2] * y for x, y in zip(u, v))
+        return IntMatrix(2, 2, (m, n, p, -m))
+
+    form, t = (fa, fb, fc), (1, 0, 0, 1)
+    # reduced: |sqrt(D) - 2|a|| < b < sqrt(D)
+    while not (0 < form[1] <= root and 2 * abs(form[0]) - form[1] <= root < 2 * abs(form[0]) + form[1]):
+        form, t = rho(form, t)
+    cycle = form
+    while form[0] != 1:
+        form, t = rho(form, t)
+        if form == cycle:
+            return None
+    q0, first = block(t), form
+    form, t = rho(form, t)
+    while form != first:
+        form, t = rho(form, t)
+    return q0, -q0 * block(t)  # Q0^-1 = -Q0, as Q0^2 = -I
+
+
+def least_solution(
+    a: IntMatrix,
+    orbit: tuple[IntMatrix, IntMatrix],
+    key: Callable[[IntMatrix], tuple],
+    lifts: Callable[[IntMatrix], object | None] = lambda q: (),
+) -> tuple[IntMatrix, object] | None:
+    """The least solution Q under ``key``, which begins with |m|, such that
+    ``lifts(Q)`` is not None, with that value; None when there is none.
+
+    ``lifts`` must be invariant under Q -> QA, so each class {Q A^t} of
+    the 2j solutions +-Q0 eps^k, 0 <= k < j, takes one call, where
+    ``orbit`` = (Q0, eps) and eps^j = +-A^(+-1).  Along a class
+    m(t + 1) + m(t - 1) = tr(A) m(t) with |tr A| >= 3, so |m| falls, then
+    rises, with at most one tie at the bottom.
+    """
+    q, eps = orbit
+    power, found = eps, []
+    while True:
+        for rep in (q, -q):
+            if lifts(rep) is not None:
+                found.append(rep)
+                for step in (a, a.inverse_unimodular()):
+                    cur = rep
+                    while abs((nxt := cur * step)[0, 0]) <= abs(cur[0, 0]):
+                        found.append(cur := nxt)
+        if abs(power.trace()) >= abs(a.trace()):
+            break
+        q, power = q * eps, power * eps
+    best = min(found, key=key, default=None)
+    return None if best is None else (best, lifts(best))

@@ -54,9 +54,10 @@ from .exactlin import (
     coset_representatives,
     finite_order,
     lattice_solver,
+    least_solution,
     matrix_from_json,
+    system2_orbit,
     _power_sum,
-    _system2_rows,
 )
 from .twisted import INFINITE, RNumber, r_abelian, r_addition, r_averaging
 
@@ -554,7 +555,9 @@ def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tup
     """The lifting equation of the double extension with action A and
     inner twist n0: for a block M, the coefficients (m0, z0) of
     (I + A M) n0 = 2A m0 + (I - A) z0, or None when no integral solution
-    exists.  The Smith form of [2A | I - A] is computed once."""
+    exists.  The Smith form of [2A | I - A] is computed once.  For a
+    solution M of the quadratic system, A M A = M, so M -> MA adds
+    (I - A) M n0 to the left side and does not change whether M lifts."""
     solve = lattice_solver((a + a).hstack(IntMatrix.identity(2) - a))
     # (I + A M) n0 as n0 + A (M n0)
     return lambda m: solve([u + v for u, v in zip(n0, a.apply(m.apply(n0)))])
@@ -1020,15 +1023,12 @@ def _hn_spec_from_block(fam: HnSemidirectZ, m: IntMatrix) -> AutomorphismSpec:
     return AutomorphismSpec.from_images(fam, images)
 
 
-# The phi_eight search runs over |m| <= max(50, param), clamped to this
-# constant so that its time does not grow with the parameter.
-PHI_EIGHT_M_CAP = 400
-
-
 def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     """An automorphism of the double extension with eight classes, when
     one exists: a trace-zero block solving the intertwining equation plus
-    an integral solution of the lifting constraint."""
+    an integral solution of the lifting constraint.  The block is the
+    least lifting solution in the order |m|, then negative m first, then
+    |n|, then positive n first; the parameter is not used."""
     a = fam.action
     if a.det() != 1:
         # the quadratic system encodes the intertwining only for det 1
@@ -1044,26 +1044,28 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
             % (a, *case)
         )
     lift = lifting_solver(a, fam.n0)
-    bound = min(max(50, param), PHI_EIGHT_M_CAP)
-    for m_val, pairs in _system2_rows(a, bound):
-        for n_val, p_val in pairs:
-            m = IntMatrix.from_rows([[m_val, n_val], [p_val, -m_val]])
-            coeffs = lift(m)
-            if coeffs is None:
-                continue
-            m0 = coeffs[:2]
-            z0 = coeffs[2:]
-            images = {
-                "e1": tuple(m.column(0)) + (0, 0),
-                "e2": tuple(m.column(1)) + (0, 0),
-                "t": (z0[0], z0[1], -1, 0),
-                "u": (m0[0], m0[1], 0, -1),
-            }
-            return AutomorphismSpec.from_images(fam, images)
-    raise UnknownWitnessError(
-        "no eight-class automorphism found with |m| <= %d (the search is capped at PHI_EIGHT_M_CAP = %d)"
-        % (bound, PHI_EIGHT_M_CAP)
-    )
+    if abs(a.trace()) == 2:
+        # on +-I lifting reads M mod 2, where the solutions fall into three
+        # classes; these blocks are the least of each, and one lifts for every n0
+        blocks = (IntMatrix(2, 2, e) for e in ((0, 1, -1, 0), (-1, 1, -2, 1), (-1, 2, -1, 1)))
+        found = next((m, c) for m in blocks if (c := lift(m)) is not None)
+    else:
+        orbit = system2_orbit(a)
+        found = orbit and least_solution(a, orbit, lambda q: (abs(q[0, 0]), q[0, 0] > 0, abs(q[0, 1]), q[0, 1] < 0), lift)
+        if not found:
+            raise UnknownWitnessError(
+                "no solution of the quadratic system for A = %s lifts with n0 = (%d, %d), so the spectrum is {oo} (%s)"
+                % (a, *fam.n0, "ext:parity-obstruction" if orbit else "system2:proven-empty")
+            )
+    m, coeffs = found
+    m0, z0 = coeffs[:2], coeffs[2:]
+    images = {
+        "e1": tuple(m.column(0)) + (0, 0),
+        "e2": tuple(m.column(1)) + (0, 0),
+        "t": (z0[0], z0[1], -1, 0),
+        "u": (m0[0], m0[1], 0, -1),
+    }
+    return AutomorphismSpec.from_images(fam, images)
 
 
 _WITNESS_BUILDERS = {

@@ -7,17 +7,14 @@ re-reading the code.  A 2x2 case is read off (det, trace); a 3x3 case off
 ``exactlin.unit_root_split``, the multiplicities of 1 and -1 and the
 quadratic factor left over.
 
-Bounded searches never masquerade as proofs.  A hyperbolic case that
-exhausts its search bound comes back ``undecided`` unless a genuine
-obstruction applies: non-real eigenvalues, determinant -1, or the
-residue-class (parity) obstruction, which enumerates the finitely many
-residue classes that solutions of the quadratic system can occupy and
-checks that the integrality constraint fails on every one of them.
-The hyperbolic Z^3 block and the double extension share one eight-class
-decision, ``_eight_class_search``, which holds the search limits and the
-residue obstruction; each case passes in its own lifting test.  The
-obstruction runs before the search, and the search tests each residue
-class once, since a lifting test depends only on the residue.
+The hyperbolic Z^3 block and the double extension share one exact
+eight-class decision, ``_eight_class_decision``, over the solution orbit
+of ``exactlin.system2_orbit``; each passes in its own lifting test.  The
+answer is {8, oo} with the least lifting solution as witness,
+``*:parity-obstruction`` when no solution lifts, or
+``system2:proven-empty`` when there is none.  Only ``decide_system2``
+reads a bound: a least solution beyond it is ``none-up-to-bound``, which
+the z2 ladder reports as ``undecided``.
 
 The mixed-eigenvalue Heisenberg case and the double extension with an
 action of finite order (+-I, orders 3, 4, 6) are extensions of Z^2 by
@@ -32,19 +29,18 @@ keeps the route itself as the reference the rules are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
 import math
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
     eigenlattice,
     finite_order,
     kernel_lattice,
+    least_solution,
     smith_normal_form,
+    system2_orbit,
     unit_root_split,
-    _system2_rows,
 )
 from .groups import (
     FreeAbelian,
@@ -57,11 +53,6 @@ from .groups import (
 
 class HypothesisError(ValueError):
     """The input violates the case hypotheses of the requested decision."""
-
-
-RESIDUE_MODULUS_GATE = 24  # largest modulus the residue obstruction will enumerate
-ORBIT_DEPTH = 8  # powers of A mixed into the witness orbit during searches
-WITNESS_ENUM_LIMIT = 200  # solutions drawn from the quadratic system per search
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +151,6 @@ def _result(spectrum, trace, evidence=None) -> SpectrumResult:
     return SpectrumResult(spectrum, tuple(trace), evidence)
 
 
-def _undecided_or(value: int, bound: int) -> SpectrumDescriptor:
-    """Undecided between {oo} and {value, oo}."""
-    return SpectrumDescriptor.undecided((SpectrumDescriptor.r_infinity(), SpectrumDescriptor.finite([value])), bound)
-
-
 # ---------------------------------------------------------------------------
 # The quadratic system for Z^2 x|_A Z
 
@@ -205,59 +191,31 @@ def _system2_require(a: IntMatrix):
         raise HypothesisError("eigenvalue +-1 is outside the hyperbolic case")
 
 
-def _system2_solutions(a: IntMatrix, bound: int) -> Iterator[System2Witness]:
-    """All solutions with |m| <= bound, in deterministic order: m walks
-    0, -1, 1, -2, 2, ... and (n, p) ascends lexicographically per m."""
-    for m, pairs in _system2_rows(a, bound):
-        for n, p in sorted(pairs):
-            yield System2Witness(m, n, p)
+def _search_key(q: IntMatrix) -> tuple:
+    # the order solutions are reported in: |m|, then negative m first,
+    # then (n, p) ascending
+    m, n, p, _ = q.entries
+    return abs(m), m > 0, n, p
 
 
 def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     """Decide the quadratic system for A up to the given |m| bound.
 
-    Non-real eigenvalues prove the system empty without a search; a real
-    search is complete in m up to the bound, solving one quadratic for n
-    per m (``exactlin._system2_rows``).  The first solution in the
-    deterministic order is the one reported.
+    Non-real eigenvalues prove the system empty.  Otherwise the least
+    solution of ``exactlin.system2_orbit`` in the order of ``_search_key``
+    is reported when its |m| is at most the bound; else the outcome is
+    ``none-up-to-bound``, which is true also when there is no solution.
     """
     _system2_require(a)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    tr = a.trace()
-    if tr * tr - 4 < 0:
+    if abs(a.trace()) < 2:
         return System2Decision("proven-empty", None, bound)
-    for wit in _system2_solutions(a, bound):
-        return System2Decision("witness", wit, bound)
+    orbit = system2_orbit(a)
+    found = orbit and least_solution(a, orbit, _search_key)
+    if found and abs(found[0][0, 0]) <= bound:
+        return System2Decision("witness", System2Witness(*found[0].entries[:3]), bound)
     return System2Decision("none-up-to-bound", None, bound)
-
-
-@lru_cache(maxsize=RESIDUE_MODULUS_GATE)
-def _quotient_pairs(modulus: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per residue r, the pairs (n, p) mod modulus with n p = r, in
-    ascending (n, p); it depends on the modulus alone."""
-    pairs = [[] for _ in range(modulus)]
-    for n in range(modulus):
-        for p in range(modulus):
-            pairs[n * p % modulus].append((n, p))
-    return tuple(map(tuple, pairs))
-
-
-def _feasible_residues(a: IntMatrix, modulus: int) -> list[tuple[int, int, int]]:
-    """Residues (m, n, p) mod modulus compatible with both equations.
-
-    Every integral solution reduces into this set, so a property failing
-    on all of it fails for every solution; that is the whole content of
-    the residue obstruction.
-    """
-    aa, bb, cc, dd = a.entries
-    # p enters both equations linearly: -m^2 - 1 = n p picks the pairs
-    pairs = _quotient_pairs(modulus)
-    out = []
-    for m in range(modulus):
-        em = (aa - dd) * m
-        out.extend((m, n, p) for n, p in pairs[(-m * m - 1) % modulus] if (em + cc * n + bb * p) % modulus == 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +263,8 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
         )
     if decision.outcome == "proven-empty":
         return _result(SpectrumDescriptor.r_infinity(), ["z2:hyperbolic", "system2:proven-empty"])
-    return _result(_undecided_or(4, bound), ["z2:hyperbolic", "system2:exhausted"])
+    candidates = (SpectrumDescriptor.r_infinity(), SpectrumDescriptor.finite([4]))
+    return _result(SpectrumDescriptor.undecided(candidates, bound), ["z2:hyperbolic", "system2:exhausted"])
 
 
 # ---------------------------------------------------------------------------
@@ -348,65 +307,26 @@ def tahara_delta(a: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class Z3EightDecision:
-    outcome: str  # "eight" | "r-infinity" | "undecided"
+    outcome: str  # "eight" | "r-infinity" | "proven-empty"
     witness: System2Witness | None
     n_row: tuple[int, int] | None
-    bound: int
     obstruction_modulus: int | None = None
 
 
-_ORBIT_EXPONENTS = tuple(jj for j in range(1, ORBIT_DEPTH + 1) for jj in (j, -j))
-
-
-def _orbit_of(q: tuple[int, ...], a: IntMatrix, powers: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    # plain witness first, then powers of A by growing distance, all as
-    # row-major entries; ``powers`` keeps the A^j already built for the
-    # other witnesses of one search
-    q0, q1, q2, q3 = q
-    yield q
-    yield (-q0, -q1, -q2, -q3)
-    for i, jj in enumerate(_ORBIT_EXPONENTS):
-        if i == len(powers):
-            powers.append((a ** jj).entries)
-        w, x, y, z = powers[i]
-        b0, b1, b2, b3 = w * q0 + x * q2, w * q1 + x * q3, y * q0 + z * q2, y * q1 + z * q3
-        yield (b0, b1, b2, b3)
-        yield (-b0, -b1, -b2, -b3)
-
-
-def _eight_class_search(
-    a: IntMatrix, bound: int, lifts: Callable[[IntMatrix], tuple[int, ...] | None], modulus: int
+def _eight_class_decision(
+    a: IntMatrix, lifts: Callable[[IntMatrix], tuple[int, ...] | None]
 ) -> tuple[str, System2Witness | None, tuple[int, ...] | None]:
-    """The eight-class decision shared by the z3 block and the double
-    extension: does some solution Q of the quadratic system for A lift?
-
-    ``lifts(Q)`` returns the lifting data of Q, or None when Q does not
-    lift; it must depend only on Q modulo ``modulus``, so one call decides
-    a whole residue class.  Under the gate the residue obstruction comes
-    first: when no feasible residue class of solutions lifts, no solution
-    does, and the answer is ("r-infinity", None, None) without a search.
-    Otherwise the search walks the first WITNESS_ENUM_LIMIT solutions with
-    |m| <= bound, each with its orbit, tests each residue class once, and
-    returns ("eight", witness, data) for the first Q that lifts; else
-    ("undecided", None, None).
-    """
-    failed = set()  # residues mod ``modulus`` known not to lift
-    if modulus <= RESIDUE_MODULUS_GATE:
-        feasible = _feasible_residues(a, modulus)
-        failed = {(m, n, p) for m, n, p in feasible if lifts(IntMatrix(2, 2, (m, n, p, -m))) is None}
-        if len(failed) == len(feasible):
-            return "r-infinity", None, None
-    powers: list[tuple[int, ...]] = []
-    for wit in islice(_system2_solutions(a, bound), WITNESS_ENUM_LIMIT):
-        for q in _orbit_of((wit.m, wit.n, wit.p, -wit.m), a, powers):
-            residue = (q[0] % modulus, q[1] % modulus, q[2] % modulus)
-            if residue in failed:
-                continue
-            data = lifts(IntMatrix(2, 2, q))
-            if data is not None:
-                return "eight", System2Witness(q[0], q[1], q[2]), data
-            failed.add(residue)
-    return "undecided", None, None
+    """Does some solution Q of the quadratic system for A lift?  ``lifts(Q)``
+    is the lifting data of Q, or None.  Returns ("eight", witness, data)
+    for the least lifting solution, else ("r-infinity", None, None), or
+    ("proven-empty", None, None) when there is no solution."""
+    orbit = system2_orbit(a)
+    if orbit is None:
+        return "proven-empty", None, None
+    found = least_solution(a, orbit, _search_key, lifts)
+    if found is None:
+        return "r-infinity", None, None
+    return "eight", System2Witness(*found[0].entries[:3]), found[1]
 
 
 def _z3_lifting_test(
@@ -416,7 +336,8 @@ def _z3_lifting_test(
 
     The test gives the row C (I - Q A') (I - A')^-1 when integral, else
     None.  It depends only on Q modulo det(I - A'), which divides the
-    modulus lcm(8, |det(I - A')|).
+    modulus lcm(8, |det(I - A')|), and it is invariant under Q -> QA', as
+    C Q A' (I - A') (I - A')^-1 = C Q A' is integral.
     """
     shift = IntMatrix.identity(2) - a_prime
     det_shift = shift.det()
@@ -438,15 +359,13 @@ def _z3_lifting_test(
     return integral_row, math.lcm(8, abs(det_shift))
 
 
-def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3EightDecision:
+def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int]) -> Z3EightDecision:
     """Decide between eight classes and the infinite spectrum for the
     block form (1, C; 0, A') with hyperbolic A' of determinant 1.
 
     An automorphism with eight classes exists iff some Q solving
-    A' Q A' = Q makes C (I - Q A') (I - A')^-1 integral.  Emptiness is
-    only claimed via the residue obstruction, never from bounded failure;
-    otherwise the search runs over bounded solutions and their
-    +-A'-power orbit.
+    A' Q A' = Q makes C (I - Q A') (I - A')^-1 integral; the decision is
+    exact (``_eight_class_decision``).
     """
     _system2_require(a_prime)
     if abs(a_prime.trace()) < 2:
@@ -455,8 +374,8 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int], bound: int) -> Z3E
     if len(c_row) != 2:
         raise HypothesisError("the coupling row must have two entries")
     lifts, modulus = _z3_lifting_test(a_prime, c_row)
-    outcome, wit, n_row = _eight_class_search(a_prime, bound, lifts, modulus)
-    return Z3EightDecision(outcome, wit, n_row, bound, modulus if outcome == "r-infinity" else None)
+    outcome, wit, n_row = _eight_class_decision(a_prime, lifts)
+    return Z3EightDecision(outcome, wit, n_row, modulus if outcome == "r-infinity" else None)
 
 
 def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
@@ -494,7 +413,8 @@ def _order_two_block(delta: int, trace: list[str]) -> SpectrumResult:
 
 
 def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
-    """Spectrum of Z^3 x|_A Z by the eigenvalue case ladder."""
+    """Spectrum of Z^3 x|_A Z by the eigenvalue case ladder.  The bound
+    is unused: the hyperbolic block is decided exactly."""
     if a.rows != 3 or not a.is_square:
         raise HypothesisError("expected a 3x3 matrix")
     if a.det() not in (1, -1):
@@ -544,7 +464,7 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     if c0 == -1:
         return _result(SpectrumDescriptor.r_infinity(), ["z3:hyperbolic-block-det-minus-one"])
     a_prime, c_row = _simple_one_block(a)
-    decision = decide_z3_eight(a_prime, c_row, bound)
+    decision = decide_z3_eight(a_prime, c_row)
     if decision.outcome == "eight":
         return _result(
             SpectrumDescriptor.finite([8]),
@@ -557,7 +477,7 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
             ["z3:hyperbolic-block", "z3:parity-obstruction"],
             {"obstruction_modulus": decision.obstruction_modulus},
         )
-    return _result(_undecided_or(8, bound), ["z3:hyperbolic-block", "z3:search-exhausted"])
+    return _result(SpectrumDescriptor.r_infinity(), ["z3:hyperbolic-block", "system2:proven-empty"])
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +486,8 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
 
 def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> SpectrumResult:
     """Spectrum of (Z^2 x|_{-I} Z) x|_psi Z with psi acting by A and
-    twisting the inner generator by n0."""
+    twisting the inner generator by n0.  The bound is unused: the
+    hyperbolic case is decided exactly."""
     n0 = tuple(_strict_int(v, "an entry of n0") for v in n0)
     if len(n0) != 2:
         raise HypothesisError("n0 must have exactly two entries, got %d" % len(n0))
@@ -594,7 +515,7 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
 
     # hyperbolic, det 1: im(2A) = 2Z^2, so whether a block M lifts depends
     # only on M mod 2, and the system constrains (m, n, p) mod 8
-    outcome, wit, coeffs = _eight_class_search(a, bound, lifting_solver(a, n0), 8)
+    outcome, wit, coeffs = _eight_class_decision(a, lifting_solver(a, n0))
     if outcome == "eight":
         return _result(
             SpectrumDescriptor.finite([8]),
@@ -607,7 +528,7 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
             ["ext:hyperbolic", "ext:parity-obstruction"],
             {"obstruction_modulus": 8},
         )
-    return _result(_undecided_or(8, bound), ["ext:hyperbolic", "ext:search-exhausted"])
+    return _result(SpectrumDescriptor.r_infinity(), ["ext:hyperbolic", "system2:proven-empty"])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from reidemeister.spectra import (
     classify_z2_semidirect,
     classify_z3_semidirect,
     decide_system2,
+    decide_z3_eight,
 )
 from reidemeister.twisted import RNumber, r_abelian, r_abelian_via_cosets
 from canonical_reference import ExtensionPresentation, apply_substitution, canonicalize_z2_by_z2
@@ -151,6 +152,27 @@ def test_block_contrast_reproduction():
     assert "z3:parity-obstruction" in res.trace
     assert classify_z2_semidirect(NIET, 100).spectrum == SpectrumDescriptor.finite([4])
     _report("rank3-vs-rank2-contrast", started)
+
+
+def test_hyperbolic_eight_class_decisions_are_exact():
+    """No z3 block or double extension with a hyperbolic det-1 action in
+    [-6,6]^4 and c_row or n0 in [-2,2]^2 comes back undecided."""
+    started = time.time()
+    hyperbolic = [
+        IntMatrix(2, 2, e) for e in product(range(-6, 7), repeat=4) if e[0] * e[3] - e[1] * e[2] == 1 and abs(e[0] + e[3]) > 2
+    ]
+    z3, ext = {}, {}
+    for a in hyperbolic:
+        for v in product(range(-2, 3), repeat=2):
+            outcome = decide_z3_eight(a, v).outcome
+            z3[outcome] = z3.get(outcome, 0) + 1
+            res = classify_z2_minusI_ext(a, v, 1)
+            assert res.spectrum in (SpectrumDescriptor.finite([8]), SpectrumDescriptor.r_infinity())
+            ext[res.trace[-1]] = ext.get(res.trace[-1], 0) + 1
+    assert len(hyperbolic) * 25 * 2 == 10_800
+    assert z3 == {"eight": 688, "r-infinity": 712, "proven-empty": 4000}
+    assert ext == {"ext:lifting-witness": 1224, "ext:parity-obstruction": 176, "system2:proven-empty": 4000}
+    _report("hyperbolic-eight-class-decisions (10800, none undecided)", started)
 
 
 def test_oracle_equivalence():

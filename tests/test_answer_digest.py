@@ -2,7 +2,8 @@
 
 A change that claims to keep every answer the same is checked here: the
 sha256 of a sorted-key JSON dump of the answers must equal the committed
-value.  Every corpus runs at bound 100.
+value.  Every classifier runs at bound 100; only the z2 answers read it,
+as the z3 block and the double extension are decided exactly.
 
 ``golden/answers.sha256``:
 
@@ -20,8 +21,9 @@ classifiers; a refusal is recorded as its exception class and message:
 * the same matrices with n = 1..4 and central twists in [-1,1]^2, through
   ``classify_hn_semidirect``.
 
-When a change is meant to alter one of these answers, regenerate both
-hashes with ``PYTHONPATH=src python tests/test_answer_digest.py`` and say
+When a change is meant to alter one of these answers, diff the JSON dumps
+of ``answers()`` and ``ladders()`` before and after it, regenerate both
+hashes with ``PYTHONPATH=src python tests/test_answer_digest.py``, and say
 why in the change.
 """
 
@@ -55,7 +57,6 @@ def _decision_json(dec) -> dict:
         "outcome": dec.outcome,
         "witness": dec.witness.to_json_dict() if dec.witness else None,
         "n_row": list(dec.n_row) if dec.n_row else None,
-        "bound": dec.bound,
         "obstruction_modulus": dec.obstruction_modulus,
     }
 
@@ -73,7 +74,7 @@ def answers() -> dict:
             for n0 in small
         },
         "z3-eight": {
-            "%s|%d,%d" % (m.to_text(), *c): _decision_json(decide_z3_eight(m, c, BOUND))
+            "%s|%d,%d" % (m.to_text(), *c): _decision_json(decide_z3_eight(m, c))
             for m in hyperbolic
             for c in small
         },

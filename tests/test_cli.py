@@ -22,7 +22,7 @@ from reidemeister.cli import (
     MAX_BOUND,
     run,
 )
-from reidemeister.groups import MAX_BALL_SITES, PHI_EIGHT_M_CAP, family_from_json
+from reidemeister.groups import MAX_BALL_SITES, family_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,15 +174,22 @@ def test_oracle_radius_beyond_the_ball_cap_exits_at_once():
     assert MAX_BALL_SITES >= 13 ** 4  # the largest ball in the tests and the benchmark
 
 
-def test_phi_eight_search_is_capped():
+@pytest.mark.parametrize(
+    "matrix, n0, rule",
+    [("5,2;2,1", "1,0", "ext:parity-obstruction"), ("3,1;2,1", "0,0", "system2:proven-empty")],
+    ids=["parity", "empty"],
+)
+@pytest.mark.parametrize("param", ["1", "1000000000000"], ids=["1", "1e12"])
+def test_phi_eight_without_a_lifting_solution_names_the_proof(matrix, n0, rule, param):
+    # no search and no cap: the error line names the proof of {oo}, at any --param
     started = time.perf_counter()
     code, out, err = invoke(
-        ["rnumber", "--family", "double-ext", "--matrix", "5,2;2,1", "--n0", "1,0",
-         "--witness", "phi_eight", "--param", "1000000000000"]
+        ["rnumber", "--family", "double-ext", "--matrix", matrix, "--n0", n0, "--witness", "phi_eight", "--param", param]
     )
     assert time.perf_counter() - started < 5.0
     assert code == EXIT_ERROR and out == ""
-    assert err.count("\n") == 1 and "PHI_EIGHT_M_CAP = %d" % PHI_EIGHT_M_CAP in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert rule in err and "{oo}" in err
 
 
 @pytest.mark.parametrize("matrix", ["1,0;0,-1", "0,1;1,0", "1,1;1,0"])
@@ -213,7 +220,7 @@ def test_phi_eight_refuses_a_non_hyperbolic_action_before_the_search(matrix, rul
     )
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert rule in err and "{oo}" in err and "PHI_EIGHT_M_CAP" not in err
+    assert rule in err and "{oo}" in err
 
 
 def test_double_ext_spectrum_of_a_finite_order_action():

@@ -1,9 +1,10 @@
 from itertools import product
+import time
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from reidemeister.exactlin import IntMatrix, parse_matrix
+from reidemeister.exactlin import IntMatrix, least_solution, parse_matrix, system2_orbit
 from reidemeister import spectra
 from reidemeister.groups import (
     AutomorphismSpec,
@@ -24,7 +25,6 @@ from reidemeister.groups import (
 )
 from reidemeister.spectra import (
     HypothesisError,
-    RESIDUE_MODULUS_GATE,
     SpectrumDescriptor,
     THREE_STEP,
     classify_hn_semidirect,
@@ -36,7 +36,7 @@ from reidemeister.spectra import (
     decide_system2,
     decide_z3_eight,
     tahara_delta,
-    _feasible_residues,
+    _search_key,
     _z3_lifting_test,
 )
 from reidemeister.twisted import RNumber
@@ -51,7 +51,7 @@ from canonical_reference import (
 )
 from conftest import random_det_one, random_unimodular, unimodular_matrices
 from power_reference import reference_power
-from residue_reference import reference_feasible_residues
+from system2_reference import _system2_solutions
 
 I2 = IntMatrix.identity(2)
 I3 = IntMatrix.identity(3)
@@ -202,19 +202,19 @@ def test_tahara_delta_hypothesis_errors():
 
 
 def test_z3_eight_parity_obstruction():
-    decision = decide_z3_eight(NIET, (0, 1), 100)
+    decision = decide_z3_eight(NIET, (0, 1))
     assert decision.outcome == "r-infinity"
     assert decision.obstruction_modulus == 8
 
 
 def test_z3_eight_zero_row_always_integral():
-    decision = decide_z3_eight(NIET, (0, 0), 100)
+    decision = decide_z3_eight(NIET, (0, 0))
     assert decision.outcome == "eight"
 
 
 def test_z3_eight_rejects_det_minus_one():
     with pytest.raises(HypothesisError):
-        decide_z3_eight(parse_matrix("1,1;1,0"), (0, 1), 10)
+        decide_z3_eight(parse_matrix("1,1;1,0"), (0, 1))
 
 
 def test_z3_eight_witness_builds_a_real_automorphism():
@@ -225,7 +225,7 @@ def test_z3_eight_witness_builds_a_real_automorphism():
 
     a_prime = parse_matrix("1,1;1,2")
     c_row = (1, 2)
-    decision = decide_z3_eight(a_prime, c_row, 50)
+    decision = decide_z3_eight(a_prime, c_row)
     assert decision.outcome == "eight"
     q = decision.witness.matrix
     n_row = tuple(-v for v in decision.n_row)
@@ -615,19 +615,50 @@ def _span2_obstructs(a: IntMatrix, n0) -> bool:
     return True
 
 
+def _first_lifting(a: IntMatrix, lifts, bound: int = 300):
+    """The first solution with |m| <= bound that lifts, in the order of the
+    bounded search, or None; and whether the search met any solution."""
+    solutions = list(_system2_solutions(a, bound))
+    first = next((s for s in solutions if lifts(IntMatrix(2, 2, (*s, -s[0]))) is not None), None)
+    return first, bool(solutions)
+
+
+def _assert_agrees_with_the_search(a, lifts, outcome, witness):
+    # the exact decision against the bounded search: an eight answer is the
+    # search's first lifting solution once its |m| is within the bound; a
+    # proof of {oo} leaves the search nothing that lifts, and a proof of
+    # emptiness nothing at all
+    first, any_solution = _first_lifting(a, lifts)
+    if outcome == "eight":
+        assert first == witness or (first is None and abs(witness[0]) > 300)
+    else:
+        assert first is None
+        assert outcome == "r-infinity" or not any_solution
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(a=st.sampled_from(_HYPERBOLIC_8), n0=_SMALL_VECTOR, c_row=_SMALL_VECTOR)
 def test_eight_class_decisions_property(a, n0, c_row):
     res = classify_z2_minusI_ext(a, n0, 100)
+    outcome, witness = "r-infinity", None
     if res.spectrum == EIGHT:
         w, m0, z0 = res.evidence["witness"], res.evidence["m0"], res.evidence["z0"]
         assert _solves_system2(a, w["m"], w["n"], w["p"])
         lhs = (I2 + a * IntMatrix.from_rows(w["matrix"])).apply(n0)
         rhs = [u + v for u, v in zip((a + a).apply(m0), (I2 - a).apply(z0))]
         assert list(lhs) == rhs
-    assert ("ext:parity-obstruction" in res.trace) == _span2_obstructs(a, n0)
+        outcome, witness = "eight", (w["m"], w["n"], w["p"])
+    else:
+        assert res.spectrum == R_INF
+        assert res.trace[-1] in ("ext:parity-obstruction", "system2:proven-empty")
+        outcome = "r-infinity" if res.trace[-1] == "ext:parity-obstruction" else "proven-empty"
+    assert (res.trace[-1] == "system2:proven-empty") == (system2_orbit(a) is None)
+    if _span2_obstructs(a, n0):
+        assert outcome != "eight"
+    _assert_agrees_with_the_search(a, lifting_solver(a, n0), outcome, witness)
 
-    decision = decide_z3_eight(a, c_row, 100)
+    decision = decide_z3_eight(a, c_row)
+    witness = None
     if decision.outcome == "eight":
         w = decision.witness
         assert _solves_system2(a, w.m, w.n, w.p)
@@ -635,6 +666,9 @@ def test_eight_class_decisions_property(a, n0, c_row):
         assert IntMatrix.from_rows([decision.n_row]) * (I2 - a) == IntMatrix.from_rows([c_row]) * (
             I2 - w.matrix * a
         )
+        witness = (w.m, w.n, w.p)
+    assert (decision.obstruction_modulus is not None) == (decision.outcome == "r-infinity")
+    _assert_agrees_with_the_search(a, _z3_lifting_test(a, c_row)[0], decision.outcome, witness)
 
 
 _SMALL_MATRIX = st.tuples(*[st.integers(-50, 50)] * 4).map(lambda v: IntMatrix(2, 2, v))
@@ -643,49 +677,86 @@ _SMALL_MATRIX = st.tuples(*[st.integers(-50, 50)] * 4).map(lambda v: IntMatrix(2
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=st.sampled_from(_HYPERBOLIC_8), vec=_SMALL_VECTOR, q=_SMALL_MATRIX, e=_SMALL_MATRIX)
 def test_lifting_tests_depend_only_on_the_residue(a, vec, q, e):
-    # the contract _eight_class_search rests on: one call per residue class
-    # decides whether the whole class lifts
+    # so a parity obstruction names the modulus its lifting test reads
     for lifts, modulus in (_z3_lifting_test(a, vec), (lifting_solver(a, vec), 8)):
         assert (lifts(q) is None) == (lifts(q + e.scale(modulus)) is None)
 
 
-def test_feasible_residues_match_the_triple_loop():
-    hyperbolic = [
-        IntMatrix.from_rows([[a, b], [c, d]])
-        for a, b, c, d in product(range(-3, 4), repeat=4)
-        if a * d - b * c == 1 and abs(a + d) > 2
-    ]
-    for a in hyperbolic:
-        for modulus in range(1, RESIDUE_MODULUS_GATE + 1):
-            residues = _feasible_residues(a, modulus)
-            assert len(residues) == len(set(residues))
-            assert set(residues) == reference_feasible_residues(a, modulus), (a, modulus)
+_SOLVABLE_8 = [a for a in _HYPERBOLIC_8 if system2_orbit(a) is not None]
 
 
-def test_readme_obstructions_never_search(monkeypatch):
-    searched = []
-    rows = spectra._system2_rows
-    monkeypatch.setattr(spectra, "_system2_rows", lambda a, bound: searched.append(bound) or rows(a, bound))
-    ext = classify_z2_minusI_ext(NIET, (1, 0), 10_000)
-    z3 = classify_z3_semidirect(parse_matrix("1,0,1;0,5,2;0,2,1"), 10_000)
-    assert "ext:parity-obstruction" in ext.trace and "z3:parity-obstruction" in z3.trace
-    assert searched == []
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_SOLVABLE_8), vec=_SMALL_VECTOR, k=st.integers(-3, 3), sign=st.sampled_from((1, -1)))
+def test_lifting_tests_are_invariant_under_right_multiplication_by_a(a, vec, k, sign):
+    # the contract of the eight-class decision: Q and QA lift together, so
+    # one A-period of the solution orbit decides every solution
+    q0, eps = system2_orbit(a)
+    q = (q0 * (eps ** k)).scale(sign)
+    for lifts in (_z3_lifting_test(a, vec)[0], lifting_solver(a, vec)):
+        assert (lifts(q) is None) == (lifts(q * a) is None) == (lifts(q * a.inverse_unimodular()) is None)
+
+
+def test_readme_obstructions_never_search():
+    # the README's obstruction examples are answered without a bound
+    for bound in (1, 10_000):
+        ext = classify_z2_minusI_ext(NIET, (1, 0), bound)
+        z3 = classify_z3_semidirect(parse_matrix("1,0,1;0,5,2;0,2,1"), bound)
+        assert ext.trace[-1] == "ext:parity-obstruction" and ext.evidence == {"obstruction_modulus": 8}
+        assert z3.trace[-1] == "z3:parity-obstruction" and z3.evidence == {"obstruction_modulus": 8}
+
+
+def _huge_word(powers):
+    # a product of T^k S, of trace at least 10^30 in absolute value
+    s = IntMatrix.from_rows([[0, -1], [1, 0]])
+    a = IntMatrix.identity(2)
+    for i in range(400):
+        if abs(a.trace()) >= 10**30:
+            return a
+        a = a * IntMatrix.from_rows([[1, powers[i % len(powers)]], [0, 1]]) * s
+    raise AssertionError("the word never reached trace 10^30")
+
+
+_BIG_STEPS = st.lists(st.integers(3, 9).flatmap(lambda k: st.sampled_from((k, -k))), min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(powers=_BIG_STEPS, v=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_eight_class_decisions_at_trace_ten_to_the_thirty(powers, v):
+    """The z3 block and the double extension decide in O(log |tr A|)."""
+    a = _huge_word(powers)
+    started = time.perf_counter()
+    decide_z3_eight(a, v)
+    assert time.perf_counter() - started < 0.1
+    # the double-extension decision over its own lifting test, taken mod 2
+    # as im(2A) = 2Z^2; classify_z2_minusI_ext also builds the Smith form
+    # of [2A | I - A] for the witness coefficients, which is not timed here
+    cols = {tuple(x % 2 for x in (I2 - a).apply(c)) for c in product(range(2), repeat=2)}
+    lifts = lambda q: () if tuple(x % 2 for x in (I2 + a * q).apply(v)) in cols else None
+    started = time.perf_counter()
+    orbit = system2_orbit(a)
+    if orbit is not None:
+        least_solution(a, orbit, _search_key, lifts)
+    assert time.perf_counter() - started < 0.1
 
 
 @pytest.mark.parametrize("a_prime, modulus", [("-3,-1;1,0", 40), ("-5,-3;-3,-2", 72)])
-def test_search_above_the_gate_tests_each_residue_class_once(monkeypatch, a_prime, modulus):
+def test_decision_tests_each_class_of_one_period_once(monkeypatch, a_prime, modulus):
+    # large moduli once left the search undecided; the orbit decides with
+    # one lifting test per class of one A-period, 2j of them for eps^j = +-A
     a_prime = parse_matrix(a_prime)
     tested = []
     lifting_test = spectra._z3_lifting_test
 
     def recording(a, c_row):
         lifts, n = lifting_test(a, c_row)
-        return (lambda q: tested.append(tuple(x % n for x in q.entries[:3])) or lifts(q)), n
+        return (lambda q: tested.append(q) or lifts(q)), n
 
     monkeypatch.setattr(spectra, "_z3_lifting_test", recording)
-    decision = decide_z3_eight(a_prime, (-2, -2), 300)
-    assert modulus > RESIDUE_MODULUS_GATE and decision.outcome == "undecided"
-    assert 1 < len(tested) == len(set(tested)) <= len(_feasible_residues(a_prime, modulus))
+    decision = decide_z3_eight(a_prime, (-2, -2))
+    assert decision.outcome == "r-infinity" and decision.obstruction_modulus == modulus
+    q0, eps = system2_orbit(a_prime)
+    period = next(j for j in range(1, 10) if abs((eps ** j).trace()) >= abs(a_prime.trace()))
+    assert len(tested) == len(set(tested)) == 2 * period
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +857,7 @@ def test_twist_pairs_need_exactly_two_entries(twists):
         lambda: classify_hn_semidirect(2, -I2, 50, (0.5, 0)),
         lambda: classify_hn_semidirect(2, parse_matrix("1,2;0,-1"), 50, (0, "1")),
         lambda: classify_z2_minusI_ext(FIB, (1.9, 0), 50),
-        lambda: decide_z3_eight(FIB, (0.5, 1), 50),
+        lambda: decide_z3_eight(FIB, (0.5, 1)),
         lambda: ExtensionPresentation(I2, -I2, (1.5, 0)),
     ],
     ids=["hn-k", "hn-l-bool", "hn-n", "hn-minus-identity-twist", "hn-mixed-twist", "ext-n0", "z3-c-row", "presentation-n0"],

@@ -1,11 +1,13 @@
-"""The quadratic-system solver against the divisor enumeration it replaced.
+"""The solution orbit of the quadratic system against the bounded search.
 
-``exactlin._system2_rows`` solves -m^2 - np = 1, (a-d)m + bp + cn = 0 with
-one integer square root per m.  The reference below is the earlier
-search: every divisor d of 1 + m^2 (plain trial division) gives the two
-candidates (d, -(1 + m^2)/d) and (-d, (1 + m^2)/d), kept when the linear
-equation holds.  Its order (ascending |n|, positive n first) is the order
-``groups._witness_phi_eight`` takes its first witness in.
+``exactlin.system2_orbit`` gives every solution of -m^2 - np = 1,
+(a-d)m + bp + cn = 0 as +-Q0 eps^k; ``tests/system2_reference.py`` keeps
+the bounded search with one integer square root per m, and that search is
+checked in turn against the plain divisor enumeration below: every
+divisor d of 1 + m^2 (trial division) gives the two candidates
+(d, -(1 + m^2)/d) and (-d, (1 + m^2)/d), kept when the linear equation
+holds.  Its order (ascending |n|, positive n first) is the order
+``groups._witness_phi_eight`` takes its witness in.
 """
 
 from functools import lru_cache
@@ -13,10 +15,11 @@ from itertools import product
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from reidemeister.exactlin import IntMatrix, _search_m_order, _system2_rows
-from reidemeister.spectra import System2Witness, _system2_solutions
+from reidemeister.exactlin import IntMatrix, system2_orbit
+from reidemeister.spectra import decide_system2
+from system2_reference import _search_m_order, _system2_rows, _system2_solutions
 
 
 @lru_cache(maxsize=None)
@@ -121,9 +124,7 @@ def test_rows_match_reference_at_large_m():
 
 def test_solutions_sort_each_row():
     wel = IntMatrix.from_rows([[2, 1], [1, 1]])
-    expected = [
-        System2Witness(m, n, p) for m, pairs in reference_rows(wel, 200) for n, p in sorted(pairs)
-    ]
+    expected = [(m, n, p) for m, pairs in reference_rows(wel, 200) for n, p in sorted(pairs)]
     assert list(_system2_solutions(wel, 200)) == expected
 
 
@@ -147,3 +148,81 @@ def test_rows_match_reference_property(powers, flip, m):
     assert_rows_match(a, 20)
     if a.entries[1] or a.entries[2]:  # a scalar action pays trial division per m
         assert dict(_system2_rows(a, abs(m))).get(m, []) == reference_pairs(a, m)
+
+
+# ---------------------------------------------------------------------------
+# the solution orbit
+
+
+def orbit_solutions(a, bound):
+    """The solutions +-Q0 eps^k with |m| <= bound.  Along each of the two
+    chains |m| falls, then rises for good, as |tr eps| >= 3."""
+    orbit = system2_orbit(a)
+    if orbit is None:
+        return set()
+    q0, eps = orbit
+    out = set()
+    for start in (q0, -q0):
+        for step in (eps, eps.inverse_unimodular()):
+            q = start
+            while True:
+                if abs(q[0, 0]) <= bound:
+                    out.add((q[0, 0], q[0, 1], q[1, 0]))
+                nxt = q * step
+                if abs(nxt[0, 0]) > max(abs(q[0, 0]), bound):
+                    break
+                q = nxt
+    return out
+
+
+def assert_orbit_matches(a, bound):
+    orbit = system2_orbit(a)
+    expected = {(m, n, p) for m, pairs in _system2_rows(a, bound) for n, p in pairs}
+    assert orbit_solutions(a, bound) == expected, a
+    if orbit is not None:
+        q0, eps = orbit
+        assert q0 * q0 == -IntMatrix.identity(2) and a * q0 * a == q0
+        assert eps.det() == 1 and eps * a == a * eps
+        power = eps
+        while abs(power.trace()) < abs(a.trace()):
+            power = power * eps
+        ainv = a.inverse_unimodular()
+        assert power in (a, -a, ainv, -ainv), a
+
+
+def assert_decisions_match(a, bounds):
+    for bound in bounds:
+        first = next(_system2_solutions(a, bound), None)
+        decision = decide_system2(a, bound)
+        if first is None:
+            assert decision.outcome == "none-up-to-bound", (a, bound)
+        else:
+            assert decision.outcome == "witness", (a, bound)
+            assert (decision.witness.m, decision.witness.n, decision.witness.p) == first, (a, bound)
+
+
+def test_orbit_matches_the_search_on_the_hyperbolic_box():
+    box = [a for a in unimodular_box(8) if is_hyperbolic_det_one(a)]
+    assert len(box) == 456
+    for a in box:
+        assert_orbit_matches(a, 3000)
+    assert sum(system2_orbit(a) is not None for a in box) == 80
+
+
+def test_decide_system2_matches_the_search_on_the_hyperbolic_box():
+    for a in unimodular_box(8):
+        if is_hyperbolic_det_one(a):
+            assert_decisions_match(a, (1, 3, 50, 3000))
+
+
+_WORDS = st.lists(st.integers(-9, 9), min_size=2, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(powers=_WORDS)
+def test_orbit_matches_the_search_on_random_words(powers):
+    # products of T^k S reach every matrix of SL_2(Z); entries up to about 10^4
+    a = _unimodular(powers, False)
+    assume(is_hyperbolic_det_one(a) and max(map(abs, a.entries)) <= 10_000)
+    assert_orbit_matches(a, 2000)
+    assert_decisions_match(a, (1, 50, 2000))
