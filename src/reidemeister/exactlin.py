@@ -18,12 +18,12 @@ The module provides:
   the multiplicities of 1 and -1 in its characteristic polynomial and the
   quadratic factor left over (irrational eigenvalues are never
   materialised; a 2x2 case is read off det and trace);
-* saturated eigenlattices, finite-order detection, integer lattice
-  solving and coset representatives;
+* saturated eigenlattices, finite-order detection and coset
+  representatives;
 * ``system2_orbit``, every solution of the quadratic system as one orbit
   +-Q0 eps^k, or a proof that there is none, and ``least_solution``, the
-  least solution in a given order that passes a lifting test invariant
-  under Q -> QA.
+  least solution in the one order solutions are reported in that passes
+  a lifting test invariant under Q -> QA.
 """
 
 from __future__ import annotations
@@ -201,12 +201,6 @@ class IntMatrix:
                 cof.append((-1) ** (i + j) * _det(minor))
         # adjugate is the transposed cofactor matrix
         return IntMatrix(n, n, tuple(cof[j * n + i] for i in range(n) for j in range(n)))
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DimensionError("row counts differ: %d vs %d" % (self.rows, other.rows))
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows)
 
     # -- text / JSON ---------------------------------------------------------
 
@@ -584,34 +578,6 @@ def eigenlattice(a: IntMatrix, eps: int) -> LatticeBasis:
     return kernel_lattice(shifted)
 
 
-def lattice_solver(generators: IntMatrix) -> Callable[[Sequence[int]], tuple[int, ...] | None]:
-    """Solve generators * c = target over the integers through one Smith
-    normal form for every target: c, or None when some elementary divisor
-    (or a rank constraint) certifies that no solution exists."""
-    snf = smith_normal_form(generators)
-    limit = min(generators.rows, generators.cols)
-
-    def solve(target: Sequence[int]) -> tuple[int, ...] | None:
-        target = tuple(int(t) for t in target)
-        if len(target) != generators.rows:
-            raise DimensionError(
-                "target length %d does not match ambient dimension %d" % (len(target), generators.rows)
-            )
-        s = snf.U.apply(target)
-        w = [0] * generators.cols
-        for i in range(generators.rows):
-            if i < limit and snf.elementary_divisors[i] != 0:
-                di = snf.elementary_divisors[i]
-                if s[i] % di:
-                    return None
-                w[i] = s[i] // di
-            elif s[i] != 0:
-                return None
-        return snf.V.apply(w)
-
-    return solve
-
-
 def coset_representatives(m: IntMatrix) -> list[tuple[int, ...]] | None:
     """Representatives of Z^n / (image of M), or None when the index is infinite.
 
@@ -695,11 +661,11 @@ def system2_orbit(a: IntMatrix) -> tuple[IntMatrix, IntMatrix] | None:
 def least_solution(
     a: IntMatrix,
     orbit: tuple[IntMatrix, IntMatrix],
-    key: Callable[[IntMatrix], tuple],
     lifts: Callable[[IntMatrix], object | None] = lambda q: (),
 ) -> tuple[IntMatrix, object] | None:
-    """The least solution Q under ``key``, which begins with |m|, such that
-    ``lifts(Q)`` is not None, with that value; None when there is none.
+    """The least solution Q = (m, n; p, -m) such that ``lifts(Q)`` is not
+    None, with that value; None when there is none.  Solutions are ordered
+    by |m|, then negative m first, then (n, p) ascending.
 
     ``lifts`` must be invariant under Q -> QA, so each class {Q A^t} of
     the 2j solutions +-Q0 eps^k, 0 <= k < j, takes one call, where
@@ -720,5 +686,5 @@ def least_solution(
         if abs(power.trace()) >= abs(a.trace()):
             break
         q, power = q * eps, power * eps
-    best = min(found, key=key, default=None)
+    best = min(found, key=lambda q: (abs(q[0, 0]), q[0, 0] > 0, q[0, 1], q[1, 0]), default=None)
     return None if best is None else (best, lifts(best))

@@ -53,7 +53,6 @@ from .exactlin import (
     MatrixParseError,
     coset_representatives,
     finite_order,
-    lattice_solver,
     least_solution,
     matrix_from_json,
     system2_orbit,
@@ -555,12 +554,25 @@ def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tup
     """The lifting equation of the double extension with action A and
     inner twist n0: for a block M, the coefficients (m0, z0) of
     (I + A M) n0 = 2A m0 + (I - A) z0, or None when no integral solution
-    exists.  The Smith form of [2A | I - A] is computed once.  For a
-    solution M of the quadratic system, A M A = M, so M -> MA adds
-    (I - A) M n0 to the left side and does not change whether M lifts."""
-    solve = lattice_solver((a + a).hstack(IntMatrix.identity(2) - a))
-    # (I + A M) n0 as n0 + A (M n0)
-    return lambda m: solve([u + v for u, v in zip(n0, a.apply(m.apply(n0)))])
+    exists.  As 2A Z^2 = 2Z^2, this asks whether t = (I + A M) n0 lies in
+    (I - A) z0 + 2Z^2 for some z0 in {0,1}^2, so it reads M mod 2: z0 is
+    the first of (0,0), (0,1), (1,0), (1,1) that works, and then
+    m0 = A^-1 (t - (I - A) z0) / 2.  For a solution M of the quadratic
+    system, A M A = M, so M -> MA adds (I - A) M n0 to t and does not
+    change whether M lifts."""
+    ainv, shift = a.inverse_unimodular(), IntMatrix.identity(2) - a
+    shifts = [(z0, shift.apply(z0)) for z0 in product((0, 1), repeat=2)]
+
+    def solve(m: IntMatrix) -> tuple[int, ...] | None:
+        # t = (I + A M) n0 as n0 + A (M n0)
+        t = [u + v for u, v in zip(n0, a.apply(m.apply(n0)))]
+        for z0, s in shifts:
+            r = [x - y for x, y in zip(t, s)]
+            if r[0] % 2 == r[1] % 2 == 0:
+                return ainv.apply([x // 2 for x in r]) + z0
+        return None
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -1027,8 +1039,11 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     """An automorphism of the double extension with eight classes, when
     one exists: a trace-zero block solving the intertwining equation plus
     an integral solution of the lifting constraint.  The block is the
-    least lifting solution in the order |m|, then negative m first, then
-    |n|, then positive n first; the parameter is not used."""
+    least lifting solution of ``exactlin.least_solution``, in the order
+    the spectrum reports its witness in (|m|, then negative m first, then
+    (n, p) ascending), and the translations are that solution's m0 and
+    z0, so on a hyperbolic action they equal the spectrum's evidence; the
+    parameter is not used."""
     a = fam.action
     if a.det() != 1:
         # the quadratic system encodes the intertwining only for det 1
@@ -1047,11 +1062,11 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     if abs(a.trace()) == 2:
         # on +-I lifting reads M mod 2, where the solutions fall into three
         # classes; these blocks are the least of each, and one lifts for every n0
-        blocks = (IntMatrix(2, 2, e) for e in ((0, 1, -1, 0), (-1, 1, -2, 1), (-1, 2, -1, 1)))
+        blocks = (IntMatrix(2, 2, e) for e in ((0, -1, 1, 0), (-1, -2, 1, 1), (-1, -1, 2, 1)))
         found = next((m, c) for m in blocks if (c := lift(m)) is not None)
     else:
         orbit = system2_orbit(a)
-        found = orbit and least_solution(a, orbit, lambda q: (abs(q[0, 0]), q[0, 0] > 0, abs(q[0, 1]), q[0, 1] < 0), lift)
+        found = orbit and least_solution(a, orbit, lift)
         if not found:
             raise UnknownWitnessError(
                 "no solution of the quadratic system for A = %s lifts with n0 = (%d, %d), so the spectrum is {oo} (%s)"

@@ -191,18 +191,11 @@ def _system2_require(a: IntMatrix):
         raise HypothesisError("eigenvalue +-1 is outside the hyperbolic case")
 
 
-def _search_key(q: IntMatrix) -> tuple:
-    # the order solutions are reported in: |m|, then negative m first,
-    # then (n, p) ascending
-    m, n, p, _ = q.entries
-    return abs(m), m > 0, n, p
-
-
 def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     """Decide the quadratic system for A up to the given |m| bound.
 
     Non-real eigenvalues prove the system empty.  Otherwise the least
-    solution of ``exactlin.system2_orbit`` in the order of ``_search_key``
+    solution of ``exactlin.system2_orbit`` (``exactlin.least_solution``)
     is reported when its |m| is at most the bound; else the outcome is
     ``none-up-to-bound``, which is true also when there is no solution.
     """
@@ -212,7 +205,7 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     if abs(a.trace()) < 2:
         return System2Decision("proven-empty", None, bound)
     orbit = system2_orbit(a)
-    found = orbit and least_solution(a, orbit, _search_key)
+    found = orbit and least_solution(a, orbit)
     if found and abs(found[0][0, 0]) <= bound:
         return System2Decision("witness", System2Witness(*found[0].entries[:3]), bound)
     return System2Decision("none-up-to-bound", None, bound)
@@ -234,12 +227,11 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     if (d, tr) == (1, 2):
         if a == ident:
             return _result(SpectrumDescriptor.full(), ["z2:abelian", "nilpotent:lattice"])
-        divisors = smith_normal_form(a - ident).elementary_divisors
-        n = next(d for d in divisors if d)
+        # A - I has rank 1, so its first elementary divisor is the gcd of its entries
         return _result(
             SpectrumDescriptor.multiples(2),
             ["z2:unipotent", "nilpotent:heisenberg"],
-            {"heisenberg_parameter": n},
+            {"heisenberg_parameter": math.gcd(*(a - ident).entries)},
         )
     if (d, tr) == (1, -2):
         if a == -ident:
@@ -323,7 +315,7 @@ def _eight_class_decision(
     orbit = system2_orbit(a)
     if orbit is None:
         return "proven-empty", None, None
-    found = least_solution(a, orbit, _search_key, lifts)
+    found = least_solution(a, orbit, lifts)
     if found is None:
         return "r-infinity", None, None
     return "eight", System2Witness(*found[0].entries[:3]), found[1]
@@ -514,7 +506,8 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
         return _result(SpectrumDescriptor.r_infinity(), ["ext:hyperbolic-det-minus-one"])
 
     # hyperbolic, det 1: im(2A) = 2Z^2, so whether a block M lifts depends
-    # only on M mod 2, and the system constrains (m, n, p) mod 8
+    # only on M mod 2 (``lifting_solver``), and the system constrains
+    # (m, n, p) mod 8
     outcome, wit, coeffs = _eight_class_decision(a, lifting_solver(a, n0))
     if outcome == "eight":
         return _result(

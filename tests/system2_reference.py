@@ -4,10 +4,11 @@ against.
 
 ``_system2_rows`` finds every solution of -m^2 - np = 1,
 (a-d)m + bp + cn = 0 with |m| <= bound, with one integer square root per
-m.  ``_system2_solutions`` lists them in the order ``spectra`` reports a
-solution in (m walks 0, -1, 1, -2, 2, ..., and (n, p) ascends per m);
-``_system2_rows`` keeps the order of ``groups._witness_phi_eight``
-(ascending |n|, positive n first).
+m.  ``_system2_solutions`` lists them in the one order a solution is
+reported in, by ``spectra`` and by ``groups._witness_phi_eight`` alike
+(m walks 0, -1, 1, -2, 2, ..., and (n, p) ascends per m);
+``_system2_rows`` lists each row's pairs in the order of the divisor
+enumeration it is checked against (ascending |n|, positive n first).
 """
 
 import math
@@ -70,7 +71,7 @@ def _system2_rows(a: IntMatrix, bound: int) -> Iterator[tuple[int, list[tuple[in
 
 def _system2_solutions(a: IntMatrix, bound: int) -> Iterator[tuple[int, int, int]]:
     """All solutions (m, n, p) with |m| <= bound, in the order of
-    ``spectra._search_key``: m as in ``_search_m_order``, then (n, p)
+    ``exactlin.least_solution``: m as in ``_search_m_order``, then (n, p)
     ascending."""
     for m, pairs in _system2_rows(a, bound):
         for n, p in sorted(pairs):

@@ -22,6 +22,7 @@ from reidemeister.cli import (
     MAX_BOUND,
     run,
 )
+from reidemeister.exactlin import parse_matrix
 from reidemeister.groups import MAX_BALL_SITES, family_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -227,6 +228,19 @@ def test_double_ext_spectrum_of_a_finite_order_action():
     code, out, err = invoke(["spectrum", "--family", "double-ext", "--matrix=0,-1;1,0", "--n0", "1,0"])
     assert (code, err) == (EXIT_OK, "")
     assert payload(out)["result"]["spectrum"] == {"kind": "r_infinity"}
+
+
+def test_double_ext_spectrum_of_a_large_hyperbolic_action():
+    # (2,1;1,1)^50 has entries near 10^20; the lifting test reads the block
+    # mod 2, so no Smith form of large entries stands before the answer
+    matrix = (parse_matrix("2,1;1,1") ** 50).to_text()
+    started = time.perf_counter()
+    code, out, err = invoke(["spectrum", "--family", "double-ext", "--matrix", matrix, "--n0", "1,0"])
+    assert time.perf_counter() - started < 5.0
+    assert (code, err) == (EXIT_OK, "")
+    env = payload(out)
+    assert env["trace"][-1] == "ext:lifting-witness"
+    assert env["result"]["spectrum"] == {"kind": "finite", "values": [8]}
 
 
 def test_double_ext_small_actions_end_in_a_result_or_one_error_line():

@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 
@@ -10,7 +10,6 @@ from reidemeister.exactlin import (
     eigenlattice,
     finite_order,
     kernel_lattice,
-    lattice_solver,
     parse_matrix,
     smith_normal_form,
     unit_root_split,
@@ -243,44 +242,6 @@ def test_in_centralizer_span():
         centralizer_exponent(I2, m3)
     with pytest.raises(ValueError):
         centralizer_exponent(parse_matrix("1,1;0,1"), m3)
-
-
-def test_lattice_membership_zero_target():
-    gens = FIB
-    assert lattice_solver(gens)((0, 0)) == (0, 0)
-
-
-def test_lattice_membership_spans_everything_for_fib():
-    # columns of [2A | I-A] for the trace-7 symmetric matrix span Z^2
-    a = FIB
-    gens = (a + a).hstack(I2 - a)
-    for target in product(range(-3, 4), repeat=2):
-        coeffs = lattice_solver(gens)(target)
-        assert coeffs is not None
-        assert gens.apply(coeffs) == tuple(target)
-
-
-def test_lattice_membership_absent_case():
-    # columns of [2A | I-A] all have even coordinates here, so (1,0) is out
-    a = parse_matrix("5,2;2,1")
-    gens = (a + a).hstack(I2 - a)
-    assert lattice_solver(gens)((1, 0)) is None
-
-
-def test_lattice_membership_roundtrip(rng):
-    for _ in range(50):
-        rows, cols = rng.choice(((2, 3), (3, 3), (3, 5), (2, 2)))
-        gens = IntMatrix(rows, cols, tuple(rng.randint(-4, 4) for _ in range(rows * cols)))
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(cols))
-        target = gens.apply(coeffs)
-        found = lattice_solver(gens)(target)
-        assert found is not None
-        assert gens.apply(found) == target
-
-
-def test_lattice_membership_dim_mismatch():
-    with pytest.raises(DimensionError):
-        lattice_solver(FIB)((1, 0, 0))
 
 
 def test_kernel_lattice(rng):

@@ -4,7 +4,7 @@ import time
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from reidemeister.exactlin import IntMatrix, least_solution, parse_matrix, system2_orbit
+from reidemeister.exactlin import IntMatrix, parse_matrix, smith_normal_form, system2_orbit
 from reidemeister import spectra
 from reidemeister.groups import (
     AutomorphismSpec,
@@ -36,7 +36,6 @@ from reidemeister.spectra import (
     decide_system2,
     decide_z3_eight,
     tahara_delta,
-    _search_key,
     _z3_lifting_test,
 )
 from reidemeister.twisted import RNumber
@@ -581,8 +580,12 @@ def test_finite_order_double_ext_agrees_with_phi_eight(n0):
         res = classify_z2_minusI_ext(a, n0, 50)
         assert res.spectrum in (SpectrumDescriptor.multiples(2), SpectrumDescriptor.multiples(4))
         assert res.trace[-1] == ("tahara:delta-zero", "tahara:delta-one")[res.evidence["delta"]]
-        value = rnumber(witness(Z2MinusIExt(a, n0), "phi_eight", 1)).value
+        spec = witness(Z2MinusIExt(a, n0), "phi_eight", 1)
+        value = rnumber(spec).value
         assert value == 8 and value % res.spectrum.c == 0
+        # the block is the least lifting solution in the spectrum's order
+        m, n, p = _first_lifting(a, lifting_solver(a, n0), 1)[0]
+        assert (spec.image_of("e1").exponents[:2], spec.image_of("e2").exponents[:2]) == ((m, p), (n, -m))
 
 
 # every hyperbolic det-1 matrix with entries of absolute value <= 8
@@ -677,8 +680,9 @@ _SMALL_MATRIX = st.tuples(*[st.integers(-50, 50)] * 4).map(lambda v: IntMatrix(2
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=st.sampled_from(_HYPERBOLIC_8), vec=_SMALL_VECTOR, q=_SMALL_MATRIX, e=_SMALL_MATRIX)
 def test_lifting_tests_depend_only_on_the_residue(a, vec, q, e):
-    # so a parity obstruction names the modulus its lifting test reads
-    for lifts, modulus in (_z3_lifting_test(a, vec), (lifting_solver(a, vec), 8)):
+    # so a parity obstruction names a modulus its lifting test reads: the
+    # double extension reads Q mod 2, which divides its reported 8
+    for lifts, modulus in (_z3_lifting_test(a, vec), (lifting_solver(a, vec), 2)):
         assert (lifts(q) is None) == (lifts(q + e.scale(modulus)) is None)
 
 
@@ -694,6 +698,68 @@ def test_lifting_tests_are_invariant_under_right_multiplication_by_a(a, vec, k, 
     q = (q0 * (eps ** k)).scale(sign)
     for lifts in (_z3_lifting_test(a, vec)[0], lifting_solver(a, vec)):
         assert (lifts(q) is None) == (lifts(q * a) is None) == (lifts(q * a.inverse_unimodular()) is None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.one_of(st.sampled_from(_HYPERBOLIC_8), unimodular_matrices(2)), n0=_SMALL_VECTOR, p=unimodular_matrices(2))
+def test_double_ext_spectrum_is_invariant_under_a_change_of_basis(a, n0, p):
+    # P is an isomorphism of the lattice, taking (A, n0) to (P A P^-1, P n0);
+    # the rule that decides depends only on the isomorphism class as well
+    res = classify_z2_minusI_ext(a, n0, 1)
+    moved = classify_z2_minusI_ext(p * a * p.inverse_unimodular(), p.apply(n0), 1)
+    assert (moved.spectrum, moved.trace) == (res.spectrum, res.trace), (a, n0, p)
+
+
+_HYPERBOLIC_6 = [a for a in _HYPERBOLIC_8 if max(map(abs, a.entries)) <= 6]
+
+
+def test_phi_eight_equals_the_spectrum_evidence_on_the_hyperbolic_box():
+    # one solution order: the block and both translations of phi_eight are
+    # the spectrum's witness, m0 and z0
+    eights = 0
+    for a in _HYPERBOLIC_6:
+        for n0 in product(range(-2, 3), repeat=2):
+            res = classify_z2_minusI_ext(a, n0, 1)
+            if res.spectrum != EIGHT:
+                continue
+            spec = witness(Z2MinusIExt(a, n0), "phi_eight", 1)
+            block = IntMatrix.from_columns([spec.image_of(g).exponents[:2] for g in ("e1", "e2")])
+            assert block.to_rows() == res.evidence["witness"]["matrix"], (a, n0)
+            assert list(spec.image_of("u").exponents[:2]) == res.evidence["m0"], (a, n0)
+            assert list(spec.image_of("t").exponents[:2]) == res.evidence["z0"], (a, n0)
+            eights += 1
+    assert (len(_HYPERBOLIC_6), eights) == (216, 1224)
+
+
+def _smith_membership(a: IntMatrix):
+    """The reference lifting test: whether (I + A M) n0 lies in the lattice
+    spanned by the columns of [2A | I - A], read off its Smith form U G V = D
+    as U (I + A M) n0 divisible by each elementary divisor."""
+    gens = IntMatrix(2, 4, (a + a).row(0) + (I2 - a).row(0) + (a + a).row(1) + (I2 - a).row(1))
+    snf = smith_normal_form(gens)
+
+    def member(n0, m: IntMatrix) -> bool:
+        s = snf.U.apply((I2 + a * m).apply(n0))
+        return all(x % d == 0 if d else x == 0 for x, d in zip(s, snf.elementary_divisors))
+
+    return member
+
+
+def test_lifting_solver_agrees_with_the_smith_form_membership():
+    blocks = [IntMatrix(2, 2, e) for e in product(range(-1, 2), repeat=4)]
+    actions = [m for m in _box(1) if m.det() in (1, -1)] + _HYPERBOLIC_8[::25]
+    for a in actions:
+        member = _smith_membership(a)
+        for n0 in product(range(-1, 2), repeat=2):
+            lifts = lifting_solver(a, n0)
+            for m in blocks:
+                found = lifts(m)
+                assert (found is not None) == member(n0, m), (a, n0, m)
+                if found is not None:
+                    m0, z0 = found[:2], found[2:]
+                    assert set(z0) <= {0, 1}
+                    rhs = tuple(u + v for u, v in zip((a + a).apply(m0), (I2 - a).apply(z0)))
+                    assert (I2 + a * m).apply(n0) == rhs, (a, n0, m)
 
 
 def test_readme_obstructions_never_search():
@@ -722,21 +788,18 @@ _BIG_STEPS = st.lists(st.integers(3, 9).flatmap(lambda k: st.sampled_from((k, -k
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(powers=_BIG_STEPS, v=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 def test_eight_class_decisions_at_trace_ten_to_the_thirty(powers, v):
-    """The z3 block and the double extension decide in O(log |tr A|)."""
+    """The z3 block, the double extension and phi_eight decide in O(log |tr A|)."""
     a = _huge_word(powers)
     started = time.perf_counter()
     decide_z3_eight(a, v)
     assert time.perf_counter() - started < 0.1
-    # the double-extension decision over its own lifting test, taken mod 2
-    # as im(2A) = 2Z^2; classify_z2_minusI_ext also builds the Smith form
-    # of [2A | I - A] for the witness coefficients, which is not timed here
-    cols = {tuple(x % 2 for x in (I2 - a).apply(c)) for c in product(range(2), repeat=2)}
-    lifts = lambda q: () if tuple(x % 2 for x in (I2 + a * q).apply(v)) in cols else None
     started = time.perf_counter()
-    orbit = system2_orbit(a)
-    if orbit is not None:
-        least_solution(a, orbit, _search_key, lifts)
+    res = classify_z2_minusI_ext(a, v, 1)
     assert time.perf_counter() - started < 0.1
+    if res.spectrum == EIGHT:
+        started = time.perf_counter()
+        witness(Z2MinusIExt(a, v), "phi_eight", 1)
+        assert time.perf_counter() - started < 0.1
 
 
 @pytest.mark.parametrize("a_prime, modulus", [("-3,-1;1,0", 40), ("-5,-3;-3,-2", 72)])

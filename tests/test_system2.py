@@ -6,8 +6,9 @@ the bounded search with one integer square root per m, and that search is
 checked in turn against the plain divisor enumeration below: every
 divisor d of 1 + m^2 (trial division) gives the two candidates
 (d, -(1 + m^2)/d) and (-d, (1 + m^2)/d), kept when the linear equation
-holds.  Its order (ascending |n|, positive n first) is the order
-``groups._witness_phi_eight`` takes its witness in.
+holds.  ``_system2_rows`` keeps that enumeration's order (ascending |n|,
+positive n first); the order solutions are reported in is
+``_system2_solutions``'s.
 """
 
 from functools import lru_cache
@@ -56,7 +57,7 @@ def reference_rows(a, bound):
 def assert_rows_match(a, bound):
     rows = list(_system2_rows(a, bound))
     expected = list(reference_rows(a, bound))
-    assert rows == expected, a  # phi_eight's order
+    assert rows == expected, a  # the divisor enumeration's order
     assert [(m, sorted(pairs)) for m, pairs in rows] == [(m, sorted(pairs)) for m, pairs in expected]
 
 
@@ -78,8 +79,8 @@ def test_rows_match_reference_on_hyperbolic_box():
 
 
 def test_rows_match_reference_on_every_other_unimodular_action():
-    # phi_eight searches any unimodular action, including det -1, parabolic,
-    # elliptic and scalar ones (the scalar branch enumerates divisors)
+    # the reference covers any unimodular action, including det -1,
+    # parabolic, elliptic and scalar ones (the scalar branch enumerates divisors)
     others = [a for a in unimodular_box(4) if not is_hyperbolic_det_one(a)]
     assert IntMatrix.identity(2) in others and -IntMatrix.identity(2) in others
     for a in others:
