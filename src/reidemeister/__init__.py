@@ -5,18 +5,13 @@ __version__ = "0.1.0"
 
 from .exactlin import (
     IntMatrix,
-    LatticeBasis,
-    SNFResult,
-    eigenlattice,
     finite_order,
     parse_matrix,
-    smith_normal_form,
     unit_root_split,
 )
 from .twisted import (
     RNumber,
     r_abelian,
-    r_abelian_via_cosets,
     r_addition,
     r_averaging,
 )

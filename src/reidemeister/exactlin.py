@@ -12,18 +12,21 @@ The module provides:
 * exact determinants and unimodular inverses;
 * ``_power_sum``, the one source of matrix powers and geometric sums
   (``IntMatrix.__pow__`` and the group laws read its bounded cache);
-* Smith normal form with recorded unimodular transforms (deterministic
-  pivoting, so U, D, V are reproducible);
 * ``unit_root_split``, the eigenvalue case of a 3x3 unimodular matrix:
   the multiplicities of 1 and -1 in its characteristic polynomial and the
   quadratic factor left over (irrational eigenvalues are never
   materialised; a 2x2 case is read off det and trace);
-* saturated eigenlattices, finite-order detection and coset
-  representatives;
+* finite-order detection;
 * ``system2_orbit``, every solution of the quadratic system as one orbit
   +-Q0 eps^k, or a proof that there is none, and ``least_solution``, the
   least solution in the one order solutions are reported in that passes
   a lifting test invariant under Q -> QA.
+
+There is no general Smith normal form: each lattice question the package
+asks has one fixed shape and is answered in closed form where it is asked
+(the kernel of one row here; the eigenvector of 1, the Tahara invariant
+and the classes of Z^2 / (I - Q) Z^2 in ``spectra`` and ``groups``).
+``tests/snf_reference.py`` keeps the Smith form as their cross-check.
 """
 
 from __future__ import annotations
@@ -375,152 +378,7 @@ def parse_vector(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """U * M * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    elementary_divisors: tuple[int, ...]
-
-
-def smith_normal_form(m: IntMatrix) -> SNFResult:
-    """Smith normal form with deterministic pivoting.
-
-    Pivot choice: smallest nonzero absolute value in the remaining
-    submatrix, ties broken by row index then column index.  Diagonal
-    entries are normalised non-negative, divisibility d1 | d2 | ... holds
-    and zero divisors come last.
-    """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        for k in range(cols):
-            a[dst][k] += q * a[src][k]
-        for k in range(rows):
-            u[dst][k] += q * u[src][k]
-
-    def add_col(src, dst, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        for k in range(cols):
-            a[i][k] = -a[i][k]
-        for k in range(rows):
-            u[i][k] = -u[i][k]
-
-    def pick_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                val = abs(a[i][j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-        return best
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        picked = pick_pivot(t)
-        if picked is None:
-            break
-        _, pi, pj = picked
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        if a[t][t] < 0:
-            negate_row(t)
-        # Clear row t and column t; a smaller remainder becomes the new pivot.
-        while True:
-            progressed = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        progressed = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        progressed = True
-            if not progressed:
-                break
-        # Enforce divisibility of all later entries by the pivot.
-        bad = None
-        piv = a[t][t]
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
-
-    dmat = IntMatrix.from_rows(a)
-    divisors = tuple(a[i][i] for i in range(limit))
-    return SNFResult(IntMatrix.from_rows(u), dmat, IntMatrix.from_rows(v), divisors)
-
-
-def kernel_lattice(m: IntMatrix) -> "LatticeBasis":
-    """Saturated basis of the integer kernel {v : M v = 0}.
-
-    The kernel basis consists of the columns of V at zero-divisor
-    positions; since V is unimodular this basis is automatically
-    saturated.
-    """
-    snf = smith_normal_form(m)
-    limit = min(m.rows, m.cols)
-    basis = []
-    for j in range(m.cols):
-        if j >= limit or snf.elementary_divisors[j] == 0:
-            basis.append(snf.V.column(j))
-    return LatticeBasis(m.cols, tuple(basis))
-
-
-# ---------------------------------------------------------------------------
-# Eigen machinery
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Basis of a saturated sublattice of Z^ambient_dim (possibly empty)."""
-
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+# Finite order and eigenvalues
 
 
 def finite_order(m: IntMatrix) -> int | None:
@@ -567,41 +425,6 @@ def unit_root_split(m: IntMatrix) -> tuple[int, int, tuple[int, int] | None]:
     return counts[1], counts[-1], (coeffs[0], coeffs[1]) if len(coeffs) == 3 else None
 
 
-def eigenlattice(a: IntMatrix, eps: int) -> LatticeBasis:
-    """Saturated basis of W_eps = {z in Z^n : A z = eps z} for eps = +-1."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    a._require_square("eigenlattice")
-    if not a.is_unimodular:
-        raise ValueError("eigenlattice requires a unimodular matrix")
-    shifted = a - IntMatrix.identity(a.rows).scale(eps)
-    return kernel_lattice(shifted)
-
-
-def coset_representatives(m: IntMatrix) -> list[tuple[int, ...]] | None:
-    """Representatives of Z^n / (image of M), or None when the index is infinite.
-
-    With U M V = D, the image of M is U^-1 (D Z^n), so U^-1 applied to the
-    box {0 <= x_i < d_i} is a transversal.
-    """
-    m._require_square("coset enumeration")
-    snf = smith_normal_form(m)
-    if any(d == 0 for d in snf.elementary_divisors):
-        return None
-    uinv = snf.U.inverse_unimodular()
-    reps: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], i: int):
-        if i == len(snf.elementary_divisors):
-            reps.append(uinv.apply(prefix))
-            return
-        for val in range(snf.elementary_divisors[i]):
-            rec(prefix + [val], i + 1)
-
-    rec([], 0)
-    return reps
-
-
 # ---------------------------------------------------------------------------
 # The quadratic system: one solution orbit
 
@@ -621,7 +444,13 @@ def system2_orbit(a: IntMatrix) -> tuple[IntMatrix, IntMatrix] | None:
     the fundamental automorph of f, sends Q0 to Q0 eps.
     """
     aa, bb, cc, dd = a.entries
-    u, v = kernel_lattice(IntMatrix(1, 3, (aa - dd, cc, bb))).basis
+    # a saturated basis of the kernel of the row (x, y, z) = (a-d, c, b):
+    # with g = gcd(y, z) = s y + t z and h = gcd(x, g), the vectors
+    # (0, z/g, -y/g) and (g/h, -(x/h) s, -(x/h) t); g != 0, as a hyperbolic
+    # A is not diagonal
+    x, (g, s, t) = aa - dd, _bezout(cc, bb)
+    h = math.gcd(x, g)
+    u, v = (0, bb // g, -cc // g), (g // h, -(x // h) * s, -(x // h) * t)
     # f(x, y) = fa x^2 + fb xy + fc y^2 on x u + y v
     fa, fc = -u[0] * u[0] - u[1] * u[2], -v[0] * v[0] - v[1] * v[2]
     fb = -2 * u[0] * v[0] - u[1] * v[2] - u[2] * v[1]
@@ -656,6 +485,15 @@ def system2_orbit(a: IntMatrix) -> tuple[IntMatrix, IntMatrix] | None:
     while form != first:
         form, t = rho(form, t)
     return q0, -q0 * block(t)  # Q0^-1 = -Q0, as Q0^2 = -I
+
+
+def _bezout(y: int, z: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(y, z) = s y + t z, by the extended Euclid."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while z:
+        q, r = divmod(y, z)
+        y, z, s0, s1, t0, t1 = z, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (y, s0, t0) if y >= 0 else (-y, -s0, -t0)
 
 
 def least_solution(

@@ -51,7 +51,6 @@ from typing import Callable, ClassVar, Mapping, Sequence
 from .exactlin import (
     IntMatrix,
     MatrixParseError,
-    coset_representatives,
     finite_order,
     least_solution,
     matrix_from_json,
@@ -541,13 +540,27 @@ class Z2MinusIExt(GroupFamily):
         return None
 
     def rnumber_route(self, spec):
-        m = self.fitting_matrix(spec)
-        reps = coset_representatives(IntMatrix.identity(2) - self.quotient_matrix(spec))
-        if reps is None:
+        """The sum of R((-I)^e A^f M) over the classes t^e u^f of
+        Z^2 / N Z^2, N = I - Q.  With g = gcd(N00, N01) and h = |det N| / g,
+        the image N Z^2 has the Hermite basis (g, *), (0, h), so the box
+        0 <= e < g, 0 <= f < h is a transversal.  The summand reads only
+        e mod 2 and f mod ord A, so each of at most 2 min(h, ord A) terms
+        is counted with its multiplicity; an action of infinite order has
+        h <= 4, as the u-exponent of the image of t is then 0."""
+        shift = IntMatrix.identity(2) - self.quotient_matrix(spec)
+        det = abs(shift.det())
+        if det == 0:
             return INFINITE, ("rnumber:identity-quotient",)
-        # the class of t^e u^f acts on the lattice by (-I)^e A^f
-        total = r_addition([(self.action ** f).scale((-1) ** (e % 2)) for e, f in reps], m)
-        return total, ("rnumber:quotient-class-sum",)
+        g = math.gcd(*shift.row(0))
+        h = det // g
+        k = finite_order(self.action) or h
+        m = self.fitting_matrix(spec)
+        terms = [
+            RNumber((g - e + 1) // 2 * ((h - f + k - 1) // k)) * r_abelian((self.action ** f).scale((-1) ** e) * m)
+            for e in range(min(g, 2))
+            for f in range(min(h, k))
+        ]
+        return reduce(operator.add, terms), ("rnumber:quotient-class-sum",)
 
 
 def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tuple[int, ...] | None]:

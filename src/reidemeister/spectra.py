@@ -34,13 +34,11 @@ from typing import Callable, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
-    eigenlattice,
     finite_order,
-    kernel_lattice,
     least_solution,
-    smith_normal_form,
     system2_orbit,
     unit_root_split,
+    _power_sum,
 )
 from .groups import (
     FreeAbelian,
@@ -269,7 +267,15 @@ def tahara_delta(a: IntMatrix) -> int:
     delta = 0 exactly when the fixed lattice of the eigenvalue 1 and the
     saturated invariant complement span all of Z^3 (index 1); otherwise
     delta = 1.  Requires a simple eigenvalue 1 and a complementary block
-    of finite order 2 or 3.
+    of finite order d = 2 or 3.
+
+    delta = 0 iff d divides every entry of S_d = I + A + ... + A^(d-1).
+    By the classification of Z[C_d]-lattices for d prime (Reiner,
+    Integral representations of cyclic groups of prime order, Proc. AMS
+    1957), Z^3 is either Z + L with L the complement (index 1) or
+    contains a summand Z[C_d] (index d).  S_d acts as d on Z and as 0 on
+    L, and on Z[C_d] it is the all-ones matrix, so only the second case
+    has an entry of S_d prime to d, in any basis.
     """
     if a.rows != 3 or a.cols != 3:
         raise HypothesisError("the delta invariant lives on 3x3 matrices")
@@ -280,17 +286,7 @@ def tahara_delta(a: IntMatrix) -> int:
     order = finite_order(a)
     if order not in (2, 3):
         raise HypothesisError("the complementary block must have order 2 or 3")
-    ident = IntMatrix.identity(3)
-    w1 = eigenlattice(a, 1)
-    if order == 2:
-        complement = kernel_lattice(a + ident)
-    else:
-        complement = kernel_lattice(a * a + a + ident)
-    if w1.rank != 1 or complement.rank != 2:
-        raise HypothesisError("unexpected eigenlattice ranks for a canonical finite-order form")
-    cols = [w1.basis[0], complement.basis[0], complement.basis[1]]
-    index = abs(IntMatrix.from_columns(cols).det())
-    return 0 if index == 1 else 1
+    return 0 if all(x % order == 0 for x in _power_sum(a.entries, order)[1]) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +369,37 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int]) -> Z3EightDecision
 def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
     """Change basis so A takes the form (1, C; 0, A'); returns (A', C).
 
-    The first basis vector is the primitive eigenvector of 1, extended to
-    a unimodular basis through the Smith transform of the column.
+    The first basis vector is the primitive eigenvector v of 1: A - I has
+    rank 2, so v is the cross product of two independent rows, divided by
+    its gcd and signed so its first nonzero entry is positive.  Row Euclid
+    on v (the smallest nonzero entry as pivot, floor quotients) gives a
+    unimodular U with U v = e1, and the basis is the columns of U^-1; a
+    block form has v = e1 and U = I, so it maps to itself.
     """
-    w1 = eigenlattice(a, 1)
-    if w1.rank != 1:
+    r0, r1, r2 = (a - IntMatrix.identity(3)).to_rows()
+    for x, y in ((r0, r1), (r0, r2), (r1, r2)):
+        v = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+        if any(v):
+            break
+    else:
         raise HypothesisError("eigenvalue 1 must be simple")
-    v = w1.basis[0]
-    col = IntMatrix.from_columns([v])
-    snf = smith_normal_form(col)
-    # U v = e1 for a primitive column, so U^-1 has v as first column
-    p = snf.U.inverse_unimodular()
-    if snf.D.column(0) != (1, 0, 0):
-        raise HypothesisError("eigenvector is not primitive")
-    b = snf.U * a * p
-    a_prime = IntMatrix.from_rows([[b[1, 1], b[1, 2]], [b[2, 1], b[2, 2]]])
-    c_row = (b[0, 1], b[0, 2])
-    if (b[1, 0], b[2, 0]) != (0, 0) or b[0, 0] != 1:
-        raise AssertionError("basis change failed to produce the block form")
-    return a_prime, c_row
+    g = math.gcd(*v) * (1 if next(e for e in v if e) > 0 else -1)
+    v = [e // g for e in v]
+    u = IntMatrix.identity(3).to_rows()
+    pivot = min((i for i in range(3) if v[i]), key=lambda i: abs(v[i]))
+    v[0], v[pivot], u[0], u[pivot] = v[pivot], v[0], u[pivot], u[0]
+    if v[0] < 0:
+        v[0], u[0] = -v[0], [-e for e in u[0]]
+    while any(v[1:]):
+        for i in (1, 2):
+            if v[i]:
+                q = v[i] // v[0]
+                v[i], u[i] = v[i] - q * v[0], [e - q * f for e, f in zip(u[i], u[0])]
+                if v[i]:
+                    v[0], v[i], u[0], u[i] = v[i], v[0], u[i], u[0]
+    u = IntMatrix.from_rows(u)
+    b = u * a * u.inverse_unimodular()
+    return IntMatrix(2, 2, (b[1, 1], b[1, 2], b[2, 1], b[2, 2])), (b[0, 1], b[0, 2])
 
 
 def _order_two_block(delta: int, trace: list[str]) -> SpectrumResult:
@@ -594,7 +602,7 @@ def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int) -> SpectrumResult
     Z^3 x|_M Z with a non-diagonal -1 block.
     """
     p, q, r, _ = a.entries
-    # A^2 = I, so each column of A - I lies in the (-1)-eigenlattice
+    # A^2 = I, so each column of A - I is a (-1)-eigenvector
     v1, v2 = (q, -p - 1) if (q, p + 1) != (0, 0) else (p - 1, r)
     g = math.gcd(v1, v2)
     v1, v2 = v1 // g, v2 // g

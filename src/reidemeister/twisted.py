@@ -14,7 +14,9 @@ them across a quotient with one sum:
 The formula routes in ``groups`` choose the matrices.  A route runs
 only on a verified automorphism, so the hypotheses of its sum (such as
 M A = A^-1 M for the two-step sum of Z^n x| Z) hold already and are not
-checked again here.
+checked again here.  The index of the image of I - M, which
+|det(I - M)| counts, is recomputed from Smith form divisors only in the
+tests (``tests/snf_reference.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactlin import IntMatrix, smith_normal_form
+from .exactlin import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,6 @@ def r_abelian(m: IntMatrix) -> RNumber:
     m._require_square("abelian Reidemeister number")
     d = (IntMatrix.identity(m.rows) - m).det()
     return INFINITE if d == 0 else RNumber(abs(d))
-
-
-def r_abelian_via_cosets(m: IntMatrix) -> RNumber:
-    """Independent oracle: index of the image of (I - M) in Z^n via SNF divisors."""
-    m._require_square("abelian Reidemeister number")
-    divisors = smith_normal_form(IntMatrix.identity(m.rows) - m).elementary_divisors
-    if any(d == 0 for d in divisors):
-        return INFINITE
-    index = 1
-    for d in divisors:
-        index *= d
-    return RNumber(index)
 
 
 def r_addition(matrices: Sequence[IntMatrix], m: IntMatrix) -> RNumber:

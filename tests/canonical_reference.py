@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from reidemeister.exactlin import DimensionError, IntMatrix, eigenlattice, finite_order
+from reidemeister.exactlin import DimensionError, IntMatrix, finite_order
 from reidemeister.groups import (
     AutomorphismSpec,
     Heisenberg,
@@ -27,6 +27,7 @@ from reidemeister.groups import (
     _z2_by_z2_mul,
 )
 from reidemeister.spectra import SpectrumResult, classify_z2_minusI_ext, classify_z3_semidirect
+from snf_reference import eigenlattice
 
 
 def centralizer_exponent(m: IntMatrix, x: IntMatrix) -> int | None:

@@ -30,9 +30,10 @@ from reidemeister.spectra import (
     decide_system2,
     decide_z3_eight,
 )
-from reidemeister.twisted import RNumber, r_abelian, r_abelian_via_cosets
+from reidemeister.twisted import RNumber, r_abelian
 from canonical_reference import ExtensionPresentation, apply_substitution, canonicalize_z2_by_z2
 from conftest import random_unimodular
+from snf_reference import r_abelian_via_cosets
 
 I2 = IntMatrix.identity(2)
 WEL = parse_matrix("2,3;3,5")

@@ -243,6 +243,40 @@ def test_double_ext_spectrum_of_a_large_hyperbolic_action():
     assert env["result"]["spectrum"] == {"kind": "finite", "values": [8]}
 
 
+def test_z3_spectrum_of_a_conjugated_large_hyperbolic_block():
+    # P (1, (1,0); 0, (2,1;1,1)^70) P^-1 has entries near 10^29; the
+    # eigenvector of 1 and its basis completion are closed forms
+    a_prime = parse_matrix("2,1;1,1") ** 70
+    block = parse_matrix("1,1,0;0,%d,%d;0,%d,%d" % a_prime.entries)
+    p = parse_matrix("1,1,0;0,1,1;1,1,1")
+    matrix = (p * block * p.inverse_unimodular()).to_text()
+    started = time.perf_counter()
+    code, out, err = invoke(["spectrum", "--family", "z3-semidirect", "--matrix", matrix])
+    assert time.perf_counter() - started < 5.0
+    assert (code, err) == (EXIT_OK, "")
+    assert payload(out)["trace"][0] == "z3:hyperbolic-block"
+
+
+def test_double_ext_rnumber_counts_a_large_quotient_by_class(tmp_path):
+    # Q = (a, 2; (a^2-1)/2, a) has |det(I - Q)| = 2(a - 1) cosets; they are
+    # counted by class, not listed
+    a = 10**12 + 1
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(
+        json.dumps(
+            {
+                "family": {"tag": "z2-minusi-ext", "matrix": [[1, 0], [0, 1]], "n0": [0, 0]},
+                "images": {"e1": [2, 1, 0, 0], "e2": [1, 1, 0, 0], "t": [0, 0, a, (a * a - 1) // 2], "u": [0, 0, 2, a]},
+            }
+        )
+    )
+    started = time.perf_counter()
+    code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
+    assert time.perf_counter() - started < 5.0
+    assert (code, err) == (EXIT_OK, "")
+    assert payload(out)["result"]["rnumber"] == 6 * 10**12
+
+
 def test_double_ext_small_actions_end_in_a_result_or_one_error_line():
     # every det +-1 action in [-2,2]^4 and n0 in [-1,1]^2, spectrum and phi_eight
     rows = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3) for d in range(-2, 3)]

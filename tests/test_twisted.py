@@ -18,11 +18,11 @@ from reidemeister.groups import (
 from reidemeister.twisted import (
     RNumber,
     r_abelian,
-    r_abelian_via_cosets,
     r_addition,
     r_averaging,
 )
 from conftest import random_unimodular, unimodular_matrices
+from snf_reference import r_abelian_via_cosets
 
 I2 = IntMatrix.identity(2)
 FIB = parse_matrix("2,3;3,5")
