@@ -130,9 +130,6 @@ class GroupFamily:
 
     json_tag: ClassVar[str]
     generator_names: tuple[str, ...] = ()
-    # Every twist g -> z g w is affine in the first ``affine_slots`` slots
-    # once the remaining (top) slots are fixed; 0 declares no such slots.
-    affine_slots: ClassVar[int] = 0
 
     @property
     def slots(self) -> int:
@@ -394,11 +391,6 @@ class ZnSemidirectZ(GroupFamily):
     def n(self) -> int:
         return self.action.rows
 
-    @property
-    def affine_slots(self) -> int:
-        # z (v, k) w = (z_v + A^(z_k) v + A^(z_k + k) w_v, z_k + k + w_k)
-        return self.n
-
     def multiply(self, a, b):
         n = self.n
         p = _power_sum(self.action.entries, a[n])[0]
@@ -482,7 +474,6 @@ class Z2MinusIExt(GroupFamily):
     """(Z^2 x|_{-I} Z) x|_psi Z with psi(v t^k) = A(v) (n0 t)^k."""
 
     json_tag = "z2-minusi-ext"
-    affine_slots = 2  # e1, e2: t and u act on them by integer affine maps
     action: IntMatrix
     n0: tuple[int, int]
 
@@ -1112,9 +1103,10 @@ _WITNESS_BUILDERS = {
 # Twisted-conjugacy labeling oracle
 
 
-# The outer ball of label_classes has (2 r + 5)^slots sites; above this cap
-# the oracle refuses before it allocates anything.  The largest ball in the
-# tests and the benchmark is 13^4 = 28 561 sites.
+# The outer ball of label_classes has (2 r + 5)^slots sites, walked in
+# rows of 2 r + 5; above this cap the oracle refuses before it allocates
+# anything.  The largest ball in the tests and the benchmark is 13^4 =
+# 28 561 sites.
 MAX_BALL_SITES = 100_000
 
 
@@ -1123,14 +1115,14 @@ class ClassLabeling:
     """Twisted-conjugacy labels over a bounded exponent ball.
 
     The labels come from one incremental union-find saturation of the
-    radius-(r+2) ball (see ``label_classes``): the edges inside the
-    radius-(r+1) ball are merged first and the radius-r labels read off
-    there, so merge paths grazing the boundary are not reported as
-    spurious extra classes.  ``complete`` is a heuristic fixed-point
-    certificate read off the finished saturation: the class count did not
-    change when the radius grew by one and every class already meets the
-    interior of the ball.  It is never a proof; the formula paths stay
-    authoritative and the oracle is a falsifier.
+    radius-(r+2) ball, walked row by row with one twist per generator (see
+    ``label_classes``): the edges inside the radius-(r+1) ball are merged
+    first and the radius-r labels read off there, so merge paths grazing
+    the boundary are not reported as spurious extra classes.  ``complete``
+    is a heuristic fixed-point certificate read off the finished
+    saturation: the class count did not change when the radius grew by one
+    and every class already meets the interior of the ball.  It is never a
+    proof; the formula paths stay authoritative, the oracle a falsifier.
     """
 
     ball_radius: int
@@ -1142,54 +1134,47 @@ class ClassLabeling:
         return len(set(self.labels.values()))
 
 
-def _twist_map(family: GroupFamily, z: tuple[int, ...], w: tuple[int, ...]):
-    """The map g -> z g w on exponent tuples.
+def _row_span(h0: tuple[int, ...], d: tuple[int, ...], bound: int, side: int) -> tuple[int, int]:
+    """The k in range(side) with h0 + k d in the sup-norm ball of radius
+    bound, as a half-open interval (start, stop), empty when start >= stop."""
+    start, stop = 0, side
+    for h, s in zip(h0, d):
+        if s < 0:  # the ball is symmetric
+            h, s = -h, -s
+        if s:
+            start = max(start, -((bound + h) // s))
+            stop = min(stop, (bound - h) // s + 1)
+        elif abs(h) > bound:
+            return 0, 0
+    return start, stop
 
-    On a family that declares affine slots the map is compiled: for each
-    value of the top slots it is affine in the affine slots, and the
-    affine piece is read off the family's own ``multiply`` at 0 and at the
-    unit vectors, then cached by the top slots for the life of the map.
-    Other families multiply twice.
-    """
-    mul = family.multiply
-    n = family.affine_slots
-    if not n:
-        return lambda g: mul(mul(z, g), w)
-    zero = (0,) * n
-    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
-    pieces: dict[tuple[int, ...], list] = {}
 
-    def apply(g):
-        top = g[n:]
-        rows = pieces.get(top)
-        if rows is None:
-            # one row per output slot: its constant and, unless the slot is
-            # constant, the coefficient of each affine slot
-            base = mul(mul(z, zero + top), w)
-            cols = [mul(mul(z, unit + top), w) for unit in units]
-            rows = []
-            for i, b in enumerate(base):
-                coeffs = tuple(col[i] - b for col in cols)
-                rows.append((b, coeffs if any(coeffs) else None))
-            pieces[top] = rows
-        v = g[:n]
-        return tuple([b if coeffs is None else b + sum(map(operator.mul, coeffs, v)) for b, coeffs in rows])
-
-    return apply
+def _ball_offsets(side: int, slots: int, radius: int) -> list[int]:
+    """The indices of the radius ball's sites, in sorted order, when the
+    sites of the ball of the given side are numbered in sorted order."""
+    centre = side // 2
+    offsets = [0]
+    for _ in range(slots):
+        offsets = [i * side + c for i in offsets for c in range(centre - radius, centre + radius + 1)]
+    return offsets
 
 
 def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     """Union-find saturation of g ~ z g phi(z)^-1 over an exponent ball.
 
-    One saturation of the radius-(r+2) ball, z running over the generators
-    and their inverses.  The radius-(r+1) edges are exactly the
-    radius-(r+2) edges with both ends in the radius-(r+1) ball, so those
-    are merged first and the radius-r labels and class count taken as a
+    One saturation of the radius-(r+2) ball with one twist per generator
+    z: the twist by z^-1 is its inverse map and gives the same edges.
+    Each twist is affine in slot 0 once the other slots are fixed, so the
+    ball is walked in rows along slot 0: two twists give a row's start h0
+    and step d, the k with h0 + k d in the ball form one interval, and the
+    image's index in the sorted ball is index(h0) + k (d . strides).  The
+    radius-(r+1) edges, those with both ends in the radius-(r+1) ball, are
+    merged first and the radius-r labels and class count taken as a
     snapshot, in first-seen order over the sorted ball; then the edges
-    leaving the radius-(r+1) ball are merged, and the class count over
-    the radius-(r+1) ball and the interior certificate are read off the
-    finished structure.  Raises ValueError when the outer ball would hold
-    more than MAX_BALL_SITES sites.
+    leaving that ball are merged, and the class count over it and the
+    interior certificate are read off the finished structure.  Raises
+    ValueError when the outer ball would hold more than MAX_BALL_SITES
+    sites.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -1205,14 +1190,10 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
             "the radius-%d oracle needs a ball of %d^%d = %d sites, above the cap of %d"
             % (radius, side, slots, size, MAX_BALL_SITES)
         )
-    twists = []
-    for gen in fam.generators():
-        for z in (gen, gen.inverse()):
-            twists.append(_twist_map(fam, z.exponents, spec.apply(z).inverse().exponents))
-
-    # site index = position in the sorted outer ball
-    index = {g: i for i, g in enumerate(product(range(-outer, outer + 1), repeat=slots))}
-    reach = [max(max(g), -min(g)) for g in index]  # sup norm
+    mul = fam.multiply
+    twists = [(z.exponents, spec.apply(z).inverse().exponents) for z in fam.generators()]
+    strides = [side ** (slots - 1 - i) for i in range(slots)]
+    step = strides[0]
     parent = list(range(size))
 
     def find(x):
@@ -1227,29 +1208,43 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
         elif y < x:
             parent[x] = y
 
-    leaving = array("l")  # flat (g, h) index pairs of the edges leaving ball(r+1)
-    for g, gi in index.items():
-        g_inside = reach[gi] <= inner
-        for twist in twists:
-            hi = index.get(twist(g))
-            if hi is None:
+    leaving_g, leaving_h = array("l"), array("l")  # the edges leaving ball(r+1)
+    for base, rest in enumerate(product(range(-outer, outer + 1), repeat=slots - 1)):
+        # the row's sites (k - outer, rest), 0 <= k < side; those with
+        # 1 <= k < g_stop lie in ball(r+1)
+        sources = range(base, size, step)
+        g_stop = side - 1 if max(map(abs, rest), default=0) <= inner else 0
+        first, second = (-outer,) + rest, (1 - outer,) + rest
+        for z, w in twists:
+            h0 = mul(mul(z, first), w)
+            d = tuple(map(operator.sub, mul(mul(z, second), w), h0))
+            lo, hi = _row_span(h0, d, outer, side)
+            if lo >= hi:
                 continue
-            if g_inside and reach[hi] <= inner:
-                union(gi, hi)
-            else:
-                leaving.extend((gi, hi))
+            # image indices index(h0) + k (d . strides); that step is 0 only
+            # when at most one image lies in the ball
+            start = sum((x + outer) * s for x, s in zip(h0, strides))
+            image_step = sum(map(operator.mul, d, strides))
+            images = range(start, start + side * image_step, image_step) if image_step else [start] * side
+            a, b = _row_span(h0, d, inner, side)
+            a, b = max(a, 1), min(b, g_stop)
+            for x, y in zip(sources[a:b], images[a:b]):
+                union(x, y)
+            if a >= b:  # no edge inside ball(r+1): all of [lo, hi) leaves it
+                a = b = lo
+            for part in (slice(lo, a), slice(b, hi)):
+                leaving_g.extend(sources[part])
+                leaving_h.extend(images[part])
 
     labels: dict[tuple[int, ...], int] = {}
     assigned: dict[int, int] = {}
-    for g, gi in index.items():
-        if reach[gi] <= radius:
-            labels[g] = assigned.setdefault(find(gi), len(assigned))
+    for g, gi in zip(product(range(-radius, radius + 1), repeat=slots), _ball_offsets(side, slots, radius)):
+        labels[g] = assigned.setdefault(find(gi), len(assigned))
     count = len(assigned)
 
-    pairs = iter(leaving)
-    for gi, hi in zip(pairs, pairs):
-        union(gi, hi)
-    roots_next = {find(i) for i in range(size) if reach[i] <= inner}
-    roots_interior = {find(i) for i in range(size) if reach[i] <= radius - 1}
+    for x, y in zip(leaving_g, leaving_h):
+        union(x, y)
+    roots_next = set(map(find, _ball_offsets(side, slots, inner)))
+    roots_interior = set(map(find, _ball_offsets(side, slots, radius - 1)))
     complete = count == len(roots_next) == len(roots_interior)
     return ClassLabeling(radius, labels, complete)

@@ -313,6 +313,23 @@ def test_oracle_incomplete_exit_code(tmp_path):
     assert body["complete"] is False and body["formula"] == "infinity"
 
 
+def test_oracle_far_translation_has_no_edges_and_exits_at_once(tmp_path):
+    # e1 -> e1 + 10^12 e2: the twist by e1 moves every site 10^12 along e2,
+    # so each of its rows has an empty k-interval, and the twist by e2 is
+    # the identity
+    spec_file = tmp_path / "far.json"
+    spec_file.write_text(
+        json.dumps({"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": [1, 10**12], "e2": [0, 1]}})
+    )
+    start = time.perf_counter()
+    code, out, _ = invoke(["oracle", "--spec-json", str(spec_file), "--radius", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_UNDECIDED
+    body = payload(out)["result"]
+    assert body["classes"] == 5 ** 2
+    assert body["complete"] is False and body["formula"] == "infinity"
+
+
 def test_rnumber_from_spec_json(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(

@@ -1,6 +1,8 @@
+from functools import lru_cache
 from itertools import product
 import json
 
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from reidemeister.exactlin import IntMatrix, finite_order, parse_matrix
@@ -389,22 +391,36 @@ def test_label_classes_matches_formula_for_phi_m():
     assert labeling.class_count == 4
 
 
-def test_label_classes_twisted_invariance(rng):
-    spec = witness(ZnSemidirectZ(-I2), "M_m", 2)
-    labeling = label_classes(spec, 4)
-    fam = spec.family
-    gens = fam.generators()
-    checked = 0
-    for _ in range(400):
-        g = fam.element([rng.randint(-3, 3) for _ in range(fam.slots)])
-        z = rng.choice(gens)
-        if rng.random() < 0.5:
-            z = z.inverse()
-        h = z * g * spec.apply(z).inverse()
-        if g.exponents in labeling.labels and h.exponents in labeling.labels:
-            assert labeling.labels[g.exponents] == labeling.labels[h.exponents]
-            checked += 1
-    assert checked > 100
+# (family, witness id, parameter range, radius) of the invariance test
+INVARIANCE_CASES = [
+    (ZnSemidirectZ(-I2), "M_m", (1, 6), 4),
+    (HnSemidirectZ(1, 1, 0), "M_r", (1, 3), 2),
+    (HeisenbergTimesZ(1), "phi_m", (1, 4), 2),
+    (Z2MinusIExt(FIB, (1, 1)), "phi_eight", (1, 1), 2),
+]
+
+
+@lru_cache(maxsize=None)
+def _invariance_labeling(case: int, param: int):
+    family, wid, _, radius = INVARIANCE_CASES[case]
+    spec = witness(family, wid, param)
+    return spec, label_classes(spec, radius)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_label_classes_twisted_invariance(data):
+    # the oracle merges along the twists by the generators only; the twist
+    # by z^-1 is the inverse map, so g and z^-1 g phi(z) share a label too
+    case = data.draw(st.integers(0, len(INVARIANCE_CASES) - 1))
+    family, _, (lo, hi), radius = INVARIANCE_CASES[case]
+    spec, labeling = _invariance_labeling(case, data.draw(st.integers(lo, hi)))
+    g = family.element(data.draw(st.tuples(*[st.integers(-radius, radius)] * family.slots)))
+    gen = data.draw(st.sampled_from(family.generators()))
+    z = gen.inverse() if data.draw(st.booleans()) else gen
+    h = z * g * spec.apply(z).inverse()
+    assume(h.exponents in labeling.labels)
+    assert labeling.labels[g.exponents] == labeling.labels[h.exponents]
 
 
 def test_label_classes_requires_verified():

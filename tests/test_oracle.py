@@ -1,4 +1,5 @@
-"""The ball oracle against its two-pass reference, and its compiled twists."""
+"""The ball oracle against its two-pass reference, and the slot-0 affinity
+of the twists its row walk relies on."""
 
 from itertools import product
 
@@ -14,7 +15,6 @@ from reidemeister.groups import (
     HnSemidirectZ,
     Z2MinusIExt,
     ZnSemidirectZ,
-    _twist_map,
     label_classes,
     tahara_form_order2,
     tahara_form_order3,
@@ -82,39 +82,73 @@ def test_label_classes_matches_two_pass_reference(family, wid, param, radius):
     _assert_same_labeling(witness(family, wid, param), radius)
 
 
-def _hyperbolic_flip() -> AutomorphismSpec:
+def _hyperbolic_flip(a: IntMatrix = WEL) -> AutomorphismSpec:
     # J A J^-1 = A^-1 for J = [[0,-1],[1,0]] and symmetric A, so
     # e_i -> J e_i, t -> t^-1 is an automorphism of Z^2 x|_A Z
     spec = AutomorphismSpec.from_images(
-        ZnSemidirectZ(WEL), {"e1": (0, 1, 0), "e2": (-1, 0, 0), "t": (0, 0, -1)}
+        ZnSemidirectZ(a), {"e1": (0, 1, 0), "e2": (-1, 0, 0), "t": (0, 0, -1)}
     )
     assert verify_automorphism(spec)
     return replace(spec, verified=True)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        witness(ZnSemidirectZ(-I2), "M_m", 3),
-        witness(ZnSemidirectZ(-I3), "M_m", 2),
-        witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 2),
-        witness(ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha", 2),
-        _hyperbolic_flip(),
-        witness(Z2MinusIExt(WEL, (1, -2)), "phi_eight", 1),
-    ],
-    ids=["minus-I2", "minus-I3", "tahara-order2", "tahara-order3", "hyperbolic", "double-ext"],
-)
-def test_compiled_twist_maps_equal_two_multiplies(spec):
+# one spec per group law, with every branch of each: matrix-backed actions
+# of finite and infinite order, steps that flip sign, an odd and an even n
+AFFINITY_SPECS = {
+    "free-abelian-1": witness(FreeAbelian(1), "negation", 1),
+    "free-abelian-4": witness(FreeAbelian(4), "target", 3),
+    "heisenberg": witness(Heisenberg(2), "phi_m", 3),
+    "heisenberg-times-z": witness(HeisenbergTimesZ(1), "phi_m", 2),
+    "hn-odd-n": witness(HnSemidirectZ(1, 1, 0), "M_r", 2),
+    "hn-even-n": witness(HnSemidirectZ(2, 1, 1), "M_r", 2),
+    "minus-I2": witness(ZnSemidirectZ(-I2), "M_m", 3),
+    "minus-I3": witness(ZnSemidirectZ(-I3), "M_m", 2),
+    "tahara-order2": witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 2),
+    "tahara-order3": witness(ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha", 2),
+    "hyperbolic": _hyperbolic_flip(),
+    "double-ext": witness(Z2MinusIExt(WEL, (1, -2)), "phi_eight", 1),
+}
+
+
+@pytest.mark.parametrize("spec", AFFINITY_SPECS.values(), ids=AFFINITY_SPECS.keys())
+def test_twists_are_affine_in_slot_zero(spec):
+    # label_classes walks each row (slot 0 varying, the rest fixed) from two
+    # twists, so every twist g -> z g phi(z)^-1 must be affine along it:
+    # T(g + 2 e0) - 2 T(g + e0) + T(g) = 0 on every row of the outer ball
+    # of a radius-2 labeling
     fam = spec.family
-    assert fam.affine_slots > 0
-    outer = 4  # the outer ball of a radius-2 labeling
-    sites = list(product(range(-outer, outer + 1), repeat=fam.slots))
+    mul = fam.multiply
+    outer = 4
     for gen in fam.generators():
-        for z in (gen, gen.inverse()):
-            w = spec.apply(z).inverse().exponents
-            compiled = _twist_map(fam, z.exponents, w)
-            for g in sites:
-                assert compiled(g) == fam.multiply(fam.multiply(z.exponents, g), w)
+        z, w = gen.exponents, spec.apply(gen).inverse().exponents
+        for rest in product(range(-outer, outer + 1), repeat=fam.slots - 1):
+            row = [mul(mul(z, (k,) + rest), w) for k in range(-outer, outer + 1)]
+            for t0, t1, t2 in zip(row, row[1:], row[2:]):
+                assert all(a - 2 * b + c == 0 for a, b, c in zip(t0, t1, t2))
+
+
+# edge cases of the row walk: one slot (each row is the whole ball, its
+# rest the empty tuple), four abelian slots, and images that step
+# negatively along a row: t acts by -I2, or by the hyperbolic A^-1 of WEL
+ROW_WALK_CASES = {
+    "free-abelian-1": (witness(FreeAbelian(1), "negation", 1), 5, False),
+    "free-abelian-4": (witness(FreeAbelian(4), "target", 2), 2, False),
+    "minus-I2-flip": (witness(ZnSemidirectZ(-I2), "M_m", 5), 3, True),
+    "hyperbolic-flip": (_hyperbolic_flip(WEL.inverse_unimodular()), 2, True),
+}
+
+
+@pytest.mark.parametrize("spec, radius, steps_back", ROW_WALK_CASES.values(), ids=ROW_WALK_CASES.keys())
+def test_row_walk_edge_cases_match_reference(spec, radius, steps_back):
+    fam = spec.family
+    origin, unit = (0,) * fam.slots, (1,) + (0,) * (fam.slots - 1)
+    steps = []
+    for gen in fam.generators():
+        z, w = gen.exponents, spec.apply(gen).inverse().exponents
+        start, second = (fam.multiply(fam.multiply(z, g), w) for g in (origin, unit))
+        steps.extend(b - a for a, b in zip(start, second))
+    assert (min(steps) < 0) == steps_back
+    _assert_same_labeling(spec, radius)
 
 
 # (family, witness id, parameter range, largest radius): the radius stops
