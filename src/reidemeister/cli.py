@@ -5,9 +5,15 @@ stdout wrapped in an envelope (result payload, derivation trace, tool
 version, search bound); diagnostics go to stderr.  Exit codes: 0 for a
 decided result, 2 when a z2-semidirect spectrum or ``decide`` finds no
 solution within the bound or an oracle labeling is incomplete, 1 on
-input errors and internal failures.  The bound affects only those two
-answers.  The environment variable TWISTED_BOUND overrides the default
-bound; --bound overrides both.  Either is refused above MAX_BOUND.
+input errors (argument errors included, as one ``error:`` line) and
+internal failures.  The bound affects only those two answers.  The
+environment variable TWISTED_BOUND overrides the default bound; --bound
+overrides both.  Either is refused above MAX_BOUND.
+
+Each ``--family`` slug builds one group from its flags (``FAMILY_TABLE``):
+``spectrum`` classifies it, ``rnumber`` and ``oracle`` take witnesses on
+it.  ``hn-semidirect`` reads ``--matrix`` (default -I) and ``--k``/``--l``
+(default 0), and has automorphisms only for the inverting action -I.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from dataclasses import replace as _dc_replace
 from .spectra import (
     HypothesisError,
     SpectrumDescriptor,
-    SpectrumResult,
     THREE_STEP,
     classify_hn_semidirect,
     classify_nilpotent,
@@ -61,8 +66,16 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in one ``error:`` line and exit
+    code 1 like every other input error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reidemeister",
         description="Exact Reidemeister numbers and spectra for solvmanifold fundamental groups",
     )
@@ -79,9 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--matrix", help="acting matrix, rows separated by ';', entries by ','")
     fam.add_argument("--n0", help="inner twist vector for the double extension, e.g. '1,0'")
     fam.add_argument("--n", type=int, help="rank / Heisenberg parameter")
-    fam.add_argument("--k", type=int, help="central twist of x for hn-semidirect")
-    fam.add_argument("--l", type=int, help="central twist of y for hn-semidirect")
-    fam.add_argument("--twists", help="central twists 'cx,cy' for a matrix action on hn-semidirect")
+    fam.add_argument("--k", type=int, default=0, help="central twist of x for hn-semidirect (default 0)")
+    fam.add_argument("--l", type=int, default=0, help="central twist of y for hn-semidirect (default 0)")
 
     p = sub.add_parser("rnumber", parents=[common, fam], help="Reidemeister number of one automorphism")
     p.add_argument("--witness", help="witness id (phi_m, M_m, phi_alpha, M_r, phi_eight, target, negation)")
@@ -147,35 +159,26 @@ def _n0_arg(args) -> tuple[int, ...]:
     return parse_vector(_need(args, "n0", "--n0 is required for double-ext"))
 
 
+def _hn_action(args) -> IntMatrix:
+    return _matrix_arg(args, 2) if args.matrix is not None else -IntMatrix.identity(2)
+
+
 def _hn_family(args) -> HnSemidirectZ:
-    return HnSemidirectZ(_n_arg(args), args.k if args.k is not None else 0, args.l if args.l is not None else 0)
-
-
-def _hn_spectrum(args, bound) -> SpectrumResult:
-    n = _n_arg(args)
-    if args.matrix is not None:
-        twists = parse_vector(args.twists) if args.twists else (0, 0)
-        if len(twists) != 2:
-            raise CliError("--twists needs two values 'k,l', got %d" % len(twists))
-        return classify_hn_semidirect(n, _matrix_arg(args, 2), bound, tuple(twists))
-    k = _need(args, "k", "--k/--l or --matrix is required for hn-semidirect")
-    l = _need(args, "l", "--k/--l or --matrix is required for hn-semidirect")
-    return classify_hn_semidirect(n, (k, l), bound)
+    if _hn_action(args) != -IntMatrix.identity(2):
+        raise CliError("hn-semidirect automorphisms need the inverting action --matrix=-1,0;0,-1")
+    return HnSemidirectZ(_n_arg(args), args.k, args.l)
 
 
 class CliFamily(NamedTuple):
     """One row of the CLI family table: ``build(args)`` makes the group
-    family that ``--witness`` acts on (None for a slug that only has a
-    spectrum), and ``classify(args, bound)`` computes its spectrum."""
+    family that ``--witness`` acts on, and ``classify(args, bound)``
+    computes the spectrum of that group."""
 
-    build: Callable | None
+    build: Callable
     classify: Callable
 
 
-def _nilpotent(cls) -> CliFamily:
-    def build(args):
-        return cls(_n_arg(args))
-
+def _nilpotent(build) -> CliFamily:
     return CliFamily(build, lambda args, bound: classify_nilpotent(build(args)))
 
 
@@ -192,11 +195,14 @@ FAMILY_TABLE = {
         lambda args: Z2MinusIExt(_matrix_arg(args, 2), _n0_arg(args)),
         lambda args, bound: classify_z2_minusI_ext(_matrix_arg(args, 2), _n0_arg(args), bound),
     ),
-    "hn-semidirect": CliFamily(_hn_family, _hn_spectrum),
-    "free-abelian": _nilpotent(FreeAbelian),
-    "heisenberg": _nilpotent(Heisenberg),
-    "heisenberg-times-z": _nilpotent(HeisenbergTimesZ),
-    "three-step": CliFamily(None, lambda args, bound: classify_nilpotent(THREE_STEP)),
+    "hn-semidirect": CliFamily(
+        _hn_family,
+        lambda args, bound: classify_hn_semidirect(_n_arg(args), _hn_action(args), bound, (args.k, args.l)),
+    ),
+    "free-abelian": _nilpotent(lambda args: FreeAbelian(_n_arg(args))),
+    "heisenberg": _nilpotent(lambda args: Heisenberg(_n_arg(args))),
+    "heisenberg-times-z": _nilpotent(lambda args: HeisenbergTimesZ(_n_arg(args))),
+    "three-step": _nilpotent(lambda args: THREE_STEP),
 }
 
 
@@ -222,10 +228,7 @@ def _spec_from_args(args) -> AutomorphismSpec:
         return _dc_replace(spec, verified=True)
     name = _need(args, "witness", "either --spec-json or --witness/--param is required")
     param = _need(args, "param", "--param is required with --witness")
-    build = _family_row(args).build
-    if build is None:
-        raise CliError("family %r has no automorphism witnesses" % args.family)
-    return witness(build(args), name, param)
+    return witness(_family_row(args).build(args), name, param)
 
 
 def _envelope(result, trace, bound) -> dict:
@@ -270,12 +273,8 @@ def _plain(value) -> str:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         bound = _resolve_bound(args)
         if args.command == "rnumber":
             spec = _spec_from_args(args)
@@ -315,6 +314,9 @@ def run(argv, stdout=None, stderr=None) -> int:
             _emit(_envelope(payload, ["oracle:ball-saturation"], bound), args.format, stdout)
             return EXIT_OK if labeling.complete else EXIT_UNDECIDED
         raise CliError("unknown command %r" % args.command)
+    except SystemExit as exc:
+        # only --help and --version exit here; a parse error raises CliError
+        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     except (CliError, MatrixParseError, HypothesisError, ValueError, OSError) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_ERROR

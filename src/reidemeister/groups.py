@@ -714,8 +714,9 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class AutomorphismSpec:
-    """Generator images in normal form; derived matrices are always
-    recomputed from the images, never stored."""
+    """Generator images in normal form; the layer matrices are derived
+    from the images by the family (``family.fitting_matrix(spec)``),
+    never stored."""
 
     family: GroupFamily
     images: tuple[GroupElement, ...]
@@ -778,18 +779,6 @@ class AutomorphismSpec:
             return cls.from_images(family, images)
         except TypeError as exc:
             raise ValueError("malformed generator image: %s" % exc) from None
-
-    # -- derived matrices --------------------------------------------------
-
-    @property
-    def fitting_matrix(self) -> IntMatrix:
-        """Action on the canonical abelian normal layer of the family."""
-        return self.family.fitting_matrix(self)
-
-    @property
-    def quotient_matrix(self) -> IntMatrix:
-        """Action on the abelianized top layer of the family."""
-        return self.family.quotient_matrix(self)
 
 
 @dataclass(frozen=True)

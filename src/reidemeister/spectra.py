@@ -24,6 +24,12 @@ lands on is read off in O(1): the parity of n / gcd(n, c), the parity of
 n0, or the order of A.  Their traces keep the rule ids of that route
 (``ext:canonicalized`` and what follows); ``tests/canonical_reference.py``
 keeps the route itself as the reference the rules are tested against.
+
+Each nilpotent spectrum is written once, in ``_NILPOTENT_SPECTRA``, under
+the rule id ``nilpotent:<name>``: ``classify_nilpotent`` reads it, and so
+do the unipotent rows of the z2, z3 and Heisenberg ladders.  The
+three-step group ``THREE_STEP`` is Z^3 x|_J Z with J the Jordan block of
+eigenvalue 1.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .groups import (
     FreeAbelian,
     Heisenberg,
     HeisenbergTimesZ,
+    ZnSemidirectZ,
     lifting_solver,
     _strict_int,
 )
@@ -224,13 +231,9 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
 
     if (d, tr) == (1, 2):
         if a == ident:
-            return _result(SpectrumDescriptor.full(), ["z2:abelian", "nilpotent:lattice"])
+            return _nilpotent("lattice", ["z2:abelian"])
         # A - I has rank 1, so its first elementary divisor is the gcd of its entries
-        return _result(
-            SpectrumDescriptor.multiples(2),
-            ["z2:unipotent", "nilpotent:heisenberg"],
-            {"heisenberg_parameter": math.gcd(*(a - ident).entries)},
-        )
+        return _nilpotent("heisenberg", ["z2:unipotent"], {"heisenberg_parameter": math.gcd(*(a - ident).entries)})
     if (d, tr) == (1, -2):
         if a == -ident:
             return _result(SpectrumDescriptor.multiples(2), ["z2:minus-identity"])
@@ -429,16 +432,11 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
 
     if mult_one == 3:
         if a == ident:
-            return _result(SpectrumDescriptor.full(), ["z3:abelian", "nilpotent:lattice"])
+            return _nilpotent("lattice", ["z3:abelian"])
         shifted = a - ident
         if shifted * shifted == IntMatrix.zero(3, 3):
-            return _result(
-                SpectrumDescriptor.multiples(4),
-                ["z3:unipotent-two-step", "nilpotent:heisenberg-times-z"],
-            )
-        return _result(
-            SpectrumDescriptor.r_infinity(), ["z3:unipotent-three-step", "nilpotent:three-step"]
-        )
+            return _nilpotent("heisenberg-times-z", ["z3:unipotent-two-step"])
+        return _nilpotent("three-step", ["z3:unipotent-three-step"])
 
     if mult_one == 2:
         return _result(SpectrumDescriptor.r_infinity(), ["z3:eigenvalue-one-multiplicity-two"])
@@ -561,14 +559,7 @@ def classify_hn_semidirect(
         return _classify_hn_twists(n, cx, cy)
     d, tr = a.det(), a.trace()
     if (d, tr) == (1, 2):
-        if a == ident:
-            return _result(
-                SpectrumDescriptor.multiples(4),
-                ["hn:unipotent-action", "nilpotent:heisenberg-times-z"],
-            )
-        return _result(
-            SpectrumDescriptor.r_infinity(), ["hn:unipotent-action", "nilpotent:three-step"]
-        )
+        return _nilpotent("heisenberg-times-z" if a == ident else "three-step", ["hn:unipotent-action"])
     if (d, tr) == (-1, 0):
         return _classify_hn_mixed(n, a, cx, cy)
     return _result(SpectrumDescriptor.r_infinity(), ["hn:no-eigenvalue-one"])
@@ -621,25 +612,40 @@ def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int) -> SpectrumResult
 # nilpotent families
 
 
-THREE_STEP = "three-step"
-
 _NILPOTENT_SPECTRA = {
-    THREE_STEP: (SpectrumDescriptor.r_infinity(), "nilpotent:three-step"),
-    FreeAbelian: (SpectrumDescriptor.full(), "nilpotent:lattice"),
-    Heisenberg: (SpectrumDescriptor.multiples(2), "nilpotent:heisenberg"),
-    HeisenbergTimesZ: (SpectrumDescriptor.multiples(4), "nilpotent:heisenberg-times-z"),
+    "lattice": SpectrumDescriptor.full(),
+    "heisenberg": SpectrumDescriptor.multiples(2),
+    "heisenberg-times-z": SpectrumDescriptor.multiples(4),
+    "three-step": SpectrumDescriptor.r_infinity(),
 }
+_NILPOTENT_FAMILIES = {FreeAbelian: "lattice", Heisenberg: "heisenberg", HeisenbergTimesZ: "heisenberg-times-z"}
+
+# every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
+THREE_STEP = ZnSemidirectZ(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+
+
+def _nilpotent(name: str, trace: list[str], evidence=None) -> SpectrumResult:
+    return _result(_NILPOTENT_SPECTRA[name], trace + ["nilpotent:" + name], evidence)
 
 
 def classify_nilpotent(family) -> SpectrumResult:
     """Spectrum of a nilpotent family: lattices, Heisenberg groups, their
-    product with a line, and the three-step marker."""
+    product with a line, and Z^n x|_A Z (n <= 3) with A unipotent, named by
+    the least s with (A - I)^s = 0 (s = 3 for ``THREE_STEP``)."""
     if family == FreeAbelian(1):
         return _result(SpectrumDescriptor.finite([2]), ["nilpotent:rank-one"])
-    entry = _NILPOTENT_SPECTRA.get(THREE_STEP if family == THREE_STEP else type(family))
-    if entry is None:
+    name = _NILPOTENT_FAMILIES.get(type(family))
+    if isinstance(family, ZnSemidirectZ):
+        steps = {1: ("lattice",), 2: ("lattice", "heisenberg"), 3: ("lattice", "heisenberg-times-z", "three-step")}
+        shifted = power = family.action - IntMatrix.identity(family.n)
+        for step in steps.get(family.n, ()):
+            if not any(power.entries):
+                name = step
+                break
+            power = power * shifted
+    if name is None:
         raise HypothesisError("not a nilpotent family: %r" % (family,))
-    return _result(entry[0], [entry[1]])
+    return _nilpotent(name, [])
 
 
 # ---------------------------------------------------------------------------

@@ -96,12 +96,33 @@ def test_dimension_errors_exit_one():
     assert code == EXIT_ERROR and "3x3" in err
 
 
-def test_short_twists_vector_names_the_flag():
-    code, out, err = invoke(
-        ["spectrum", "--family", "hn-semidirect", "--n", "1", "--matrix", "0,1;1,0", "--twists", "1"]
-    )
+ARGUMENT_ERRORS = [
+    (["spectrum", "--bogus"], "unrecognized arguments: --bogus"),
+    (["spectrum", "--family", "heisenberg", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["mystery"], "invalid choice: 'mystery'"),
+    ([], "the following arguments are required: command"),
+    (["oracle", "--family", "heisenberg", "--n", "1"], "the following arguments are required: --radius"),
+    (["spectrum", "--family", "hn-semidirect", "--n", "2", "--matrix=-1,0;0,-1", "--twists", "1,0"],
+     "unrecognized arguments: --twists 1,0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", ARGUMENT_ERRORS, ids=["bogus", "n-not-int", "command", "none", "radius", "twists"]
+)
+def test_argument_errors_end_in_one_error_line(argv, message, capsys):
+    code, out, err = invoke(argv)
     assert code == EXIT_ERROR and out == ""
-    assert err.count("\n") == 1 and "--twists" in err and "k,l" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    # no usage block leaks to the process streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    assert run(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out.strip()
+    assert run(["spectrum", "--help"]) == EXIT_OK
+    assert "--family" in capsys.readouterr().out
 
 
 def test_unknown_family_exit_one():
@@ -134,6 +155,49 @@ def test_double_ext_and_hn_families():
 
     code, out, _ = invoke(["spectrum", "--family", "three-step"])
     assert payload(out)["result"]["spectrum"] == {"kind": "r_infinity"}
+
+
+def test_hn_semidirect_reads_its_twists_with_the_inverting_matrix():
+    # --matrix=-I is the default action, and --k/--l are its twists for
+    # every command: this group is 8N, never the untwisted 4N
+    for extra in ([], ["--matrix=-1,0;0,-1"]):
+        code, out, _ = invoke(["spectrum", "--family", "hn-semidirect", "--n", "2", "--k", "1", "--l", "0"] + extra)
+        assert code == EXIT_OK
+        assert payload(out)["result"]["spectrum"] == {"kind": "multiples", "c": 8}
+    code, out, _ = invoke(["spectrum", "--family", "hn-semidirect", "--n", "2"])
+    assert code == EXIT_OK
+    assert payload(out)["result"]["spectrum"] == {"kind": "multiples", "c": 4}
+
+
+@pytest.mark.parametrize("command", ["rnumber", "oracle"])
+def test_hn_semidirect_witnesses_refuse_an_action_other_than_minus_identity(command):
+    # the spectrum of this action is {oo}, so no witness with R = 8 exists on it
+    code, out, _ = invoke(["spectrum", "--family", "hn-semidirect", "--n", "2", "--matrix", "0,1;1,0"])
+    assert payload(out)["result"]["spectrum"] == {"kind": "r_infinity"}
+    argv = [command, "--family", "hn-semidirect", "--n", "2", "--matrix", "0,1;1,0", "--witness", "M_r", "--param", "2"]
+    code, out, err = invoke(argv + (["--radius", "1"] if command == "oracle" else []))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "inverting action" in err
+
+
+def test_three_step_group_takes_a_spec_json(tmp_path):
+    # e_i -> the columns of (-1,-1,-1; 0,1,0; 0,0,-1), t -> t^-1, on Z^3 x|_J Z
+    doc = {
+        "family": {"tag": "zn-semidirect-z", "matrix": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]},
+        "images": {"e1": [-1, 0, 0, 0], "e2": [-1, 1, 0, 0], "e3": [-1, 0, -1, 0], "t": [0, 0, 0, -1]},
+    }
+    assert family_from_json(doc["family"]) == FAMILY_TABLE["three-step"].build(argparse.Namespace())
+    spec_file = tmp_path / "three_step.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
+    assert code == EXIT_OK and err == ""
+    assert payload(out)["result"]["rnumber"] == "infinity"
+
+
+def test_three_step_witness_request_ends_in_one_error_line():
+    code, out, err = invoke(["rnumber", "--family", "three-step", "--witness", "M_m", "--param", "1"])
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tables_match_golden_json():
@@ -561,13 +625,12 @@ SLUG_ARGS = {
 def test_every_slug_builds_and_classifies_through_the_table():
     assert set(FAMILY_TABLE) == set(SLUG_ARGS)
     for slug, extra in SLUG_ARGS.items():
-        fields = {"family": slug, "matrix": None, "n0": None, "n": None, "k": None, "l": None, "twists": None}
+        fields = {"family": slug, "matrix": None, "n0": None, "n": None, "k": 0, "l": 0}
         args = argparse.Namespace(**{**fields, **extra})
         row = FAMILY_TABLE[slug]
         assert row.classify(args, 50).trace
-        if row.build is not None:
-            fam = row.build(args)
-            assert family_from_json(json.loads(json.dumps(fam.to_json_dict()))) == fam
+        fam = row.build(args)
+        assert family_from_json(json.loads(json.dumps(fam.to_json_dict()))) == fam
 
 
 def test_env_bound_override(monkeypatch):

@@ -988,6 +988,29 @@ def test_nilpotent_spectra():
         classify_nilpotent(ZnSemidirectZ(FIB))
 
 
+def test_three_step_is_the_jordan_block_group():
+    assert THREE_STEP == ZnSemidirectZ(parse_matrix("1,1,0;0,1,1;0,0,1"))
+    assert classify_nilpotent(THREE_STEP).trace == ("nilpotent:three-step",)
+    with pytest.raises(HypothesisError):
+        classify_nilpotent(ZnSemidirectZ(-I3))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1", "1,0;0,1", "1,3;0,1", "1,0,0;0,1,0;0,0,1", "1,0,2;0,1,0;0,0,1", "1,1,0;0,1,1;0,0,1", "1,2,3;0,1,-1;0,0,1"],
+)
+def test_nilpotent_groups_of_a_unipotent_action_agree_with_the_ladders(text):
+    # classify_nilpotent and the unipotent rows of the z2 and z3 ladders read
+    # one table: the same spectrum under the same nilpotent rule id
+    a = parse_matrix(text)
+    res = classify_nilpotent(ZnSemidirectZ(a))
+    if a.rows == 1:
+        assert (res.spectrum, res.trace) == (SpectrumDescriptor.full(), ("nilpotent:lattice",))
+        return
+    ladder = (classify_z2_semidirect if a.rows == 2 else classify_z3_semidirect)(a, 50)
+    assert (res.spectrum, res.trace) == (ladder.spectrum, ladder.trace[-1:])
+
+
 def test_descriptor_json_shapes():
     assert SpectrumDescriptor.multiples(4).to_json_dict() == {"kind": "multiples", "c": 4}
     assert SpectrumDescriptor.finite([8]).to_json_dict() == {"kind": "finite", "values": [8]}
