@@ -6,9 +6,8 @@ version, search bound); diagnostics go to stderr.  Exit codes: 0 for a
 decided result, 2 when a z2-semidirect spectrum or ``decide`` finds no
 solution within the bound or an oracle labeling is incomplete, 1 on
 input errors (argument errors included, as one ``error:`` line) and
-internal failures.  The bound affects only those two answers.  The
-environment variable TWISTED_BOUND overrides the default bound; --bound
-overrides both.  Either is refused above MAX_BOUND.
+internal failures.  The bound affects only those two answers; --bound
+sets it (default DEFAULT_BOUND) and is refused above MAX_BOUND.
 
 Each ``--family`` slug builds one group from its flags (``FAMILY_TABLE``):
 ``spectrum`` classifies it, ``rnumber`` and ``oracle`` take witnesses on
@@ -19,8 +18,8 @@ it.  ``hn-semidirect`` reads ``--matrix`` (default -I) and ``--k``/``--l``
 from __future__ import annotations
 
 import argparse
+from contextlib import redirect_stdout
 import json
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -84,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--bound", type=int, default=None,
-                        help="bound on |m| for z2-semidirect and decide (default: TWISTED_BOUND or %d)" % DEFAULT_BOUND)
+    common.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                        help="bound on |m| for z2-semidirect and decide (default %d)" % DEFAULT_BOUND)
 
     fam = argparse.ArgumentParser(add_help=False)
     fam.add_argument("--family", help="family slug (see README); not needed with --spec-json")
@@ -116,23 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_bound(args) -> int:
-    if getattr(args, "bound", None) is not None:
-        if args.bound < 1:
-            raise CliError("bound must be >= 1")
-        source, value = "--bound", args.bound
-    else:
-        env = os.environ.get("TWISTED_BOUND")
-        if not env:
-            return DEFAULT_BOUND
-        try:
-            value = int(env)
-        except ValueError:
-            raise CliError("TWISTED_BOUND is not an integer: %r" % env) from None
-        if value < 1:
-            raise CliError("TWISTED_BOUND must be >= 1")
-        source = "TWISTED_BOUND"
+    value = args.bound
+    if value < 1:
+        raise CliError("bound must be >= 1")
     if value > MAX_BOUND:
-        raise CliError("%s %d exceeds the search bound cap MAX_BOUND = %d" % (source, value, MAX_BOUND))
+        raise CliError("--bound %d exceeds the search bound cap MAX_BOUND = %d" % (value, MAX_BOUND))
     return value
 
 
@@ -274,7 +261,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        with redirect_stdout(stdout):  # --help and --version
+            args = build_parser().parse_args(argv)
         bound = _resolve_bound(args)
         if args.command == "rnumber":
             spec = _spec_from_args(args)

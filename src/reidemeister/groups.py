@@ -1,10 +1,16 @@
 """Concrete group arithmetic for the classified families.
 
-Six families are supported, each with hand-derived collection rules (a
-generic collector would be slower and harder to audit at this size).
-Elements are exponent vectors in a fixed generator order; the normal
-form is unique, so two elements are equal exactly when their exponent
-vectors agree.
+Six families are supported, each with a hand-derived closed-form
+``multiply`` (a generic collector would be slower and harder to audit at
+this size), which is the only place the group is written down.  Elements
+are exponent vectors in a fixed generator order: the normal form
+g_1^e_1 ... g_n^e_n is unique, so two elements are equal exactly when
+their exponent vectors agree.  The inverse and the defining relations
+are read off ``multiply``: the collection relations g_j g_i =
+NF(g_j g_i), i < j, present each family (a polycyclic presentation), and
+``verify_automorphism`` checks an automorphism against them.  The
+hand-written presentations are kept in the tests as an independent
+reference.
 
 Generator and exponent-slot order per family (also the order used by
 all serialization):
@@ -43,7 +49,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, fields, replace
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 import math
 import operator
 from typing import Callable, ClassVar, Mapping, Sequence
@@ -107,13 +113,6 @@ def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
     return (x1 + r[0] * w0 + r[1] * w1, y1 + r[2] * w0 + r[3] * w1, k1 + k2, l1 + l2)
 
 
-def _z2_by_z2_inv(a: tuple, b: tuple, n0: tuple, g: tuple) -> tuple:
-    # g h lies in the kernel for h = t^-k u^-l, and then g^-1 = h (g h)^-1
-    h = (0, 0, -g[2], -g[3])
-    c = _z2_by_z2_mul(a, b, n0, g, h)
-    return _z2_by_z2_mul(a, b, n0, h, (-c[0], -c[1], 0, 0))
-
-
 # ---------------------------------------------------------------------------
 # Families
 
@@ -122,10 +121,12 @@ class GroupFamily:
     """Base class of the family table.
 
     Each subclass is one row: its JSON tag and decoder, its group law on
-    exponent tuples, its defining relations, the matrices an automorphism
-    induces on its layers, the layer check that completes verification,
-    and its formula route for the Reidemeister number.  FAMILIES maps
-    each tag to its subclass.
+    exponent tuples, the matrices an automorphism induces on its layers,
+    the layer check that completes verification, and its formula route
+    for the Reidemeister number.  The law is the only description of the
+    group: its normal forms are in slot order, and the base class derives
+    the inverse from it, as ``verify_automorphism`` derives the relations.
+    FAMILIES maps each tag to its subclass.
     """
 
     json_tag: ClassVar[str]
@@ -156,17 +157,15 @@ class GroupFamily:
     def generators(self) -> list["GroupElement"]:
         return [self.generator(name) for name in self.generator_names]
 
-    # subclasses implement multiply/inverse on raw exponent tuples
+    # subclasses implement multiply on raw exponent tuples
     def multiply(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
     def inverse(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def relations(self) -> list[tuple[str, tuple, tuple]]:
-        """Defining relations as (name, lhs word, rhs word) with words
-        given as tuples of (generator index, exponent)."""
-        raise NotImplementedError
+        """g_n^-a_n ... g_1^-a_1 for a = g_1^a_1 ... g_n^a_n."""
+        n = len(a)
+        powers = [(0,) * i + (-e,) + (0,) * (n - 1 - i) for i, e in enumerate(a) if e]
+        return reduce(self.multiply, reversed(powers)) if powers else a
 
     def tag(self) -> str:
         return self.json_tag
@@ -227,29 +226,6 @@ def _center_failure(spec: "AutomorphismSpec") -> str | None:
     return None
 
 
-def _commutator(i: int, j: int) -> tuple:
-    return ((i, 1), (j, 1), (i, -1), (j, -1))
-
-
-def _heis_relations(n: int) -> list[tuple[str, tuple, tuple]]:
-    X, Y, Z = 0, 1, 2
-    return [
-        ("[z,x] = 1", _commutator(Z, X), ()),
-        ("[z,y] = 1", _commutator(Z, Y), ()),
-        ("[y,x] = z^n", _commutator(Y, X), ((Z, n),)),
-    ]
-
-
-def _action_relations(name: str, conj: int, gens: Sequence[int], a: IntMatrix) -> list:
-    """conj g_i conj^-1 = (column i of A) over the generators gens."""
-    rels = []
-    for i, gen in enumerate(gens):
-        col = a.column(i)
-        rhs = tuple((gens[j], col[j]) for j in range(len(gens)) if col[j])
-        rels.append(("%s e%d %s^-1 = action" % (name, i + 1, name), ((conj, 1), (gen, 1), (conj, -1)), rhs))
-    return rels
-
-
 @dataclass(frozen=True)
 class FreeAbelian(GroupFamily):
     json_tag = "free-abelian"
@@ -265,12 +241,6 @@ class FreeAbelian(GroupFamily):
 
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
-
-    def inverse(self, a):
-        return tuple(-x for x in a)
-
-    def relations(self):
-        return []  # the target is abelian, commutators vanish automatically
 
     def fitting_matrix(self, spec):
         return _lattice_block(spec, self.n)
@@ -291,10 +261,6 @@ def _heis_mul(n: int, a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + n * b[0] * a[1])
 
 
-def _heis_inv(n: int, a: tuple) -> tuple:
-    return (-a[0], -a[1], -a[2] + n * a[0] * a[1])
-
-
 @dataclass(frozen=True)
 class Heisenberg(GroupFamily):
     json_tag = "heisenberg"
@@ -308,12 +274,6 @@ class Heisenberg(GroupFamily):
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a, b)
-
-    def inverse(self, a):
-        return _heis_inv(self.n, a)
-
-    def relations(self):
-        return _heis_relations(self.n)
 
     def fitting_matrix(self, spec):
         return _xy_block(spec)
@@ -345,15 +305,6 @@ class HeisenbergTimesZ(GroupFamily):
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a[:3], b[:3]) + (a[3] + b[3],)
-
-    def inverse(self, a):
-        return _heis_inv(self.n, a[:3]) + (-a[3],)
-
-    def relations(self):
-        X, Y, Z, U = 0, 1, 2, 3
-        return _heis_relations(self.n) + [
-            ("[u,%s] = 1" % self.generator_names[g], _commutator(U, g), ()) for g in (X, Y, Z)
-        ]
 
     def fitting_matrix(self, spec):
         z_img, u_img = spec.image_of("z"), spec.image_of("u")
@@ -395,20 +346,6 @@ class ZnSemidirectZ(GroupFamily):
         n = self.n
         p = _power_sum(self.action.entries, a[n])[0]
         return tuple(a[i] + sum(map(operator.mul, p[i * n:(i + 1) * n], b)) for i in range(n)) + (a[n] + b[n],)
-
-    def inverse(self, a):
-        # (v t^k)^-1 = t^-k (-v)
-        n = self.n
-        return self.multiply((0,) * n + (-a[n],), tuple(-x for x in a[:n]) + (0,))
-
-    def relations(self):
-        n = self.n
-        rels = [
-            ("[e%d,e%d] = 1" % (i + 1, j + 1), _commutator(i, j), ())
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        return rels + _action_relations("t", n, range(n), self.action)
 
     def to_json_dict(self):
         return {"tag": self.json_tag, "matrix": self.action.to_rows()}
@@ -488,21 +425,6 @@ class Z2MinusIExt(GroupFamily):
     # the Z^2-by-Z^2 extension law with t acting by B = -I
     def multiply(self, a, b):
         return _z2_by_z2_mul(self.action.entries, _MINUS_I2, self.n0, a, b)
-
-    def inverse(self, a):
-        return _z2_by_z2_inv(self.action.entries, _MINUS_I2, self.n0, a)
-
-    def relations(self):
-        E1, E2, T, U = 0, 1, 2, 3
-        rels = [
-            ("[e1,e2] = 1", _commutator(E1, E2), ()),
-            ("t e1 t^-1 = e1^-1", ((T, 1), (E1, 1), (T, -1)), ((E1, -1),)),
-            ("t e2 t^-1 = e2^-1", ((T, 1), (E2, 1), (T, -1)), ((E2, -1),)),
-        ]
-        rels += _action_relations("u", U, (E1, E2), self.action)
-        rhs_t = tuple((j, self.n0[j]) for j in range(2) if self.n0[j]) + ((T, 1),)
-        rels.append(("u t u^-1 = n0 t", ((U, 1), (T, 1), (U, -1)), rhs_t))
-        return rels
 
     def to_json_dict(self):
         return {"tag": self.json_tag, "matrix": self.action.to_rows(), "n0": list(self.n0)}
@@ -603,20 +525,6 @@ class HnSemidirectZ(GroupFamily):
         if a[3] % 2:  # psi is an involution on H_n
             h2 = self._psi(h2)
         return _heis_mul(self.n, a[:3], h2) + (a[3] + b[3],)
-
-    def inverse(self, a):
-        h = _heis_inv(self.n, a[:3])
-        if a[3] % 2:
-            h = self._psi(h)
-        return h + (-a[3],)
-
-    def relations(self):
-        X, Y, Z, T = 0, 1, 2, 3
-        return _heis_relations(self.n) + [
-            ("t x t^-1 = x^-1 z^k", ((T, 1), (X, 1), (T, -1)), ((X, -1), (Z, self.k))),
-            ("t y t^-1 = y^-1 z^l", ((T, 1), (Y, 1), (T, -1)), ((Y, -1), (Z, self.l))),
-            ("t z t^-1 = z", ((T, 1), (Z, 1), (T, -1)), ((Z, 1),)),
-        ]
 
     def fitting_matrix(self, spec):
         return _xy_block(spec)
@@ -733,6 +641,9 @@ class AutomorphismSpec:
 
     @classmethod
     def from_images(cls, family: GroupFamily, images: Mapping[str, Sequence[int]]) -> "AutomorphismSpec":
+        unknown = [name for name in images if name not in family.generator_names]
+        if unknown:
+            raise ValueError("image for %r, which is not a generator of %s" % (unknown[0], family.tag()))
         elems = []
         for name in family.generator_names:
             if name not in images:
@@ -751,8 +662,8 @@ class AutomorphismSpec:
         raised to g's exponents, in slot order."""
         if g.family != self.family:
             raise FamilyMismatchError("element belongs to a different family")
-        powers = [img ** e for img, e in zip(self.images, g.exponents) if e]
-        return reduce(operator.mul, powers) if powers else self.family.identity
+        powers = [(img ** e).exponents for img, e in zip(self.images, g.exponents) if e]
+        return GroupElement(self.family, reduce(self.family.multiply, powers)) if powers else self.family.identity
 
     def to_json_dict(self) -> dict:
         return {
@@ -794,10 +705,16 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     """Check that the generator images define an automorphism.
 
     A spec passes when the induced matrices on the layers of the
-    polycyclic series are unimodular and every defining relation maps to
-    a valid identity; the report names the failed layer or the first
-    violated relation.  The layers come first: they read the images in
-    O(1) and bound the exponents the relation words then power by.
+    polycyclic series are unimodular and phi respects every collection
+    relation g_j g_i = NF(g_j g_i), i < j, read off ``multiply``:
+    phi(g_j) phi(g_i) must equal phi(NF(g_j g_i)), the product of the
+    image powers in slot order (``AutomorphismSpec.apply``).  This relies
+    on the family's normal forms being in slot order, so that these
+    relations present it; the hand-written presentations are kept in the
+    tests as the reference.  The report names the failed layer or the
+    first violated relation, pairs (i, j) in lexicographic order.  The
+    layers come first: they read the images in O(1) and bound the
+    exponents the relations then multiply by.
     """
     family = spec.family
     try:
@@ -806,17 +723,11 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
         failure = str(exc)
     if failure:
         return VerificationResult(False, failure)
-    relations = family.relations()
-    # words on raw exponent tuples: each (image, exponent) power once, then
-    # one product per letter after the first
-    powers = {w: (spec.images[w[0]] ** w[1]).exponents for _, lhs, rhs in relations for w in lhs + rhs}
-
-    def evaluate(word: tuple) -> tuple[int, ...]:
-        return reduce(family.multiply, map(powers.__getitem__, word)) if word else (0,) * family.slots
-
-    for name, lhs, rhs in relations:
-        if evaluate(lhs) != evaluate(rhs):
-            return VerificationResult(False, "relation violated: %s" % name)
+    gens, images, names = family.generators(), spec.images, family.generator_names
+    for i, j in combinations(range(family.slots), 2):
+        relation = gens[j] * gens[i]
+        if family.multiply(images[j].exponents, images[i].exponents) != spec.apply(relation).exponents:
+            return VerificationResult(False, "relation violated: %s %s = %r" % (names[j], names[i], relation))
     return VerificationResult(True)
 
 

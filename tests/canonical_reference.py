@@ -23,7 +23,6 @@ from reidemeister.groups import (
     Heisenberg,
     verify_automorphism,
     _strict_int,
-    _z2_by_z2_inv,
     _z2_by_z2_mul,
 )
 from reidemeister.spectra import SpectrumResult, classify_z2_minusI_ext, classify_z3_semidirect
@@ -92,7 +91,10 @@ class ExtensionPresentation:
         return _z2_by_z2_mul(self.action_x.entries, self.action_y.entries, self.n0, g, h)
 
     def inverse(self, g: tuple) -> tuple:
-        return _z2_by_z2_inv(self.action_x.entries, self.action_y.entries, self.n0, g)
+        # g h lies in the kernel for h = t^-k u^-l, and then g^-1 = h (g h)^-1
+        h = (0, 0, -g[2], -g[3])
+        c = self.multiply(g, h)
+        return self.multiply(h, (-c[0], -c[1], 0, 0))
 
 
 def apply_substitution(pres: ExtensionPresentation, sub: Substitution) -> ExtensionPresentation:

@@ -119,10 +119,12 @@ def test_argument_errors_end_in_one_error_line(argv, message, capsys):
 
 
 def test_help_and_version_still_exit_zero(capsys):
-    assert run(["--version"]) == EXIT_OK
-    assert capsys.readouterr().out.strip()
-    assert run(["spectrum", "--help"]) == EXIT_OK
-    assert "--family" in capsys.readouterr().out
+    code, out, err = invoke(["--version"])
+    assert code == EXIT_OK and out.strip() and err == ""
+    code, out, err = invoke(["spectrum", "--help"])
+    assert code == EXIT_OK and "--family" in out and err == ""
+    # both go to the stream run() was given, not to the process's stdout
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unknown_family_exit_one():
@@ -431,6 +433,7 @@ def test_rnumber_spec_json_rejects_non_automorphism(tmp_path):
         ({"family": {"tag": "zn-semidirect-z"}, "images": {"e1": [1], "e2": [0, 1], "t": [0, 0, 1]}}, "matrix"),
         ([{"tag": "free-abelian", "n": 1}], "object"),
         ({"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": "10", "e2": "01"}}, "images"),
+        ({"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": [0, 1], "e2": [-1, 3], "e3": [5, 5]}}, "'e3'"),
     ],
 )
 def test_rnumber_spec_json_rejects_malformed_json(tmp_path, data, missing):
@@ -633,18 +636,6 @@ def test_every_slug_builds_and_classifies_through_the_table():
         assert family_from_json(json.loads(json.dumps(fam.to_json_dict()))) == fam
 
 
-def test_env_bound_override(monkeypatch):
-    monkeypatch.setenv("TWISTED_BOUND", "77")
-    _, out, _ = invoke(["spectrum", "--family", "z2-semidirect", "--matrix", "2,3;3,5"])
-    assert payload(out)["bound"] == 77
-    # --bound wins over the environment
-    _, out, _ = invoke(["spectrum", "--family", "z2-semidirect", "--matrix", "2,3;3,5", "--bound", "5"])
-    assert payload(out)["bound"] == 5
-    monkeypatch.setenv("TWISTED_BOUND", "zero")
-    code, _, err = invoke(["spectrum", "--family", "z2-semidirect", "--matrix", "2,3;3,5"])
-    assert code == EXIT_ERROR and "TWISTED_BOUND" in err
-
-
 def test_text_format_renders():
     code, out, _ = invoke(["spectrum", "--family", "z2-semidirect", "--matrix", "2,3;3,5", "--format", "text"])
     assert code == EXIT_OK
@@ -652,15 +643,10 @@ def test_text_format_renders():
     assert "trace:" in out
 
 
-@pytest.mark.parametrize("source", ["--bound", "TWISTED_BOUND"])
-def test_bound_above_the_cap_exits_at_once(monkeypatch, source):
-    argv = ["decide", "--matrix=-6,1;-1,0"]
-    if source == "--bound":
-        argv += ["--bound", "1000000000000"]
-    else:
-        monkeypatch.setenv("TWISTED_BOUND", "1000000000000")
+@pytest.mark.parametrize("source", ["--bound"])
+def test_bound_above_the_cap_exits_at_once(source):
     started = time.perf_counter()
-    code, out, err = invoke(argv)
+    code, out, err = invoke(["decide", "--matrix=-6,1;-1,0", source, "1000000000000"])
     assert time.perf_counter() - started < 1.0
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -703,7 +689,6 @@ def test_readme_searches_never_import_sympy():
         """
     )
     env = dict(os.environ)
-    env.pop("TWISTED_BOUND", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)

@@ -211,6 +211,29 @@ def test_verification_agrees_with_the_reference_word_evaluation():
     assert rejected > 1000
 
 
+def test_verification_agrees_with_the_reference_on_random_images(rng):
+    # the perturbations above are mostly rejections; images in [-2, 2]
+    # that keep most slots of the identity map reach both sides of every
+    # family: accepted specs, and specs that pass the layers and break a
+    # relation
+    def exponent(k, slot):
+        if rng.random() < 0.8:
+            return rng.choice((1, -1)) if slot == k else 0
+        return rng.randint(-2, 2)
+
+    for fam in ALL_FAMILIES:
+        accepted = broken = 0
+        for _ in range(300):
+            images = tuple(fam.element([exponent(k, s) for s in range(fam.slots)]) for k in range(fam.slots))
+            spec = AutomorphismSpec(fam, images)
+            report = verify_automorphism(spec)
+            assert report == reference_verify(spec), (fam, images)
+            accepted += report.ok
+            broken += not report.ok and report.failure.startswith("relation violated")
+        # an abelian law satisfies every commutation relation
+        assert accepted and (broken or isinstance(fam, FreeAbelian)), fam
+
+
 def test_finite_order_witnesses_never_walk_past_the_order(monkeypatch):
     # counts walks, not time: witness -> verify_automorphism -> rnumber at
     # parameter 10^12 must reduce every exponent of a finite-order action
@@ -440,6 +463,14 @@ def test_spec_json_roundtrip():
     assert family_from_json({"tag": "heisenberg", "n": 2}) == Heisenberg(2)
     with pytest.raises(ValueError):
         family_from_json({"tag": "mystery"})
+
+
+def test_spec_refuses_an_image_for_a_generator_the_family_lacks():
+    data = {"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": [0, 1], "e2": [-1, 3], "e3": [5, 5]}}
+    with pytest.raises(ValueError, match="'e3'"):
+        AutomorphismSpec.from_json_dict(data)
+    with pytest.raises(ValueError, match="'t'"):
+        AutomorphismSpec.from_images(Heisenberg(1), {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1), "t": (0, 0, 0)})
 
 
 def test_family_registry_json_roundtrip():

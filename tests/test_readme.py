@@ -48,8 +48,7 @@ def test_the_cli_block_has_commands_and_answers():
 
 
 @pytest.mark.parametrize("line, pieces", EXAMPLES, ids=[line[len("reidemeister "):] for line, _ in EXAMPLES])
-def test_readme_command_runs_and_prints_its_answer(line, pieces, tmp_path, monkeypatch):
-    monkeypatch.delenv("TWISTED_BOUND", raising=False)
+def test_readme_command_runs_and_prints_its_answer(line, pieces, tmp_path):
     spec = json.loads(_fenced_blocks(README.split("\n## Automorphism JSON\n", 1)[1])[0])
     (tmp_path / "phi.json").write_text(json.dumps(spec))
     argv = [str(tmp_path / a) if a == "phi.json" else a for a in shlex.split(line)[1:]]
