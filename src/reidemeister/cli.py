@@ -13,44 +13,24 @@ Each ``--family`` slug builds one group from its flags (``FAMILY_TABLE``):
 ``spectrum`` classifies it, ``rnumber`` and ``oracle`` take witnesses on
 it.  ``hn-semidirect`` reads ``--matrix`` (default -I) and ``--k``/``--l``
 (default 0), and has automorphisms only for the inverting action -I.
+
+Only ``exactlin`` is imported up front; ``groups`` and ``spectra`` are
+imported where a subcommand uses them, so ``decide``, ``tables`` and
+``spectrum`` on z2, z3, double-ext and hn-semidirect never load
+``groups``, and ``rnumber`` and ``oracle`` never load ``spectra``.
 """
 
 from __future__ import annotations
 
 import argparse
 from contextlib import redirect_stdout
+from dataclasses import replace as _dc_replace
 import json
 import sys
 from typing import Callable, NamedTuple
 
 from . import __version__
 from .exactlin import IntMatrix, MatrixParseError, parse_matrix, parse_vector
-from .groups import (
-    AutomorphismSpec,
-    FreeAbelian,
-    Heisenberg,
-    HeisenbergTimesZ,
-    HnSemidirectZ,
-    Z2MinusIExt,
-    ZnSemidirectZ,
-    label_classes,
-    rnumber_with_trace,
-    verify_automorphism,
-    witness,
-)
-from dataclasses import replace as _dc_replace
-from .spectra import (
-    HypothesisError,
-    SpectrumDescriptor,
-    THREE_STEP,
-    classify_hn_semidirect,
-    classify_nilpotent,
-    classify_z2_minusI_ext,
-    classify_z2_semidirect,
-    classify_z3_semidirect,
-    conclusion_tables,
-    decide_system2,
-)
 
 DEFAULT_BOUND = 10_000
 # largest accepted bound on |m| for the z2 spectrum and decide
@@ -150,46 +130,56 @@ def _hn_action(args) -> IntMatrix:
     return _matrix_arg(args, 2) if args.matrix is not None else -IntMatrix.identity(2)
 
 
-def _hn_family(args) -> HnSemidirectZ:
+def _hn_family(groups, args):
     if _hn_action(args) != -IntMatrix.identity(2):
         raise CliError("hn-semidirect automorphisms need the inverting action --matrix=-1,0;0,-1")
-    return HnSemidirectZ(_n_arg(args), args.k, args.l)
+    return groups.HnSemidirectZ(_n_arg(args), args.k, args.l)
 
 
 class CliFamily(NamedTuple):
     """One row of the CLI family table: ``build(args)`` makes the group
     family that ``--witness`` acts on, and ``classify(args, bound)``
-    computes the spectrum of that group."""
+    computes the spectrum of that group.  ``make(groups, args)`` and
+    ``spectrum(spectra, args, bound)`` are handed their module, imported
+    only when the row is used; a row without ``spectrum`` is nilpotent."""
 
-    build: Callable
-    classify: Callable
+    make: Callable
+    spectrum: Callable | None = None
 
+    def build(self, args):
+        from . import groups
+        return self.make(groups, args)
 
-def _nilpotent(build) -> CliFamily:
-    return CliFamily(build, lambda args, bound: classify_nilpotent(build(args)))
+    def classify(self, args, bound):
+        from . import spectra
+        if self.spectrum is None:
+            return spectra.classify_nilpotent(self.build(args))
+        return self.spectrum(spectra, args, bound)
 
 
 FAMILY_TABLE = {
     "z2-semidirect": CliFamily(
-        lambda args: ZnSemidirectZ(_matrix_arg(args, 2)),
-        lambda args, bound: classify_z2_semidirect(_matrix_arg(args, 2), bound),
+        lambda groups, args: groups.ZnSemidirectZ(_matrix_arg(args, 2)),
+        lambda spectra, args, bound: spectra.classify_z2_semidirect(_matrix_arg(args, 2), bound),
     ),
     "z3-semidirect": CliFamily(
-        lambda args: ZnSemidirectZ(_matrix_arg(args, 3)),
-        lambda args, bound: classify_z3_semidirect(_matrix_arg(args, 3), bound),
+        lambda groups, args: groups.ZnSemidirectZ(_matrix_arg(args, 3)),
+        lambda spectra, args, bound: spectra.classify_z3_semidirect(_matrix_arg(args, 3), bound),
     ),
     "double-ext": CliFamily(
-        lambda args: Z2MinusIExt(_matrix_arg(args, 2), _n0_arg(args)),
-        lambda args, bound: classify_z2_minusI_ext(_matrix_arg(args, 2), _n0_arg(args), bound),
+        lambda groups, args: groups.Z2MinusIExt(_matrix_arg(args, 2), _n0_arg(args)),
+        lambda spectra, args, bound: spectra.classify_z2_minusI_ext(_matrix_arg(args, 2), _n0_arg(args), bound),
     ),
     "hn-semidirect": CliFamily(
         _hn_family,
-        lambda args, bound: classify_hn_semidirect(_n_arg(args), _hn_action(args), bound, (args.k, args.l)),
+        lambda spectra, args, bound: spectra.classify_hn_semidirect(
+            _n_arg(args), _hn_action(args), bound, (args.k, args.l)
+        ),
     ),
-    "free-abelian": _nilpotent(lambda args: FreeAbelian(_n_arg(args))),
-    "heisenberg": _nilpotent(lambda args: Heisenberg(_n_arg(args))),
-    "heisenberg-times-z": _nilpotent(lambda args: HeisenbergTimesZ(_n_arg(args))),
-    "three-step": _nilpotent(lambda args: THREE_STEP),
+    "free-abelian": CliFamily(lambda groups, args: groups.FreeAbelian(_n_arg(args))),
+    "heisenberg": CliFamily(lambda groups, args: groups.Heisenberg(_n_arg(args))),
+    "heisenberg-times-z": CliFamily(lambda groups, args: groups.HeisenbergTimesZ(_n_arg(args))),
+    "three-step": CliFamily(lambda groups, args: groups.THREE_STEP),
 }
 
 
@@ -201,21 +191,22 @@ def _family_row(args) -> CliFamily:
     return row
 
 
-def _spec_from_args(args) -> AutomorphismSpec:
+def _spec_from_args(args):
+    from . import groups
     if getattr(args, "spec_json", None):
         if args.spec_json == "-":
             data = json.load(sys.stdin)
         else:
             with open(args.spec_json) as handle:
                 data = json.load(handle)
-        spec = AutomorphismSpec.from_json_dict(data)
-        report = verify_automorphism(spec)
+        spec = groups.AutomorphismSpec.from_json_dict(data)
+        report = groups.verify_automorphism(spec)
         if not report:
             raise CliError("automorphism verification failed: %s" % report.failure)
         return _dc_replace(spec, verified=True)
     name = _need(args, "witness", "either --spec-json or --witness/--param is required")
     param = _need(args, "param", "--param is required with --witness")
-    return witness(_family_row(args).build(args), name, param)
+    return groups.witness(_family_row(args).build(args), name, param)
 
 
 def _envelope(result, trace, bound) -> dict:
@@ -224,7 +215,8 @@ def _envelope(result, trace, bound) -> dict:
 
 def _emit(envelope: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=SpectrumDescriptor.to_json_dict))
+        # a spectrum descriptor is the one value JSON cannot encode by itself
+        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=lambda d: d.to_json_dict()))
         out.write("\n")
         return
     out.write(_render_text(envelope))
@@ -243,7 +235,7 @@ def _render_text(envelope: dict) -> str:
     else:
         for key in sorted(result):
             value = result[key]
-            if isinstance(value, SpectrumDescriptor):
+            if key == "spectrum":
                 value = value.render()
             lines.append("%s: %s" % (key, _plain(value)))
     lines.append("trace: %s" % " > ".join(envelope["trace"]))
@@ -265,8 +257,8 @@ def run(argv, stdout=None, stderr=None) -> int:
             args = build_parser().parse_args(argv)
         bound = _resolve_bound(args)
         if args.command == "rnumber":
-            spec = _spec_from_args(args)
-            value, trace = rnumber_with_trace(spec)
+            from . import groups
+            value, trace = groups.rnumber_with_trace(_spec_from_args(args))
             _emit(_envelope({"rnumber": value.to_json()}, trace, bound), args.format, stdout)
             return EXIT_OK
         if args.command == "spectrum":
@@ -277,8 +269,8 @@ def run(argv, stdout=None, stderr=None) -> int:
             _emit(_envelope(payload, res.trace, bound), args.format, stdout)
             return EXIT_UNDECIDED if res.spectrum.kind == "undecided" else EXIT_OK
         if args.command == "decide":
-            m = parse_matrix(args.matrix)
-            decision = decide_system2(m, bound)
+            from . import spectra
+            decision = spectra.decide_system2(parse_matrix(args.matrix), bound)
             payload = {"outcome": decision.outcome}
             trace = ["system2:%s" % decision.outcome]
             if decision.witness is not None:
@@ -286,13 +278,15 @@ def run(argv, stdout=None, stderr=None) -> int:
             _emit(_envelope(payload, trace, bound), args.format, stdout)
             return EXIT_UNDECIDED if decision.outcome == "none-up-to-bound" else EXIT_OK
         if args.command == "tables":
-            tables = conclusion_tables()
+            from . import spectra
+            tables = spectra.conclusion_tables()
             _emit(_envelope({"tables": tables}, ["tables:classification"], bound), args.format, stdout)
             return EXIT_OK
         if args.command == "oracle":
+            from . import groups
             spec = _spec_from_args(args)
-            labeling = label_classes(spec, args.radius)
-            value, _ = rnumber_with_trace(spec)
+            labeling = groups.label_classes(spec, args.radius)
+            value, _ = groups.rnumber_with_trace(spec)
             payload = {
                 "classes": labeling.class_count,
                 "complete": labeling.complete,
@@ -305,7 +299,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         # only --help and --version exit here; a parse error raises CliError
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    except (CliError, MatrixParseError, HypothesisError, ValueError, OSError) as exc:
+    except (CliError, MatrixParseError, ValueError, OSError) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
     except AssertionError as exc:

@@ -20,7 +20,8 @@ The module provides:
 * ``system2_orbit``, every solution of the quadratic system as one orbit
   +-Q0 eps^k, or a proof that there is none, and ``least_solution``, the
   least solution in the one order solutions are reported in that passes
-  a lifting test invariant under Q -> QA.
+  a lifting test invariant under Q -> QA, and ``lifting_solver``, the
+  double extension's lifting test, read mod 2.
 
 There is no general Smith normal form: each lattice question the package
 asks has one fixed shape and is answered in closed form where it is asked
@@ -316,6 +317,14 @@ def _power_sum(a: tuple, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Parsing
 
+
+def _strict_int(value, field: str) -> int:
+    # bool is an int subclass; a float or a string must not be truncated
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return value
+
+
 MINUS_SIGN = "−"  # tolerated in input, normalised to ASCII '-'
 
 
@@ -526,3 +535,28 @@ def least_solution(
         q, power = q * eps, power * eps
     best = min(found, key=lambda q: (abs(q[0, 0]), q[0, 0] > 0, q[0, 1], q[1, 0]), default=None)
     return None if best is None else (best, lifts(best))
+
+
+def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tuple[int, ...] | None]:
+    """The lifting equation of the double extension with action A and
+    inner twist n0: for a block M, the coefficients (m0, z0) of
+    (I + A M) n0 = 2A m0 + (I - A) z0, or None when no integral solution
+    exists.  As 2A Z^2 = 2Z^2, this asks whether t = (I + A M) n0 lies in
+    (I - A) z0 + 2Z^2 for some z0 in {0,1}^2, so it reads M mod 2: z0 is
+    the first of (0,0), (0,1), (1,0), (1,1) that works, and then
+    m0 = A^-1 (t - (I - A) z0) / 2.  For a solution M of the quadratic
+    system, A M A = M, so M -> MA adds (I - A) M n0 to t and does not
+    change whether M lifts."""
+    ainv, shift = a.inverse_unimodular(), IntMatrix.identity(2) - a
+    shifts = [(z0, shift.apply(z0)) for z0 in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+    def solve(m: IntMatrix) -> tuple[int, ...] | None:
+        # t = (I + A M) n0 as n0 + A (M n0)
+        t = [u + v for u, v in zip(n0, a.apply(m.apply(n0)))]
+        for z0, s in shifts:
+            r = [x - y for x, y in zip(t, s)]
+            if r[0] % 2 == r[1] % 2 == 0:
+                return ainv.apply([x // 2 for x in r]) + z0
+        return None
+
+    return solve

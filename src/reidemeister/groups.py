@@ -52,16 +52,18 @@ from functools import reduce
 from itertools import combinations, product
 import math
 import operator
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
     MatrixParseError,
     finite_order,
     least_solution,
+    lifting_solver,
     matrix_from_json,
     system2_orbit,
     _power_sum,
+    _strict_int,
 )
 from .twisted import INFINITE, RNumber, r_abelian, r_addition, r_averaging
 
@@ -76,13 +78,6 @@ class UnknownWitnessError(ValueError):
 
 _MINUS_I2 = (-1, 0, 0, -1)
 MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
-
-
-def _strict_int(value, field: str) -> int:
-    # bool is an int subclass; a float or a string must not be truncated
-    if type(value) is not int:
-        raise ValueError("%s must be an integer, got %r" % (field, value))
-    return value
 
 
 def _json_matrix(data: Mapping) -> IntMatrix:
@@ -406,6 +401,10 @@ class ZnSemidirectZ(GroupFamily):
         return all(img.exponents[n] == 0 for img in spec.images[:n])
 
 
+# every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
+THREE_STEP = ZnSemidirectZ(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+
+
 @dataclass(frozen=True)
 class Z2MinusIExt(GroupFamily):
     """(Z^2 x|_{-I} Z) x|_psi Z with psi(v t^k) = A(v) (n0 t)^k."""
@@ -474,31 +473,6 @@ class Z2MinusIExt(GroupFamily):
             for f in range(min(h, k))
         ]
         return reduce(operator.add, terms), ("rnumber:quotient-class-sum",)
-
-
-def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tuple[int, ...] | None]:
-    """The lifting equation of the double extension with action A and
-    inner twist n0: for a block M, the coefficients (m0, z0) of
-    (I + A M) n0 = 2A m0 + (I - A) z0, or None when no integral solution
-    exists.  As 2A Z^2 = 2Z^2, this asks whether t = (I + A M) n0 lies in
-    (I - A) z0 + 2Z^2 for some z0 in {0,1}^2, so it reads M mod 2: z0 is
-    the first of (0,0), (0,1), (1,0), (1,1) that works, and then
-    m0 = A^-1 (t - (I - A) z0) / 2.  For a solution M of the quadratic
-    system, A M A = M, so M -> MA adds (I - A) M n0 to t and does not
-    change whether M lifts."""
-    ainv, shift = a.inverse_unimodular(), IntMatrix.identity(2) - a
-    shifts = [(z0, shift.apply(z0)) for z0 in product((0, 1), repeat=2)]
-
-    def solve(m: IntMatrix) -> tuple[int, ...] | None:
-        # t = (I + A M) n0 as n0 + A (M n0)
-        t = [u + v for u, v in zip(n0, a.apply(m.apply(n0)))]
-        for z0, s in shifts:
-            r = [x - y for x, y in zip(t, s)]
-            if r[0] % 2 == r[1] % 2 == 0:
-                return ainv.apply([x // 2 for x in r]) + z0
-        return None
-
-    return solve
 
 
 @dataclass(frozen=True)

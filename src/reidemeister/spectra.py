@@ -27,9 +27,11 @@ keeps the route itself as the reference the rules are tested against.
 
 Each nilpotent spectrum is written once, in ``_NILPOTENT_SPECTRA``, under
 the rule id ``nilpotent:<name>``: ``classify_nilpotent`` reads it, and so
-do the unipotent rows of the z2, z3 and Heisenberg ladders.  The
-three-step group ``THREE_STEP`` is Z^3 x|_J Z with J the Jordan block of
-eigenvalue 1.
+do the unipotent rows of the z2, z3 and Heisenberg ladders.
+``classify_nilpotent`` recognises a family by its ``json_tag``, so this
+module does not import ``groups``.  The three-step group Z^3 x|_J Z, J the
+Jordan block of eigenvalue 1, is ``groups.THREE_STEP``; ``THREE_STEP``
+here is the same object, looked up on first use.
 """
 
 from __future__ import annotations
@@ -42,16 +44,10 @@ from .exactlin import (
     IntMatrix,
     finite_order,
     least_solution,
+    lifting_solver,
     system2_orbit,
     unit_root_split,
     _power_sum,
-)
-from .groups import (
-    FreeAbelian,
-    Heisenberg,
-    HeisenbergTimesZ,
-    ZnSemidirectZ,
-    lifting_solver,
     _strict_int,
 )
 
@@ -618,10 +614,15 @@ _NILPOTENT_SPECTRA = {
     "heisenberg-times-z": SpectrumDescriptor.multiples(4),
     "three-step": SpectrumDescriptor.r_infinity(),
 }
-_NILPOTENT_FAMILIES = {FreeAbelian: "lattice", Heisenberg: "heisenberg", HeisenbergTimesZ: "heisenberg-times-z"}
 
-# every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
-THREE_STEP = ZnSemidirectZ(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+
+def __getattr__(name: str):
+    # groups.THREE_STEP, bound here on first use: importing spectra does not load groups
+    if name != "THREE_STEP":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from .groups import THREE_STEP
+    globals()[name] = THREE_STEP
+    return THREE_STEP
 
 
 def _nilpotent(name: str, trace: list[str], evidence=None) -> SpectrumResult:
@@ -631,11 +632,14 @@ def _nilpotent(name: str, trace: list[str], evidence=None) -> SpectrumResult:
 def classify_nilpotent(family) -> SpectrumResult:
     """Spectrum of a nilpotent family: lattices, Heisenberg groups, their
     product with a line, and Z^n x|_A Z (n <= 3) with A unipotent, named by
-    the least s with (A - I)^s = 0 (s = 3 for ``THREE_STEP``)."""
-    if family == FreeAbelian(1):
+    the least s with (A - I)^s = 0 (s = 3 for ``groups.THREE_STEP``).  The
+    family is recognised by its ``json_tag``."""
+    tag = getattr(family, "json_tag", None)
+    if tag == "free-abelian" and family.n == 1:
         return _result(SpectrumDescriptor.finite([2]), ["nilpotent:rank-one"])
-    name = _NILPOTENT_FAMILIES.get(type(family))
-    if isinstance(family, ZnSemidirectZ):
+    # the Heisenberg tags name their spectra; a free abelian group is a lattice
+    name = "lattice" if tag == "free-abelian" else tag
+    if tag == "zn-semidirect-z":
         steps = {1: ("lattice",), 2: ("lattice", "heisenberg"), 3: ("lattice", "heisenberg-times-z", "three-step")}
         shifted = power = family.action - IntMatrix.identity(family.n)
         for step in steps.get(family.n, ()):
@@ -643,7 +647,7 @@ def classify_nilpotent(family) -> SpectrumResult:
                 name = step
                 break
             power = power * shifted
-    if name is None:
+    if name not in _NILPOTENT_SPECTRA:
         raise HypothesisError("not a nilpotent family: %r" % (family,))
     return _nilpotent(name, [])
 

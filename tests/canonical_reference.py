@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from reidemeister.exactlin import DimensionError, IntMatrix, finite_order
+from reidemeister.exactlin import DimensionError, IntMatrix, finite_order, _strict_int
 from reidemeister.groups import (
     AutomorphismSpec,
     Heisenberg,
     verify_automorphism,
-    _strict_int,
     _z2_by_z2_mul,
 )
 from reidemeister.spectra import SpectrumResult, classify_z2_minusI_ext, classify_z3_semidirect

@@ -12,7 +12,6 @@ import argparse
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reidemeister import cli as cli_module
 from reidemeister.cli import (
     DEFAULT_BOUND,
     EXIT_ERROR,
@@ -22,6 +21,7 @@ from reidemeister.cli import (
     MAX_BOUND,
     run,
 )
+from reidemeister import spectra
 from reidemeister.exactlin import parse_matrix
 from reidemeister.groups import MAX_BALL_SITES, family_from_json
 
@@ -662,7 +662,7 @@ def test_internal_failure_is_one_error_line(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("basis change failed to produce the block form")
 
-    monkeypatch.setattr(cli_module, "classify_z3_semidirect", broken)
+    monkeypatch.setattr(spectra, "classify_z3_semidirect", broken)
     code, out, err = invoke(["spectrum", "--family", "z3-semidirect", "--matrix", "1,0,1;0,5,2;0,2,1"])
     assert code == EXIT_ERROR and out == ""
     assert err == "error: internal error: basis change failed to produce the block form\n"

@@ -4,7 +4,7 @@ import time
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from reidemeister.exactlin import IntMatrix, parse_matrix, system2_orbit, unit_root_split
+from reidemeister.exactlin import IntMatrix, lifting_solver, parse_matrix, system2_orbit, unit_root_split
 from reidemeister import spectra
 from reidemeister.groups import (
     AutomorphismSpec,
@@ -16,7 +16,6 @@ from reidemeister.groups import (
     Z2MinusIExt,
     ZnSemidirectZ,
     label_classes,
-    lifting_solver,
     rnumber,
     tahara_form_order2,
     tahara_form_order3,
