@@ -1,6 +1,8 @@
 """Exact Reidemeister numbers and spectra for solvmanifold fundamental
 groups of Hirsch length at most 4.  The public names are looked up on
 first use (PEP 562), so ``import reidemeister`` loads no submodule.
+A group element is its exponent tuple; the families of ``groups``
+compute on those tuples, and there is no element class to export.
 """
 
 from importlib import import_module
@@ -13,8 +15,8 @@ _MODULE_OF = {
     for module, names in {
         "exactlin": "IntMatrix finite_order parse_matrix unit_root_split",
         "twisted": "RNumber r_abelian r_addition r_averaging",
-        "groups": "AutomorphismSpec ClassLabeling FreeAbelian GroupElement Heisenberg HeisenbergTimesZ"
-        " HnSemidirectZ Z2MinusIExt ZnSemidirectZ label_classes rnumber verify_automorphism witness",
+        "groups": "AutomorphismSpec ClassLabeling FreeAbelian Heisenberg HeisenbergTimesZ HnSemidirectZ"
+        " Z2MinusIExt ZnSemidirectZ label_classes rnumber verify_automorphism witness",
         "spectra": "SpectrumDescriptor SpectrumResult System2Witness classify_hn_semidirect classify_nilpotent"
         " classify_z2_minusI_ext classify_z2_semidirect classify_z3_semidirect decide_system2 decide_z3_eight"
         " tahara_delta",

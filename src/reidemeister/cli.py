@@ -194,11 +194,14 @@ def _family_row(args) -> CliFamily:
 def _spec_from_args(args):
     from . import groups
     if getattr(args, "spec_json", None):
-        if args.spec_json == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.spec_json) as handle:
-                data = json.load(handle)
+        try:
+            if args.spec_json == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(args.spec_json) as handle:
+                    data = json.load(handle)
+        except RecursionError:
+            raise CliError("automorphism JSON is nested too deeply") from None
         spec = groups.AutomorphismSpec.from_json_dict(data)
         report = groups.verify_automorphism(spec)
         if not report:

@@ -340,6 +340,8 @@ def parse_matrix(text: str) -> IntMatrix:
             data = json.loads(s)
         except json.JSONDecodeError as exc:
             raise MatrixParseError("invalid JSON matrix at position %d: %s" % (exc.pos, exc.msg), position=exc.pos)
+        except RecursionError:
+            raise MatrixParseError("JSON matrix is nested too deeply") from None
         return matrix_from_json(data)
     if not s:
         raise MatrixParseError("empty matrix text")

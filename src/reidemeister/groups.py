@@ -2,15 +2,17 @@
 
 Six families are supported, each with a hand-derived closed-form
 ``multiply`` (a generic collector would be slower and harder to audit at
-this size), which is the only place the group is written down.  Elements
-are exponent vectors in a fixed generator order: the normal form
-g_1^e_1 ... g_n^e_n is unique, so two elements are equal exactly when
-their exponent vectors agree.  The inverse and the defining relations
-are read off ``multiply``: the collection relations g_j g_i =
-NF(g_j g_i), i < j, present each family (a polycyclic presentation), and
-``verify_automorphism`` checks an automorphism against them.  The
-hand-written presentations are kept in the tests as an independent
-reference.
+this size), which is the only place the group is written down.  An
+element is its exponent tuple in a fixed generator order, with no
+wrapper: the normal form g_1^e_1 ... g_n^e_n is unique, so two elements
+are equal exactly when their tuples agree, and the family computes on
+them (``multiply``, ``inverse``, ``power``; ``element`` checks one).
+Generator images of an automorphism are such tuples too.  The inverse,
+the powers and the defining relations are read off ``multiply``: the
+collection relations g_j g_i = NF(g_j g_i), i < j, present each family
+(a polycyclic presentation), and ``verify_automorphism`` checks an
+automorphism against them.  The hand-written presentations are kept in
+the tests as an independent reference.
 
 Generator and exponent-slot order per family (also the order used by
 all serialization):
@@ -21,7 +23,8 @@ family                       slots
 FreeAbelian(n)               e1 .. en         (n <= MAX_RANK = 4)
 Heisenberg(n)                x, y, z          (z central, yx = xy z^n)
 HeisenbergTimesZ(n)          x, y, z, u       (u central)
-ZnSemidirectZ(A)             e1 .. en, t      (t v t^-1 = A v)
+ZnSemidirectZ(A)             e1 .. en, t      (t v t^-1 = A v,
+                                               n <= MAX_RANK - 1)
 Z2MinusIExt(A, n0)           e1, e2, t, u     (t v t^-1 = -v,
                                                u v u^-1 = A v,
                                                u t u^-1 = n0 t)
@@ -66,10 +69,6 @@ from .exactlin import (
     _strict_int,
 )
 from .twisted import INFINITE, RNumber, r_abelian, r_addition, r_averaging
-
-
-class FamilyMismatchError(ValueError):
-    """Elements of different families were combined."""
 
 
 class UnknownWitnessError(ValueError):
@@ -120,7 +119,8 @@ class GroupFamily:
     the layer check that completes verification, and its formula route
     for the Reidemeister number.  The law is the only description of the
     group: its normal forms are in slot order, and the base class derives
-    the inverse from it, as ``verify_automorphism`` derives the relations.
+    the inverse and the powers from it, as ``verify_automorphism`` derives
+    the relations.
     FAMILIES maps each tag to its subclass.
     """
 
@@ -131,28 +131,20 @@ class GroupFamily:
     def slots(self) -> int:
         return len(self.generator_names)
 
-    def element(self, exponents: Sequence[int]) -> "GroupElement":
+    def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
+        """The exponent tuple, checked: one int per slot."""
         exponents = tuple(exponents)
         if len(exponents) != self.slots:
             raise ValueError("expected %d exponents, got %d" % (self.slots, len(exponents)))
         for e in exponents:
             _strict_int(e, "an exponent")
-        return GroupElement(self, exponents)
+        return exponents
 
-    @property
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.slots)
+    def generators(self) -> list[tuple[int, ...]]:
+        n = self.slots
+        return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
 
-    def generator(self, name: str) -> "GroupElement":
-        idx = self.generator_names.index(name)
-        exps = [0] * self.slots
-        exps[idx] = 1
-        return GroupElement(self, tuple(exps))
-
-    def generators(self) -> list["GroupElement"]:
-        return [self.generator(name) for name in self.generator_names]
-
-    # subclasses implement multiply on raw exponent tuples
+    # subclasses implement multiply on exponent tuples
     def multiply(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
@@ -162,8 +154,16 @@ class GroupFamily:
         powers = [(0,) * i + (-e,) + (0,) * (n - 1 - i) for i, e in enumerate(a) if e]
         return reduce(self.multiply, reversed(powers)) if powers else a
 
-    def tag(self) -> str:
-        return self.json_tag
+    def power(self, a: tuple[int, ...], k: int) -> tuple[int, ...]:
+        # high bit first, no squaring past the last: a^1 costs no product, a^-1 one inverse
+        if not k:
+            return (0,) * len(a)
+        result = base = a if k > 0 else self.inverse(a)
+        for bit in bin(abs(k))[3:]:
+            result = self.multiply(result, result)
+            if bit == "1":
+                result = self.multiply(result, base)
+        return result
 
     # JSON: the tag plus the integer parameters, which the constructor
     # checks (``_require_int_fields``); families with matrix parameters
@@ -180,14 +180,6 @@ class GroupFamily:
             _strict_int(getattr(self, f.name), "field %r" % f.name)
 
     # layers and formula route of an automorphism spec of this family
-    def fitting_matrix(self, spec: "AutomorphismSpec") -> IntMatrix:
-        """Action on the canonical abelian normal layer of the family."""
-        raise NotImplementedError
-
-    def quotient_matrix(self, spec: "AutomorphismSpec") -> IntMatrix:
-        """Action on the abelianized top layer of the family."""
-        raise NotImplementedError
-
     def layer_failure(self, spec: "AutomorphismSpec") -> str | None:
         """Why the induced layer maps are not bijective, or None; may
         raise ValueError when the images do not preserve a layer."""
@@ -201,21 +193,21 @@ class GroupFamily:
 def _xy_block(spec: "AutomorphismSpec") -> IntMatrix:
     """Action on the Heisenberg quotient <x, y>: the first two exponents
     of the images of the first two generators."""
-    return IntMatrix.from_columns([spec.images[0].exponents[:2], spec.images[1].exponents[:2]])
+    return IntMatrix.from_columns([spec.images[0][:2], spec.images[1][:2]])
 
 
 def _lattice_block(spec: "AutomorphismSpec", n: int) -> IntMatrix:
     """Action on the lattice spanned by the first n generators."""
     cols = []
     for img in spec.images[:n]:
-        if any(img.exponents[n:]):
+        if any(img[n:]):
             raise ValueError("images do not preserve the lattice subgroup")
-        cols.append(img.exponents[:n])
+        cols.append(img[:n])
     return IntMatrix.from_columns(cols)
 
 
 def _center_failure(spec: "AutomorphismSpec") -> str | None:
-    z_img = spec.image_of("z").exponents
+    z_img = spec.image_of("z")
     if any(z_img[:2]) or any(z_img[3:]) or abs(z_img[2]) != 1:
         return "center image is not z^(+-1)"
     return None
@@ -282,7 +274,7 @@ class Heisenberg(GroupFamily):
         return failure
 
     def rnumber_route(self, spec):
-        e = spec.image_of("z").exponents[2]
+        e = spec.image_of("z")[2]
         r = _r_scalar(e) * r_abelian(self.quotient_matrix(spec))
         return r, ("rnumber:center-times-quotient",)
 
@@ -303,9 +295,9 @@ class HeisenbergTimesZ(GroupFamily):
 
     def fitting_matrix(self, spec):
         z_img, u_img = spec.image_of("z"), spec.image_of("u")
-        if any(z_img.exponents[:2]) or any(u_img.exponents[:2]):
+        if any(z_img[:2]) or any(u_img[:2]):
             raise ValueError("images do not preserve the center")
-        return IntMatrix.from_columns([z_img.exponents[2:], u_img.exponents[2:]])
+        return IntMatrix.from_columns([z_img[2:], u_img[2:]])
 
     def quotient_matrix(self, spec):
         return _xy_block(spec)
@@ -328,9 +320,14 @@ class ZnSemidirectZ(GroupFamily):
     action: IntMatrix
 
     def __post_init__(self):
+        n = self.action.rows
+        if n >= MAX_RANK:
+            raise ValueError(
+                "a %dx%d action gives Hirsch length %d, above MAX_RANK = %d, the largest Hirsch length in scope"
+                % (n, self.action.cols, n + 1, MAX_RANK)
+            )
         if not self.action.is_unimodular:
             raise ValueError("the acting matrix must be unimodular")
-        n = self.action.rows
         object.__setattr__(self, "generator_names", tuple("e%d" % (i + 1) for i in range(n)) + ("t",))
 
     @property
@@ -353,17 +350,17 @@ class ZnSemidirectZ(GroupFamily):
         return _lattice_block(spec, self.n)
 
     def quotient_matrix(self, spec):
-        return IntMatrix(1, 1, (spec.image_of("t").exponents[self.n],))
+        return IntMatrix(1, 1, (spec.image_of("t")[self.n],))
 
     def layer_failure(self, spec):
         n, a = self.n, self.action
         if a == IntMatrix.identity(n):
-            full = IntMatrix.from_columns([img.exponents for img in spec.images])
+            full = IntMatrix.from_columns(spec.images)
             return None if full.is_unimodular else "full abelian matrix is not unimodular"
         if self._lattice_preserved(spec):
             if not self.fitting_matrix(spec).is_unimodular:
                 return "lattice matrix is not unimodular"
-            if abs(spec.image_of("t").exponents[n]) != 1:
+            if abs(spec.image_of("t")[n]) != 1:
                 return "quotient exponent of t is not +-1"
             return None
         d = finite_order(a)
@@ -374,17 +371,17 @@ class ZnSemidirectZ(GroupFamily):
             return "images leave the lattice subgroup"
         if not translation_matrix(spec, d).is_unimodular:
             return "translation-lattice matrix is not unimodular"
-        if math.gcd(spec.image_of("t").exponents[n], d) != 1:
+        if math.gcd(spec.image_of("t")[n], d) != 1:
             return "induced map on the finite quotient is not bijective"
         return None
 
     def rnumber_route(self, spec):
         n, a = self.n, self.action
         if a == IntMatrix.identity(n):
-            full = IntMatrix.from_columns([img.exponents for img in spec.images])
+            full = IntMatrix.from_columns(spec.images)
             return r_abelian(full), ("rnumber:lattice",)
         if self._lattice_preserved(spec):
-            if spec.image_of("t").exponents[n] == 1:
+            if spec.image_of("t")[n] == 1:
                 return INFINITE, ("rnumber:identity-quotient",)
             # the classes of 1 and t act on the lattice by I and A
             total = r_addition((IntMatrix.identity(n), a), self.fitting_matrix(spec))
@@ -398,7 +395,7 @@ class ZnSemidirectZ(GroupFamily):
 
     def _lattice_preserved(self, spec) -> bool:
         n = self.n
-        return all(img.exponents[n] == 0 for img in spec.images[:n])
+        return all(img[n] == 0 for img in spec.images[:n])
 
 
 # every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
@@ -438,7 +435,7 @@ class Z2MinusIExt(GroupFamily):
         return _lattice_block(spec, 2)
 
     def quotient_matrix(self, spec):
-        return IntMatrix.from_columns([spec.image_of("t").exponents[2:], spec.image_of("u").exponents[2:]])
+        return IntMatrix.from_columns([spec.image_of("t")[2:], spec.image_of("u")[2:]])
 
     def layer_failure(self, spec):
         if not self.fitting_matrix(spec).is_unimodular:
@@ -447,7 +444,7 @@ class Z2MinusIExt(GroupFamily):
             return "quotient matrix is not unimodular"
         # the image of t acts on the lattice by +-A^k, k its u-exponent, and
         # must act by -I; an action of infinite order forces k = 0
-        if spec.image_of("t").exponents[3] and finite_order(self.action) is None:
+        if spec.image_of("t")[3] and finite_order(self.action) is None:
             return "u-exponent of the image of t is not 0"
         return None
 
@@ -504,27 +501,27 @@ class HnSemidirectZ(GroupFamily):
         return _xy_block(spec)
 
     def quotient_matrix(self, spec):
-        return IntMatrix(1, 1, (spec.image_of("t").exponents[3],))
+        return IntMatrix(1, 1, (spec.image_of("t")[3],))
 
     def layer_failure(self, spec):
         failure = _center_failure(spec)
         if failure:
             return failure
         for name in ("x", "y"):
-            if spec.image_of(name).exponents[3]:
+            if spec.image_of(name)[3]:
                 return "image of %s leaves the Heisenberg subgroup" % name
         if not self.fitting_matrix(spec).is_unimodular:
             return "Heisenberg quotient matrix is not unimodular"
-        if abs(spec.image_of("t").exponents[3]) != 1:
+        if abs(spec.image_of("t")[3]) != 1:
             return "quotient exponent of t is not +-1"
         return None
 
     def rnumber_route(self, spec):
-        if spec.image_of("t").exponents[3] == 1:
+        if spec.image_of("t")[3] == 1:
             return INFINITE, ("rnumber:identity-quotient",)
         # the classes of 1 and t act on H_n / Z(H_n) by I and -I
         ident = IntMatrix.identity(2)
-        e = spec.image_of("z").exponents[2]
+        e = spec.image_of("z")[2]
         r = _r_scalar(e) * r_addition((ident, -ident), self.fitting_matrix(spec))
         return r, ("rnumber:two-step-addition",)
 
@@ -550,74 +547,32 @@ def family_from_json(data: Mapping) -> GroupFamily:
 
 
 # ---------------------------------------------------------------------------
-# Elements
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    family: GroupFamily
-    exponents: tuple[int, ...]
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.family != other.family:
-            raise FamilyMismatchError("cannot multiply elements of different families")
-        return GroupElement(self.family, self.family.multiply(self.exponents, other.exponents))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.family, self.family.inverse(self.exponents))
-
-    def __pow__(self, k: int) -> "GroupElement":
-        # high bit first, no squaring past the last: g^1 costs no product, g^-1 one inverse
-        if not k:
-            return self.family.identity
-        result = base = self if k > 0 else self.inverse()
-        for bit in bin(abs(k))[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * base
-        return result
-
-    @property
-    def is_identity(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def __repr__(self) -> str:
-        parts = [
-            "%s^%d" % (name, e)
-            for name, e in zip(self.family.generator_names, self.exponents)
-            if e
-        ]
-        return "<%s>" % (" ".join(parts) if parts else "1")
-
-
-# ---------------------------------------------------------------------------
 # Automorphism specifications
 
 
 @dataclass(frozen=True)
 class AutomorphismSpec:
-    """Generator images in normal form; the layer matrices are derived
-    from the images by the family (``family.fitting_matrix(spec)``),
-    never stored."""
+    """The images of the generators, in slot order, each an exponent
+    tuple in normal form; the layer matrices are read off the images by
+    the family (``layer_failure``, ``rnumber_route``), never stored."""
 
     family: GroupFamily
-    images: tuple[GroupElement, ...]
+    images: tuple[tuple[int, ...], ...]
     verified: bool = False
 
     def __post_init__(self):
-        if len(self.images) != self.family.slots:
-            raise ValueError(
-                "expected %d generator images, got %d" % (self.family.slots, len(self.images))
-            )
+        slots = self.family.slots
+        if len(self.images) != slots:
+            raise ValueError("expected %d generator images, got %d" % (slots, len(self.images)))
         for img in self.images:
-            if img.family != self.family:
-                raise FamilyMismatchError("image lies in a different family")
+            if len(img) != slots:
+                raise ValueError("expected %d exponents in each image, got %d" % (slots, len(img)))
 
     @classmethod
     def from_images(cls, family: GroupFamily, images: Mapping[str, Sequence[int]]) -> "AutomorphismSpec":
         unknown = [name for name in images if name not in family.generator_names]
         if unknown:
-            raise ValueError("image for %r, which is not a generator of %s" % (unknown[0], family.tag()))
+            raise ValueError("image for %r, which is not a generator of %s" % (unknown[0], family.json_tag))
         elems = []
         for name in family.generator_names:
             if name not in images:
@@ -628,25 +583,19 @@ class AutomorphismSpec:
                 raise ValueError("image of %r: %s" % (name, exc)) from None
         return cls(family, tuple(elems))
 
-    def image_of(self, name: str) -> GroupElement:
+    def image_of(self, name: str) -> tuple[int, ...]:
         return self.images[self.family.generator_names.index(name)]
 
-    def apply(self, g: GroupElement) -> GroupElement:
+    def apply(self, g: tuple[int, ...]) -> tuple[int, ...]:
         """phi(g) for g in normal form: the product of generator images
         raised to g's exponents, in slot order."""
-        if g.family != self.family:
-            raise FamilyMismatchError("element belongs to a different family")
-        powers = [(img ** e).exponents for img, e in zip(self.images, g.exponents) if e]
-        return GroupElement(self.family, reduce(self.family.multiply, powers)) if powers else self.family.identity
+        fam = self.family
+        powers = [fam.power(img, e) for img, e in zip(self.images, g) if e]
+        return reduce(fam.multiply, powers) if powers else (0,) * fam.slots
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "images": {
-                name: list(img.exponents)
-                for name, img in zip(self.family.generator_names, self.images)
-            },
-        }
+        images = dict(zip(self.family.generator_names, map(list, self.images)))
+        return {"family": self.family.to_json_dict(), "images": images}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AutomorphismSpec":
@@ -699,9 +648,10 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
         return VerificationResult(False, failure)
     gens, images, names = family.generators(), spec.images, family.generator_names
     for i, j in combinations(range(family.slots), 2):
-        relation = gens[j] * gens[i]
-        if family.multiply(images[j].exponents, images[i].exponents) != spec.apply(relation).exponents:
-            return VerificationResult(False, "relation violated: %s %s = %r" % (names[j], names[i], relation))
+        relation = family.multiply(gens[j], gens[i])
+        if family.multiply(images[j], images[i]) != spec.apply(relation):
+            word = " ".join("%s^%d" % (name, e) for name, e in zip(names, relation) if e) or "1"
+            return VerificationResult(False, "relation violated: %s %s = <%s>" % (names[j], names[i], word))
     return VerificationResult(True)
 
 
@@ -716,12 +666,12 @@ def translation_matrix(spec: AutomorphismSpec, d: int) -> IntMatrix:
         raise TypeError("translation matrix only applies to ZnSemidirectZ")
     n = spec.family.n
     cols = []
-    t_power = spec.image_of("t") ** d
-    for img in [t_power] + [spec.images[i] for i in range(n)]:
-        texp = img.exponents[n]
+    t_power = spec.family.power(spec.image_of("t"), d)
+    for img in (t_power,) + spec.images[:n]:
+        texp = img[n]
         if texp % d:
             raise ValueError("image does not lie in the translation lattice")
-        cols.append((texp // d,) + img.exponents[:n])
+        cols.append((texp // d,) + img[:n])
     return IntMatrix.from_columns(cols)
 
 
@@ -763,7 +713,7 @@ def witness(family: GroupFamily, name: str, param: int) -> AutomorphismSpec:
         raise ValueError("witness parameter must be >= 1")
     builder = _WITNESS_BUILDERS.get((type(family), name))
     if builder is None:
-        raise UnknownWitnessError("no witness %r for family %r" % (name, family.tag()))
+        raise UnknownWitnessError("no witness %r for family %r" % (name, family.json_tag))
     spec = builder(family, param)
     report = verify_automorphism(spec)
     if not report:
@@ -1065,7 +1015,7 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
             % (radius, side, slots, size, MAX_BALL_SITES)
         )
     mul = fam.multiply
-    twists = [(z.exponents, spec.apply(z).inverse().exponents) for z in fam.generators()]
+    twists = [(z, fam.inverse(spec.apply(z))) for z in fam.generators()]
     strides = [side ** (slots - 1 - i) for i in range(slots)]
     step = strides[0]
     parent = list(range(size))

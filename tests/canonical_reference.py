@@ -254,21 +254,24 @@ def reference_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int, bound: int) -> Sp
     g, s, t = _xgcd(v_bar[0], v_bar[1])
     if g != 1:
         raise AssertionError("eigenlattice basis is not primitive")
+    mul, inv = heis.multiply, heis.inverse
     v = heis.element((v_bar[0], v_bar[1], 0))
     # w completes v to a basis with det [[v1, w1], [v2, w2]] = 1
     w = heis.element((-t, s, 0))
-    z = heis.generator("z")
+    z = heis.generators()[2]
 
-    def coords(g_elt) -> tuple[int, int]:
-        ge = g_elt.exponents
+    def coords(ge) -> tuple[int, int]:
         # kernel coordinates relative to the basis (v, z)
         i = ge[0] // v_bar[0] if v_bar[0] else ge[1] // v_bar[1]
         if (i * v_bar[0], i * v_bar[1]) != (ge[0], ge[1]):
             raise AssertionError("element does not lie in the rank-2 kernel")
-        rest = g_elt * (v ** i).inverse()
-        return (i, rest.exponents[2])
+        rest = mul(ge, inv(heis.power(v, i)))
+        return (i, rest[2])
 
-    a_ext = IntMatrix.from_columns([coords(w * v * w.inverse()), coords(w * z * w.inverse())])
+    def conj_w(g):
+        return mul(mul(w, g), inv(w))
+
+    a_ext = IntMatrix.from_columns([coords(conj_w(v)), coords(conj_w(z))])
     b_ext = IntMatrix.from_columns([coords(psi.apply(v)), coords(psi.apply(z))])
-    n0_ext = coords(w * psi.apply(w).inverse())
+    n0_ext = coords(mul(w, inv(psi.apply(w))))
     return _classify_canonical(ExtensionPresentation(a_ext, b_ext, n0_ext), bound, ["hn:mixed-eigenvalues"])

@@ -40,8 +40,8 @@ def reference_label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabelin
     fam = spec.family
     twists = []
     for gen in fam.generators():
-        for z in (gen, gen.inverse()):
-            twists.append((z.exponents, spec.apply(z).inverse().exponents))
+        for z in (gen, fam.inverse(gen)):
+            twists.append((z, fam.inverse(spec.apply(z))))
 
     def saturate(r):
         ball = set(product(range(-r, r + 1), repeat=fam.slots))

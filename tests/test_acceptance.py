@@ -247,10 +247,10 @@ def test_property_suites():
             g = fam.element([rng.randint(-radius, radius) for _ in range(fam.slots)])
             z = rng.choice(gens)
             if rng.random() < 0.5:
-                z = z.inverse()
-            h = z * g * spec.apply(z).inverse()
-            if g.exponents in labeling.labels and h.exponents in labeling.labels:
-                assert labeling.labels[g.exponents] == labeling.labels[h.exponents]
+                z = fam.inverse(z)
+            h = fam.multiply(fam.multiply(z, g), fam.inverse(spec.apply(z)))
+            if g in labeling.labels and h in labeling.labels:
+                assert labeling.labels[g] == labeling.labels[h]
                 checks += 1
     assert checks >= 1000
 

@@ -38,6 +38,14 @@ def payload(text):
     return json.loads(text)
 
 
+def _python(*args, stdin=None):
+    """A fresh interpreter on the package's source tree."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_spectrum_hyperbolic_example():
     code, out, err = invoke(["spectrum", "--family", "z2-semidirect", "--matrix", "2,3;3,5"])
     assert code == EXIT_OK and err == ""
@@ -560,6 +568,54 @@ def test_spec_json_refuses_a_free_abelian_rank_above_four():
     assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_RANK = 4" in err
 
 
+@pytest.mark.parametrize("n", [4, 32])
+def test_spec_json_refuses_a_zn_semidirect_z_action_above_the_hirsch_length_in_scope(n):
+    names = ["e%d" % i for i in range(1, n + 1)] + ["t"]
+    units = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    doc = {
+        "family": {"tag": "zn-semidirect-z", "matrix": [row[:n] for row in units[:n]]},
+        "images": dict(zip(names, units)),
+    }
+    code, out, err = _spec_stdin(doc)
+    assert code == EXIT_ERROR and out == ""
+    assert err == (
+        "error: a %dx%d action gives Hirsch length %d, above MAX_RANK = 4, the largest Hirsch length in scope\n"
+        % (n, n, n + 1)
+    )
+
+
+def test_spec_json_verification_failure_names_the_violated_relation(tmp_path):
+    spec_file = tmp_path / "swap.json"
+    spec_file.write_text(
+        json.dumps({"family": {"tag": "heisenberg", "n": 1}, "images": {"x": [0, 1, 0], "y": [1, 0, 0], "z": [0, 0, 1]}})
+    )
+    code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: automorphism verification failed: relation violated: y x = <x^1 y^1 z^1>\n"
+
+
+DEEP_JSON = "[" * 50000 + "]" * 50000
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["spectrum", "--family", "z2-semidirect", "--matrix", DEEP_JSON], None, "JSON matrix is nested too deeply"),
+        (["rnumber", "--spec-json", "{deep}"], None, "automorphism JSON is nested too deeply"),
+        (["rnumber", "--spec-json", "-"], DEEP_JSON, "automorphism JSON is nested too deeply"),
+    ],
+    ids=["matrix", "spec-json-file", "spec-json-stdin"],
+)
+def test_deeply_nested_json_ends_in_one_error_line(argv, stdin, message, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = [str(deep) if a == "{deep}" else a for a in argv]
+    done = _python("-m", "reidemeister.cli", *argv, stdin=stdin)
+    assert done.returncode == EXIT_ERROR and done.stdout == ""
+    assert done.stderr == "error: %s\n" % message
+    assert "Traceback" not in done.stderr
+
+
 HUGE_EXPONENTS = [
     (SPEC_DOCS[3], ("images", "t", 2), "quotient exponent of t is not +-1"),
     (SPEC_DOCS[3], ("images", "e1", 2), "images leave the lattice subgroup"),
@@ -688,10 +744,7 @@ def test_readme_searches_never_import_sympy():
         print(json.dumps({"answers": answers, "sympy": "sympy" in sys.modules}))
         """
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    done = _python("-c", script)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["sympy"] is False

@@ -76,7 +76,7 @@ def _assert_same_labeling(spec, radius):
 @pytest.mark.parametrize(
     "family, wid, param, radius",
     ACCEPTANCE_CORPUS + ORACLE_SHAPES,
-    ids=lambda v: v.tag() if hasattr(v, "tag") else str(v),
+    ids=lambda v: v.json_tag if hasattr(v, "json_tag") else str(v),
 )
 def test_label_classes_matches_two_pass_reference(family, wid, param, radius):
     _assert_same_labeling(witness(family, wid, param), radius)
@@ -120,7 +120,7 @@ def test_twists_are_affine_in_slot_zero(spec):
     mul = fam.multiply
     outer = 4
     for gen in fam.generators():
-        z, w = gen.exponents, spec.apply(gen).inverse().exponents
+        z, w = gen, fam.inverse(spec.apply(gen))
         for rest in product(range(-outer, outer + 1), repeat=fam.slots - 1):
             row = [mul(mul(z, (k,) + rest), w) for k in range(-outer, outer + 1)]
             for t0, t1, t2 in zip(row, row[1:], row[2:]):
@@ -144,7 +144,7 @@ def test_row_walk_edge_cases_match_reference(spec, radius, steps_back):
     origin, unit = (0,) * fam.slots, (1,) + (0,) * (fam.slots - 1)
     steps = []
     for gen in fam.generators():
-        z, w = gen.exponents, spec.apply(gen).inverse().exponents
+        z, w = gen, fam.inverse(spec.apply(gen))
         start, second = (fam.multiply(fam.multiply(z, g), w) for g in (origin, unit))
         steps.extend(b - a for a, b in zip(start, second))
     assert (min(steps) < 0) == steps_back

@@ -619,7 +619,7 @@ def test_finite_order_double_ext_agrees_with_phi_eight(n0):
         assert value == 8 and value % res.spectrum.c == 0
         # the block is the least lifting solution in the spectrum's order
         m, n, p = _first_lifting(a, lifting_solver(a, n0), 1)[0]
-        assert (spec.image_of("e1").exponents[:2], spec.image_of("e2").exponents[:2]) == ((m, p), (n, -m))
+        assert (spec.image_of("e1")[:2], spec.image_of("e2")[:2]) == ((m, p), (n, -m))
 
 
 # every hyperbolic det-1 matrix with entries of absolute value <= 8
@@ -757,10 +757,10 @@ def test_phi_eight_equals_the_spectrum_evidence_on_the_hyperbolic_box():
             if res.spectrum != EIGHT:
                 continue
             spec = witness(Z2MinusIExt(a, n0), "phi_eight", 1)
-            block = IntMatrix.from_columns([spec.image_of(g).exponents[:2] for g in ("e1", "e2")])
+            block = IntMatrix.from_columns([spec.image_of(g)[:2] for g in ("e1", "e2")])
             assert block.to_rows() == res.evidence["witness"]["matrix"], (a, n0)
-            assert list(spec.image_of("u").exponents[:2]) == res.evidence["m0"], (a, n0)
-            assert list(spec.image_of("t").exponents[:2]) == res.evidence["z0"], (a, n0)
+            assert list(spec.image_of("u")[:2]) == res.evidence["m0"], (a, n0)
+            assert list(spec.image_of("t")[:2]) == res.evidence["z0"], (a, n0)
             eights += 1
     assert (len(_HYPERBOLIC_6), eights) == (216, 1224)
 

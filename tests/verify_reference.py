@@ -1,13 +1,13 @@
-"""Hand-written presentations and GroupElement word evaluation, kept as
-the reference for ``verify_automorphism``.
+"""Hand-written presentations and word evaluation on exponent tuples,
+kept as the reference for ``verify_automorphism``.
 
 The library reads each relation g_j g_i = NF(g_j g_i), i < j, off the
 family's ``multiply``; here every right-hand side is written out by hand
 from the family's definition, as a word of (generator index, exponent)
-letters in slot order.  Each word is a product of GroupElement powers
-that starts from the identity, and each power is the plain binary power
-that squares past its last set bit.  This is slow but short enough to
-audit by eye.
+letters in slot order.  Each word is a product of powers of the image
+tuples that starts from the identity, and each power is the plain binary
+power that squares past its last set bit, not the family's ``power``.
+This is slow but short enough to audit by eye.
 """
 
 from itertools import combinations
@@ -15,7 +15,7 @@ from itertools import combinations
 from reidemeister.groups import (
     AutomorphismSpec,
     FreeAbelian,
-    GroupElement,
+    GroupFamily,
     Heisenberg,
     HeisenbergTimesZ,
     HnSemidirectZ,
@@ -76,22 +76,23 @@ def presentation(family):
     return dict(rels)
 
 
-def _power(g: GroupElement, k: int) -> GroupElement:
-    base = g if k >= 0 else g.inverse()
+def _power(family: GroupFamily, g: tuple, k: int) -> tuple:
+    base = g if k >= 0 else family.inverse(g)
     k = abs(k)
-    result = g.family.identity
+    result = (0,) * family.slots
     while k:
         if k & 1:
-            result = result * base
-        base = base * base
+            result = family.multiply(result, base)
+        base = family.multiply(base, base)
         k >>= 1
     return result
 
 
-def _word_product(spec: AutomorphismSpec, word) -> GroupElement:
-    result = spec.family.identity
+def _word_product(spec: AutomorphismSpec, word) -> tuple:
+    family = spec.family
+    result = (0,) * family.slots
     for idx, exp in word:
-        result = result * _power(spec.images[idx], exp)
+        result = family.multiply(result, _power(family, spec.images[idx], exp))
     return result
 
 
