@@ -14,7 +14,7 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "exactlin": "IntMatrix finite_order parse_matrix unit_root_split",
-        "twisted": "RNumber r_abelian r_addition r_averaging",
+        "twisted": "RNumber r_abelian r_class_sum",
         "groups": "AutomorphismSpec ClassLabeling FreeAbelian Heisenberg HeisenbergTimesZ HnSemidirectZ"
         " Z2MinusIExt ZnSemidirectZ label_classes rnumber verify_automorphism witness",
         "spectra": "SpectrumDescriptor SpectrumResult System2Witness classify_hn_semidirect classify_nilpotent"

@@ -68,7 +68,7 @@ from .exactlin import (
     _power_sum,
     _strict_int,
 )
-from .twisted import INFINITE, RNumber, r_abelian, r_addition, r_averaging
+from .twisted import INFINITE, RNumber, r_abelian, r_class_sum
 
 
 class UnknownWitnessError(ValueError):
@@ -186,7 +186,9 @@ class GroupFamily:
         raise NotImplementedError
 
     def rnumber_route(self, spec: "AutomorphismSpec") -> tuple[RNumber, tuple[str, ...]]:
-        """Reidemeister number of a verified spec and the rule it used."""
+        """Reidemeister number of a verified spec and the rule it used; a
+        route that sums over the classes of a quotient calls
+        ``twisted.r_class_sum``, through ``_quotient_class_sum``."""
         raise NotImplementedError
 
 
@@ -381,17 +383,15 @@ class ZnSemidirectZ(GroupFamily):
             full = IntMatrix.from_columns(spec.images)
             return r_abelian(full), ("rnumber:lattice",)
         if self._lattice_preserved(spec):
-            if spec.image_of("t")[n] == 1:
-                return INFINITE, ("rnumber:identity-quotient",)
-            # the classes of 1 and t act on the lattice by I and A
-            total = r_addition((IntMatrix.identity(n), a), self.fitting_matrix(spec))
-            return total, ("rnumber:two-step-addition",)
+            # the class of t^e in Z / (1 - q) Z acts on the lattice by A^e
+            return _quotient_class_sum(self, spec, (a,), "rnumber:two-step-addition")
         d = finite_order(a)
         if d is None:
             raise ValueError("images leave the lattice for an infinite-order action")
-        h = holonomy_embedding(a)
-        holonomy = [h ** i for i in range(d)]
-        return r_averaging(holonomy, translation_matrix(spec, d)), ("rnumber:holonomy-averaging",)
+        # the holonomy Z / d acts on the translation lattice <t^d, e1..en> by diag(1, A)^e
+        h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *a.row(i)] for i in range(n)])
+        total = r_class_sum(IntMatrix(1, 1, (d,)), (h,), translation_matrix(spec, d)).div_exact(d)
+        return total, ("rnumber:holonomy-averaging",)
 
     def _lattice_preserved(self, spec) -> bool:
         n = self.n
@@ -449,27 +449,10 @@ class Z2MinusIExt(GroupFamily):
         return None
 
     def rnumber_route(self, spec):
-        """The sum of R((-I)^e A^f M) over the classes t^e u^f of
-        Z^2 / N Z^2, N = I - Q.  With g = gcd(N00, N01) and h = |det N| / g,
-        the image N Z^2 has the Hermite basis (g, *), (0, h), so the box
-        0 <= e < g, 0 <= f < h is a transversal.  The summand reads only
-        e mod 2 and f mod ord A, so each of at most 2 min(h, ord A) terms
-        is counted with its multiplicity; an action of infinite order has
-        h <= 4, as the u-exponent of the image of t is then 0."""
-        shift = IntMatrix.identity(2) - self.quotient_matrix(spec)
-        det = abs(shift.det())
-        if det == 0:
-            return INFINITE, ("rnumber:identity-quotient",)
-        g = math.gcd(*shift.row(0))
-        h = det // g
-        k = finite_order(self.action) or h
-        m = self.fitting_matrix(spec)
-        terms = [
-            RNumber((g - e + 1) // 2 * ((h - f + k - 1) // k)) * r_abelian((self.action ** f).scale((-1) ** e) * m)
-            for e in range(min(g, 2))
-            for f in range(min(h, k))
-        ]
-        return reduce(operator.add, terms), ("rnumber:quotient-class-sum",)
+        # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by
+        # (-I)^e A^f; an action of infinite order has at most 4 classes, as
+        # the u-exponent of the image of t is then 0
+        return _quotient_class_sum(self, spec, (-IntMatrix.identity(2), self.action), "rnumber:quotient-class-sum")
 
 
 @dataclass(frozen=True)
@@ -517,13 +500,9 @@ class HnSemidirectZ(GroupFamily):
         return None
 
     def rnumber_route(self, spec):
-        if spec.image_of("t")[3] == 1:
-            return INFINITE, ("rnumber:identity-quotient",)
-        # the classes of 1 and t act on H_n / Z(H_n) by I and -I
-        ident = IntMatrix.identity(2)
-        e = spec.image_of("z")[2]
-        r = _r_scalar(e) * r_addition((ident, -ident), self.fitting_matrix(spec))
-        return r, ("rnumber:two-step-addition",)
+        # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
+        r, trace = _quotient_class_sum(self, spec, (-IntMatrix.identity(2),), "rnumber:two-step-addition")
+        return _r_scalar(spec.image_of("z")[2]) * r, trace
 
 
 FAMILIES: dict[str, type[GroupFamily]] = {cls.json_tag: cls for cls in GroupFamily.__subclasses__()}
@@ -590,6 +569,8 @@ class AutomorphismSpec:
         """phi(g) for g in normal form: the product of generator images
         raised to g's exponents, in slot order."""
         fam = self.family
+        if len(g) != fam.slots:
+            raise ValueError("expected %d exponents, got %d" % (fam.slots, len(g)))
         powers = [fam.power(img, e) for img, e in zip(self.images, g) if e]
         return reduce(fam.multiply, powers) if powers else (0,) * fam.slots
 
@@ -675,21 +656,24 @@ def translation_matrix(spec: AutomorphismSpec, d: int) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-def holonomy_embedding(a: IntMatrix) -> IntMatrix:
-    """diag(1, A): the holonomy generator in translation coordinates."""
-    n = a.rows
-    rows = [[1] + [0] * n]
-    for i in range(n):
-        rows.append([0] + list(a.row(i)))
-    return IntMatrix.from_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Reidemeister numbers of verified specs (formula path)
 
 
 def _r_scalar(e: int) -> RNumber:
     return r_abelian(IntMatrix(1, 1, (e,)))
+
+
+def _quotient_class_sum(family, spec, actions, rule: str) -> tuple[RNumber, tuple[str, ...]]:
+    """The class sum of the fitting matrix over Z^k / (I - Q) Z^k, Q the
+    quotient matrix, the class of the i-th quotient generator acting by
+    actions[i]; infinite when I - Q is singular, as 1 is then an
+    eigenvalue of Q."""
+    q = family.quotient_matrix(spec)
+    shift = IntMatrix.identity(q.rows) - q
+    if shift.det() == 0:
+        return INFINITE, ("rnumber:identity-quotient",)
+    return r_class_sum(shift, actions, family.fitting_matrix(spec)), (rule,)
 
 
 def rnumber_with_trace(spec: AutomorphismSpec) -> tuple[RNumber, tuple[str, ...]]:

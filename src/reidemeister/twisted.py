@@ -2,29 +2,33 @@
 
 The basic quantity is the number of twisted conjugacy classes of an
 automorphism.  On a lattice Z^n an automorphism is an integer matrix M
-and the count is |det(I - M)| when nonzero, infinite otherwise.  The
-formula routes multiply such counts across a central layer, and sum
-them across a quotient with one sum:
+and the count is |det(I - M)| when nonzero, infinite otherwise
+(``r_abelian``).  The formula routes multiply such counts across a
+central layer, and sum them across a quotient with one sum,
+``r_class_sum``: the sum of R(B M) over the classes of Z^k / N Z^k, B
+the matrix a class induces on the lattice.  That is the addition formula
+over a free abelian quotient; divided by the order of a finite holonomy
+group, it is the averaging formula.
 
-* ``r_addition``  -- the sum of R(A M) over the matrices A induced by
-  representatives of the quotient classes,
-* ``r_averaging`` -- that sum over a finite holonomy group, divided by
-  its order.
-
-The formula routes in ``groups`` choose the matrices.  A route runs
-only on a verified automorphism, so the hypotheses of its sum (such as
-M A = A^-1 M for the two-step sum of Z^n x| Z) hold already and are not
-checked again here.  The index of the image of I - M, which
-|det(I - M)| counts, is recomputed from Smith form divisors only in the
-tests (``tests/snf_reference.py``).
+The formula routes in ``groups`` choose N, the actions and M.  A route
+runs only on a verified automorphism, so the hypotheses of the sum (M
+intertwines the actions, so each term is a class function) hold already
+and are not checked again here.  The index of the image of I - M, which
+|det(I - M)| counts, and the sum over an explicit transversal are
+recomputed from Smith form divisors only in the tests
+(``tests/snf_reference.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+import math
+import operator
 from typing import Sequence
 
-from .exactlin import IntMatrix
+from .exactlin import IntMatrix, _entries_order, _strict_int
 
 
 @dataclass(frozen=True)
@@ -38,29 +42,17 @@ class RNumber:
     value: int | None
 
     def __post_init__(self):
-        if self.value is not None and self.value < 1:
+        if self.value is not None and _strict_int(self.value, "a Reidemeister number") < 1:
             raise ValueError("finite Reidemeister numbers are >= 1")
-
-    @classmethod
-    def finite(cls, n: int) -> "RNumber":
-        return cls(int(n))
-
-    @classmethod
-    def infinite(cls) -> "RNumber":
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
 
     def __add__(self, other: "RNumber") -> "RNumber":
         if self.value is None or other.value is None:
-            return RNumber.infinite()
+            return INFINITE
         return RNumber(self.value + other.value)
 
     def __mul__(self, other: "RNumber") -> "RNumber":
         if self.value is None or other.value is None:
-            return RNumber.infinite()
+            return INFINITE
         return RNumber(self.value * other.value)
 
     def div_exact(self, k: int) -> "RNumber":
@@ -77,7 +69,7 @@ class RNumber:
         return "R(oo)" if self.value is None else "R(%d)" % self.value
 
 
-INFINITE = RNumber.infinite()
+INFINITE = RNumber(None)
 
 
 def r_abelian(m: IntMatrix) -> RNumber:
@@ -87,24 +79,31 @@ def r_abelian(m: IntMatrix) -> RNumber:
     return INFINITE if d == 0 else RNumber(abs(d))
 
 
-def r_addition(matrices: Sequence[IntMatrix], m: IntMatrix) -> RNumber:
-    """Sum of R(A M) over the matrices A, one per quotient class.
+def r_class_sum(shift: IntMatrix, actions: Sequence[IntMatrix], m: IntMatrix) -> RNumber:
+    """Sum of R(B_1^e_1 ... B_k^e_k M) over the classes e of Z^k / N Z^k,
+    N = shift, k = 1 or 2; infinite when det N = 0.
 
-    The matrices are those the class representatives induce on the
-    lattice, one per class of a finite quotient, so there is at least one.
+    N Z^k has the Hermite basis (g, *), (0, h), g the gcd of N's first
+    row and h = |det N| / g, so the box 0 <= e_1 < g, 0 <= e_2 < h is a
+    transversal.  A term reads e_i only mod ord B_i, so each residue is
+    counted once with its multiplicity; an action of no order <= 6 takes
+    its box side as order, which changes the cost, not the sum.
+    Precondition: the terms are class functions, which holds when M
+    intertwines the actions, as the layers of a verified automorphism do;
+    on other input another transversal may give another sum.
     """
-    if not matrices:
-        raise ValueError("empty representative set")
-    total = r_abelian(matrices[0] * m)
-    for a in matrices[1:]:
-        total = total + r_abelian(a * m)
-    return total
-
-
-def r_averaging(holonomy: Sequence[IntMatrix], m: IntMatrix) -> RNumber:
-    """(1 / |F|) * sum of R(A M) over the finite holonomy group F.
-
-    A finite sum that is not divisible by |F| can only come from
-    inadmissible input, so that case raises instead of rounding.
-    """
-    return r_addition(holonomy, m).div_exact(len(holonomy))
+    det = abs(shift.det())
+    if det == 0:
+        return INFINITE
+    g = math.gcd(*shift.row(0))
+    sides = (g, det // g)[:shift.rows]
+    orders = [_entries_order(b.entries) or side for b, side in zip(actions, sides)]
+    terms = []
+    for exps in product(*(range(min(side, k)) for side, k in zip(sides, orders))):
+        a = m
+        for b, e in zip(actions[::-1], exps[::-1]):
+            if e:
+                a = b ** e * a
+        count = math.prod((side - e + k - 1) // k for side, k, e in zip(sides, orders, exps))
+        terms.append(RNumber(count) * r_abelian(a))
+    return reduce(operator.add, terms)

@@ -3,9 +3,9 @@ the closed forms of the package.
 
 ``exactlin.system2_orbit`` reads the kernel of one row, ``spectra`` the
 primitive eigenvector of 1 and the Tahara invariant of a 3x3 action, and
-``Z2MinusIExt.rnumber_route`` the classes of Z^2 / (I - Q) Z^2, each in
-closed form.  Here each is recomputed from the Smith form U M V = D with
-recorded transforms: ``kernel_lattice`` and ``eigenlattice`` as columns
+``twisted.r_class_sum`` the classes of Z^2 / (I - Q) Z^2 on a Hermite
+box, each in closed form.  Here each is recomputed from the Smith form
+U M V = D with recorded transforms: ``kernel_lattice`` and ``eigenlattice`` as columns
 of V, ``coset_representatives`` as U^-1 applied to the box of the
 elementary divisors, ``r_abelian_via_cosets`` as their product,
 ``tahara_index`` as the index of the two eigenlattices and
@@ -17,10 +17,12 @@ the tests call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+import operator
 
 from reidemeister.exactlin import IntMatrix
 from reidemeister.groups import AutomorphismSpec
-from reidemeister.twisted import INFINITE, RNumber, r_addition
+from reidemeister.twisted import INFINITE, RNumber, r_abelian
 
 
 @dataclass(frozen=True)
@@ -226,5 +228,5 @@ def ext_rnumber_via_cosets(spec: AutomorphismSpec) -> RNumber:
     reps = coset_representatives(IntMatrix.identity(2) - family.quotient_matrix(spec))
     if reps is None:
         return INFINITE
-    matrices = [(family.action ** f).scale((-1) ** (e % 2)) for e, f in reps]
-    return r_addition(matrices, family.fitting_matrix(spec))
+    m = family.fitting_matrix(spec)
+    return reduce(operator.add, [r_abelian((family.action ** f).scale((-1) ** (e % 2)) * m) for e, f in reps])

@@ -83,7 +83,7 @@ def test_importing_the_package_loads_no_submodule():
 
 EXPORTS = {
     "exactlin": ["IntMatrix", "finite_order", "parse_matrix", "unit_root_split"],
-    "twisted": ["RNumber", "r_abelian", "r_addition", "r_averaging"],
+    "twisted": ["RNumber", "r_abelian", "r_class_sum"],
     "groups": [
         "AutomorphismSpec", "ClassLabeling", "FreeAbelian", "Heisenberg", "HeisenbergTimesZ", "HnSemidirectZ",
         "Z2MinusIExt", "ZnSemidirectZ", "label_classes", "rnumber", "verify_automorphism", "witness",

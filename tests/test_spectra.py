@@ -252,7 +252,7 @@ def test_z3_eight_witness_builds_a_real_automorphism():
         },
     )
     assert verify_automorphism(spec).ok
-    assert rnumber(replace(spec, verified=True)) == RNumber.finite(8)
+    assert rnumber(replace(spec, verified=True)) == RNumber(8)
     assert classify_z3_semidirect(a_full, 50).spectrum == EIGHT
 
 
@@ -1095,7 +1095,7 @@ def test_multiples_realized_by_witness_corpus():
     for c, realize in cases:
         for alpha in range(1, 21):
             value = realize(alpha)
-            assert value == RNumber.finite(c * alpha)
+            assert value == RNumber(c * alpha)
 
     # the rank-3 flip realizes every even value: 2(m+1) for m >= 1 plus a
     # companion block with char poly x^3 - x - 1 for the value 2
@@ -1103,14 +1103,14 @@ def test_multiples_realized_by_witness_corpus():
     assert res.spectrum == SpectrumDescriptor.multiples(2)
     fam = ZnSemidirectZ(-I3)
     for alpha in range(2, 21):
-        assert rnumber(witness(fam, "M_m", alpha - 1)) == RNumber.finite(2 * alpha)
+        assert rnumber(witness(fam, "M_m", alpha - 1)) == RNumber(2 * alpha)
     companion = AutomorphismSpec.from_images(
         fam, {"e1": (0, 1, 0, 0), "e2": (0, 0, 1, 0), "e3": (1, 1, 0, 0), "t": (0, 0, 0, -1)}
     )
     assert verify_automorphism(companion).ok
     from dataclasses import replace
 
-    assert rnumber(replace(companion, verified=True)) == RNumber.finite(2)
+    assert rnumber(replace(companion, verified=True)) == RNumber(2)
 
 
 def test_r_infinity_cases_never_certify_finite():

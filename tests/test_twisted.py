@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -7,7 +8,6 @@ from reidemeister.exactlin import IntMatrix, parse_matrix
 from reidemeister.groups import (
     AutomorphismSpec,
     ZnSemidirectZ,
-    holonomy_embedding,
     rnumber_with_trace,
     tahara_form_order2,
     tahara_form_order3,
@@ -15,12 +15,7 @@ from reidemeister.groups import (
     verify_automorphism,
     witness,
 )
-from reidemeister.twisted import (
-    RNumber,
-    r_abelian,
-    r_addition,
-    r_averaging,
-)
+from reidemeister.twisted import INFINITE, RNumber, r_abelian, r_class_sum
 from conftest import random_unimodular, unimodular_matrices
 from snf_reference import r_abelian_via_cosets
 
@@ -29,25 +24,32 @@ FIB = parse_matrix("2,3;3,5")
 ROT4 = parse_matrix("0,-1;1,0")
 
 
+def _shift(d):
+    return IntMatrix(1, 1, (d,))
+
+
 def test_rnumber_arithmetic():
-    inf = RNumber.infinite()
-    four = RNumber.finite(4)
-    assert (inf + four) == inf
+    four = RNumber(4)
+    assert (INFINITE + four) == INFINITE
     assert (four + four).value == 8
-    assert (inf * four) == inf
-    assert (four * RNumber.finite(3)).value == 12
+    assert (INFINITE * four) == INFINITE
+    assert (four * RNumber(3)).value == 12
     assert four.div_exact(2).value == 2
     with pytest.raises(ArithmeticError):
-        RNumber.finite(3).div_exact(2)
+        RNumber(3).div_exact(2)
     with pytest.raises(ValueError):
-        RNumber.finite(0)
-    assert four.to_json() == 4 and inf.to_json() == "infinity"
+        RNumber(0)
+    assert four.to_json() == 4 and INFINITE.to_json() == "infinity"
+    # a value that is not an int is refused, never truncated or kept as is
+    for value in (2.5, "7", True, 3.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RNumber(value)
 
 
 def test_r_abelian_examples():
-    assert r_abelian(I2) == RNumber.infinite()
-    assert r_abelian(-I2) == RNumber.finite(4)
-    assert r_abelian(parse_matrix("0,1;1,1")) == RNumber.finite(1)
+    assert r_abelian(I2) == INFINITE
+    assert r_abelian(-I2) == RNumber(4)
+    assert r_abelian(parse_matrix("0,1;1,1")) == RNumber(1)
 
 
 def test_r_abelian_agrees_with_coset_oracle(rng):
@@ -65,43 +67,64 @@ def test_r_abelian_conjugation_invariant(data, n):
     assert r_abelian(p * m * p.inverse_unimodular()) == r_abelian(m)
 
 
-def test_r_addition_examples():
-    assert r_addition([I2], -I2) == RNumber.finite(4)
+def test_r_class_sum_examples():
+    assert r_class_sum(_shift(1), (-I2,), -I2) == RNumber(4)
     m1 = parse_matrix("0,1;1,1")
-    assert r_addition([I2, -I2], m1) == RNumber.finite(2)
-    assert r_addition([I2, FIB], ROT4) == RNumber.finite(4)
-    assert r_addition([I2, -I2], I2) == RNumber.infinite()
-    with pytest.raises(ValueError):
-        r_addition([], I2)
+    assert r_class_sum(_shift(2), (-I2,), m1) == RNumber(2)
+    assert r_class_sum(_shift(-2), (-I2,), m1) == RNumber(2)
+    assert r_class_sum(_shift(2), (FIB,), ROT4) == RNumber(4)  # FIB has infinite order
+    assert r_class_sum(_shift(2), (-I2,), I2) == INFINITE
+    assert r_class_sum(_shift(0), (-I2,), m1) == INFINITE
+    assert r_class_sum(IntMatrix.zero(2, 2), (-I2, I2), m1) == INFINITE
+    # an action of infinite order takes its box side as order: R(-I) + R(-FIB) + R(-FIB^2)
+    assert r_class_sum(_shift(3), (FIB,), -I2) == RNumber(4 + 9 + 49)
+    # the terms are R(B_1^e_1 B_2^e_2 M): ROT4 FIB M counts 6, FIB ROT4 M would count 12
+    assert r_class_sum(IntMatrix(2, 2, (2, 0, 0, 2)), (ROT4, FIB), parse_matrix("-1,-1;1,0")) == RNumber(3 + 4 + 4 + 6)
 
 
 def test_r_semidirect_examples():
     # the two-step sum R(M) + R(AM) of Z^n x| Z with the quotient inverted
     m3 = parse_matrix("0,1;1,3")
-    assert r_addition((I2, -I2), m3) == RNumber.finite(6)
-    assert r_addition((I2, FIB), ROT4) == RNumber.finite(4)
-    assert r_addition((I2, -I2), I2) == RNumber.infinite()
+    assert r_class_sum(_shift(2), (-I2,), m3) == RNumber(6)
+    assert r_class_sum(_shift(2), (FIB,), ROT4) == RNumber(4)
+    assert r_class_sum(_shift(2), (-I2,), I2) == INFINITE
+    # over 6 classes an order-2 action repeats each term three times
+    assert r_class_sum(_shift(6), (-I2,), m3) == RNumber(18)
 
 
-def _flip_spec(m):
-    # e_i -> M e_i, t -> t^-1: an automorphism of Z^2 x|_{-I} Z for every M
-    fam = ZnSemidirectZ(-I2)
+def _flip_spec(a, m):
+    # e_i -> M e_i, t -> t^-1: an automorphism of Z^2 x|_A Z when it verifies
+    fam = ZnSemidirectZ(a)
     images = {"e1": m.column(0) + (0,), "e2": m.column(1) + (0,), "t": (0, 0, -1)}
     spec = AutomorphismSpec.from_images(fam, images)
-    assert verify_automorphism(spec).ok
-    return replace(spec, verified=True)
+    return replace(spec, verified=True) if verify_automorphism(spec).ok else None
 
 
 def test_two_step_route_matches_the_coset_oracle(rng):
+    # -I verifies with every M; the infinite-order actions only with the M
+    # in [-2,2]^4 that satisfy M A = A^-1 M, and take the class sum's fallback
     ms = [parse_matrix("0,1;1,1"), parse_matrix("0,1;1,5"), I2]
     ms += [random_unimodular(rng, 2, 4) for _ in range(20)]
-    for m in ms:
-        expected = r_abelian_via_cosets(m) + r_abelian_via_cosets(-m)
-        assert rnumber_with_trace(_flip_spec(m)) == (expected, ("rnumber:two-step-addition",)), m
+    cases = [(-I2, m) for m in ms]
+    box = [IntMatrix(2, 2, e) for e in product(range(-2, 3), repeat=4)]
+    for a in (parse_matrix("2,1;1,1"), FIB):
+        flips = [(a, m) for m in box if m.is_unimodular and _flip_spec(a, m)]
+        assert len(flips) == 10, a
+        cases += flips
+    assert rnumber_with_trace(_flip_spec(parse_matrix("2,1;1,1"), parse_matrix("-1,-1;2,1")))[0] == RNumber(4)
+    for a, m in cases:
+        expected = r_abelian_via_cosets(m) + r_abelian_via_cosets(a * m)
+        assert rnumber_with_trace(_flip_spec(a, m)) == (expected, ("rnumber:two-step-addition",)), (a, m)
 
 
-def test_r_averaging_trivial_holonomy():
-    assert r_averaging([IntMatrix.identity(2)], -I2) == r_abelian(-I2)
+def test_class_sum_trivial_holonomy():
+    assert r_class_sum(_shift(1), (I2,), -I2).div_exact(1) == r_abelian(-I2)
+
+
+def _diag_one(form):
+    # diag(1, A): the holonomy generator in translation coordinates
+    n = form.rows
+    return IntMatrix.from_rows([[1] + [0] * n] + [[0, *form.row(i)] for i in range(n)])
 
 
 def _averaged_witness(form, alpha):
@@ -109,14 +132,13 @@ def _averaged_witness(form, alpha):
     spec = witness(fam, "phi_alpha", alpha)
     d = 2 if form in (tahara_form_order2(0), tahara_form_order2(1)) else 3
     mt = translation_matrix(spec, d)
-    h = holonomy_embedding(form)
-    return r_averaging([h ** i for i in range(d)], mt)
+    return r_class_sum(_shift(d), (_diag_one(form),), mt).div_exact(d)
 
 
-def test_r_averaging_on_block_embeddings():
-    assert _averaged_witness(tahara_form_order2(1), 1) == RNumber.finite(4)
-    assert _averaged_witness(tahara_form_order3(1), 1) == RNumber.finite(6)
-    assert _averaged_witness(tahara_form_order2(0), 3) == RNumber.finite(6)
+def test_class_sum_on_block_embeddings():
+    assert _averaged_witness(tahara_form_order2(1), 1) == RNumber(4)
+    assert _averaged_witness(tahara_form_order3(1), 1) == RNumber(6)
+    assert _averaged_witness(tahara_form_order2(0), 3) == RNumber(6)
 
 
 def test_block_embedding_counts_factor():
@@ -126,7 +148,7 @@ def test_block_embedding_counts_factor():
         fam = ZnSemidirectZ(form)
         spec = witness(fam, "phi_alpha", 2)
         mt = translation_matrix(spec, d)
-        a_tilde = holonomy_embedding(form)
+        a_tilde = _diag_one(form)
         n_block = IntMatrix.from_rows([[mt[0, 0], mt[0, 1]], [mt[1, 0], mt[1, 1]]])
         m_block = IntMatrix.from_rows([[mt[2, 2], mt[2, 3]], [mt[3, 2], mt[3, 3]]])
         a_prime = IntMatrix.from_rows([[form[1, 1], form[1, 2]], [form[2, 1], form[2, 2]]])
@@ -136,6 +158,6 @@ def test_block_embedding_counts_factor():
             assert lhs == rhs
 
 
-def test_r_averaging_divisibility_is_loud():
-    with pytest.raises(ArithmeticError):
-        r_averaging([I2, parse_matrix("0,1;1,0")], parse_matrix("2,1;1,1"))  # terms 1 and 2, sum 3 odd
+def test_class_sum_divisibility_is_loud():
+    with pytest.raises(ArithmeticError):  # terms 1 and 2 over 2 classes, sum 3 odd
+        r_class_sum(_shift(2), (parse_matrix("0,1;1,0"),), parse_matrix("2,1;1,1")).div_exact(2)
