@@ -367,9 +367,9 @@ class ZnSemidirectZ(GroupFamily):
             return None
         d = finite_order(a)
         if d is None:
-            # With an infinite-order action the lattice is characteristic
-            # whenever 1 is not an eigenvalue, so leaving it is a failure; in
-            # the unipotent corner this check is sound but conservative.
+            # Leaving the lattice is a failure where it is characteristic, as when 1
+            # is not an eigenvalue.  Known gap (ROADMAP item 6): this refuses genuine
+            # automorphisms too, e.g. e1 -> e1^-1, e2 -> t, t -> e2 on A = (1,1;0,1).
             return "images leave the lattice subgroup"
         if not translation_matrix(spec, d).is_unimodular:
             return "translation-lattice matrix is not unimodular"
@@ -923,10 +923,10 @@ class ClassLabeling:
     """Twisted-conjugacy labels over a bounded exponent ball.
 
     The labels come from one incremental union-find saturation of the
-    radius-(r+2) ball, walked row by row with one twist per generator (see
-    ``label_classes``): the edges inside the radius-(r+1) ball are merged
-    first and the radius-r labels read off there, so merge paths grazing
-    the boundary are not reported as spurious extra classes.  ``complete``
+    radius-(r+2) ball, walked row by row at one group product per twist
+    and row (see ``label_classes``): the edges inside the radius-(r+1) ball
+    are merged first and the radius-r labels read off there, so merge paths
+    grazing the boundary are not reported as spurious extra classes.  ``complete``
     is a heuristic fixed-point certificate read off the finished
     saturation: the class count did not change when the radius grew by one
     and every class already meets the interior of the ball.  It is never a
@@ -942,19 +942,19 @@ class ClassLabeling:
         return len(set(self.labels.values()))
 
 
-def _row_span(h0: tuple[int, ...], d: tuple[int, ...], bound: int, side: int) -> tuple[int, int]:
-    """The k in range(side) with h0 + k d in the sup-norm ball of radius
-    bound, as a half-open interval (start, stop), empty when start >= stop."""
-    start, stop = 0, side
+def _row_spans(h0: tuple[int, ...], d: tuple[int, ...], outer: int, inner: int, side: int) -> tuple[int, ...]:
+    """The k in range(side) with h0 + k d in the sup-norm balls of radius
+    outer and inner: intervals [lo, hi) and [a, b), empty when start >= stop."""
+    lo, hi, a, b = 0, side, 0, side
     for h, s in zip(h0, d):
-        if s < 0:  # the ball is symmetric
+        if s < 0:  # the balls are symmetric
             h, s = -h, -s
         if s:
-            start = max(start, -((bound + h) // s))
-            stop = min(stop, (bound - h) // s + 1)
-        elif abs(h) > bound:
-            return 0, 0
-    return start, stop
+            lo, hi = max(lo, -((outer + h) // s)), min(hi, (outer - h) // s + 1)
+            a, b = max(a, -((inner + h) // s)), min(b, (inner - h) // s + 1)
+        elif abs(h) > inner:  # off ball(inner) at every k, and maybe off ball(outer)
+            hi, b = (hi if abs(h) <= outer else 0), 0
+    return lo, hi, a, b
 
 
 def _ball_offsets(side: int, slots: int, radius: int) -> list[int]:
@@ -970,19 +970,20 @@ def _ball_offsets(side: int, slots: int, radius: int) -> list[int]:
 def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     """Union-find saturation of g ~ z g phi(z)^-1 over an exponent ball.
 
-    One saturation of the radius-(r+2) ball with one twist per generator
-    z: the twist by z^-1 is its inverse map and gives the same edges.
-    Each twist is affine in slot 0 once the other slots are fixed, so the
-    ball is walked in rows along slot 0: two twists give a row's start h0
-    and step d, the k with h0 + k d in the ball form one interval, and the
-    image's index in the sorted ball is index(h0) + k (d . strides).  The
-    radius-(r+1) edges, those with both ends in the radius-(r+1) ball, are
-    merged first and the radius-r labels and class count taken as a
-    snapshot, in first-seen order over the sorted ball; then the edges
-    leaving that ball are merged, and the class count over it and the
-    interior certificate are read off the finished structure.  Raises
-    ValueError when the outer ball would hold more than MAX_BALL_SITES
-    sites.
+    One saturation of the radius-(r+2) ball with one twist T per generator
+    z (the twist by z^-1 is its inverse map), in rows along slot 0 at one
+    product per twist and row.  The step is fixed: T(g1 g) = u T(g) for
+    u = z g1 z^-1, whose left multiplication adds u to exponent tuples, so
+    a row from h0 holds h0 + k u, at site index(h0) + k (u . strides).  The
+    starts chain: g g_n adds 1 to the last slot, so T(g g_n) = T(g) phi(z)
+    g_n phi(z)^-1; where that slot wraps a row pays the full twist and
+    checks u h0 = h0 + u (else ValueError naming the family).  The edges
+    with both ends in the radius-(r+1) ball are merged first and the
+    radius-r labels and class count taken as a snapshot, in first-seen
+    order over the sorted ball; then the edges leaving that ball are
+    merged, and the class count over it and the interior certificate are
+    read off the finished structure.  Raises ValueError when the outer
+    ball would hold more than MAX_BALL_SITES sites.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -999,9 +1000,8 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
             % (radius, side, slots, size, MAX_BALL_SITES)
         )
     mul = fam.multiply
-    twists = [(z, fam.inverse(spec.apply(z))) for z in fam.generators()]
+    gens = fam.generators()
     strides = [side ** (slots - 1 - i) for i in range(slots)]
-    step = strides[0]
     parent = list(range(size))
 
     def find(x):
@@ -1017,24 +1017,24 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
             parent[x] = y
 
     leaving_g, leaving_h = array("l"), array("l")  # the edges leaving ball(r+1)
-    for base, rest in enumerate(product(range(-outer, outer + 1), repeat=slots - 1)):
-        # the row's sites (k - outer, rest), 0 <= k < side; those with
-        # 1 <= k < g_stop lie in ball(r+1)
-        sources = range(base, size, step)
-        g_stop = side - 1 if max(map(abs, rest), default=0) <= inner else 0
-        first, second = (-outer,) + rest, (1 - outer,) + rest
-        for z, w in twists:
-            h0 = mul(mul(z, first), w)
-            d = tuple(map(operator.sub, mul(mul(z, second), w), h0))
-            lo, hi = _row_span(h0, d, outer, side)
+    for z, phi_z in zip(gens, spec.images):
+        w, u = fam.inverse(phi_z), mul(mul(z, gens[0]), fam.inverse(z))
+        chain, image_step = mul(mul(phi_z, gens[-1]), w), sum(map(operator.mul, u, strides))
+        for base, rest in enumerate(product(range(-outer, outer + 1), repeat=slots - 1)):
+            wrap = not rest or rest[-1] == -outer  # the first row, or the last slot wrapped
+            h0 = mul(mul(z, (-outer,) + rest), w) if wrap else mul(h0, chain)
+            if wrap and mul(u, h0) != tuple(map(operator.add, u, h0)):
+                raise ValueError("on %s, z g1 z^-1 = %s is no translation: no fixed row step" % (fam.json_tag, u))
+            lo, hi, a, b = _row_spans(h0, u, outer, inner, side)
             if lo >= hi:
                 continue
-            # image indices index(h0) + k (d . strides); that step is 0 only
-            # when at most one image lies in the ball
+            # the row's sites (k - outer, rest), 0 <= k < side, have indices
+            # base + k side^(n-1); those with 1 <= k < g_stop lie in ball(r+1)
+            sources = range(base, size, strides[0])
+            g_stop = side - 1 if max(map(abs, rest), default=0) <= inner else 0
+            # the image step is 0 only when at most one image lies in the ball
             start = sum((x + outer) * s for x, s in zip(h0, strides))
-            image_step = sum(map(operator.mul, d, strides))
             images = range(start, start + side * image_step, image_step) if image_step else [start] * side
-            a, b = _row_span(h0, d, inner, side)
             a, b = max(a, 1), min(b, g_stop)
             for x, y in zip(sources[a:b], images[a:b]):
                 union(x, y)

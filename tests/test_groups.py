@@ -13,6 +13,7 @@ from reidemeister.groups import (
     HeisenbergTimesZ,
     HnSemidirectZ,
     UnknownWitnessError,
+    VerificationResult,
     Z2MinusIExt,
     ZnSemidirectZ,
     FAMILIES,
@@ -30,7 +31,7 @@ from reidemeister.groups import (
 from reidemeister.twisted import INFINITE, RNumber
 from dataclasses import replace
 from snf_reference import ext_rnumber_via_cosets
-from verify_reference import reference_verify
+from verify_reference import _word_product, presentation, reference_verify
 
 I2 = IntMatrix.identity(2)
 FIB = parse_matrix("2,3;3,5")
@@ -226,6 +227,44 @@ def test_verification_agrees_with_the_reference_on_random_images(rng):
             broken += not report.ok and report.failure.startswith("relation violated")
         # an abelian law satisfies every commutation relation
         assert accepted and (broken or isinstance(fam, FreeAbelian)), fam
+
+
+# automorphisms of Z^n x|_A Z that leave the lattice, each with its
+# inverse; verify_automorphism refuses both as "images leave the lattice
+# subgroup" (ROADMAP item 6)
+LATTICE_LEAVING = {
+    # on H_1 written as Z^2 x| Z: e1 -> e1^-1, e2 -> t, t -> e2, an involution
+    "unipotent-swap": (
+        ZnSemidirectZ(parse_matrix("1,1;0,1")),
+        ((-1, 0, 0), (0, 0, 1), (0, 1, 0)),
+        ((-1, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ),
+    # eigenvalue 1 twice: e2 -> e2 t^2, inverse e2 -> e2 t^-2
+    "eigenvalue-one-twice": (
+        ZnSemidirectZ(parse_matrix("1,1,0;0,1,0;0,0,-1")),
+        ((1, 0, 0, 0), (0, 1, 0, 2), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((1, 0, 0, 0), (0, 1, 0, -2), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("fam, images, inverse", LATTICE_LEAVING.values(), ids=LATTICE_LEAVING.keys())
+def test_lattice_leaving_maps_are_automorphisms(fam, images, inverse):
+    # independently of verify_automorphism: both maps satisfy every relation
+    # of the hand-written presentation, and each undoes the other
+    spec, back = AutomorphismSpec(fam, images), AutomorphismSpec(fam, inverse)
+    for phi in (spec, back):
+        for (j, i), word in presentation(fam).items():
+            assert _word_product(phi, ((j, 1), (i, 1))) == _word_product(phi, word)
+    for g in fam.generators():
+        assert back.apply(spec.apply(g)) == g == spec.apply(back.apply(g))
+    assert any(img[fam.n] for img in images[:fam.n])  # an e_i image leaves the lattice
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the lattice check refuses automorphisms leaving the lattice")
+@pytest.mark.parametrize("fam, images, inverse", LATTICE_LEAVING.values(), ids=LATTICE_LEAVING.keys())
+def test_verify_accepts_automorphisms_that_leave_the_lattice(fam, images, inverse):
+    assert verify_automorphism(AutomorphismSpec(fam, images)) == VerificationResult(True)
 
 
 def test_finite_order_witnesses_never_walk_past_the_order(monkeypatch):

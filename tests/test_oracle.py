@@ -1,15 +1,20 @@
-"""The ball oracle against its two-pass reference, and the slot-0 affinity
-of the twists its row walk relies on."""
+"""The ball oracle against its two-pass reference, the two normal-form
+facts its row walk relies on (a fixed step per twist along slot 0, and
+g g_n adding one to the last slot), its refusal of a family without them,
+and its cost in group products."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reidemeister.exactlin import IntMatrix, parse_matrix
+from reidemeister.exactlin import IntMatrix, _power_sum, parse_matrix
 from reidemeister.groups import (
+    FAMILIES,
     AutomorphismSpec,
     FreeAbelian,
+    GroupFamily,
     Heisenberg,
     HeisenbergTimesZ,
     HnSemidirectZ,
@@ -21,7 +26,6 @@ from reidemeister.groups import (
     verify_automorphism,
     witness,
 )
-from dataclasses import replace
 from oracle_reference import reference_label_classes
 
 I2 = IntMatrix.identity(2)
@@ -110,21 +114,87 @@ AFFINITY_SPECS = {
 }
 
 
+def test_every_family_has_an_affinity_spec():
+    assert {spec.family.json_tag for spec in AFFINITY_SPECS.values()} == set(FAMILIES)
+
+
 @pytest.mark.parametrize("spec", AFFINITY_SPECS.values(), ids=AFFINITY_SPECS.keys())
 def test_twists_are_affine_in_slot_zero(spec):
-    # label_classes walks each row (slot 0 varying, the rest fixed) from two
-    # twists, so every twist g -> z g phi(z)^-1 must be affine along it:
-    # T(g + 2 e0) - 2 T(g + e0) + T(g) = 0 on every row of the outer ball
-    # of a radius-2 labeling
+    # label_classes steps every row (slot 0 varying, the rest fixed) by one
+    # vector per twist g -> z g phi(z)^-1, u = z g1 z^-1, so T(g + e0) - T(g)
+    # must be that same vector on every row of the outer ball of a
+    # radius-2 labeling
     fam = spec.family
-    mul = fam.multiply
+    mul, gens = fam.multiply, fam.generators()
     outer = 4
-    for gen in fam.generators():
-        z, w = gen, fam.inverse(spec.apply(gen))
+    for z, phi_z in zip(gens, spec.images):
+        w = fam.inverse(phi_z)
+        steps = set()
         for rest in product(range(-outer, outer + 1), repeat=fam.slots - 1):
             row = [mul(mul(z, (k,) + rest), w) for k in range(-outer, outer + 1)]
-            for t0, t1, t2 in zip(row, row[1:], row[2:]):
-                assert all(a - 2 * b + c == 0 for a, b, c in zip(t0, t1, t2))
+            steps.update(tuple(b - a for a, b in zip(t0, t1)) for t0, t1 in zip(row, row[1:]))
+        assert steps == {mul(mul(z, gens[0]), fam.inverse(z))}
+
+
+@pytest.mark.parametrize("spec", AFFINITY_SPECS.values(), ids=AFFINITY_SPECS.keys())
+def test_last_generator_adds_one_to_the_last_slot(spec):
+    # label_classes chains each row's start from the row before it, which
+    # needs g g_n to be g with its last exponent raised by one
+    fam = spec.family
+    last = fam.generators()[-1]
+    for g in product(range(-3, 4), repeat=fam.slots):
+        assert fam.multiply(g, last) == g[:-1] + (g[-1] + 1,)
+
+
+class _SlotZeroT(GroupFamily):
+    """Z^2 x|_A Z for A = WEL with t in slot 0: t^k v t^k' v' = t^(k+k')
+    (A^-k' v + v').  Its normal forms are in slot order, but e1 t e1^-1 =
+    t (A^-1 e1 - e1) does not multiply on the left by a translation."""
+
+    json_tag = "slot-zero-t"
+    generator_names = ("t", "e1", "e2")
+
+    def multiply(self, a, b):
+        p = _power_sum(WEL.inverse_unimodular().entries, b[0])[0]
+        return (a[0] + b[0], p[0] * a[1] + p[1] * a[2] + b[1], p[2] * a[1] + p[3] * a[2] + b[2])
+
+
+def test_row_walk_refuses_a_family_whose_step_is_not_fixed():
+    fam = _SlotZeroT()
+    assert fam.multiply((0, 1, 0), (1, 0, 0)) == (1, 5, -3)  # e1 t = t A^-1 e1
+    identity = AutomorphismSpec(fam, tuple(fam.generators()), verified=True)
+    with pytest.raises(ValueError, match="on slot-zero-t, .* is no translation"):
+        label_classes(identity, 1)
+
+
+@pytest.mark.parametrize(
+    "family, wid, param",
+    [
+        (ZnSemidirectZ(-I3), "M_m", 2),
+        (Z2MinusIExt(WEL, (1, -2)), "phi_eight", 1),
+        (HeisenbergTimesZ(1), "phi_m", 2),
+        (HnSemidirectZ(1, 1, 0), "M_r", 2),
+    ],
+    ids=lambda v: v.json_tag if hasattr(v, "json_tag") else str(v),
+)
+def test_row_walk_makes_one_product_per_twist_and_row(family, wid, param, monkeypatch):
+    spec = witness(family, wid, param)
+    law, calls = type(family).multiply, [0]
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return law(self, a, b)
+
+    monkeypatch.setattr(type(family), "multiply", counted)
+    radius, slots = 3, family.slots
+    label_classes(spec, radius)
+    side = 2 * radius + 5
+    rows = side ** (slots - 1)
+    # per twist: a chained start per row, and 2 more products on each of the
+    # rows / side rows where the last slot wraps (the full twist and its
+    # check); phi(z)^-1 takes at most slots - 1 products, u and the chain
+    # factor 2 each
+    assert calls[0] <= slots * (rows + 2 * rows // side + slots - 1 + 4)
 
 
 # edge cases of the row walk: one slot (each row is the whole ball, its
