@@ -10,8 +10,8 @@ The module provides:
 * ``IntMatrix``, an immutable dense matrix (``from_rows`` and the
   parsers take int entries only; nothing is truncated);
 * exact determinants and unimodular inverses;
-* ``_power_sum``, the one source of matrix powers and geometric sums
-  (``IntMatrix.__pow__`` and the group laws read its bounded cache);
+* ``_power_sum`` and ``_power``, the one source of matrix powers and geometric
+  sums (``IntMatrix.__pow__`` and the group laws read their bounded cache);
 * ``unit_root_split``, the eigenvalue case of a 3x3 unimodular matrix:
   the multiplicities of 1 and -1 in its characteristic polynomial and the
   quadratic factor left over (irrational eigenvalues are never
@@ -168,7 +168,7 @@ class IntMatrix:
     def __pow__(self, k: int) -> "IntMatrix":
         """M^k through the shared power cache; k < 0 needs M unimodular."""
         self._require_square("power")
-        return IntMatrix(self.rows, self.rows, _power_sum(self.entries, k)[0])
+        return IntMatrix(self.rows, self.rows, _power(self.entries, k))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
@@ -312,6 +312,13 @@ def _power_sum(a: tuple, k: int) -> tuple:
     q, r = divmod(k, d)
     power, s_r = _walk(a, r)
     return power, tuple([q * x + y for x, y in zip(_walk(a, d)[1], s_r)])
+
+
+def _power(a: tuple, k: int) -> tuple:
+    """A^k alone, read off the same cache: with A^d = I it is A^(k mod d),
+    so a finite-order action never rebuilds q S_d + S_r for a power."""
+    d = _entries_order(a)
+    return _walk(a, k if d is None else k % d)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,12 @@ routine and must not overflow anything.
 Z2MinusIExt is one case of the extension of Z^2 by Z^2 in which u and t
 act by commuting matrices A and B with [u, t] = n0: its law is
 ``_z2_by_z2_mul`` with B = -I, the same law ``spectra`` applies to any
-such presentation.  The matrix-backed laws read A^k, B^k and their
-geometric sums from the bounded power cache of ``exactlin._power_sum``;
-an action of finite order reduces the exponent modulo its order first,
-in O(1).  Exponents, parameters and n0 must be ints: the constructors
-and JSON decoding refuse a float, a string or a boolean with a ValueError
-naming the field.
+such presentation.  The matrix-backed laws read A^k and B^k
+(``exactlin._power``) and their geometric sums (``exactlin._power_sum``)
+from one bounded power cache; an action of finite order reduces the
+exponent modulo its order first, in O(1).  Exponents, parameters and n0
+must be ints: the constructors and JSON decoding refuse a float, a string
+or a boolean with a ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .exactlin import (
     lifting_solver,
     matrix_from_json,
     system2_orbit,
+    _power,
     _power_sum,
     _strict_int,
 )
@@ -103,7 +104,7 @@ def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
         v1 = s[2] * n0[0] + s[3] * n0[1]
         w0 += q[0] * v0 + q[1] * v1
         w1 += q[2] * v0 + q[3] * v1
-    r = _power_sum(b, k1)[0]
+    r = _power(b, k1)
     return (x1 + r[0] * w0 + r[1] * w1, y1 + r[2] * w0 + r[3] * w1, k1 + k2, l1 + l2)
 
 
@@ -338,7 +339,7 @@ class ZnSemidirectZ(GroupFamily):
 
     def multiply(self, a, b):
         n = self.n
-        p = _power_sum(self.action.entries, a[n])[0]
+        p = _power(self.action.entries, a[n])
         return tuple(a[i] + sum(map(operator.mul, p[i * n:(i + 1) * n], b)) for i in range(n)) + (a[n] + b[n],)
 
     def to_json_dict(self):
@@ -922,11 +923,11 @@ MAX_BALL_SITES = 100_000
 class ClassLabeling:
     """Twisted-conjugacy labels over a bounded exponent ball.
 
-    The labels come from one incremental union-find saturation of the
-    radius-(r+2) ball, walked row by row at one group product per twist
-    and row (see ``label_classes``): the edges inside the radius-(r+1) ball
-    are merged first and the radius-r labels read off there, so merge paths
-    grazing the boundary are not reported as spurious extra classes.  ``complete``
+    The labels come from one union-find saturation of the radius-(r+2)
+    ball, walked row by row at one group product and one merge loop per
+    twist and row (see ``label_classes``): the edges inside the radius-(r+1)
+    ball are merged first and the radius-r labels read off there, so merge
+    paths grazing the boundary are not reported as spurious extra classes.  ``complete``
     is a heuristic fixed-point certificate read off the finished
     saturation: the class count did not change when the radius grew by one
     and every class already meets the interior of the ball.  It is never a
@@ -942,19 +943,25 @@ class ClassLabeling:
         return len(set(self.labels.values()))
 
 
-def _row_spans(h0: tuple[int, ...], d: tuple[int, ...], outer: int, inner: int, side: int) -> tuple[int, ...]:
-    """The k in range(side) with h0 + k d in the sup-norm balls of radius
-    outer and inner: intervals [lo, hi) and [a, b), empty when start >= stop."""
-    lo, hi, a, b = 0, side, 0, side
-    for h, s in zip(h0, d):
-        if s < 0:  # the balls are symmetric
-            h, s = -h, -s
-        if s:
-            lo, hi = max(lo, -((outer + h) // s)), min(hi, (outer - h) // s + 1)
-            a, b = max(a, -((inner + h) // s)), min(b, (inner - h) // s + 1)
-        elif abs(h) > inner:  # off ball(inner) at every k, and maybe off ball(outer)
-            hi, b = (hi if abs(h) <= outer else 0), 0
-    return lo, hi, a, b
+def _merge(parent: list[int], xs, ys) -> None:
+    """Union x and y for each pair: path halving, and the smaller index as
+    root, so parent[i] <= i always holds (Tarjan's union-find)."""
+    for x, y in zip(xs, ys):
+        while x != (p := parent[x]):
+            parent[x] = x = parent[p]
+        while y != (p := parent[y]):
+            parent[y] = y = parent[p]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+
+
+def _point_at_roots(parent: list[int]) -> None:
+    """One forward pass: as parent[i] <= i, parent[p] is a root by the time
+    site i is reached, so afterwards every site points at its root."""
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
 
 
 def _ball_offsets(side: int, slots: int, radius: int) -> list[int]:
@@ -977,13 +984,13 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     a row from h0 holds h0 + k u, at site index(h0) + k (u . strides).  The
     starts chain: g g_n adds 1 to the last slot, so T(g g_n) = T(g) phi(z)
     g_n phi(z)^-1; where that slot wraps a row pays the full twist and
-    checks u h0 = h0 + u (else ValueError naming the family).  The edges
-    with both ends in the radius-(r+1) ball are merged first and the
-    radius-r labels and class count taken as a snapshot, in first-seen
-    order over the sorted ball; then the edges leaving that ball are
-    merged, and the class count over it and the interior certificate are
-    read off the finished structure.  Raises ValueError when the outer
-    ball would hold more than MAX_BALL_SITES sites.
+    checks u h0 = h0 + u (else ValueError naming the family).  Each row's
+    edges inside the radius-(r+1) ball go to one merge loop (``_merge``
+    keeps parent[i] <= i), a forward pass points every site at its root,
+    and the radius-r labels and class count are read off, in first-seen
+    order over the sorted ball; the edges leaving that ball then get one
+    merge loop and pass, for the class count over it and the interior
+    certificate.  Raises ValueError above MAX_BALL_SITES outer-ball sites.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -1002,57 +1009,68 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     mul = fam.multiply
     gens = fam.generators()
     strides = [side ** (slots - 1 - i) for i in range(slots)]
+    centre = outer * sum(strides)  # the index of the identity
     parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def union(x, y):
-        x, y = find(x), find(y)
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-
+    # per row (-outer, rest), for every twist: its first site if the last slot
+    # wraps there (else None), and g_stop: its sites 1 <= k < g_stop are in ball(r+1)
+    rows = [
+        ((-outer,) + rest if not rest or rest[-1] == -outer else None,
+         side - 1 if max(map(abs, rest), default=0) <= inner else 0)
+        for rest in product(range(-outer, outer + 1), repeat=slots - 1)
+    ]
     leaving_g, leaving_h = array("l"), array("l")  # the edges leaving ball(r+1)
     for z, phi_z in zip(gens, spec.images):
         w, u = fam.inverse(phi_z), mul(mul(z, gens[0]), fam.inverse(z))
         chain, image_step = mul(mul(phi_z, gens[-1]), w), sum(map(operator.mul, u, strides))
-        for base, rest in enumerate(product(range(-outer, outer + 1), repeat=slots - 1)):
-            wrap = not rest or rest[-1] == -outer  # the first row, or the last slot wrapped
-            h0 = mul(mul(z, (-outer,) + rest), w) if wrap else mul(h0, chain)
-            if wrap and mul(u, h0) != tuple(map(operator.add, u, h0)):
-                raise ValueError("on %s, z g1 z^-1 = %s is no translation: no fixed row step" % (fam.json_tag, u))
-            lo, hi, a, b = _row_spans(h0, u, outer, inner, side)
+        fixed = [i for i, s in enumerate(u) if not s]
+        moving = [(i, abs(s), 1 if s > 0 else -1) for i, s in enumerate(u) if s]  # the balls are symmetric
+        for base, (first, g_stop) in enumerate(rows):
+            if first:
+                h0 = mul(mul(z, first), w)
+                if mul(u, h0) != tuple(map(operator.add, u, h0)):
+                    raise ValueError("on %s, z g1 z^-1 = %s is no translation: no fixed row step" % (fam.json_tag, u))
+            else:
+                h0 = mul(h0, chain)
+            # the k in range(side) with h0 + k u in ball(r+2): [lo, hi); with
+            # h0 + k u and the row's site k in ball(r+1): [a, b)
+            lo, hi, a, b = 0, side, 1, g_stop
+            for i in fixed:
+                h = abs(h0[i])
+                if h > inner:
+                    b = 0
+                    if h > outer:
+                        hi = 0
+                        break
+            else:
+                for i, s, sign in moving:
+                    h = sign * h0[i]
+                    lo, hi = max(lo, -((outer + h) // s)), min(hi, (outer - h) // s + 1)
+                    a, b = max(a, -((inner + h) // s)), min(b, (inner - h) // s + 1)
             if lo >= hi:
                 continue
-            # the row's sites (k - outer, rest), 0 <= k < side, have indices
-            # base + k side^(n-1); those with 1 <= k < g_stop lie in ball(r+1)
-            sources = range(base, size, strides[0])
-            g_stop = side - 1 if max(map(abs, rest), default=0) <= inner else 0
+            # the row's site k has index base + k side^(n-1), its image start + k image_step;
             # the image step is 0 only when at most one image lies in the ball
-            start = sum((x + outer) * s for x, s in zip(h0, strides))
+            sources = range(base, size, strides[0])
+            start = sum(map(operator.mul, h0, strides)) + centre
             images = range(start, start + side * image_step, image_step) if image_step else [start] * side
-            a, b = max(a, 1), min(b, g_stop)
-            for x, y in zip(sources[a:b], images[a:b]):
-                union(x, y)
-            if a >= b:  # no edge inside ball(r+1): all of [lo, hi) leaves it
-                a = b = lo
-            for part in (slice(lo, a), slice(b, hi)):
-                leaving_g.extend(sources[part])
-                leaving_h.extend(images[part])
+            if a < b:
+                _merge(parent, sources[a:b], images[a:b])
+                leaving_g.extend(sources[lo:a])
+                leaving_h.extend(images[lo:a])
+            else:  # no edge inside ball(r+1): all of [lo, hi) leaves it
+                b = lo
+            leaving_g.extend(sources[b:hi])
+            leaving_h.extend(images[b:hi])
 
-    labels: dict[tuple[int, ...], int] = {}
+    _point_at_roots(parent)
     assigned: dict[int, int] = {}
-    for g, gi in zip(product(range(-radius, radius + 1), repeat=slots), _ball_offsets(side, slots, radius)):
-        labels[g] = assigned.setdefault(find(gi), len(assigned))
+    ball = zip(product(range(-radius, radius + 1), repeat=slots), _ball_offsets(side, slots, radius))
+    labels = {g: assigned.setdefault(parent[gi], len(assigned)) for g, gi in ball}
     count = len(assigned)
 
-    for x, y in zip(leaving_g, leaving_h):
-        union(x, y)
-    roots_next = set(map(find, _ball_offsets(side, slots, inner)))
-    roots_interior = set(map(find, _ball_offsets(side, slots, radius - 1)))
+    _merge(parent, leaving_g, leaving_h)
+    _point_at_roots(parent)
+    roots_next = {parent[i] for i in _ball_offsets(side, slots, inner)}
+    roots_interior = {parent[i] for i in _ball_offsets(side, slots, radius - 1)}
     complete = count == len(roots_next) == len(roots_interior)
     return ClassLabeling(radius, labels, complete)

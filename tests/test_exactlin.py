@@ -11,6 +11,7 @@ from reidemeister.exactlin import (
     parse_matrix,
     unit_root_split,
     _bezout,
+    _power,
     _power_sum,
 )
 from canonical_reference import centralizer_exponent
@@ -98,6 +99,26 @@ def test_power_matches_the_reference_loop(rng):
                 a ** k
             with pytest.raises(ValueError):
                 _power_sum(a.entries, k)
+
+
+def test_power_alone_matches_the_reference_loop():
+    # actions of order 1, 2, 3, 4 and 6, then the hyperbolic FIB, whose
+    # 10^12-th power has too many digits to write down
+    finite = {
+        1: [I2, parse_matrix("1")],
+        2: [-I2, parse_matrix("0,1;1,0"), parse_matrix("-1,0,0;0,1,0;0,0,-1")],
+        3: [parse_matrix("0,-1;1,-1"), parse_matrix("0,0,1;1,0,0;0,1,0")],
+        4: [ROT4],
+        6: [parse_matrix("1,-1;1,0")],
+    }
+    huge = 10**12 + 1
+    for order, actions in finite.items():
+        for a in actions:
+            assert finite_order(a) == order, a
+            for k in [*range(-13, 14), huge, -huge]:
+                assert _power(a.entries, k) == reference_power(a, k).entries, (a, k)
+    for k in range(-13, 14):
+        assert _power(FIB.entries, k) == reference_power(FIB, k).entries, k
 
 
 def test_snf_examples():

@@ -1,8 +1,10 @@
 """The ball oracle against its two-pass reference, the two normal-form
 facts its row walk relies on (a fixed step per twist along slot 0, and
 g g_n adding one to the last slot), its refusal of a family without them,
-and its cost in group products."""
+its cost in group products, and its union-find merge loop against a
+breadth-first search."""
 
+from collections import deque
 from dataclasses import replace
 from itertools import product
 
@@ -20,6 +22,8 @@ from reidemeister.groups import (
     HnSemidirectZ,
     Z2MinusIExt,
     ZnSemidirectZ,
+    _merge,
+    _point_at_roots,
     label_classes,
     tahara_form_order2,
     tahara_form_order3,
@@ -243,3 +247,41 @@ def test_label_classes_property_against_reference(data):
     param = data.draw(st.integers(lo, hi))
     radius = data.draw(st.integers(1, max_radius))
     _assert_same_labeling(witness(family, wid, param), radius)
+
+
+def _bfs_components(size, edges):
+    # the reference partition: each site's component, named by its least site
+    neighbours = [[] for _ in range(size)]
+    for x, y in edges:
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+    component = [None] * size
+    for root in range(size):
+        if component[root] is None:
+            component[root], queue = root, deque([root])
+            while queue:
+                for y in neighbours[queue.popleft()]:
+                    if component[y] is None:
+                        component[y] = root
+                        queue.append(y)
+    return component
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_merge_and_one_forward_pass_give_the_components(data):
+    size = data.draw(st.integers(1, 300))
+    site = st.integers(0, size - 1)
+    edges = data.draw(st.lists(st.tuples(site, site), max_size=2 * size))
+    loops = data.draw(st.lists(site, max_size=5))  # self-loops
+    repeats = data.draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    edges += [(x, x) for x in loops] + repeats + [(y, x) for x, y in repeats]
+    parent = list(range(size))
+    # merged in two batches, like the inner and the leaving edges of a labeling
+    half = len(edges) // 2
+    for done, batch in ((half, edges[:half]), (len(edges), edges[half:])):
+        _merge(parent, [x for x, _ in batch], [y for _, y in batch])
+        assert all(p <= i for i, p in enumerate(parent))
+        _point_at_roots(parent)
+        assert all(parent[p] == p for p in parent)  # every site points at a root
+        assert parent == _bfs_components(size, edges[:done])
