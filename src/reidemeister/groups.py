@@ -61,10 +61,8 @@ from .exactlin import (
     IntMatrix,
     MatrixParseError,
     finite_order,
-    least_solution,
     lifting_solver,
     matrix_from_json,
-    system2_orbit,
     _power,
     _power_sum,
     _strict_int,
@@ -851,42 +849,27 @@ def _hn_spec_from_block(fam: HnSemidirectZ, m: IntMatrix) -> AutomorphismSpec:
 def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     """An automorphism of the double extension with eight classes, when
     one exists: a trace-zero block solving the intertwining equation plus
-    an integral solution of the lifting constraint.  The block is the
-    least lifting solution of ``exactlin.least_solution``, in the order
-    the spectrum reports its witness in (|m|, then negative m first, then
-    (n, p) ascending), and the translations are that solution's m0 and
-    z0, so on a hyperbolic action they equal the spectrum's evidence; the
-    parameter is not used."""
+    an integral solution m0, z0 of the lifting constraint.  On a spectrum
+    {8, oo} these are its evidence; a spectrum {oo} is refused with its
+    rule.  The parameter is not used."""
+    from . import spectra  # only phi_eight requests load the classifier
     a = fam.action
-    if a.det() != 1:
-        # the quadratic system encodes the intertwining only for det 1
-        raise UnknownWitnessError(
-            "phi_eight needs an action of determinant 1; with determinant -1 the spectrum is {oo}"
-        )
-    if abs(a.trace()) <= 2 and a not in (IntMatrix.identity(2), -IntMatrix.identity(2)):
-        # parabolic or of finite order 3, 4 or 6: no automorphism has finitely many classes
-        case = ("a repeated eigenvalue", "ext:repeated-eigenvalue") if abs(a.trace()) == 2 else (
-            "finite order %d" % finite_order(a), "z3:block-order-four-or-six")
-        raise UnknownWitnessError(
-            "phi_eight needs a hyperbolic action or A = +-I; A = %s has %s, where the spectrum is {oo} (%s)"
-            % (a, *case)
-        )
-    lift = lifting_solver(a, fam.n0)
-    if abs(a.trace()) == 2:
+    res = spectra.classify_z2_minusI_ext(a, fam.n0)
+    if res.spectrum.kind == "finite":
+        evidence = res.evidence
+        m, m0, z0 = IntMatrix.from_rows(evidence["witness"]["matrix"]), evidence["m0"], evidence["z0"]
+    elif a in (IntMatrix.identity(2), -IntMatrix.identity(2)):
         # on +-I lifting reads M mod 2, where the solutions fall into three
         # classes; these blocks are the least of each, and one lifts for every n0
+        lift = lifting_solver(a, fam.n0)
         blocks = (IntMatrix(2, 2, e) for e in ((0, -1, 1, 0), (-1, -2, 1, 1), (-1, -1, 2, 1)))
-        found = next((m, c) for m in blocks if (c := lift(m)) is not None)
+        m, coeffs = next((m, c) for m in blocks if (c := lift(m)) is not None)
+        m0, z0 = coeffs[:2], coeffs[2:]
     else:
-        orbit = system2_orbit(a)
-        found = orbit and least_solution(a, orbit, lift)
-        if not found:
-            raise UnknownWitnessError(
-                "no solution of the quadratic system for A = %s lifts with n0 = (%d, %d), so the spectrum is {oo} (%s)"
-                % (a, *fam.n0, "ext:parity-obstruction" if orbit else "system2:proven-empty")
-            )
-    m, coeffs = found
-    m0, z0 = coeffs[:2], coeffs[2:]
+        raise UnknownWitnessError(
+            "phi_eight needs an automorphism with eight classes; A = %s has determinant %d and n0 = (%d, %d), "
+            "where the spectrum is {oo} (%s)" % (a, a.det(), *fam.n0, res.trace[-1])
+        )
     images = {
         "e1": tuple(m.column(0)) + (0, 0),
         "e2": tuple(m.column(1)) + (0, 0),

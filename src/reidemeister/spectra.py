@@ -25,9 +25,11 @@ n0, or the order of A.  Their traces keep the rule ids of that route
 (``ext:canonicalized`` and what follows); ``tests/canonical_reference.py``
 keeps the route itself as the reference the rules are tested against.
 
-Each nilpotent spectrum is written once, in ``_NILPOTENT_SPECTRA``, under
-the rule id ``nilpotent:<name>``: ``classify_nilpotent`` reads it, and so
-do the unipotent rows of the z2, z3 and Heisenberg ladders.
+Each spectrum is written once, in ``RULES``, under the terminal rule id
+that proves it.  Every classifier returns ``_rule(trace, evidence)``,
+which reads it off the trace's last id, and each table row
+(``TABLE_ROWS``) names the rule ids that end there.  ``classify_nilpotent``
+and the unipotent rows of the ladders end in ``nilpotent:<name>``.
 ``classify_nilpotent`` recognises a family by its ``json_tag``, so this
 module does not import ``groups``.  The three-step group Z^3 x|_J Z, J the
 Jordan block of eigenvalue 1, is ``groups.THREE_STEP``; ``THREE_STEP``
@@ -148,8 +150,48 @@ class SpectrumResult:
             raise ValueError("classifier results must carry a nonempty trace")
 
 
-def _result(spectrum, trace, evidence=None) -> SpectrumResult:
-    return SpectrumResult(spectrum, tuple(trace), evidence)
+# Each terminal rule id and the spectrum it proves.  ``system2:exhausted``
+# is the one terminal id not here: its undecided spectrum carries the bound.
+RULES: dict[str, SpectrumDescriptor] = {
+    "nilpotent:rank-one": SpectrumDescriptor.finite([2]),
+    "nilpotent:lattice": SpectrumDescriptor.full(),
+    "nilpotent:heisenberg": SpectrumDescriptor.multiples(2),
+    "nilpotent:heisenberg-times-z": SpectrumDescriptor.multiples(4),
+    "nilpotent:three-step": SpectrumDescriptor.r_infinity(),
+    "z2:minus-identity": SpectrumDescriptor.multiples(2),
+    "z2:repeated-minus-one": SpectrumDescriptor.r_infinity(),
+    "z2:eigenvalues-one-and-minus-one": SpectrumDescriptor.r_infinity(),
+    "z2:hyperbolic-det-minus-one": SpectrumDescriptor.r_infinity(),
+    "system2:complex-empty": SpectrumDescriptor.r_infinity(),
+    "system2:witness": SpectrumDescriptor.finite([4]),
+    "system2:proven-empty": SpectrumDescriptor.r_infinity(),
+    "z3:minus-identity": SpectrumDescriptor.multiples(2),
+    "z3:no-eigenvalue-one": SpectrumDescriptor.r_infinity(),
+    "z3:eigenvalue-one-multiplicity-two": SpectrumDescriptor.r_infinity(),
+    "z3:minus-one-unipotent-block": SpectrumDescriptor.r_infinity(),
+    "tahara:delta-zero": SpectrumDescriptor.multiples(2),
+    "tahara:delta-one": SpectrumDescriptor.multiples(4),
+    # the order-three block: 6N whatever the delta invariant
+    "tahara:delta-0": SpectrumDescriptor.multiples(6),
+    "tahara:delta-1": SpectrumDescriptor.multiples(6),
+    "z3:block-order-four-or-six": SpectrumDescriptor.r_infinity(),
+    "z3:hyperbolic-block-det-minus-one": SpectrumDescriptor.r_infinity(),
+    "z3:eight-witness": SpectrumDescriptor.finite([8]),
+    "z3:parity-obstruction": SpectrumDescriptor.r_infinity(),
+    "ext:order-two-action": SpectrumDescriptor.r_infinity(),
+    "ext:repeated-eigenvalue": SpectrumDescriptor.r_infinity(),
+    "ext:hyperbolic-det-minus-one": SpectrumDescriptor.r_infinity(),
+    "ext:lifting-witness": SpectrumDescriptor.finite([8]),
+    "ext:parity-obstruction": SpectrumDescriptor.r_infinity(),
+    "hn:no-eigenvalue-one": SpectrumDescriptor.r_infinity(),
+    "hn:lifting-unconstrained": SpectrumDescriptor.multiples(4),
+    "hn:lifting-parity": SpectrumDescriptor.multiples(8),
+}
+
+
+def _rule(trace: list[str], evidence=None) -> SpectrumResult:
+    """The result whose spectrum is the one its last rule id proves."""
+    return SpectrumResult(RULES[trace[-1]], tuple(trace), evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +269,29 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
 
     if (d, tr) == (1, 2):
         if a == ident:
-            return _nilpotent("lattice", ["z2:abelian"])
+            return _rule(["z2:abelian", "nilpotent:lattice"])
         # A - I has rank 1, so its first elementary divisor is the gcd of its entries
-        return _nilpotent("heisenberg", ["z2:unipotent"], {"heisenberg_parameter": math.gcd(*(a - ident).entries)})
+        return _rule(
+            ["z2:unipotent", "nilpotent:heisenberg"], {"heisenberg_parameter": math.gcd(*(a - ident).entries)}
+        )
     if (d, tr) == (1, -2):
         if a == -ident:
-            return _result(SpectrumDescriptor.multiples(2), ["z2:minus-identity"])
-        return _result(SpectrumDescriptor.r_infinity(), ["z2:repeated-minus-one"])
+            return _rule(["z2:minus-identity"])
+        return _rule(["z2:repeated-minus-one"])
     if (d, tr) == (-1, 0):
-        return _result(SpectrumDescriptor.r_infinity(), ["z2:eigenvalues-one-and-minus-one"])
+        return _rule(["z2:eigenvalues-one-and-minus-one"])
     if tr * tr < 4 * d:
-        return _result(
-            SpectrumDescriptor.r_infinity(), ["z2:complex-eigenvalues", "system2:complex-empty"]
-        )
+        return _rule(["z2:complex-eigenvalues", "system2:complex-empty"])
     # real eigenvalues different from +-1
     if d == -1:
-        return _result(SpectrumDescriptor.r_infinity(), ["z2:hyperbolic-det-minus-one"])
+        return _rule(["z2:hyperbolic-det-minus-one"])
     decision = decide_system2(a, bound)
     if decision.outcome == "witness":
-        return _result(
-            SpectrumDescriptor.finite([4]),
-            ["z2:hyperbolic", "system2:witness"],
-            {"witness": decision.witness.to_json_dict()},
-        )
+        return _rule(["z2:hyperbolic", "system2:witness"], {"witness": decision.witness.to_json_dict()})
     if decision.outcome == "proven-empty":
-        return _result(SpectrumDescriptor.r_infinity(), ["z2:hyperbolic", "system2:proven-empty"])
-    candidates = (SpectrumDescriptor.r_infinity(), SpectrumDescriptor.finite([4]))
-    return _result(SpectrumDescriptor.undecided(candidates, bound), ["z2:hyperbolic", "system2:exhausted"])
+        return _rule(["z2:hyperbolic", "system2:proven-empty"])
+    candidates = (RULES["system2:proven-empty"], RULES["system2:witness"])
+    return SpectrumResult(SpectrumDescriptor.undecided(candidates, bound), ("z2:hyperbolic", "system2:exhausted"))
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +442,10 @@ def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
 def _order_two_block(delta: int, trace: list[str]) -> SpectrumResult:
     """A simple eigenvalue 1 and a block of order 2: 2N when the Tahara
     delta is 0, else 4N."""
-    return _result(
-        SpectrumDescriptor.multiples(2 + 2 * delta),
-        trace + ["z3:order-two-block", ("tahara:delta-zero", "tahara:delta-one")[delta]],
-        {"delta": delta},
-    )
+    return _rule(trace + ["z3:order-two-block", ("tahara:delta-zero", "tahara:delta-one")[delta]], {"delta": delta})
 
 
-def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
+def classify_z3_semidirect(a: IntMatrix, bound: int | None = None) -> SpectrumResult:
     """Spectrum of Z^3 x|_A Z by the eigenvalue case ladder.  The bound
     is unused: the hyperbolic block is decided exactly."""
     if a.rows != 3 or not a.is_square:
@@ -423,62 +457,55 @@ def classify_z3_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
 
     if mult_one == 0:
         if a == -ident:
-            return _result(SpectrumDescriptor.multiples(2), ["z3:minus-identity"])
-        return _result(SpectrumDescriptor.r_infinity(), ["z3:no-eigenvalue-one"])
+            return _rule(["z3:minus-identity"])
+        return _rule(["z3:no-eigenvalue-one"])
 
     if mult_one == 3:
         if a == ident:
-            return _nilpotent("lattice", ["z3:abelian"])
+            return _rule(["z3:abelian", "nilpotent:lattice"])
         shifted = a - ident
         if shifted * shifted == IntMatrix.zero(3, 3):
-            return _nilpotent("heisenberg-times-z", ["z3:unipotent-two-step"])
-        return _nilpotent("three-step", ["z3:unipotent-three-step"])
+            return _rule(["z3:unipotent-two-step", "nilpotent:heisenberg-times-z"])
+        return _rule(["z3:unipotent-three-step", "nilpotent:three-step"])
 
     if mult_one == 2:
-        return _result(SpectrumDescriptor.r_infinity(), ["z3:eigenvalue-one-multiplicity-two"])
+        return _rule(["z3:eigenvalue-one-multiplicity-two"])
 
     # simple eigenvalue 1
     if mult_minus_one == 2:
         if finite_order(a) == 2:
             return _order_two_block(tahara_delta(a), [])
-        return _result(SpectrumDescriptor.r_infinity(), ["z3:minus-one-unipotent-block"])
+        return _rule(["z3:minus-one-unipotent-block"])
 
     c0, c1 = residual
     if c1 * c1 < 4 * c0:  # complex pair: a block of order 3, 4 or 6
         if c1 == 1:  # block trace -1, order 3
             delta = tahara_delta(a)
-            return _result(
-                SpectrumDescriptor.multiples(6),
-                ["z3:order-three-block", "tahara:delta-%d" % delta],
-                {"delta": delta},
-            )
-        return _result(SpectrumDescriptor.r_infinity(), ["z3:block-order-four-or-six"])
+            return _rule(["z3:order-three-block", "tahara:delta-%d" % delta], {"delta": delta})
+        return _rule(["z3:block-order-four-or-six"])
 
     # hyperbolic residual block
     if c0 == -1:
-        return _result(SpectrumDescriptor.r_infinity(), ["z3:hyperbolic-block-det-minus-one"])
+        return _rule(["z3:hyperbolic-block-det-minus-one"])
     a_prime, c_row = _simple_one_block(a)
     decision = decide_z3_eight(a_prime, c_row)
     if decision.outcome == "eight":
-        return _result(
-            SpectrumDescriptor.finite([8]),
+        return _rule(
             ["z3:hyperbolic-block", "z3:eight-witness"],
             {"witness": decision.witness.to_json_dict(), "coupling_row": list(c_row)},
         )
     if decision.outcome == "r-infinity":
-        return _result(
-            SpectrumDescriptor.r_infinity(),
-            ["z3:hyperbolic-block", "z3:parity-obstruction"],
-            {"obstruction_modulus": decision.obstruction_modulus},
+        return _rule(
+            ["z3:hyperbolic-block", "z3:parity-obstruction"], {"obstruction_modulus": decision.obstruction_modulus}
         )
-    return _result(SpectrumDescriptor.r_infinity(), ["z3:hyperbolic-block", "system2:proven-empty"])
+    return _rule(["z3:hyperbolic-block", "system2:proven-empty"])
 
 
 # ---------------------------------------------------------------------------
 # dimension 4: the double extension (Z^2 x|_{-I} Z) x|_psi Z
 
 
-def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> SpectrumResult:
+def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int | None = None) -> SpectrumResult:
     """Spectrum of (Z^2 x|_{-I} Z) x|_psi Z with psi acting by A and
     twisting the inner generator by n0.  The bound is unused: the
     hyperbolic case is decided exactly."""
@@ -489,41 +516,36 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int) -> Spect
         raise HypothesisError("the outer action must be a unimodular 2x2 matrix")
     order = finite_order(a)
     if order == 2 and a != -IntMatrix.identity(2):
-        return _result(SpectrumDescriptor.r_infinity(), ["ext:order-two-action"])
+        return _rule(["ext:order-two-action"])
     if order is not None:
         # +-I and orders 3, 4, 6: a change of the quotient generators makes
         # the inner action trivial, leaving Z^3 x|_M Z with M = (A', n0'; 0, 1)
         trace = ["ext:finite-order-action", "ext:canonicalized", "ext:trivial-inner-action"]
         if order > 2:
             # y -> x^(order/2) y, after x -> x y for order 3: A' has order 4 or 6
-            return _result(SpectrumDescriptor.r_infinity(), trace + ["z3:block-order-four-or-six"])
+            return _rule(trace + ["z3:block-order-four-or-six"])
         # swap x and y (A = I) or y -> x y (A = -I): A' = -I and n0' = +-n0;
         # M fixes the line through (n0', 2), whose primitive vector spans
         # Z^3 with Z^2 x 0 (delta 0) exactly when n0' lies in 2Z^2
         return _order_two_block(0 if n0[0] % 2 == n0[1] % 2 == 0 else 1, trace)
     d, tr = a.det(), a.trace()
     if d == 1 and abs(tr) == 2:
-        return _result(SpectrumDescriptor.r_infinity(), ["ext:repeated-eigenvalue"])
+        return _rule(["ext:repeated-eigenvalue"])
     if d == -1:
-        return _result(SpectrumDescriptor.r_infinity(), ["ext:hyperbolic-det-minus-one"])
+        return _rule(["ext:hyperbolic-det-minus-one"])
 
     # hyperbolic, det 1: im(2A) = 2Z^2, so whether a block M lifts depends
     # only on M mod 2 (``lifting_solver``), and the system constrains
     # (m, n, p) mod 8
     outcome, wit, coeffs = _eight_class_decision(a, lifting_solver(a, n0))
     if outcome == "eight":
-        return _result(
-            SpectrumDescriptor.finite([8]),
+        return _rule(
             ["ext:hyperbolic", "ext:lifting-witness"],
             {"witness": wit.to_json_dict(), "m0": list(coeffs[:2]), "z0": list(coeffs[2:])},
         )
     if outcome == "r-infinity":
-        return _result(
-            SpectrumDescriptor.r_infinity(),
-            ["ext:hyperbolic", "ext:parity-obstruction"],
-            {"obstruction_modulus": 8},
-        )
-    return _result(SpectrumDescriptor.r_infinity(), ["ext:hyperbolic", "system2:proven-empty"])
+        return _rule(["ext:hyperbolic", "ext:parity-obstruction"], {"obstruction_modulus": 8})
+    return _rule(["ext:hyperbolic", "system2:proven-empty"])
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +562,15 @@ def classify_hn_semidirect(
 
     ``action`` is either the pair (k, l) of central twists for the
     inverting action psi(x) = x^-1 z^k, psi(y) = y^-1 z^l, or the 2x2
-    matrix induced on H_n / Z(H_n) (with optional central twists).
+    matrix induced on H_n / Z(H_n) (with optional central twists).  A
+    pair already gives the twists, so it takes no ``central_twists``.
     """
     if _strict_int(n, "the Heisenberg parameter") < 1:
         raise HypothesisError("the Heisenberg parameter must be >= 1")
     ident = IntMatrix.identity(2)
     if not isinstance(action, IntMatrix):
+        if any(_twist_pair(central_twists)):
+            raise HypothesisError("a (k, l) action gives the central twists itself; give them once")
         return _classify_hn_twists(n, *_twist_pair(action))
     a = action
     if a.rows != 2 or not a.is_unimodular:
@@ -555,16 +580,16 @@ def classify_hn_semidirect(
         return _classify_hn_twists(n, cx, cy)
     d, tr = a.det(), a.trace()
     if (d, tr) == (1, 2):
-        return _nilpotent("heisenberg-times-z" if a == ident else "three-step", ["hn:unipotent-action"])
+        return _rule(["hn:unipotent-action", "nilpotent:heisenberg-times-z" if a == ident else "nilpotent:three-step"])
     if (d, tr) == (-1, 0):
         return _classify_hn_mixed(n, a, cx, cy)
-    return _result(SpectrumDescriptor.r_infinity(), ["hn:no-eigenvalue-one"])
+    return _rule(["hn:no-eigenvalue-one"])
 
 
 def _classify_hn_twists(n: int, k: int, l: int) -> SpectrumResult:
     if n % 2 == 1 or (k % 2 == 0 and l % 2 == 0):
-        return _result(SpectrumDescriptor.multiples(4), ["hn:inverting-action", "hn:lifting-unconstrained"])
-    return _result(SpectrumDescriptor.multiples(8), ["hn:inverting-action", "hn:lifting-parity"])
+        return _rule(["hn:inverting-action", "hn:lifting-unconstrained"])
+    return _rule(["hn:inverting-action", "hn:lifting-parity"])
 
 
 def _twist_pair(values: Sequence[int]) -> tuple[int, int]:
@@ -598,22 +623,12 @@ def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int) -> SpectrumResult
     c = v1 * cx + v2 * cy
     trace = ["hn:mixed-eigenvalues", "ext:canonicalized"]
     if n // math.gcd(n, c) % 2:
-        return _result(SpectrumDescriptor.r_infinity(), trace + ["ext:repeated-eigenvalue"])
-    return _result(
-        SpectrumDescriptor.r_infinity(), trace + ["ext:trivial-inner-action", "z3:minus-one-unipotent-block"]
-    )
+        return _rule(trace + ["ext:repeated-eigenvalue"])
+    return _rule(trace + ["ext:trivial-inner-action", "z3:minus-one-unipotent-block"])
 
 
 # ---------------------------------------------------------------------------
 # nilpotent families
-
-
-_NILPOTENT_SPECTRA = {
-    "lattice": SpectrumDescriptor.full(),
-    "heisenberg": SpectrumDescriptor.multiples(2),
-    "heisenberg-times-z": SpectrumDescriptor.multiples(4),
-    "three-step": SpectrumDescriptor.r_infinity(),
-}
 
 
 def __getattr__(name: str):
@@ -625,10 +640,6 @@ def __getattr__(name: str):
     return THREE_STEP
 
 
-def _nilpotent(name: str, trace: list[str], evidence=None) -> SpectrumResult:
-    return _result(_NILPOTENT_SPECTRA[name], trace + ["nilpotent:" + name], evidence)
-
-
 def classify_nilpotent(family) -> SpectrumResult:
     """Spectrum of a nilpotent family: lattices, Heisenberg groups, their
     product with a line, and Z^n x|_A Z (n <= 3) with A unipotent, named by
@@ -636,7 +647,7 @@ def classify_nilpotent(family) -> SpectrumResult:
     family is recognised by its ``json_tag``."""
     tag = getattr(family, "json_tag", None)
     if tag == "free-abelian" and family.n == 1:
-        return _result(SpectrumDescriptor.finite([2]), ["nilpotent:rank-one"])
+        return _rule(["nilpotent:rank-one"])
     # the Heisenberg tags name their spectra; a free abelian group is a lattice
     name = "lattice" if tag == "free-abelian" else tag
     if tag == "zn-semidirect-z":
@@ -647,56 +658,60 @@ def classify_nilpotent(family) -> SpectrumResult:
                 name = step
                 break
             power = power * shifted
-    if name not in _NILPOTENT_SPECTRA:
+    if "nilpotent:%s" % name not in RULES:
         raise HypothesisError("not a nilpotent family: %r" % (family,))
-    return _nilpotent(name, [])
+    return _rule(["nilpotent:" + name])
 
 
 # ---------------------------------------------------------------------------
 # Conclusion tables
 
 
+# Each table row: its eigenvalue case and the terminal rule ids that end there
+TABLE_ROWS: dict[str, tuple[tuple[str, str], ...]] = {
+    "z2-semidirect": (
+        ("repeated eigenvalue -1, A = -I", "z2:minus-identity"),
+        ("repeated eigenvalue -1, A != -I", "z2:repeated-minus-one"),
+        ("eigenvalues 1 and -1", "z2:eigenvalues-one-and-minus-one"),
+        ("real eigenvalues != +-1, det A = 1", "system2:proven-empty system2:witness"),
+        ("real eigenvalues != +-1, det A = -1", "z2:hyperbolic-det-minus-one"),
+        ("non-real eigenvalues", "system2:complex-empty"),
+    ),
+    "z3-semidirect": (
+        ("1 not an eigenvalue, A = -I", "z3:minus-identity"),
+        ("1 not an eigenvalue, A != -I", "z3:no-eigenvalue-one"),
+        ("eigenvalues 1, 1, -1 (repeated 1)", "z3:eigenvalue-one-multiplicity-two"),
+        ("simple 1, unipotent -1 block (n != 0)", "z3:minus-one-unipotent-block"),
+        ("simple 1, order-2 block, delta = 0", "tahara:delta-zero"),
+        ("simple 1, order-2 block, delta = 1", "tahara:delta-one"),
+        ("simple 1, hyperbolic block, det = 1", "z3:parity-obstruction system2:proven-empty z3:eight-witness"),
+        ("simple 1, hyperbolic block, det = -1", "z3:hyperbolic-block-det-minus-one"),
+        ("simple 1, block of order 4 or 6", "z3:block-order-four-or-six"),
+        ("simple 1, block of order 3", "tahara:delta-0 tahara:delta-1"),
+    ),
+    "double-extension": (
+        ("A = +-I, n0 in 2Z^2 (delta = 0)", "tahara:delta-zero"),
+        ("A = +-I, n0 not in 2Z^2 (delta = 1)", "tahara:delta-one"),
+        ("repeated eigenvalue 1 or -1, A != +-I", "ext:repeated-eigenvalue"),
+        ("finite order 3, 4 or 6", "z3:block-order-four-or-six"),
+        ("real eigenvalues, det A = -1", "ext:order-two-action ext:hyperbolic-det-minus-one"),
+        ("real eigenvalues != +-1, det A = 1", "ext:parity-obstruction system2:proven-empty ext:lifting-witness"),
+    ),
+    "heisenberg-semidirect": (
+        ("A = I", "nilpotent:heisenberg-times-z"),
+        ("unipotent A != I", "nilpotent:three-step"),
+        ("eigenvalues 1 and -1", "ext:repeated-eigenvalue z3:minus-one-unipotent-block"),
+        ("A != -I and 1 not an eigenvalue", "hn:no-eigenvalue-one"),
+        ("inverting action, k and l even or n odd", "hn:lifting-unconstrained"),
+        ("inverting action, k or l odd and n even", "hn:lifting-parity"),
+    ),
+}
+
+
 def conclusion_tables() -> dict:
     """The classification tables for the four semidirect families, keyed
-    by eigenvalue case."""
-    inf = SpectrumDescriptor.r_infinity()
-    mult, fin = SpectrumDescriptor.multiples, SpectrumDescriptor.finite
-
+    by eigenvalue case: each row lists the spectra of its rules."""
     return {
-        "z2-semidirect": [
-            {"case": "repeated eigenvalue -1, A = -I", "spectrum": [mult(2)]},
-            {"case": "repeated eigenvalue -1, A != -I", "spectrum": [inf]},
-            {"case": "eigenvalues 1 and -1", "spectrum": [inf]},
-            {"case": "real eigenvalues != +-1, det A = 1", "spectrum": [inf, fin([4])]},
-            {"case": "real eigenvalues != +-1, det A = -1", "spectrum": [inf]},
-            {"case": "non-real eigenvalues", "spectrum": [inf]},
-        ],
-        "z3-semidirect": [
-            {"case": "1 not an eigenvalue, A = -I", "spectrum": [mult(2)]},
-            {"case": "1 not an eigenvalue, A != -I", "spectrum": [inf]},
-            {"case": "eigenvalues 1, 1, -1 (repeated 1)", "spectrum": [inf]},
-            {"case": "simple 1, unipotent -1 block (n != 0)", "spectrum": [inf]},
-            {"case": "simple 1, order-2 block, delta = 0", "spectrum": [mult(2)]},
-            {"case": "simple 1, order-2 block, delta = 1", "spectrum": [mult(4)]},
-            {"case": "simple 1, hyperbolic block, det = 1", "spectrum": [inf, fin([8])]},
-            {"case": "simple 1, hyperbolic block, det = -1", "spectrum": [inf]},
-            {"case": "simple 1, block of order 4 or 6", "spectrum": [inf]},
-            {"case": "simple 1, block of order 3", "spectrum": [mult(6)]},
-        ],
-        "double-extension": [
-            {"case": "A = +-I, n0 in 2Z^2 (delta = 0)", "spectrum": [mult(2)]},
-            {"case": "A = +-I, n0 not in 2Z^2 (delta = 1)", "spectrum": [mult(4)]},
-            {"case": "repeated eigenvalue 1 or -1, A != +-I", "spectrum": [inf]},
-            {"case": "finite order 3, 4 or 6", "spectrum": [inf]},
-            {"case": "real eigenvalues, det A = -1", "spectrum": [inf]},
-            {"case": "real eigenvalues != +-1, det A = 1", "spectrum": [inf, fin([8])]},
-        ],
-        "heisenberg-semidirect": [
-            {"case": "A = I", "spectrum": [mult(4)]},
-            {"case": "unipotent A != I", "spectrum": [inf]},
-            {"case": "eigenvalues 1 and -1", "spectrum": [inf]},
-            {"case": "A != -I and 1 not an eigenvalue", "spectrum": [inf]},
-            {"case": "inverting action, k and l even or n odd", "spectrum": [mult(4)]},
-            {"case": "inverting action, k or l odd and n even", "spectrum": [mult(8)]},
-        ],
+        table: [{"case": case, "spectrum": list(dict.fromkeys(RULES[i] for i in ids.split()))} for case, ids in rows]
+        for table, rows in TABLE_ROWS.items()
     }

@@ -1,11 +1,13 @@
 """Which layers a request loads, and the lazy package surface.
 
 Each CLI subcommand imports only the modules it uses, so most requests
-never pay for ``groups`` (and ``twisted``) or for ``spectra``.  The
-module-set tests run each benchmarked CLI request (every README example
-plus the hyperbolic z2 matrix -6,1;-1,0) in a fresh interpreter through
-``cli.run`` and compare the ``reidemeister.*`` modules it leaves in
-``sys.modules``; they guard against a stray top-level import.
+never pay for ``groups`` (and ``twisted``) or for ``spectra``; of the
+witnesses, only ``phi_eight`` loads ``spectra``.  The module-set tests
+run each benchmarked CLI request (every README example plus the
+hyperbolic z2 matrix -6,1;-1,0) and a ``phi_eight`` request in a fresh
+interpreter through ``cli.run`` and compare the ``reidemeister.*``
+modules it leaves in ``sys.modules``; they guard against a stray
+top-level import.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ REQUESTS = [
     (["tables", "--format", "text"], 0, SPECTRA_ONLY),
     (["rnumber", "--family", "heisenberg-times-z", "--n", "1", "--witness", "phi_m", "--param", "3"], 0, GROUPS_ONLY),
     (["rnumber", "--spec-json", "{phi_json}"], 0, GROUPS_ONLY),
+    # phi_eight reads its block off the spectrum's evidence
+    (["rnumber", "--family", "double-ext", "--matrix", "2,3;3,5", "--n0", "0,0", "--witness", "phi_eight",
+      "--param", "1"], 0, EVERYTHING),
     (["oracle", "--family", "z2-semidirect", "--matrix=-1,0;0,-1", "--witness", "M_m", "--param", "2",
       "--radius", "3"], 0, GROUPS_ONLY),
     # a nilpotent spectrum classifies a group object, so it needs both layers

@@ -24,7 +24,9 @@ from reidemeister.groups import (
 )
 from reidemeister.spectra import (
     HypothesisError,
+    RULES,
     SpectrumDescriptor,
+    TABLE_ROWS,
     THREE_STEP,
     classify_hn_semidirect,
     classify_nilpotent,
@@ -51,6 +53,7 @@ from conftest import random_det_one, random_unimodular, unimodular_matrices
 from power_reference import reference_power
 from snf_reference import smith_normal_form, tahara_index
 from system2_reference import _system2_solutions
+from test_answer_digest import _result_json, answers, ladders
 
 I2 = IntMatrix.identity(2)
 I3 = IntMatrix.identity(3)
@@ -953,6 +956,14 @@ def test_twist_pairs_need_exactly_two_entries(twists):
             classify_hn_semidirect(2, a, 50, twists)
 
 
+def test_a_twist_pair_action_takes_no_second_twists():
+    # the twists once dropped silently: this is H_2 x| Z with -I and twists
+    # (1, 0), whose spectrum is 8N, not the 4N of the pair (0, 0)
+    with pytest.raises(HypothesisError, match="give them once"):
+        classify_hn_semidirect(2, (0, 0), 100, (1, 0))
+    assert classify_hn_semidirect(2, (0, 0), 100, (0, 0)).spectrum == SpectrumDescriptor.multiples(4)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -1029,12 +1040,31 @@ def test_descriptor_json_shapes():
         SpectrumDescriptor.undecided((R_INF,), 5)
 
 
-def test_conclusion_tables_structure():
+def test_every_rule_id_has_one_spectrum_and_a_table_row():
+    # both digest corpora, the nilpotent families and the two z3 rules no
+    # corpus reaches: each result's spectrum is the one RULES gives its rule
+    results = [_result_json(classify_nilpotent(f)) for f in
+               (FreeAbelian(1), FreeAbelian(3), Heisenberg(2), HeisenbergTimesZ(1), THREE_STEP)]
+    results += [_result_json(classify_z3_semidirect(parse_matrix(m)))
+                for m in ("1,-2,-2;0,2,1;0,1,1", "1,0,1;0,5,2;0,2,1")]
+    for corpus in (answers(), ladders()):
+        results += [res for part in corpus.values() for res in part.values() if "trace" in res]
+    reached = set()
+    for res in results:
+        rule = res["trace"][-1]
+        reached.add(rule)
+        if rule != "system2:exhausted":
+            assert res["spectrum"] == RULES[rule].to_json_dict(), res
+    assert set(RULES) <= reached
     tables = conclusion_tables()
-    assert set(tables) == {"z2-semidirect", "z3-semidirect", "double-extension", "heisenberg-semidirect"}
-    for rows in tables.values():
-        for row in rows:
-            assert row["case"] and row["spectrum"]
+    assert set(tables) == set(TABLE_ROWS) == {"z2-semidirect", "z3-semidirect", "double-extension",
+                                              "heisenberg-semidirect"}
+    in_rows = set()
+    for name, rows in TABLE_ROWS.items():
+        for (case, ids), row in zip(rows, tables[name], strict=True):
+            assert ids.split() and set(ids.split()) <= set(RULES) and row["case"] == case
+            in_rows.update(ids.split())
+    assert {rule for rule in RULES if not rule.startswith("nilpotent:")} <= in_rows
 
 
 def test_double_extension_table_rows_match_the_classifier():
