@@ -12,7 +12,10 @@ the powers and the defining relations are read off ``multiply``: the
 collection relations g_j g_i = NF(g_j g_i), i < j, present each family
 (a polycyclic presentation), and ``verify_automorphism`` checks an
 automorphism against them.  The hand-written presentations are kept in
-the tests as an independent reference.
+the tests as an independent reference.  Each family also declares its
+polycyclic series once (``GroupFamily.layers``, ``actions``, ``route``):
+the layer check that completes verification and the formula route for
+the Reidemeister number are both read off it.
 
 Generator and exponent-slot order per family (also the order used by
 all serialization):
@@ -38,8 +41,9 @@ routine and must not overflow anything.
 
 Z2MinusIExt is one case of the extension of Z^2 by Z^2 in which u and t
 act by commuting matrices A and B with [u, t] = n0: its law is
-``_z2_by_z2_mul`` with B = -I, the same law ``spectra`` applies to any
-such presentation.  The matrix-backed laws read A^k and B^k
+``_z2_by_z2_mul`` with B = -I, the same law the test reference
+``tests/canonical_reference.py`` applies to any such presentation.  The
+matrix-backed laws read A^k and B^k
 (``exactlin._power``) and their geometric sums (``exactlin._power_sum``)
 from one bounded power cache; an action of finite order reduces the
 exponent modulo its order first, in O(1).  Exponents, parameters and n0
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 import math
 import operator
@@ -74,7 +78,12 @@ class UnknownWitnessError(ValueError):
     """No witness with the requested id exists for the family."""
 
 
+class LayerLeftError(ValueError):
+    """A generator image leaves its layer of the family's series."""
+
+
 _MINUS_I2 = (-1, 0, 0, -1)
+_MINUS_I = IntMatrix(2, 2, _MINUS_I2)
 MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
 
 
@@ -114,21 +123,41 @@ class GroupFamily:
     """Base class of the family table.
 
     Each subclass is one row: its JSON tag and decoder, its group law on
-    exponent tuples, the matrices an automorphism induces on its layers,
-    the layer check that completes verification, and its formula route
-    for the Reidemeister number.  The law is the only description of the
-    group: its normal forms are in slot order, and the base class derives
-    the inverse and the powers from it, as ``verify_automorphism`` derives
-    the relations.
+    exponent tuples, and its polycyclic series.  The law is the only
+    description of the group: its normal forms are in slot order, and the
+    base class derives the inverse and the powers from it, as
+    ``verify_automorphism`` derives the relations.  The series is set once
+    per instance (``_declare``):
+
+    - ``layers``: (name, slots) per layer, bottom first, partitioning the
+      slots; conjugation keeps each layer's generators in that layer and
+      the layers below;
+    - ``actions``: the matrices by which the top layer's generators act on
+      the layer below it, modulo the lower layers; None when every layer
+      is central modulo the layers below;
+    - ``route``: the trace id of the formula route.
+
+    The layer check and the formula route are read off it:
+    ``layer_matrices`` reads the block each layer's images induce,
+    ``layer_failure`` requires each block to be unimodular, and
+    ``rnumber_route`` counts along the series.  ``tests/test_groups.py``
+    checks each series against ``multiply``.
     FAMILIES maps each tag to its subclass.
     """
 
     json_tag: ClassVar[str]
     generator_names: tuple[str, ...] = ()
+    layers: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    actions: tuple[IntMatrix, ...] | None = None
+    route: str = ""
 
     @property
     def slots(self) -> int:
         return len(self.generator_names)
+
+    def _declare(self, names, layers, route, actions=None):
+        """Set the generator names and the series."""
+        vars(self).update(generator_names=names, layers=layers, actions=actions, route=route)
 
     def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """The exponent tuple, checked: one int per slot."""
@@ -178,40 +207,53 @@ class GroupFamily:
         for f in fields(self):
             _strict_int(getattr(self, f.name), "field %r" % f.name)
 
-    # layers and formula route of an automorphism spec of this family
+    # the series read off an automorphism spec of this family
+    def layer_matrices(self, spec: "AutomorphismSpec") -> list[IntMatrix]:
+        """The block each layer's generator images induce on that layer,
+        bottom first; LayerLeftError when an image leaves the layer and the
+        layers below."""
+        images, blocks = spec.images, []
+        for (name, slots), above in zip(self.layers, _slots_above(self.layers)):
+            cols = [images[s] for s in slots]
+            if any(img[j] for img in cols for j in above):
+                raise LayerLeftError("images leave the %s subgroup" % name)
+            blocks.append(IntMatrix(len(slots), len(slots), tuple(img[j] for j in slots for img in cols)))
+        return blocks
+
     def layer_failure(self, spec: "AutomorphismSpec") -> str | None:
-        """Why the induced layer maps are not bijective, or None; may
-        raise ValueError when the images do not preserve a layer."""
-        raise NotImplementedError
+        """The first layer, bottom first, whose block is not unimodular, or
+        None; LayerLeftError when the images leave a layer."""
+        for (name, slots), block in zip(self.layers, self.layer_matrices(spec)):
+            if not block.is_unimodular:
+                if len(slots) == 1:
+                    return "%s exponent of %s is not +-1" % (name, self.generator_names[slots[0]])
+                return "%s matrix is not unimodular" % name
+        return None
 
     def rnumber_route(self, spec: "AutomorphismSpec") -> tuple[RNumber, tuple[str, ...]]:
-        """Reidemeister number of a verified spec and the rule it used; a
-        route that sums over the classes of a quotient calls
-        ``twisted.r_class_sum``, through ``_quotient_class_sum``."""
-        raise NotImplementedError
+        """Reidemeister number of a verified spec and the rule it used.
+
+        With every layer central the counts multiply.  Otherwise the top
+        block Q sums over the classes of Z^k / (I - Q) Z^k, the class of the
+        i-th top generator acting on the block below by ``actions[i]``
+        (``twisted.r_class_sum``), times the counts of the central layers
+        under it; infinite when det(I - Q) = 0, as 1 is then an eigenvalue
+        of Q."""
+        blocks = self.layer_matrices(spec)
+        if self.actions is None:
+            return reduce(operator.mul, map(r_abelian, blocks)), (self.route,)
+        *central, below, top = blocks
+        shift = IntMatrix.identity(top.rows) - top
+        if shift.det() == 0:
+            return INFINITE, ("rnumber:identity-quotient",)
+        return reduce(operator.mul, map(r_abelian, central), r_class_sum(shift, self.actions, below)), (self.route,)
 
 
-def _xy_block(spec: "AutomorphismSpec") -> IntMatrix:
-    """Action on the Heisenberg quotient <x, y>: the first two exponents
-    of the images of the first two generators."""
-    return IntMatrix.from_columns([spec.images[0][:2], spec.images[1][:2]])
-
-
-def _lattice_block(spec: "AutomorphismSpec", n: int) -> IntMatrix:
-    """Action on the lattice spanned by the first n generators."""
-    cols = []
-    for img in spec.images[:n]:
-        if any(img[n:]):
-            raise ValueError("images do not preserve the lattice subgroup")
-        cols.append(img[:n])
-    return IntMatrix.from_columns(cols)
-
-
-def _center_failure(spec: "AutomorphismSpec") -> str | None:
-    z_img = spec.image_of("z")
-    if any(z_img[:2]) or any(z_img[3:]) or abs(z_img[2]) != 1:
-        return "center image is not z^(+-1)"
-    return None
+@lru_cache(maxsize=64)
+def _slots_above(layers: tuple) -> tuple[tuple[int, ...], ...]:
+    """Per layer, the slots of the layers above it, which its images may
+    not reach; one entry per series shape."""
+    return tuple(tuple(s for _, later in layers[i + 1:] for s in later) for i in range(len(layers)))
 
 
 @dataclass(frozen=True)
@@ -225,23 +267,11 @@ class FreeAbelian(GroupFamily):
             raise ValueError("rank must be >= 1")
         if self.n > MAX_RANK:
             raise ValueError("rank %d exceeds MAX_RANK = %d, the largest Hirsch length in scope" % (self.n, MAX_RANK))
-        object.__setattr__(self, "generator_names", tuple("e%d" % (i + 1) for i in range(self.n)))
+        names = tuple("e%d" % (i + 1) for i in range(self.n))
+        self._declare(names, (("lattice", tuple(range(self.n))),), "rnumber:lattice")
 
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
-
-    def fitting_matrix(self, spec):
-        return _lattice_block(spec, self.n)
-
-    quotient_matrix = fitting_matrix
-
-    def layer_failure(self, spec):
-        if not self.fitting_matrix(spec).is_unimodular:
-            return "lattice matrix is not unimodular"
-        return None
-
-    def rnumber_route(self, spec):
-        return r_abelian(self.fitting_matrix(spec)), ("rnumber:lattice",)
 
 
 def _heis_mul(n: int, a: tuple, b: tuple) -> tuple:
@@ -258,26 +288,10 @@ class Heisenberg(GroupFamily):
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
-        object.__setattr__(self, "generator_names", ("x", "y", "z"))
+        self._declare(("x", "y", "z"), (("center", (2,)), ("quotient", (0, 1))), "rnumber:center-times-quotient")
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a, b)
-
-    def fitting_matrix(self, spec):
-        return _xy_block(spec)
-
-    quotient_matrix = fitting_matrix
-
-    def layer_failure(self, spec):
-        failure = _center_failure(spec)
-        if failure is None and not self.quotient_matrix(spec).is_unimodular:
-            failure = "quotient matrix is not unimodular"
-        return failure
-
-    def rnumber_route(self, spec):
-        e = spec.image_of("z")[2]
-        r = _r_scalar(e) * r_abelian(self.quotient_matrix(spec))
-        return r, ("rnumber:center-times-quotient",)
 
 
 @dataclass(frozen=True)
@@ -289,34 +303,19 @@ class HeisenbergTimesZ(GroupFamily):
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
-        object.__setattr__(self, "generator_names", ("x", "y", "z", "u"))
+        self._declare(
+            ("x", "y", "z", "u"), (("center", (2, 3)), ("quotient", (0, 1))), "rnumber:center-times-quotient"
+        )
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a[:3], b[:3]) + (a[3] + b[3],)
 
-    def fitting_matrix(self, spec):
-        z_img, u_img = spec.image_of("z"), spec.image_of("u")
-        if any(z_img[:2]) or any(u_img[:2]):
-            raise ValueError("images do not preserve the center")
-        return IntMatrix.from_columns([z_img[2:], u_img[2:]])
-
-    def quotient_matrix(self, spec):
-        return _xy_block(spec)
-
-    def layer_failure(self, spec):
-        if not self.fitting_matrix(spec).is_unimodular:
-            return "center matrix is not unimodular"
-        if not self.quotient_matrix(spec).is_unimodular:
-            return "quotient matrix is not unimodular"
-        return None
-
-    def rnumber_route(self, spec):
-        r = r_abelian(self.fitting_matrix(spec)) * r_abelian(self.quotient_matrix(spec))
-        return r, ("rnumber:center-times-quotient",)
-
 
 @dataclass(frozen=True)
 class ZnSemidirectZ(GroupFamily):
+    """Z^n x|_A Z: the lattice below the quotient <t>, on which t acts by
+    A; with A = I the group is free abelian, one layer."""
+
     json_tag = "zn-semidirect-z"
     action: IntMatrix
 
@@ -329,7 +328,12 @@ class ZnSemidirectZ(GroupFamily):
             )
         if not self.action.is_unimodular:
             raise ValueError("the acting matrix must be unimodular")
-        object.__setattr__(self, "generator_names", tuple("e%d" % (i + 1) for i in range(n)) + ("t",))
+        names = tuple("e%d" % (i + 1) for i in range(n)) + ("t",)
+        if self.action == IntMatrix.identity(n):
+            self._declare(names, (("lattice", tuple(range(n + 1))),), "rnumber:lattice")
+        else:
+            layers = (("lattice", tuple(range(n))), ("quotient", (n,)))
+            self._declare(names, layers, "rnumber:two-step-addition", (self.action,))
 
     @property
     def n(self) -> int:
@@ -347,54 +351,37 @@ class ZnSemidirectZ(GroupFamily):
     def from_json(cls, data):
         return cls(_json_matrix(data))
 
-    def fitting_matrix(self, spec):
-        return _lattice_block(spec, self.n)
-
-    def quotient_matrix(self, spec):
-        return IntMatrix(1, 1, (spec.image_of("t")[self.n],))
-
+    # The holonomy branch: when A has finite order d, the e_i images may
+    # leave the lattice, and the translation lattice <t^d, e1..en> is the
+    # characteristic one.  Leaving the lattice is a failure where it is
+    # characteristic, as when 1 is not an eigenvalue.  Known gap (ROADMAP
+    # item 6): an A of infinite order refuses genuine automorphisms too,
+    # e.g. e1 -> e1^-1, e2 -> t, t -> e2 on A = (1,1;0,1).
     def layer_failure(self, spec):
-        n, a = self.n, self.action
-        if a == IntMatrix.identity(n):
-            full = IntMatrix.from_columns(spec.images)
-            return None if full.is_unimodular else "full abelian matrix is not unimodular"
-        if self._lattice_preserved(spec):
-            if not self.fitting_matrix(spec).is_unimodular:
-                return "lattice matrix is not unimodular"
-            if abs(spec.image_of("t")[n]) != 1:
-                return "quotient exponent of t is not +-1"
-            return None
-        d = finite_order(a)
-        if d is None:
-            # Leaving the lattice is a failure where it is characteristic, as when 1
-            # is not an eigenvalue.  Known gap (ROADMAP item 6): this refuses genuine
-            # automorphisms too, e.g. e1 -> e1^-1, e2 -> t, t -> e2 on A = (1,1;0,1).
-            return "images leave the lattice subgroup"
+        try:
+            return super().layer_failure(spec)
+        except LayerLeftError:
+            d = finite_order(self.action)
+            if d is None:
+                raise
         if not translation_matrix(spec, d).is_unimodular:
             return "translation-lattice matrix is not unimodular"
-        if math.gcd(spec.image_of("t")[n], d) != 1:
+        if math.gcd(spec.image_of("t")[self.n], d) != 1:
             return "induced map on the finite quotient is not bijective"
         return None
 
     def rnumber_route(self, spec):
+        try:
+            return super().rnumber_route(spec)
+        except LayerLeftError:
+            d = finite_order(self.action)
+            if d is None:
+                raise
+        # the holonomy Z / d acts on the translation lattice by diag(1, A)^e
         n, a = self.n, self.action
-        if a == IntMatrix.identity(n):
-            full = IntMatrix.from_columns(spec.images)
-            return r_abelian(full), ("rnumber:lattice",)
-        if self._lattice_preserved(spec):
-            # the class of t^e in Z / (1 - q) Z acts on the lattice by A^e
-            return _quotient_class_sum(self, spec, (a,), "rnumber:two-step-addition")
-        d = finite_order(a)
-        if d is None:
-            raise ValueError("images leave the lattice for an infinite-order action")
-        # the holonomy Z / d acts on the translation lattice <t^d, e1..en> by diag(1, A)^e
         h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *a.row(i)] for i in range(n)])
         total = r_class_sum(IntMatrix(1, 1, (d,)), (h,), translation_matrix(spec, d)).div_exact(d)
         return total, ("rnumber:holonomy-averaging",)
-
-    def _lattice_preserved(self, spec) -> bool:
-        n = self.n
-        return all(img[n] == 0 for img in spec.images[:n])
 
 
 # every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
@@ -415,7 +402,9 @@ class Z2MinusIExt(GroupFamily):
         if len(self.n0) != 2:
             raise ValueError("n0 must be a length-2 integer vector")
         object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
-        object.__setattr__(self, "generator_names", ("e1", "e2", "t", "u"))
+        # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by (-I)^e A^f
+        layers = (("lattice", (0, 1)), ("quotient", (2, 3)))
+        self._declare(("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, self.action))
 
     # the Z^2-by-Z^2 extension law with t acting by B = -I
     def multiply(self, a, b):
@@ -430,28 +419,14 @@ class Z2MinusIExt(GroupFamily):
             raise ValueError("field 'n0' must be an array of two integers, got %r" % (data["n0"],))
         return cls(_json_matrix(data), tuple(data["n0"]))
 
-    def fitting_matrix(self, spec):
-        return _lattice_block(spec, 2)
-
-    def quotient_matrix(self, spec):
-        return IntMatrix.from_columns([spec.image_of("t")[2:], spec.image_of("u")[2:]])
-
     def layer_failure(self, spec):
-        if not self.fitting_matrix(spec).is_unimodular:
-            return "lattice matrix is not unimodular"
-        if not self.quotient_matrix(spec).is_unimodular:
-            return "quotient matrix is not unimodular"
         # the image of t acts on the lattice by +-A^k, k its u-exponent, and
-        # must act by -I; an action of infinite order forces k = 0
-        if spec.image_of("t")[3] and finite_order(self.action) is None:
+        # must act by -I; an action of infinite order forces k = 0, and so
+        # has at most 4 classes to sum
+        failure = super().layer_failure(spec)
+        if failure is None and spec.image_of("t")[3] and finite_order(self.action) is None:
             return "u-exponent of the image of t is not 0"
-        return None
-
-    def rnumber_route(self, spec):
-        # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by
-        # (-I)^e A^f; an action of infinite order has at most 4 classes, as
-        # the u-exponent of the image of t is then 0
-        return _quotient_class_sum(self, spec, (-IntMatrix.identity(2), self.action), "rnumber:quotient-class-sum")
+        return failure
 
 
 @dataclass(frozen=True)
@@ -467,7 +442,9 @@ class HnSemidirectZ(GroupFamily):
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
-        object.__setattr__(self, "generator_names", ("x", "y", "z", "t"))
+        # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
+        layers = (("center", (2,)), ("Heisenberg", (0, 1)), ("quotient", (3,)))
+        self._declare(("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,))
 
     def _psi(self, h: tuple) -> tuple:
         a, b, c = h
@@ -478,30 +455,6 @@ class HnSemidirectZ(GroupFamily):
         if a[3] % 2:  # psi is an involution on H_n
             h2 = self._psi(h2)
         return _heis_mul(self.n, a[:3], h2) + (a[3] + b[3],)
-
-    def fitting_matrix(self, spec):
-        return _xy_block(spec)
-
-    def quotient_matrix(self, spec):
-        return IntMatrix(1, 1, (spec.image_of("t")[3],))
-
-    def layer_failure(self, spec):
-        failure = _center_failure(spec)
-        if failure:
-            return failure
-        for name in ("x", "y"):
-            if spec.image_of(name)[3]:
-                return "image of %s leaves the Heisenberg subgroup" % name
-        if not self.fitting_matrix(spec).is_unimodular:
-            return "Heisenberg quotient matrix is not unimodular"
-        if abs(spec.image_of("t")[3]) != 1:
-            return "quotient exponent of t is not +-1"
-        return None
-
-    def rnumber_route(self, spec):
-        # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
-        r, trace = _quotient_class_sum(self, spec, (-IntMatrix.identity(2),), "rnumber:two-step-addition")
-        return _r_scalar(spec.image_of("z")[2]) * r, trace
 
 
 FAMILIES: dict[str, type[GroupFamily]] = {cls.json_tag: cls for cls in GroupFamily.__subclasses__()}
@@ -532,7 +485,7 @@ def family_from_json(data: Mapping) -> GroupFamily:
 class AutomorphismSpec:
     """The images of the generators, in slot order, each an exponent
     tuple in normal form; the layer matrices are read off the images by
-    the family (``layer_failure``, ``rnumber_route``), never stored."""
+    the family (``layer_matrices``), never stored."""
 
     family: GroupFamily
     images: tuple[tuple[int, ...], ...]
@@ -657,22 +610,6 @@ def translation_matrix(spec: AutomorphismSpec, d: int) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # Reidemeister numbers of verified specs (formula path)
-
-
-def _r_scalar(e: int) -> RNumber:
-    return r_abelian(IntMatrix(1, 1, (e,)))
-
-
-def _quotient_class_sum(family, spec, actions, rule: str) -> tuple[RNumber, tuple[str, ...]]:
-    """The class sum of the fitting matrix over Z^k / (I - Q) Z^k, Q the
-    quotient matrix, the class of the i-th quotient generator acting by
-    actions[i]; infinite when I - Q is singular, as 1 is then an
-    eigenvalue of Q."""
-    q = family.quotient_matrix(spec)
-    shift = IntMatrix.identity(q.rows) - q
-    if shift.det() == 0:
-        return INFINITE, ("rnumber:identity-quotient",)
-    return r_class_sum(shift, actions, family.fitting_matrix(spec)), (rule,)
 
 
 def rnumber_with_trace(spec: AutomorphismSpec) -> tuple[RNumber, tuple[str, ...]]:

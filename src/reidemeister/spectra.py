@@ -9,7 +9,8 @@ quadratic factor left over.
 
 The hyperbolic Z^3 block and the double extension share one exact
 eight-class decision, ``_eight_class_decision``, over the solution orbit
-of ``exactlin.system2_orbit``; each passes in its own lifting test.  The
+of ``exactlin.system2_orbit``; each passes in its own lifting test, and
+``decide_system2`` passes one every solution meets.  The
 answer is {8, oo} with the least lifting solution as witness,
 ``*:parity-obstruction`` when no solution lifts, or
 ``system2:proven-empty`` when there is none.  Only ``decide_system2``
@@ -238,19 +239,19 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     """Decide the quadratic system for A up to the given |m| bound.
 
     Non-real eigenvalues prove the system empty.  Otherwise the least
-    solution of ``exactlin.system2_orbit`` (``exactlin.least_solution``)
-    is reported when its |m| is at most the bound; else the outcome is
-    ``none-up-to-bound``, which is true also when there is no solution.
+    solution, the eight-class decision with no lifting test
+    (``_eight_class_decision``), is reported when its |m| is at most the
+    bound; else the outcome is ``none-up-to-bound``, which is true also
+    when there is no solution.
     """
     _system2_require(a)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if abs(a.trace()) < 2:
         return System2Decision("proven-empty", None, bound)
-    orbit = system2_orbit(a)
-    found = orbit and least_solution(a, orbit)
-    if found and abs(found[0][0, 0]) <= bound:
-        return System2Decision("witness", System2Witness(*found[0].entries[:3]), bound)
+    outcome, found, _ = _eight_class_decision(a, lambda q: ())
+    if outcome == "eight" and abs(found.m) <= bound:
+        return System2Decision("witness", found, bound)
     return System2Decision("none-up-to-bound", None, bound)
 
 

@@ -225,8 +225,8 @@ def ext_rnumber_via_cosets(spec: AutomorphismSpec) -> RNumber:
     transversal of Z^2 / (I - Q) Z^2: the class of t^e u^f acts on the
     lattice by (-I)^e A^f."""
     family = spec.family
-    reps = coset_representatives(IntMatrix.identity(2) - family.quotient_matrix(spec))
+    m, q = family.layer_matrices(spec)
+    reps = coset_representatives(IntMatrix.identity(2) - q)
     if reps is None:
         return INFINITE
-    m = family.fitting_matrix(spec)
     return reduce(operator.add, [r_abelian((family.action ** f).scale((-1) ** (e % 2)) * m) for e, f in reps])

@@ -134,9 +134,7 @@ def test_verify_rejects_center_doubling():
     spec = AutomorphismSpec.from_images(
         Heisenberg(3), {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 2)}
     )
-    report = verify_automorphism(spec)
-    assert not report.ok
-    assert "[y,x]" in report.failure or "z^" in report.failure
+    assert verify_automorphism(spec) == VerificationResult(False, "center exponent of z is not +-1")
 
 
 def test_verify_rejects_non_unimodular_layer():
@@ -227,6 +225,58 @@ def test_verification_agrees_with_the_reference_on_random_images(rng):
             broken += not report.ok and report.failure.startswith("relation violated")
         # an abelian law satisfies every commutation relation
         assert accepted and (broken or isinstance(fam, FreeAbelian)), fam
+
+
+# every class in FAMILIES, with Z^n x|_A Z for A = I (one layer), A of
+# finite order and A of infinite order
+SERIES_FAMILIES = ALL_FAMILIES + [
+    ZnSemidirectZ(I2),
+    ZnSemidirectZ(IntMatrix.identity(3)),
+    ZnSemidirectZ(parse_matrix("1,1;0,1")),
+]
+
+
+def test_each_series_is_read_off_the_group_law():
+    # the layers partition the slots; conjugation by a generator or its
+    # inverse keeps a layer's generators in that layer and the layers below,
+    # and modulo those fixes them, except that the top generators act on
+    # the layer below by ``actions``; with ``actions`` None every layer is
+    # central modulo the layers below
+    assert {type(fam) for fam in SERIES_FAMILIES} == set(FAMILIES.values())
+    for fam in SERIES_FAMILIES:
+        layers = [slots for _, slots in fam.layers]
+        assert sorted(s for slots in layers for s in slots) == list(range(fam.slots)), fam
+        top, gens = layers[-1], fam.generators()
+        assert fam.actions is None or len(fam.actions) == len(top), fam
+        for i, slots in enumerate(layers):
+            above = [s for later in layers[i + 1:] for s in later]
+            acted = fam.actions is not None and i == len(layers) - 2
+            for g, sign in product(range(fam.slots), (1, -1)):
+                z = gens[g] if sign == 1 else fam.inverse(gens[g])
+                for col, s in enumerate(slots):
+                    conj = fam.multiply(fam.multiply(z, gens[s]), fam.inverse(z))
+                    assert not any(conj[j] for j in above), (fam, g, sign, s)
+                    expected = tuple(int(j == s) for j in slots)
+                    if acted and g in top:
+                        b = fam.actions[top.index(g)]
+                        expected = (b if sign == 1 else b.inverse_unimodular()).column(col)
+                    assert tuple(conj[j] for j in slots) == expected, (fam, g, sign, s)
+
+
+def test_the_trivial_endomorphism_is_refused():
+    for fam in SERIES_FAMILIES:
+        report = verify_automorphism(AutomorphismSpec(fam, ((0,) * fam.slots,) * fam.slots))
+        assert not report.ok and not report.failure.startswith("relation violated"), fam
+
+
+def test_a_relation_respecting_endomorphism_is_refused_by_its_lattice_block():
+    # e1, e2 -> 1, t -> e2^-1 u^-1, u -> 1 respects every relation of the
+    # presentation; only the lattice layer tells it is no automorphism
+    fam = Z2MinusIExt(parse_matrix("2,1;1,1"), (1, 0))
+    spec = AutomorphismSpec(fam, ((0, 0, 0, 0), (0, 0, 0, 0), (0, -1, 0, -1), (0, 0, 0, 0)))
+    for (j, i), word in presentation(fam).items():
+        assert _word_product(spec, ((j, 1), (i, 1))) == _word_product(spec, word)
+    assert verify_automorphism(spec) == VerificationResult(False, "lattice matrix is not unimodular")
 
 
 # automorphisms of Z^n x|_A Z that leave the lattice, each with its
