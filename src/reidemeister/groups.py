@@ -39,21 +39,20 @@ HnSemidirectZ(n, k, l)       x, y, z, t       (t x t^-1 = x^-1 z^k,
 Exponents are arbitrary-precision; witness parameters up to 10**6 are
 routine and must not overflow anything.
 
-Z2MinusIExt is one case of the extension of Z^2 by Z^2 in which u and t
-act by commuting matrices A and B with [u, t] = n0: its law is
-``_z2_by_z2_mul`` with B = -I, the same law the test reference
-``tests/canonical_reference.py`` applies to any such presentation.  The
-matrix-backed laws read A^k and B^k
-(``exactlin._power``) and their geometric sums (``exactlin._power_sum``)
-from one bounded power cache; an action of finite order reduces the
-exponent modulo its order first, in O(1).  Exponents, parameters and n0
-must be ints: the constructors and JSON decoding refuse a float, a string
-or a boolean with a ValueError naming the field.
+Z2MinusIExt is the extension of Z^2 by Z^2 in which u acts by A, t by
+-I and [u, t] = n0; its law writes the sign of t out, and the test
+reference ``tests/canonical_reference.py`` keeps the law for any
+commuting pair of actions as an independent check.  The matrix-backed
+laws read A^k (``exactlin._power``) and the geometric sums
+(``exactlin._power_sum``) from one bounded power cache; an action of
+finite order reduces the exponent modulo its order first, in O(1).
+Exponents, parameters and n0 must be ints: the constructors and JSON
+decoding refuse a float, a string or a boolean with a ValueError naming
+the field.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, reduce
 from itertools import combinations, product
@@ -82,8 +81,7 @@ class LayerLeftError(ValueError):
     """A generator image leaves its layer of the family's series."""
 
 
-_MINUS_I2 = (-1, 0, 0, -1)
-_MINUS_I = IntMatrix(2, 2, _MINUS_I2)
+_MINUS_I = IntMatrix(2, 2, (-1, 0, 0, -1))
 MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
 
 
@@ -92,27 +90,6 @@ def _json_matrix(data: Mapping) -> IntMatrix:
         return matrix_from_json(data["matrix"])
     except MatrixParseError as exc:
         raise ValueError("field 'matrix': %s" % exc) from None
-
-
-def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
-    """The law of the extension of Z^2 by Z^2 in which u acts on the
-    kernel by A, t by the commuting B (entries, row-major), and [u, t] = n0.
-    With (z1, z2, k, l) = z t^k u^l and S_M(k) = I + M + ... + M^(k-1):
-    z t^k u^l * z' t^k' u^l' = (z + B^k (A^l z' + S_B(k') S_A(l) n0)) t^(k+k') u^(l+l').
-    """
-    x1, y1, k1, l1 = g
-    x2, y2, k2, l2 = h
-    p, s = _power_sum(a, l1)
-    w0 = p[0] * x2 + p[1] * y2
-    w1 = p[2] * x2 + p[3] * y2
-    if k2 and l1:
-        q = _power_sum(b, k2)[1]
-        v0 = s[0] * n0[0] + s[1] * n0[1]
-        v1 = s[2] * n0[0] + s[3] * n0[1]
-        w0 += q[0] * v0 + q[1] * v1
-        w1 += q[2] * v0 + q[3] * v1
-    r = _power(b, k1)
-    return (x1 + r[0] * w0 + r[1] * w1, y1 + r[2] * w0 + r[3] * w1, k1 + k2, l1 + l2)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +383,21 @@ class Z2MinusIExt(GroupFamily):
         layers = (("lattice", (0, 1)), ("quotient", (2, 3)))
         self._declare(("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, self.action))
 
-    # the Z^2-by-Z^2 extension law with t acting by B = -I
+    # with S_A(l) = I + A + ... + A^(l-1), and S_-I(k') = [k' odd] I for every k':
+    # v t^k u^l * v' t^k' u^l' = (v + (-1)^k (A^l v' + [k' odd] S_A(l) n0)) t^(k+k') u^(l+l')
     def multiply(self, a, b):
-        return _z2_by_z2_mul(self.action.entries, _MINUS_I2, self.n0, a, b)
+        x1, y1, k1, l1 = a
+        x2, y2, k2, l2 = b
+        p, s = _power_sum(self.action.entries, l1)
+        w0 = p[0] * x2 + p[1] * y2
+        w1 = p[2] * x2 + p[3] * y2
+        if k2 % 2:
+            n0, n1 = self.n0
+            w0 += s[0] * n0 + s[1] * n1
+            w1 += s[2] * n0 + s[3] * n1
+        if k1 % 2:
+            return (x1 - w0, y1 - w1, k1 + k2, l1 + l2)
+        return (x1 + w0, y1 + w1, k1 + k2, l1 + l2)
 
     def to_json_dict(self):
         return {"tag": self.json_tag, "matrix": self.action.to_rows(), "n0": list(self.n0)}
@@ -446,15 +435,11 @@ class HnSemidirectZ(GroupFamily):
         layers = (("center", (2,)), ("Heisenberg", (0, 1)), ("quotient", (3,)))
         self._declare(("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,))
 
-    def _psi(self, h: tuple) -> tuple:
-        a, b, c = h
-        return (-a, -b, c + self.k * a + self.l * b)
-
     def multiply(self, a, b):
-        h2 = b[:3]
-        if a[3] % 2:  # psi is an involution on H_n
-            h2 = self._psi(h2)
-        return _heis_mul(self.n, a[:3], h2) + (a[3] + b[3],)
+        x, y, z = b[:3]
+        if a[3] % 2:  # t^k acts by psi^(k mod 2), as psi is an involution on H_n
+            x, y, z = -x, -y, z + self.k * x + self.l * y
+        return _heis_mul(self.n, a[:3], (x, y, z)) + (a[3] + b[3],)
 
 
 FAMILIES: dict[str, type[GroupFamily]] = {cls.json_tag: cls for cls in GroupFamily.__subclasses__()}
@@ -843,13 +828,13 @@ MAX_BALL_SITES = 100_000
 class ClassLabeling:
     """Twisted-conjugacy labels over a bounded exponent ball.
 
-    The labels come from one union-find saturation of the radius-(r+2)
-    ball, walked row by row at one group product and one merge loop per
-    twist and row (see ``label_classes``): the edges inside the radius-(r+1)
-    ball are merged first and the radius-r labels read off there, so merge
-    paths grazing the boundary are not reported as spurious extra classes.  ``complete``
-    is a heuristic fixed-point certificate read off the finished
-    saturation: the class count did not change when the radius grew by one
+    The labels come from one walk of the radius-(r+2) ball, row by row at
+    one group product per twist and row (see ``label_classes``), into two
+    union-find partitions.  The radius-r labels are read off the one by
+    the edges inside the radius-(r+1) ball, so merge paths grazing the
+    boundary are not reported as spurious extra classes.  ``complete`` is
+    a heuristic fixed-point certificate read off the one by every edge of
+    the walk: the class count did not change when the radius grew by one
     and every class already meets the interior of the ball.  It is never a
     proof; the formula paths stay authoritative, the oracle a falsifier.
     """
@@ -904,13 +889,14 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     a row from h0 holds h0 + k u, at site index(h0) + k (u . strides).  The
     starts chain: g g_n adds 1 to the last slot, so T(g g_n) = T(g) phi(z)
     g_n phi(z)^-1; where that slot wraps a row pays the full twist and
-    checks u h0 = h0 + u (else ValueError naming the family).  Each row's
-    edges inside the radius-(r+1) ball go to one merge loop (``_merge``
-    keeps parent[i] <= i), a forward pass points every site at its root,
-    and the radius-r labels and class count are read off, in first-seen
-    order over the sorted ball; the edges leaving that ball then get one
-    merge loop and pass, for the class count over it and the interior
-    certificate.  Raises ValueError above MAX_BALL_SITES outer-ball sites.
+    checks u h0 = h0 + u (else ValueError naming the family).  Each row
+    gets two merge loops (``_merge`` roots each class at its least site):
+    its edges inside the radius-(r+1) ball into one partition, all its
+    edges into the other.  After a forward pass points every site at its
+    root, the radius-r labels and count are read off the first, in
+    first-seen order over the sorted ball, and the count over ball(r+1)
+    and the interior certificate off the second.  Raises ValueError
+    above MAX_BALL_SITES outer-ball sites.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -930,7 +916,7 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     gens = fam.generators()
     strides = [side ** (slots - 1 - i) for i in range(slots)]
     centre = outer * sum(strides)  # the index of the identity
-    parent = list(range(size))
+    inner_parent, full_parent = list(range(size)), list(range(size))
     # per row (-outer, rest), for every twist: its first site if the last slot
     # wraps there (else None), and g_stop: its sites 1 <= k < g_stop are in ball(r+1)
     rows = [
@@ -938,7 +924,6 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
          side - 1 if max(map(abs, rest), default=0) <= inner else 0)
         for rest in product(range(-outer, outer + 1), repeat=slots - 1)
     ]
-    leaving_g, leaving_h = array("l"), array("l")  # the edges leaving ball(r+1)
     for z, phi_z in zip(gens, spec.images):
         w, u = fam.inverse(phi_z), mul(mul(z, gens[0]), fam.inverse(z))
         chain, image_step = mul(mul(phi_z, gens[-1]), w), sum(map(operator.mul, u, strides))
@@ -974,23 +959,17 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
             start = sum(map(operator.mul, h0, strides)) + centre
             images = range(start, start + side * image_step, image_step) if image_step else [start] * side
             if a < b:
-                _merge(parent, sources[a:b], images[a:b])
-                leaving_g.extend(sources[lo:a])
-                leaving_h.extend(images[lo:a])
-            else:  # no edge inside ball(r+1): all of [lo, hi) leaves it
-                b = lo
-            leaving_g.extend(sources[b:hi])
-            leaving_h.extend(images[b:hi])
+                _merge(inner_parent, sources[a:b], images[a:b])
+            _merge(full_parent, sources[lo:hi], images[lo:hi])
 
-    _point_at_roots(parent)
+    _point_at_roots(inner_parent)
     assigned: dict[int, int] = {}
     ball = zip(product(range(-radius, radius + 1), repeat=slots), _ball_offsets(side, slots, radius))
-    labels = {g: assigned.setdefault(parent[gi], len(assigned)) for g, gi in ball}
+    labels = {g: assigned.setdefault(inner_parent[gi], len(assigned)) for g, gi in ball}
     count = len(assigned)
 
-    _merge(parent, leaving_g, leaving_h)
-    _point_at_roots(parent)
-    roots_next = {parent[i] for i in _ball_offsets(side, slots, inner)}
-    roots_interior = {parent[i] for i in _ball_offsets(side, slots, radius - 1)}
+    _point_at_roots(full_parent)
+    roots_next = {full_parent[i] for i in _ball_offsets(side, slots, inner)}
+    roots_interior = {full_parent[i] for i in _ball_offsets(side, slots, radius - 1)}
     complete = count == len(roots_next) == len(roots_interior)
     return ClassLabeling(radius, labels, complete)

@@ -10,22 +10,40 @@ non-scalar involution (then it is a double extension).  The mixed
 eigenvalue case of H_n x|_psi Z and the double extension with an action
 of finite order used to be classified this way; ``spectra`` now emits
 the rules this route always lands on.  This is slow but short enough to
-audit by eye.
+audit by eye.  Its group law, ``_z2_by_z2_mul``, takes any commuting pair
+of actions; ``groups`` writes only the double extension's, where t acts
+by -I, and the tests check the two against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from reidemeister.exactlin import DimensionError, IntMatrix, finite_order, _strict_int
-from reidemeister.groups import (
-    AutomorphismSpec,
-    Heisenberg,
-    verify_automorphism,
-    _z2_by_z2_mul,
-)
+from reidemeister.exactlin import DimensionError, IntMatrix, finite_order, _power, _power_sum, _strict_int
+from reidemeister.groups import AutomorphismSpec, Heisenberg, verify_automorphism
 from reidemeister.spectra import SpectrumResult, classify_z2_minusI_ext, classify_z3_semidirect
 from snf_reference import eigenlattice
+
+
+def _z2_by_z2_mul(a: tuple, b: tuple, n0: tuple, g: tuple, h: tuple) -> tuple:
+    """The law of the extension of Z^2 by Z^2 in which u acts on the
+    kernel by A, t by the commuting B (entries, row-major), and [u, t] = n0.
+    With (z1, z2, k, l) = z t^k u^l and S_M(k) = I + M + ... + M^(k-1):
+    z t^k u^l * z' t^k' u^l' = (z + B^k (A^l z' + S_B(k') S_A(l) n0)) t^(k+k') u^(l+l').
+    """
+    x1, y1, k1, l1 = g
+    x2, y2, k2, l2 = h
+    p, s = _power_sum(a, l1)
+    w0 = p[0] * x2 + p[1] * y2
+    w1 = p[2] * x2 + p[3] * y2
+    if k2 and l1:
+        q = _power_sum(b, k2)[1]
+        v0 = s[0] * n0[0] + s[1] * n0[1]
+        v1 = s[2] * n0[0] + s[3] * n0[1]
+        w0 += q[0] * v0 + q[1] * v1
+        w1 += q[2] * v0 + q[3] * v1
+    r = _power(b, k1)
+    return (x1 + r[0] * w0 + r[1] * w1, y1 + r[2] * w0 + r[3] * w1, k1 + k2, l1 + l2)
 
 
 def centralizer_exponent(m: IntMatrix, x: IntMatrix) -> int | None:
@@ -85,7 +103,7 @@ class ExtensionPresentation:
         object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
 
     # elements (z1, z2, k, l) = z t^k u^l with t = lift(y), u = lift(x),
-    # under the one Z^2-by-Z^2 law of ``groups``
+    # under the law for any commuting pair of actions, ``_z2_by_z2_mul``
     def multiply(self, g: tuple, h: tuple) -> tuple:
         return _z2_by_z2_mul(self.action_x.entries, self.action_y.entries, self.n0, g, h)
 

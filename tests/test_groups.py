@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from reidemeister.exactlin import IntMatrix, finite_order, parse_matrix
+from reidemeister import groups
 from reidemeister.groups import (
     AutomorphismSpec,
     FreeAbelian,
@@ -30,6 +31,7 @@ from reidemeister.groups import (
 )
 from reidemeister.twisted import INFINITE, RNumber
 from dataclasses import replace
+from canonical_reference import _z2_by_z2_mul
 from snf_reference import ext_rnumber_via_cosets
 from verify_reference import _word_product, presentation, reference_verify
 
@@ -108,6 +110,18 @@ def test_group_axioms_random(rng):
             assert mul(g, fam.inverse(g)) == identity
             assert mul(fam.inverse(g), g) == identity
             assert mul(g, identity) == g
+
+
+def test_double_extension_law_is_the_general_law_at_minus_identity(rng):
+    # the reference keeps the law for any commuting pair (A, B); groups writes only B = -I
+    assert not hasattr(groups, "_z2_by_z2_mul")
+    boxes = map(IntMatrix.from_rows, product(product(range(-2, 3), repeat=2), repeat=2))
+    actions = [m for m in boxes if m.det() in (1, -1)]
+    for action, n0 in product(actions, product(range(-2, 3), repeat=2)):
+        fam = Z2MinusIExt(action, n0)
+        for _ in range(4):
+            g, h = (tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(2))
+            assert fam.multiply(g, h) == _z2_by_z2_mul(action.entries, (-1, 0, 0, -1), n0, g, h)
 
 
 def test_powers_match_repeated_multiplication(rng):

@@ -277,7 +277,7 @@ def test_merge_and_one_forward_pass_give_the_components(data):
     repeats = data.draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
     edges += [(x, x) for x in loops] + repeats + [(y, x) for x, y in repeats]
     parent = list(range(size))
-    # merged in two batches, like the inner and the leaving edges of a labeling
+    # merged in two batches, each batch's components checked after its forward pass
     half = len(edges) // 2
     for done, batch in ((half, edges[:half]), (len(edges), edges[half:])):
         _merge(parent, [x for x, _ in batch], [y for _, y in batch])

@@ -440,7 +440,7 @@ def test_substitution_requires_unimodular():
 
 
 def test_extension_arithmetic_group_axioms(rng):
-    # the one Z^2-by-Z^2 law of groups, applied with each presentation's pair
+    # the reference's law for any commuting pair, applied with each presentation's pair
     presentations = [
         ExtensionPresentation(FIB, FIB ** 2, (1, -2)),
         ExtensionPresentation(parse_matrix("1,1;0,1"), parse_matrix("1,3;0,1"), (0, 1)),
