@@ -178,7 +178,13 @@ class IntMatrix:
         return sum(self[i, i] for i in range(self.rows))
 
     def det(self) -> int:
+        """1x1 and 2x2 read off the entries; larger sizes by Bareiss."""
         self._require_square("determinant")
+        if self.rows == 1:
+            return self.entries[0]
+        if self.rows == 2:
+            a, b, c, d = self.entries
+            return a * d - b * c
         return _det(self.to_rows())
 
     @property
@@ -530,12 +536,12 @@ def least_solution(
     rises, with at most one tie at the bottom.
     """
     q, eps = orbit
-    power, found = eps, []
+    power, found, steps = eps, [], (a, a.inverse_unimodular())
     while True:
         for rep in (q, -q):
             if lifts(rep) is not None:
                 found.append(rep)
-                for step in (a, a.inverse_unimodular()):
+                for step in steps:
                     cur = rep
                     while abs((nxt := cur * step)[0, 0]) <= abs(cur[0, 0]):
                         found.append(cur := nxt)

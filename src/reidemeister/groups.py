@@ -15,7 +15,11 @@ automorphism against them.  The hand-written presentations are kept in
 the tests as an independent reference.  Each family also declares its
 polycyclic series once (``GroupFamily.layers``, ``actions``, ``route``):
 the layer check that completes verification and the formula route for
-the Reidemeister number are both read off it.
+the Reidemeister number are both read off it.  Each layer also carries
+its kind: the lattice is abelian and the center central, so once the
+images lie in their layers, the relations between two lattice generators
+and those with a central generator hold, and verification does not
+evaluate them again.
 
 Generator and exponent-slot order per family (also the order used by
 all serialization):
@@ -106,9 +110,11 @@ class GroupFamily:
     ``verify_automorphism`` derives the relations.  The series is set once
     per instance (``_declare``):
 
-    - ``layers``: (name, slots) per layer, bottom first, partitioning the
-      slots; conjugation keeps each layer's generators in that layer and
-      the layers below;
+    - ``layers``: (name, slots, kind) per layer, bottom first,
+      partitioning the slots; conjugation keeps each layer's generators in
+      that layer and the layers below.  ``kind`` is "abelian" or "central"
+      when the layer and those below it generate an abelian or a central
+      subgroup, else None;
     - ``actions``: the matrices by which the top layer's generators act on
       the layer below it, modulo the lower layers; None when every layer
       is central modulo the layers below;
@@ -117,8 +123,10 @@ class GroupFamily:
     The layer check and the formula route are read off it:
     ``layer_matrices`` reads the block each layer's images induce,
     ``layer_failure`` requires each block to be unimodular, and
-    ``rnumber_route`` counts along the series.  ``tests/test_groups.py``
-    checks each series against ``multiply``.
+    ``rnumber_route`` counts along the series.  The kinds tell
+    ``verify_automorphism`` which collection relations the series already
+    proves (``open_relations``).  ``tests/test_groups.py`` checks each
+    series, kinds included, against ``multiply``.
     FAMILIES maps each tag to its subclass.
     """
 
@@ -190,7 +198,7 @@ class GroupFamily:
         bottom first; LayerLeftError when an image leaves the layer and the
         layers below."""
         images, blocks = spec.images, []
-        for (name, slots), above in zip(self.layers, _slots_above(self.layers)):
+        for (name, slots, _), above in zip(self.layers, _slots_above(self.layers)):
             cols = [images[s] for s in slots]
             if any(img[j] for img in cols for j in above):
                 raise LayerLeftError("images leave the %s subgroup" % name)
@@ -200,7 +208,7 @@ class GroupFamily:
     def layer_failure(self, spec: "AutomorphismSpec") -> str | None:
         """The first layer, bottom first, whose block is not unimodular, or
         None; LayerLeftError when the images leave a layer."""
-        for (name, slots), block in zip(self.layers, self.layer_matrices(spec)):
+        for (name, slots, _), block in zip(self.layers, self.layer_matrices(spec)):
             if not block.is_unimodular:
                 if len(slots) == 1:
                     return "%s exponent of %s is not +-1" % (name, self.generator_names[slots[0]])
@@ -225,12 +233,46 @@ class GroupFamily:
             return INFINITE, ("rnumber:identity-quotient",)
         return reduce(operator.mul, map(r_abelian, central), r_class_sum(shift, self.actions, below)), (self.route,)
 
+    def open_relations(self, spec: "AutomorphismSpec") -> tuple[tuple[int, int], ...]:
+        """The pairs (i, j), i < j, whose collection relation the series
+        does not prove for a spec that passed ``layer_failure``: all of them
+        when an image leaves its layer and the layers below (as the
+        holonomy branch of ``ZnSemidirectZ`` allows), else those that the
+        layer kinds do not settle."""
+        leaving, all_pairs, open_pairs = _series_shape(self.layers)
+        images = spec.images
+        return all_pairs if any(images[s][j] for s, j in leaving) else open_pairs
+
 
 @lru_cache(maxsize=64)
 def _slots_above(layers: tuple) -> tuple[tuple[int, ...], ...]:
     """Per layer, the slots of the layers above it, which its images may
     not reach; one entry per series shape."""
-    return tuple(tuple(s for _, later in layers[i + 1:] for s in later) for i in range(len(layers)))
+    return tuple(tuple(s for _, later, _ in layers[i + 1:] for s in later) for i in range(len(layers)))
+
+
+@lru_cache(maxsize=64)
+def _series_shape(layers: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(leaving, all pairs, open pairs) for one series shape: the (s, j)
+    with slot j above the layer of slot s, the pairs i < j, and those
+    whose relation the kinds do not settle.
+
+    With every image in its layer and the layers below, the images of a
+    kinded layer's generators and those below it lie in the subgroup those
+    generate.  So the relation of g_i and g_j holds when both lie in an
+    abelian one (their images commute, as they do) or one lies in a
+    central one (its image is central too)."""
+    leaving = tuple((s, j) for (_, slots, _), above in zip(layers, _slots_above(layers)) for s in slots for j in above)
+    abelian, central, below = set(), set(), set()
+    for _, slots, kind in layers:
+        below.update(slots)
+        if kind == "abelian":
+            abelian = set(below)
+        elif kind == "central":
+            central = set(below)
+    all_pairs = tuple(combinations(range(len(below)), 2))
+    open_pairs = tuple(p for p in all_pairs if not (set(p) <= abelian or central.intersection(p)))
+    return leaving, all_pairs, open_pairs
 
 
 @dataclass(frozen=True)
@@ -245,7 +287,7 @@ class FreeAbelian(GroupFamily):
         if self.n > MAX_RANK:
             raise ValueError("rank %d exceeds MAX_RANK = %d, the largest Hirsch length in scope" % (self.n, MAX_RANK))
         names = tuple("e%d" % (i + 1) for i in range(self.n))
-        self._declare(names, (("lattice", tuple(range(self.n))),), "rnumber:lattice")
+        self._declare(names, (("lattice", tuple(range(self.n)), "abelian"),), "rnumber:lattice")
 
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -265,7 +307,8 @@ class Heisenberg(GroupFamily):
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
-        self._declare(("x", "y", "z"), (("center", (2,)), ("quotient", (0, 1))), "rnumber:center-times-quotient")
+        layers = (("center", (2,), "central"), ("quotient", (0, 1), None))
+        self._declare(("x", "y", "z"), layers, "rnumber:center-times-quotient")
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a, b)
@@ -280,9 +323,8 @@ class HeisenbergTimesZ(GroupFamily):
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
-        self._declare(
-            ("x", "y", "z", "u"), (("center", (2, 3)), ("quotient", (0, 1))), "rnumber:center-times-quotient"
-        )
+        layers = (("center", (2, 3), "central"), ("quotient", (0, 1), None))
+        self._declare(("x", "y", "z", "u"), layers, "rnumber:center-times-quotient")
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a[:3], b[:3]) + (a[3] + b[3],)
@@ -307,9 +349,9 @@ class ZnSemidirectZ(GroupFamily):
             raise ValueError("the acting matrix must be unimodular")
         names = tuple("e%d" % (i + 1) for i in range(n)) + ("t",)
         if self.action == IntMatrix.identity(n):
-            self._declare(names, (("lattice", tuple(range(n + 1))),), "rnumber:lattice")
+            self._declare(names, (("lattice", tuple(range(n + 1)), "abelian"),), "rnumber:lattice")
         else:
-            layers = (("lattice", tuple(range(n))), ("quotient", (n,)))
+            layers = (("lattice", tuple(range(n)), "abelian"), ("quotient", (n,), None))
             self._declare(names, layers, "rnumber:two-step-addition", (self.action,))
 
     @property
@@ -380,7 +422,7 @@ class Z2MinusIExt(GroupFamily):
             raise ValueError("n0 must be a length-2 integer vector")
         object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
         # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by (-I)^e A^f
-        layers = (("lattice", (0, 1)), ("quotient", (2, 3)))
+        layers = (("lattice", (0, 1), "abelian"), ("quotient", (2, 3), None))
         self._declare(("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, self.action))
 
     # with S_A(l) = I + A + ... + A^(l-1), and S_-I(k') = [k' odd] I for every k':
@@ -432,7 +474,7 @@ class HnSemidirectZ(GroupFamily):
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
-        layers = (("center", (2,)), ("Heisenberg", (0, 1)), ("quotient", (3,)))
+        layers = (("center", (2,), "central"), ("Heisenberg", (0, 1), None), ("quotient", (3,), None))
         self._declare(("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,))
 
     def multiply(self, a, b):
@@ -556,6 +598,14 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     first violated relation, pairs (i, j) in lexicographic order.  The
     layers come first: they read the images in O(1) and bound the
     exponents the relations then multiply by.
+
+    Once every image lies in its layer and the layers below, the series
+    proves two kinds of relation, which are not evaluated again
+    (``GroupFamily.open_relations``): two generators of an abelian layer
+    (the lattice) have commuting images in it, and a generator of a
+    central layer (the center) has a central image.  A skipped relation
+    holds, so the first violated one, and the report, are those of the
+    full check.
     """
     family = spec.family
     try:
@@ -565,7 +615,7 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     if failure:
         return VerificationResult(False, failure)
     gens, images, names = family.generators(), spec.images, family.generator_names
-    for i, j in combinations(range(family.slots), 2):
+    for i, j in family.open_relations(spec):
         relation = family.multiply(gens[j], gens[i])
         if family.multiply(images[j], images[i]) != spec.apply(relation):
             word = " ".join("%s^%d" % (name, e) for name, e in zip(names, relation) if e) or "1"
@@ -772,26 +822,27 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     """An automorphism of the double extension with eight classes, when
     one exists: a trace-zero block solving the intertwining equation plus
     an integral solution m0, z0 of the lifting constraint.  On a spectrum
-    {8, oo} these are its evidence; a spectrum {oo} is refused with its
-    rule.  The parameter is not used."""
+    {8, oo} these come as values from the decision that proves it; a
+    spectrum {oo} is refused with its rule.  The parameter is not used."""
     from . import spectra  # only phi_eight requests load the classifier
     a = fam.action
-    res = spectra.classify_z2_minusI_ext(a, fam.n0)
-    if res.spectrum.kind == "finite":
-        evidence = res.evidence
-        m, m0, z0 = IntMatrix.from_rows(evidence["witness"]["matrix"]), evidence["m0"], evidence["z0"]
+    # the family has checked A and n0, so the decision runs unchecked
+    res, lift = spectra._ext_decision(a, fam.n0)
+    if lift is not None:
+        wit, coeffs = lift
+        m = wit.matrix
     elif a in (IntMatrix.identity(2), -IntMatrix.identity(2)):
         # on +-I lifting reads M mod 2, where the solutions fall into three
         # classes; these blocks are the least of each, and one lifts for every n0
-        lift = lifting_solver(a, fam.n0)
+        solve = lifting_solver(a, fam.n0)
         blocks = (IntMatrix(2, 2, e) for e in ((0, -1, 1, 0), (-1, -2, 1, 1), (-1, -1, 2, 1)))
-        m, coeffs = next((m, c) for m in blocks if (c := lift(m)) is not None)
-        m0, z0 = coeffs[:2], coeffs[2:]
+        m, coeffs = next((m, c) for m in blocks if (c := solve(m)) is not None)
     else:
         raise UnknownWitnessError(
             "phi_eight needs an automorphism with eight classes; A = %s has determinant %d and n0 = (%d, %d), "
             "where the spectrum is {oo} (%s)" % (a, a.det(), *fam.n0, res.trace[-1])
         )
+    m0, z0 = coeffs[:2], coeffs[2:]
     images = {
         "e1": tuple(m.column(0)) + (0, 0),
         "e2": tuple(m.column(1)) + (0, 0),

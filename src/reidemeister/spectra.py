@@ -50,6 +50,7 @@ from .exactlin import (
     lifting_solver,
     system2_orbit,
     unit_root_split,
+    _entries_order,
     _power_sum,
     _strict_int,
 )
@@ -515,38 +516,47 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int | None = 
         raise HypothesisError("n0 must have exactly two entries, got %d" % len(n0))
     if a.rows != 2 or not a.is_unimodular:
         raise HypothesisError("the outer action must be a unimodular 2x2 matrix")
-    order = finite_order(a)
+    return _ext_decision(a, n0)[0]
+
+
+def _ext_decision(
+    a: IntMatrix, n0: tuple[int, int]
+) -> tuple[SpectrumResult, tuple[System2Witness, tuple[int, ...]] | None]:
+    """The double extension's result for a unimodular 2x2 A and two
+    integers n0, as ``groups.Z2MinusIExt`` has checked them, and on
+    ``ext:lifting-witness`` the least lifting block with its lifting
+    coefficients (m0, z0) as values, else None.  The ``phi_eight`` witness
+    reads its block off this decision, not off the evidence."""
+    order = _entries_order(a.entries)
     if order == 2 and a != -IntMatrix.identity(2):
-        return _rule(["ext:order-two-action"])
+        return _rule(["ext:order-two-action"]), None
     if order is not None:
         # +-I and orders 3, 4, 6: a change of the quotient generators makes
         # the inner action trivial, leaving Z^3 x|_M Z with M = (A', n0'; 0, 1)
         trace = ["ext:finite-order-action", "ext:canonicalized", "ext:trivial-inner-action"]
         if order > 2:
             # y -> x^(order/2) y, after x -> x y for order 3: A' has order 4 or 6
-            return _rule(trace + ["z3:block-order-four-or-six"])
+            return _rule(trace + ["z3:block-order-four-or-six"]), None
         # swap x and y (A = I) or y -> x y (A = -I): A' = -I and n0' = +-n0;
         # M fixes the line through (n0', 2), whose primitive vector spans
         # Z^3 with Z^2 x 0 (delta 0) exactly when n0' lies in 2Z^2
-        return _order_two_block(0 if n0[0] % 2 == n0[1] % 2 == 0 else 1, trace)
+        return _order_two_block(0 if n0[0] % 2 == n0[1] % 2 == 0 else 1, trace), None
     d, tr = a.det(), a.trace()
     if d == 1 and abs(tr) == 2:
-        return _rule(["ext:repeated-eigenvalue"])
+        return _rule(["ext:repeated-eigenvalue"]), None
     if d == -1:
-        return _rule(["ext:hyperbolic-det-minus-one"])
+        return _rule(["ext:hyperbolic-det-minus-one"]), None
 
     # hyperbolic, det 1: im(2A) = 2Z^2, so whether a block M lifts depends
     # only on M mod 2 (``lifting_solver``), and the system constrains
     # (m, n, p) mod 8
     outcome, wit, coeffs = _eight_class_decision(a, lifting_solver(a, n0))
     if outcome == "eight":
-        return _rule(
-            ["ext:hyperbolic", "ext:lifting-witness"],
-            {"witness": wit.to_json_dict(), "m0": list(coeffs[:2]), "z0": list(coeffs[2:])},
-        )
+        evidence = {"witness": wit.to_json_dict(), "m0": list(coeffs[:2]), "z0": list(coeffs[2:])}
+        return _rule(["ext:hyperbolic", "ext:lifting-witness"], evidence), (wit, coeffs)
     if outcome == "r-infinity":
-        return _rule(["ext:hyperbolic", "ext:parity-obstruction"], {"obstruction_modulus": 8})
-    return _rule(["ext:hyperbolic", "system2:proven-empty"])
+        return _rule(["ext:hyperbolic", "ext:parity-obstruction"], {"obstruction_modulus": 8}), None
+    return _rule(["ext:hyperbolic", "system2:proven-empty"]), None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from itertools import permutations
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from reidemeister.exactlin import (
@@ -11,12 +12,13 @@ from reidemeister.exactlin import (
     parse_matrix,
     unit_root_split,
     _bezout,
+    _det,
     _power,
     _power_sum,
 )
 from canonical_reference import centralizer_exponent
 from snf_reference import coset_representatives, eigenlattice, kernel_lattice, smith_normal_form
-from conftest import random_matrix, random_unimodular
+from conftest import _compose, random_matrix, random_unimodular
 from power_reference import reference_power, reference_power_sum
 
 I2 = IntMatrix.identity(2)
@@ -53,6 +55,33 @@ def test_det_matches_permutation_expansion(rng):
         for _ in range(50):
             m = random_matrix(rng, n, 9)
             assert m.det() == brute_det(m)
+
+
+# entries small, or within a few units of +-10^40, where a 2x2 product
+# needs exact big-integer arithmetic
+_DET_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.integers(10 ** 40 - 3, 10 ** 40 + 3), st.integers(-10 ** 40 - 3, -10 ** 40 + 3)
+)
+
+
+@st.composite
+def _det_matrices(draw):
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return IntMatrix(n, n, tuple(draw(st.lists(_DET_ENTRIES, min_size=n * n, max_size=n * n))))
+    # a unimodular one: signs times row operations with multipliers near 10^40
+    ops = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _DET_ENTRIES), max_size=3)
+    return _compose(n, draw(st.tuples(*[st.sampled_from((1, -1))] * n)), draw(ops))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_det_matrices())
+def test_det_reads_small_sizes_off_the_entries_as_bareiss_does(m):
+    # det against _det on the row copy (Bareiss from 3x3 on) and the
+    # permutation expansion
+    d = _det(m.to_rows())
+    assert m.det() == d == brute_det(m)
+    assert m.is_unimodular == (d in (1, -1))
 
 
 def test_det_rejects_non_square():

@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 import json
 
 from hypothesis import assume, given, settings, strategies as st
@@ -255,10 +255,14 @@ def test_each_series_is_read_off_the_group_law():
     # inverse keeps a layer's generators in that layer and the layers below,
     # and modulo those fixes them, except that the top generators act on
     # the layer below by ``actions``; with ``actions`` None every layer is
-    # central modulo the layers below
+    # central modulo the layers below.  A layer of kind "abelian" or
+    # "central" and the layers below it generate an abelian or a central
+    # subgroup: their generators commute pairwise, or with every generator
+    # and its inverse (verify_automorphism skips the relations this proves)
     assert {type(fam) for fam in SERIES_FAMILIES} == set(FAMILIES.values())
+    kinds = {fam.json_tag: set() for fam in SERIES_FAMILIES}
     for fam in SERIES_FAMILIES:
-        layers = [slots for _, slots in fam.layers]
+        layers = [slots for _, slots, _ in fam.layers]
         assert sorted(s for slots in layers for s in slots) == list(range(fam.slots)), fam
         top, gens = layers[-1], fam.generators()
         assert fam.actions is None or len(fam.actions) == len(top), fam
@@ -275,6 +279,88 @@ def test_each_series_is_read_off_the_group_law():
                         b = fam.actions[top.index(g)]
                         expected = (b if sign == 1 else b.inverse_unimodular()).column(col)
                     assert tuple(conj[j] for j in slots) == expected, (fam, g, sign, s)
+        below, everything = [], gens + [fam.inverse(g) for g in gens]
+        for name, slots, kind in fam.layers:
+            assert kind in (None, "abelian", "central"), (fam, name)
+            kinds[fam.json_tag].add((name, kind))
+            below += slots
+            partners = {"abelian": [gens[s] for s in below], "central": everything, None: []}[kind]
+            for s, h in product(below, partners):
+                assert fam.multiply(gens[s], h) == fam.multiply(h, gens[s]), (fam, name, s, h)
+    # the lattice is abelian, the center central, and nothing else is flagged
+    assert kinds == {
+        "free-abelian": {("lattice", "abelian")},
+        "heisenberg": {("center", "central"), ("quotient", None)},
+        "heisenberg-times-z": {("center", "central"), ("quotient", None)},
+        "zn-semidirect-z": {("lattice", "abelian"), ("quotient", None)},
+        "z2-minusi-ext": {("lattice", "abelian"), ("quotient", None)},
+        "hn-semidirect-z": {("center", "central"), ("Heisenberg", None), ("quotient", None)},
+    }
+
+
+def _evaluated_relations(spec, monkeypatch):
+    """The pairs (i, j) whose relation verify_automorphism evaluates: each
+    evaluation multiplies g_j g_i, then phi(g_j) phi(g_i)."""
+    fam, calls = spec.family, []
+    law = type(fam).multiply
+
+    def recording(self, a, b):
+        calls.append((a, b))
+        return law(self, a, b)
+
+    monkeypatch.setattr(type(fam), "multiply", recording)
+    report = verify_automorphism(spec)
+    monkeypatch.undo()
+    gens, images = fam.generators(), spec.images
+    pairs = [
+        (i, j) for i, j in combinations(range(fam.slots), 2)
+        for k in range(len(calls) - 1) if calls[k:k + 2] == [(gens[j], gens[i]), (images[j], images[i])]
+    ]
+    return report, sorted(set(pairs))
+
+
+def _skipped_by_hand(fam):
+    """How many relations an in-layer spec of the family skips: those of
+    two lattice generators, or with a central generator."""
+    if isinstance(fam, ZnSemidirectZ) and fam.action != IntMatrix.identity(fam.n):
+        return fam.n * (fam.n - 1) // 2
+    every = fam.slots * (fam.slots - 1) // 2  # free abelian, and Z^n x|_I Z
+    return {Heisenberg: 2, HeisenbergTimesZ: 5, Z2MinusIExt: 1, HnSemidirectZ: 3}.get(type(fam), every)
+
+
+def test_verification_skips_exactly_the_relations_the_series_proves(monkeypatch):
+    in_layer = [AutomorphismSpec(fam, tuple(fam.generators())) for fam in SERIES_FAMILIES]
+    for (cls, name), families in WITNESS_CORPUS.items():
+        for fam in families:
+            spec = _WITNESS_BUILDERS[cls, name](fam, 7)
+            if name != "phi_alpha":
+                in_layer.append(spec)
+    for spec in in_layer:
+        fam = spec.family
+        central = {s for _, slots, kind in fam.layers[:1] if kind == "central" for s in slots}
+        lattice = {s for _, slots, kind in fam.layers[:1] if kind == "abelian" for s in slots}
+        expected = [
+            (i, j) for i, j in combinations(range(fam.slots), 2)
+            if not ({i, j} <= lattice or central & {i, j})
+        ]
+        report, pairs = _evaluated_relations(spec, monkeypatch)
+        assert report.ok and pairs == expected, (fam, spec.images, pairs)
+        assert fam.slots * (fam.slots - 1) // 2 - len(pairs) == _skipped_by_hand(fam), fam
+
+
+def test_verification_checks_every_relation_of_a_map_leaving_the_lattice(monkeypatch):
+    # phi_alpha on each Tahara form moves a lattice generator off the
+    # lattice, so it passes the layers through the holonomy branch; M_m on
+    # -I keeps the lattice, which is characteristic there
+    for fam in WITNESS_CORPUS[ZnSemidirectZ, "phi_alpha"]:
+        for alpha in (1, 7, 10 ** 12 + 3):
+            spec = witness(fam, "phi_alpha", alpha)
+            assert any(img[fam.n] for img in spec.images[:fam.n]), (fam, alpha)
+            report, pairs = _evaluated_relations(spec, monkeypatch)
+            assert report.ok and pairs == list(combinations(range(fam.slots), 2)), (fam, alpha, pairs)
+    for fam in WITNESS_CORPUS[ZnSemidirectZ, "M_m"]:
+        spec = witness(fam, "M_m", 7)
+        assert not any(img[fam.n] for img in spec.images[:fam.n]), fam
 
 
 def test_the_trivial_endomorphism_is_refused():
