@@ -4,7 +4,7 @@ Subcommands: rnumber, spectrum, decide, tables, oracle.  Results go to
 stdout wrapped in an envelope (result payload, derivation trace, tool
 version, search bound); diagnostics go to stderr.  Exit codes: 0 for a
 decided result, 2 when a z2-semidirect spectrum or ``decide`` finds no
-solution within the bound or an oracle labeling is incomplete, 1 on
+solution within the bound or an oracle ball misses a twisted class, 1 on
 input errors (argument errors included, as one ``error:`` line) and
 internal failures.  The bound affects only those two answers; --bound
 sets it (default DEFAULT_BOUND) and is refused above MAX_BOUND.
@@ -296,7 +296,7 @@ def run(argv, stdout=None, stderr=None) -> int:
                 "radius": labeling.ball_radius,
                 "formula": value.to_json(),
             }
-            _emit(_envelope(payload, ["oracle:ball-saturation"], bound), args.format, stdout)
+            _emit(_envelope(payload, ["oracle:series-labels"], bound), args.format, stdout)
             return EXIT_OK if labeling.complete else EXIT_UNDECIDED
         raise CliError("unknown command %r" % args.command)
     except SystemExit as exc:

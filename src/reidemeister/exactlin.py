@@ -24,9 +24,9 @@ The module provides:
   double extension's lifting test, read mod 2.
 
 There is no general Smith normal form: each lattice question the package
-asks has one fixed shape and is answered in closed form where it is asked
-(the kernel of one row here; the eigenvector of 1, the Tahara invariant
-and the classes of Z^2 / (I - Q) Z^2 in ``spectra`` and ``groups``).
+asks has one fixed shape and is answered where it is asked (the kernel of
+one row here; the eigenvector of 1 and the Tahara invariant in ``spectra``;
+N Z^k, k <= 4, in a pivoted basis with its box in ``twisted.HermiteBox``).
 ``tests/snf_reference.py`` keeps the Smith form as their cross-check.
 """
 

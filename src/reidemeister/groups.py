@@ -14,8 +14,9 @@ collection relations g_j g_i = NF(g_j g_i), i < j, present each family
 automorphism against them.  The hand-written presentations are kept in
 the tests as an independent reference.  Each family also declares its
 polycyclic series once (``GroupFamily.layers``, ``actions``, ``route``):
-the layer check that completes verification and the formula route for
-the Reidemeister number are both read off it.  Each layer also carries
+the layer check that completes verification, the formula route for the
+Reidemeister number and the twisted-class labels of the oracle
+(``label_classes``) are all read off it.  Each layer also carries
 its kind: the lattice is abelian and the center central, so once the
 images lie in their layers, the relations between two lattice generators
 and those with a central generator hold, and verification does not
@@ -62,7 +63,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 import math
 import operator
-from typing import ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .exactlin import (
     IntMatrix,
@@ -74,7 +75,7 @@ from .exactlin import (
     _power_sum,
     _strict_int,
 )
-from .twisted import INFINITE, RNumber, r_abelian, r_class_sum
+from .twisted import INFINITE, HermiteBox, RNumber, r_abelian, r_class_sum
 
 
 class UnknownWitnessError(ValueError):
@@ -111,10 +112,10 @@ class GroupFamily:
     per instance (``_declare``):
 
     - ``layers``: (name, slots, kind) per layer, bottom first,
-      partitioning the slots; conjugation keeps each layer's generators in
-      that layer and the layers below.  ``kind`` is "abelian" or "central"
-      when the layer and those below it generate an abelian or a central
-      subgroup, else None;
+      partitioning the slots into runs of consecutive slots; conjugation
+      keeps each layer's generators in that layer and the layers below.
+      ``kind`` is "abelian" or "central" when the layer and those below it
+      generate an abelian or a central subgroup, else None;
     - ``actions``: the matrices by which the top layer's generators act on
       the layer below it, modulo the lower layers; None when every layer
       is central modulo the layers below;
@@ -123,7 +124,8 @@ class GroupFamily:
     The layer check and the formula route are read off it:
     ``layer_matrices`` reads the block each layer's images induce,
     ``layer_failure`` requires each block to be unimodular, and
-    ``rnumber_route`` counts along the series.  The kinds tell
+    ``rnumber_route`` counts along the series, and ``class_labeler``
+    labels twisted classes along it.  The kinds tell
     ``verify_automorphism`` which collection relations the series already
     proves (``open_relations``).  ``tests/test_groups.py`` checks each
     series, kinds included, against ``multiply``.
@@ -233,6 +235,43 @@ class GroupFamily:
             return INFINITE, ("rnumber:identity-quotient",)
         return reduce(operator.mul, map(r_abelian, central), r_class_sum(shift, self.actions, below)), (self.route,)
 
+    def class_labeler(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...]], tuple]:
+        """The label of an element's twisted class, read off the series top
+        down: with the layers above fixed, a twist g -> z g phi(z)^-1 by z
+        in this layer and below moves the layer's coordinates v by (I - X) w,
+        w those of z and X the layer's block (times the action of the top
+        class, on the layer below the top).  So the box point r of
+        v + (I - X) Z^k (``HermiteBox``) is an invariant, and the twist by
+        the lift of -w, v = r + (I - X) w, moves g onto it; below, only the
+        lower layers move.  The label is r per layer, down to the bottom or
+        to a singular layer, below which it may join classes."""
+        blocks, actions, twist = self.layer_matrices(spec), self.actions, self._twister(spec)
+        boxes = [_box(b) for b in blocks]
+        cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in self.layers]
+        top, zero = len(blocks) - 1, (0,) * self.slots
+
+        @lru_cache(None)
+        def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
+            return _box(reduce(lambda x, be: be[0] ** be[1] * x, zip(actions[::-1], e[::-1]), blocks[-2]))
+
+        def label(g):
+            out = []
+            for i, cut in zip(range(top, -1, -1), cuts[::-1]):
+                box = box_under(out[0]) if i == top - 1 and actions else boxes[i]
+                r, w = box.reduce(g[cut])
+                out.append(r)
+                if not i or box.singular:
+                    return tuple(out)
+                if any(w):
+                    g = twist(zero[:cut.start] + tuple(-e for e in w) + zero[cut.stop:], g)
+
+        return label
+
+    def _twister(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
+        """(z, g) -> z g phi(z)^-1, keeping phi(z)^-1 per z while it lives."""
+        mul, tail = self.multiply, lru_cache(None)(lambda z: self.inverse(spec.apply(z)))
+        return lambda z, g: mul(mul(z, g), tail(z))
+
     def open_relations(self, spec: "AutomorphismSpec") -> tuple[tuple[int, int], ...]:
         """The pairs (i, j), i < j, whose collection relation the series
         does not prove for a spec that passed ``layer_failure``: all of them
@@ -242,6 +281,10 @@ class GroupFamily:
         leaving, all_pairs, open_pairs = _series_shape(self.layers)
         images = spec.images
         return all_pairs if any(images[s][j] for s, j in leaving) else open_pairs
+
+
+def _box(x: IntMatrix) -> HermiteBox:
+    return HermiteBox(IntMatrix.identity(x.rows) - x)
 
 
 @lru_cache(maxsize=64)
@@ -401,6 +444,42 @@ class ZnSemidirectZ(GroupFamily):
         h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *a.row(i)] for i in range(n)])
         total = r_class_sum(IntMatrix(1, 1, (d,)), (h,), translation_matrix(spec, d)).div_exact(d)
         return total, ("rnumber:holonomy-averaging",)
+
+    def class_labeler(self, spec):
+        try:
+            return super().class_labeler(spec)
+        except LayerLeftError:
+            d = finite_order(self.action)
+            if d is None:
+                raise
+        # The holonomy branch: g = l t^k, l in L = <t^d, e1..en> (coordinates
+        # (t^d, e1..en)), on which phi acts by T and t by H = diag(1, A).  A
+        # twist by t^s moves k by (1 - q) s mod d, q the t-exponent of
+        # phi(t): the top class is k mod c = gcd(1 - q, d), its stabilizer
+        # t^(d/c) L.  A twist by w in L moves l by (I - H^k T) w, so l has a
+        # box point; the label is the least one of its orbit under t^(d/c).
+        n, twist = self.n, self._twister(spec)
+        h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *self.action.row(i)] for i in range(n)])
+        q, lattice = spec.image_of("t")[n], translation_matrix(spec, d)
+        c = math.gcd(1 - q, d)
+        unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
+        stabilizer, least = (0,) * n + (d // c,), {}
+
+        def point(k, g):  # the box point of l, g = l t^k
+            return boxes[k].reduce(((g[n] - k) // d,) + g[:n])[0]
+
+        def label(g):
+            k = g[n] % c
+            s = (g[n] - k) // c * unit % (d // c)  # (1 - q) s = g[n] - k mod d
+            r = point(k, twist((0,) * n + (-s,), g) if s else g)
+            if (k, r) not in least:
+                orbit = [r]
+                for _ in range(c - 1):  # x -> the box point of t^(d/c) x t^k phi(t^(d/c))^-1
+                    orbit.append(point(k, twist(stabilizer, orbit[-1][1:] + (orbit[-1][0] * d + k,))))
+                least.update(dict.fromkeys(((k, x) for x in orbit), min(orbit)))
+            return k, least[k, r]
+
+        return label
 
 
 # every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
@@ -701,12 +780,7 @@ def _witness_target_abelian(fam: FreeAbelian, alpha: int) -> AutomorphismSpec:
 
 
 def _witness_negation(fam: FreeAbelian, param: int) -> AutomorphismSpec:
-    images = {}
-    for i in range(fam.n):
-        vec = [0] * fam.n
-        vec[i] = -1
-        images["e%d" % (i + 1)] = tuple(vec)
-    return AutomorphismSpec.from_images(fam, images)
+    return AutomorphismSpec(fam, tuple(tuple(-int(i == j) for j in range(fam.n)) for i in range(fam.n)))
 
 
 def minus_i_block_matrix(n: int, m: int) -> IntMatrix:
@@ -865,30 +939,19 @@ _WITNESS_BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# Twisted-conjugacy labeling oracle
+# Twisted-conjugacy labels
 
 
-# The outer ball of label_classes has (2 r + 5)^slots sites, walked in
-# rows of 2 r + 5; above this cap the oracle refuses before it allocates
-# anything.  The largest ball in the tests and the benchmark is 13^4 =
-# 28 561 sites.
+# the cap on the (2 r + 1)^slots sites of a labelled ball, checked before labelling
 MAX_BALL_SITES = 100_000
 
 
 @dataclass(frozen=True)
 class ClassLabeling:
-    """Twisted-conjugacy labels over a bounded exponent ball.
-
-    The labels come from one walk of the radius-(r+2) ball, row by row at
-    one group product per twist and row (see ``label_classes``), into two
-    union-find partitions.  The radius-r labels are read off the one by
-    the edges inside the radius-(r+1) ball, so merge paths grazing the
-    boundary are not reported as spurious extra classes.  ``complete`` is
-    a heuristic fixed-point certificate read off the one by every edge of
-    the walk: the class count did not change when the radius grew by one
-    and every class already meets the interior of the ball.  It is never a
-    proof; the formula paths stay authoritative, the oracle a falsifier.
-    """
+    """Twisted-class labels over the radius-r exponent ball, numbered in
+    first-seen order over the sorted ball (``GroupFamily.class_labeler``).
+    With R finite they are exact, and ``complete``, the ball meeting all R
+    classes, is a proof; with R infinite it is False."""
 
     ball_radius: int
     labels: Mapping[tuple[int, ...], int]
@@ -899,128 +962,22 @@ class ClassLabeling:
         return len(set(self.labels.values()))
 
 
-def _merge(parent: list[int], xs, ys) -> None:
-    """Union x and y for each pair: path halving, and the smaller index as
-    root, so parent[i] <= i always holds (Tarjan's union-find)."""
-    for x, y in zip(xs, ys):
-        while x != (p := parent[x]):
-            parent[x] = x = parent[p]
-        while y != (p := parent[y]):
-            parent[y] = y = parent[p]
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-
-
-def _point_at_roots(parent: list[int]) -> None:
-    """One forward pass: as parent[i] <= i, parent[p] is a root by the time
-    site i is reached, so afterwards every site points at its root."""
-    for i, p in enumerate(parent):
-        parent[i] = parent[p]
-
-
-def _ball_offsets(side: int, slots: int, radius: int) -> list[int]:
-    """The indices of the radius ball's sites, in sorted order, when the
-    sites of the ball of the given side are numbered in sorted order."""
-    centre = side // 2
-    offsets = [0]
-    for _ in range(slots):
-        offsets = [i * side + c for i in offsets for c in range(centre - radius, centre + radius + 1)]
-    return offsets
-
-
 def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
-    """Union-find saturation of g ~ z g phi(z)^-1 over an exponent ball.
-
-    One saturation of the radius-(r+2) ball with one twist T per generator
-    z (the twist by z^-1 is its inverse map), in rows along slot 0 at one
-    product per twist and row.  The step is fixed: T(g1 g) = u T(g) for
-    u = z g1 z^-1, whose left multiplication adds u to exponent tuples, so
-    a row from h0 holds h0 + k u, at site index(h0) + k (u . strides).  The
-    starts chain: g g_n adds 1 to the last slot, so T(g g_n) = T(g) phi(z)
-    g_n phi(z)^-1; where that slot wraps a row pays the full twist and
-    checks u h0 = h0 + u (else ValueError naming the family).  Each row
-    gets two merge loops (``_merge`` roots each class at its least site):
-    its edges inside the radius-(r+1) ball into one partition, all its
-    edges into the other.  After a forward pass points every site at its
-    root, the radius-r labels and count are read off the first, in
-    first-seen order over the sorted ball, and the count over ball(r+1)
-    and the interior certificate off the second.  Raises ValueError
-    above MAX_BALL_SITES outer-ball sites.
-    """
+    """The twisted class of each element of the radius-r exponent ball;
+    ValueError above MAX_BALL_SITES sites."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if not spec.verified:
         raise ValueError("spec must be verified first")
-    fam = spec.family
-    slots = fam.slots
-    inner, outer = radius + 1, radius + 2
-    side = 2 * outer + 1
-    size = side ** slots
+    fam, side = spec.family, 2 * radius + 1
+    size = side ** fam.slots
     if size > MAX_BALL_SITES:
         raise ValueError(
             "the radius-%d oracle needs a ball of %d^%d = %d sites, above the cap of %d"
-            % (radius, side, slots, size, MAX_BALL_SITES)
+            % (radius, side, fam.slots, size, MAX_BALL_SITES)
         )
-    mul = fam.multiply
-    gens = fam.generators()
-    strides = [side ** (slots - 1 - i) for i in range(slots)]
-    centre = outer * sum(strides)  # the index of the identity
-    inner_parent, full_parent = list(range(size)), list(range(size))
-    # per row (-outer, rest), for every twist: its first site if the last slot
-    # wraps there (else None), and g_stop: its sites 1 <= k < g_stop are in ball(r+1)
-    rows = [
-        ((-outer,) + rest if not rest or rest[-1] == -outer else None,
-         side - 1 if max(map(abs, rest), default=0) <= inner else 0)
-        for rest in product(range(-outer, outer + 1), repeat=slots - 1)
-    ]
-    for z, phi_z in zip(gens, spec.images):
-        w, u = fam.inverse(phi_z), mul(mul(z, gens[0]), fam.inverse(z))
-        chain, image_step = mul(mul(phi_z, gens[-1]), w), sum(map(operator.mul, u, strides))
-        fixed = [i for i, s in enumerate(u) if not s]
-        moving = [(i, abs(s), 1 if s > 0 else -1) for i, s in enumerate(u) if s]  # the balls are symmetric
-        for base, (first, g_stop) in enumerate(rows):
-            if first:
-                h0 = mul(mul(z, first), w)
-                if mul(u, h0) != tuple(map(operator.add, u, h0)):
-                    raise ValueError("on %s, z g1 z^-1 = %s is no translation: no fixed row step" % (fam.json_tag, u))
-            else:
-                h0 = mul(h0, chain)
-            # the k in range(side) with h0 + k u in ball(r+2): [lo, hi); with
-            # h0 + k u and the row's site k in ball(r+1): [a, b)
-            lo, hi, a, b = 0, side, 1, g_stop
-            for i in fixed:
-                h = abs(h0[i])
-                if h > inner:
-                    b = 0
-                    if h > outer:
-                        hi = 0
-                        break
-            else:
-                for i, s, sign in moving:
-                    h = sign * h0[i]
-                    lo, hi = max(lo, -((outer + h) // s)), min(hi, (outer - h) // s + 1)
-                    a, b = max(a, -((inner + h) // s)), min(b, (inner - h) // s + 1)
-            if lo >= hi:
-                continue
-            # the row's site k has index base + k side^(n-1), its image start + k image_step;
-            # the image step is 0 only when at most one image lies in the ball
-            sources = range(base, size, strides[0])
-            start = sum(map(operator.mul, h0, strides)) + centre
-            images = range(start, start + side * image_step, image_step) if image_step else [start] * side
-            if a < b:
-                _merge(inner_parent, sources[a:b], images[a:b])
-            _merge(full_parent, sources[lo:hi], images[lo:hi])
-
-    _point_at_roots(inner_parent)
-    assigned: dict[int, int] = {}
-    ball = zip(product(range(-radius, radius + 1), repeat=slots), _ball_offsets(side, slots, radius))
-    labels = {g: assigned.setdefault(inner_parent[gi], len(assigned)) for g, gi in ball}
-    count = len(assigned)
-
-    _point_at_roots(full_parent)
-    roots_next = {full_parent[i] for i in _ball_offsets(side, slots, inner)}
-    roots_interior = {full_parent[i] for i in _ball_offsets(side, slots, radius - 1)}
-    complete = count == len(roots_next) == len(roots_interior)
-    return ClassLabeling(radius, labels, complete)
+    label, assigned = fam.class_labeler(spec), {}
+    ball = product(range(-radius, radius + 1), repeat=fam.slots)
+    labels = {g: assigned.setdefault(label(g), len(assigned)) for g in ball}
+    value = fam.rnumber_route(spec)[0].value
+    return ClassLabeling(radius, labels, value is not None and len(assigned) == value)

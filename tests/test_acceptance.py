@@ -191,9 +191,9 @@ def test_oracle_equivalence():
                 infinite_seen += 1
     assert infinite_seen > 0
 
-    # labeling oracle vs formula route on the witness corpus; where the
-    # ball certifies completeness the counts must agree exactly, and the
-    # fast-growing hyperbolic cases must never certify falsely
+    # labeling oracle vs formula route on the witness corpus: every R is
+    # finite, so every ball that meets all R classes certifies, and the
+    # counts must agree exactly
     corpus = [
         (witness(ZnSemidirectZ(-I2), "M_m", 1), 3),
         (witness(ZnSemidirectZ(-I2), "M_m", 2), 3),
@@ -207,7 +207,6 @@ def test_oracle_equivalence():
         (witness(HnSemidirectZ(1, 0, 0), "M_r", 1), 3),
         (witness(FreeAbelian(2), "target", 5), 4),
         (witness(FreeAbelian(1), "negation", 1), 2),
-        # honest incompleteness: twists jump too far for a desk-scale ball
         (witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 1), 3),
         (witness(Z2MinusIExt(WEL, (0, 0)), "phi_eight", 1), 3),
     ]
@@ -218,7 +217,7 @@ def test_oracle_equivalence():
         if labeling.complete:
             assert value != INFINITE and labeling.class_count == value.value
             certified += 1
-    assert certified >= 10
+    assert certified == len(corpus)
     elapsed = time.time() - started
     assert elapsed < 120.0
     _report("oracle-equivalence (%d certified)" % certified, started)

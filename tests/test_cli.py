@@ -245,8 +245,8 @@ def test_oracle_radius_beyond_the_ball_cap_exits_at_once():
     assert time.perf_counter() - started < 5.0
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "105^4 = 121550625 sites" in err and str(MAX_BALL_SITES) in err
-    assert MAX_BALL_SITES >= 13 ** 4  # the largest ball in the tests and the benchmark
+    assert "101^4 = 104060401 sites" in err and str(MAX_BALL_SITES) in err
+    assert MAX_BALL_SITES >= 13 ** 4  # the largest labelled ball in the tests: radius 6, four slots
 
 
 @pytest.mark.parametrize(
@@ -388,9 +388,8 @@ def test_oracle_incomplete_exit_code(tmp_path):
 
 
 def test_oracle_far_translation_has_no_edges_and_exits_at_once(tmp_path):
-    # e1 -> e1 + 10^12 e2: the twist by e1 moves every site 10^12 along e2,
-    # so each of its rows has an empty k-interval, and the twist by e2 is
-    # the identity
+    # e1 -> e1 + 10^12 e2: (I - M) Z^2 = 10^12 Z e2, so the 25 sites of the
+    # radius-2 ball lie in 25 classes, of infinitely many
     spec_file = tmp_path / "far.json"
     spec_file.write_text(
         json.dumps({"family": {"tag": "free-abelian", "n": 2}, "images": {"e1": [1, 10**12], "e2": [0, 1]}})

@@ -264,6 +264,7 @@ def test_each_series_is_read_off_the_group_law():
     for fam in SERIES_FAMILIES:
         layers = [slots for _, slots, _ in fam.layers]
         assert sorted(s for slots in layers for s in slots) == list(range(fam.slots)), fam
+        assert all(slots == tuple(range(slots[0], slots[-1] + 1)) for slots in layers), fam
         top, gens = layers[-1], fam.generators()
         assert fam.actions is None or len(fam.actions) == len(top), fam
         for i, slots in enumerate(layers):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import product
+import math
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -15,7 +16,7 @@ from reidemeister.groups import (
     verify_automorphism,
     witness,
 )
-from reidemeister.twisted import INFINITE, RNumber, r_abelian, r_class_sum
+from reidemeister.twisted import INFINITE, HermiteBox, RNumber, r_abelian, r_class_sum
 from conftest import random_unimodular, unimodular_matrices
 from snf_reference import r_abelian_via_cosets
 
@@ -161,3 +162,28 @@ def test_block_embedding_counts_factor():
 def test_class_sum_divisibility_is_loud():
     with pytest.raises(ArithmeticError):  # terms 1 and 2 over 2 classes, sum 3 odd
         r_class_sum(_shift(2), (parse_matrix("0,1;1,0"),), parse_matrix("2,1;1,1")).div_exact(2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hermite_box_holds_one_point_of_each_coset(data):
+    # singular N included: a column that is a multiple of another, or N = 0
+    k = data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    rows = data.draw(st.lists(row, min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        factor = data.draw(st.integers(-2, 2))
+        for r in rows:
+            r[-1] = factor * r[0]
+    n = IntMatrix.from_rows(rows)
+    box = HermiteBox(n)
+    det = n.det()
+    assert box.singular == (det == 0)
+    if det:
+        assert abs(det) == math.prod(box.diagonal)
+    vector = st.tuples(*[st.integers(-40, 40)] * k)
+    v, u = data.draw(vector), data.draw(vector)
+    r, w = box.reduce(v)
+    assert tuple(map(sum, zip(r, n.apply(w)))) == v
+    assert all(0 <= x < d for x, d in zip(r, box.diagonal) if d)
+    assert box.reduce(tuple(map(sum, zip(v, n.apply(u)))))[0] == r
