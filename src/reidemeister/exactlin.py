@@ -523,7 +523,7 @@ def _bezout(y: int, z: int) -> tuple[int, int, int]:
 def least_solution(
     a: IntMatrix,
     orbit: tuple[IntMatrix, IntMatrix],
-    lifts: Callable[[IntMatrix], object | None] = lambda q: (),
+    lifts: Callable[[IntMatrix], object | None],
 ) -> tuple[IntMatrix, object] | None:
     """The least solution Q = (m, n; p, -m) such that ``lifts(Q)`` is not
     None, with that value; None when there is none.  Solutions are ordered

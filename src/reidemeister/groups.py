@@ -82,10 +82,6 @@ class UnknownWitnessError(ValueError):
     """No witness with the requested id exists for the family."""
 
 
-class LayerLeftError(ValueError):
-    """A generator image leaves its layer of the family's series."""
-
-
 _MINUS_I = IntMatrix(2, 2, (-1, 0, 0, -1))
 MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
 
@@ -197,19 +193,18 @@ class GroupFamily:
     # the series read off an automorphism spec of this family
     def layer_matrices(self, spec: "AutomorphismSpec") -> list[IntMatrix]:
         """The block each layer's generator images induce on that layer,
-        bottom first; LayerLeftError when an image leaves the layer and the
-        layers below."""
-        images, blocks = spec.images, []
-        for (name, slots, _), above in zip(self.layers, _slots_above(self.layers)):
-            cols = [images[s] for s in slots]
-            if any(img[j] for img in cols for j in above):
-                raise LayerLeftError("images leave the %s subgroup" % name)
-            blocks.append(IntMatrix(len(slots), len(slots), tuple(img[j] for j in slots for img in cols)))
-        return blocks
+        bottom first; a ValueError naming the lowest layer one of whose
+        generator images leaves that layer and the layers below."""
+        images = spec.images
+        for name, s, j in _series_shape(self.layers)[0]:
+            if images[s][j]:
+                raise ValueError("images leave the %s subgroup" % name)
+        return [IntMatrix(len(b), len(b), tuple(images[s][j] for j in b for s in b)) for _, b, _ in self.layers]
 
     def layer_failure(self, spec: "AutomorphismSpec") -> str | None:
         """The first layer, bottom first, whose block is not unimodular, or
-        None; LayerLeftError when the images leave a layer."""
+        None; the ValueError of ``layer_matrices`` when an image leaves its
+        layer and the layers below."""
         for (name, slots, _), block in zip(self.layers, self.layer_matrices(spec)):
             if not block.is_unimodular:
                 if len(slots) == 1:
@@ -275,12 +270,12 @@ class GroupFamily:
     def open_relations(self, spec: "AutomorphismSpec") -> tuple[tuple[int, int], ...]:
         """The pairs (i, j), i < j, whose collection relation the series
         does not prove for a spec that passed ``layer_failure``: all of them
-        when an image leaves its layer and the layers below (as the
-        holonomy branch of ``ZnSemidirectZ`` allows), else those that the
-        layer kinds do not settle."""
+        when an image leaves its layer and the layers below (only the
+        holonomy branch of ``ZnSemidirectZ`` passes such a spec), else those
+        that the layer kinds do not settle."""
         leaving, all_pairs, open_pairs = _series_shape(self.layers)
         images = spec.images
-        return all_pairs if any(images[s][j] for s, j in leaving) else open_pairs
+        return all_pairs if any(images[s][j] for _, s, j in leaving) else open_pairs
 
 
 def _box(x: IntMatrix) -> HermiteBox:
@@ -288,34 +283,28 @@ def _box(x: IntMatrix) -> HermiteBox:
 
 
 @lru_cache(maxsize=64)
-def _slots_above(layers: tuple) -> tuple[tuple[int, ...], ...]:
-    """Per layer, the slots of the layers above it, which its images may
-    not reach; one entry per series shape."""
-    return tuple(tuple(s for _, later, _ in layers[i + 1:] for s in later) for i in range(len(layers)))
-
-
-@lru_cache(maxsize=64)
-def _series_shape(layers: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(leaving, all pairs, open pairs) for one series shape: the (s, j)
-    with slot j above the layer of slot s, the pairs i < j, and those
-    whose relation the kinds do not settle.
+def _series_shape(layers: tuple) -> tuple[tuple[tuple, ...], ...]:
+    """(leaving, all pairs, open pairs) for one series shape: the (name, s,
+    j) with slot j above the layer, named name, of slot s, bottom first;
+    the pairs i < j; and those whose relation the kinds do not settle.
 
     With every image in its layer and the layers below, the images of a
     kinded layer's generators and those below it lie in the subgroup those
     generate.  So the relation of g_i and g_j holds when both lie in an
     abelian one (their images commute, as they do) or one lies in a
     central one (its image is central too)."""
-    leaving = tuple((s, j) for (_, slots, _), above in zip(layers, _slots_above(layers)) for s in slots for j in above)
-    abelian, central, below = set(), set(), set()
-    for _, slots, kind in layers:
+    leaving, abelian, central, below = [], set(), set(), set()
+    size = sum(len(slots) for _, slots, _ in layers)
+    for name, slots, kind in layers:
         below.update(slots)
+        leaving += [(name, s, j) for s in slots for j in range(size) if j not in below]
         if kind == "abelian":
             abelian = set(below)
         elif kind == "central":
             central = set(below)
     all_pairs = tuple(combinations(range(len(below)), 2))
     open_pairs = tuple(p for p in all_pairs if not (set(p) <= abelian or central.intersection(p)))
-    return leaving, all_pairs, open_pairs
+    return tuple(leaving), all_pairs, open_pairs
 
 
 @dataclass(frozen=True)
@@ -415,52 +404,62 @@ class ZnSemidirectZ(GroupFamily):
 
     # The holonomy branch: when A has finite order d, the e_i images may
     # leave the lattice, and the translation lattice <t^d, e1..en> is the
-    # characteristic one.  Leaving the lattice is a failure where it is
-    # characteristic, as when 1 is not an eigenvalue.  Known gap (ROADMAP
-    # item 6): an A of infinite order refuses genuine automorphisms too,
-    # e.g. e1 -> e1^-1, e2 -> t, t -> e2 on A = (1,1;0,1).
+    # characteristic one.  ``_holonomy`` reads the branch off a spec once,
+    # and the layer check, the formula route and the labels branch on it.
+    # Leaving the lattice is a failure where it is characteristic, as when 1
+    # is not an eigenvalue.  Known gap (ROADMAP item 6): an A of infinite
+    # order refuses genuine automorphisms too, e.g. e1 -> e1^-1, e2 -> t,
+    # t -> e2 on A = (1,1;0,1).
+    def _holonomy(self, spec):
+        """(d, H, T, q) when the spec takes the holonomy branch, else None
+        (A = I, A of infinite order, or no e_i image with a t-exponent: the
+        declared series applies).  d is the order of A, H = diag(1, A) the
+        action of t on the translation lattice in the coordinates (t^d,
+        e1..en), T the matrix of phi on it and q the t-exponent of phi(t);
+        a ValueError when an e_i image lies outside the translation lattice."""
+        n, images = self.n, spec.images
+        if self.actions is None or not any(img[n] for img in images[:n]):
+            return None
+        d = finite_order(self.action)
+        if d is None:
+            return None
+        cols = []
+        for img in (self.power(images[n], d),) + images[:n]:
+            if img[n] % d:
+                raise ValueError("image does not lie in the translation lattice")
+            cols.append((img[n] // d,) + img[:n])
+        h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *self.action.row(i)] for i in range(n)])
+        return d, h, IntMatrix.from_columns(cols), images[n][n]
+
     def layer_failure(self, spec):
-        try:
+        holonomy = self._holonomy(spec)
+        if holonomy is None:
             return super().layer_failure(spec)
-        except LayerLeftError:
-            d = finite_order(self.action)
-            if d is None:
-                raise
-        if not translation_matrix(spec, d).is_unimodular:
-            return "translation-lattice matrix is not unimodular"
-        if math.gcd(spec.image_of("t")[self.n], d) != 1:
-            return "induced map on the finite quotient is not bijective"
-        return None
+        # q needs no check of its own against d: phi(t) = v t^q gives
+        # phi(t)^d = (sum_{j<d} A^(qj) v) t^(qd), and A^q has order d / g for
+        # g = gcd(q, d), so g divides T's first column, and so det T
+        return None if holonomy[2].is_unimodular else "translation-lattice matrix is not unimodular"
 
     def rnumber_route(self, spec):
-        try:
+        holonomy = self._holonomy(spec)
+        if holonomy is None:
             return super().rnumber_route(spec)
-        except LayerLeftError:
-            d = finite_order(self.action)
-            if d is None:
-                raise
-        # the holonomy Z / d acts on the translation lattice by diag(1, A)^e
-        n, a = self.n, self.action
-        h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *a.row(i)] for i in range(n)])
-        total = r_class_sum(IntMatrix(1, 1, (d,)), (h,), translation_matrix(spec, d)).div_exact(d)
-        return total, ("rnumber:holonomy-averaging",)
+        # the holonomy Z / d acts on the translation lattice by H^e
+        d, h, lattice, _ = holonomy
+        return r_class_sum(IntMatrix(1, 1, (d,)), (h,), lattice).div_exact(d), ("rnumber:holonomy-averaging",)
 
     def class_labeler(self, spec):
-        try:
+        holonomy = self._holonomy(spec)
+        if holonomy is None:
             return super().class_labeler(spec)
-        except LayerLeftError:
-            d = finite_order(self.action)
-            if d is None:
-                raise
         # The holonomy branch: g = l t^k, l in L = <t^d, e1..en> (coordinates
-        # (t^d, e1..en)), on which phi acts by T and t by H = diag(1, A).  A
-        # twist by t^s moves k by (1 - q) s mod d, q the t-exponent of
-        # phi(t): the top class is k mod c = gcd(1 - q, d), its stabilizer
-        # t^(d/c) L.  A twist by w in L moves l by (I - H^k T) w, so l has a
-        # box point; the label is the least one of its orbit under t^(d/c).
+        # (t^d, e1..en)), on which phi acts by T and t by H.  A twist by t^s
+        # moves k by (1 - q) s mod d: the top class is k mod c = gcd(1 - q,
+        # d), its stabilizer t^(d/c) L.  A twist by w in L moves l by
+        # (I - H^k T) w, so l has a box point; the label is the least one of
+        # its orbit under t^(d/c).
+        d, h, lattice, q = holonomy
         n, twist = self.n, self._twister(spec)
-        h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *self.action.row(i)] for i in range(n)])
-        q, lattice = spec.image_of("t")[n], translation_matrix(spec, d)
         c = math.gcd(1 - q, d)
         unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
         stabilizer, least = (0,) * n + (d // c,), {}
@@ -700,26 +699,6 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
             word = " ".join("%s^%d" % (name, e) for name, e in zip(names, relation) if e) or "1"
             return VerificationResult(False, "relation violated: %s %s = <%s>" % (names[j], names[i], word))
     return VerificationResult(True)
-
-
-def translation_matrix(spec: AutomorphismSpec, d: int) -> IntMatrix:
-    """Matrix of the automorphism on the finite-index lattice <t^d, e1..en>.
-
-    Coordinates are (t^d, e1, ..., en); requires every e_i image to have
-    t-exponent divisible by d (the lattice is characteristic when the
-    action has finite order d, so genuine automorphisms always restrict).
-    """
-    if not isinstance(spec.family, ZnSemidirectZ):
-        raise TypeError("translation matrix only applies to ZnSemidirectZ")
-    n = spec.family.n
-    cols = []
-    t_power = spec.family.power(spec.image_of("t"), d)
-    for img in (t_power,) + spec.images[:n]:
-        texp = img[n]
-        if texp % d:
-            raise ValueError("image does not lie in the translation lattice")
-        cols.append((texp // d,) + img[:n])
-    return IntMatrix.from_columns(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,6 @@ class System2Witness:
 class System2Decision:
     outcome: str  # "witness" | "none-up-to-bound" | "proven-empty"
     witness: System2Witness | None
-    bound: int
 
 
 def _system2_require(a: IntMatrix):
@@ -249,11 +248,11 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if abs(a.trace()) < 2:
-        return System2Decision("proven-empty", None, bound)
+        return System2Decision("proven-empty", None)
     outcome, found, _ = _eight_class_decision(a, lambda q: ())
     if outcome == "eight" and abs(found.m) <= bound:
-        return System2Decision("witness", found, bound)
-    return System2Decision("none-up-to-bound", None, bound)
+        return System2Decision("witness", found)
+    return System2Decision("none-up-to-bound", None)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +574,7 @@ def classify_hn_semidirect(
     inverting action psi(x) = x^-1 z^k, psi(y) = y^-1 z^l, or the 2x2
     matrix induced on H_n / Z(H_n) (with optional central twists).  A
     pair already gives the twists, so it takes no ``central_twists``.
+    The bound is unused: every case is decided by its rule.
     """
     if _strict_int(n, "the Heisenberg parameter") < 1:
         raise HypothesisError("the Heisenberg parameter must be >= 1")

@@ -1,6 +1,7 @@
 from functools import lru_cache
 from itertools import combinations, product
 import json
+import math
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
@@ -32,6 +33,7 @@ from reidemeister.groups import (
 from reidemeister.twisted import INFINITE, RNumber
 from dataclasses import replace
 from canonical_reference import _z2_by_z2_mul
+from conftest import random_unimodular
 from snf_reference import ext_rnumber_via_cosets
 from verify_reference import _word_product, presentation, reference_verify
 
@@ -416,6 +418,75 @@ def test_lattice_leaving_maps_are_automorphisms(fam, images, inverse):
 @pytest.mark.parametrize("fam, images, inverse", LATTICE_LEAVING.values(), ids=LATTICE_LEAVING.keys())
 def test_verify_accepts_automorphisms_that_leave_the_lattice(fam, images, inverse):
     assert verify_automorphism(AutomorphismSpec(fam, images)) == VerificationResult(True)
+
+
+def test_maps_moving_t_into_the_lattice_of_an_identity_action_stay_on_the_lattice():
+    # with A = I the group is free abelian and its one layer is the whole
+    # lattice, so a map mixing t and the e_i is a lattice map: I has finite
+    # order 1, yet there is no holonomy branch and no translation lattice
+    cases = [
+        # e1 -> t, t -> e1^-1 on Z^2, and e1 -> t, e2 -> e1, t -> e2^-1 on Z^3: M^2 = -I, M^3 = -I
+        (ZnSemidirectZ(IntMatrix.identity(1)), ((0, 1), (-1, 0)), 2),
+        (ZnSemidirectZ(I2), ((0, 0, 1), (1, 0, 0), (0, -1, 0)), 2),
+    ]
+    for fam, images, count in cases:
+        spec = AutomorphismSpec(fam, images)
+        assert verify_automorphism(spec) == VerificationResult(True), fam
+        spec = replace(spec, verified=True)
+        assert rnumber_with_trace(spec) == (RNumber(count), ("rnumber:lattice",)), fam
+        assert label_classes(spec, 2).class_count == count, fam
+    spec = AutomorphismSpec(ZnSemidirectZ(I2), ((0, 0, 2), (0, 1, 0), (1, 0, 0)))  # e1 -> t^2, t -> e1
+    assert verify_automorphism(spec) == VerificationResult(False, "lattice matrix is not unimodular")
+
+
+@pytest.mark.parametrize(
+    "e1, failure",
+    [
+        # T = (1, 1; 0, 3) on <t^2, e1>: an endomorphism, not onto
+        ((3, 0, 0, 2), "translation-lattice matrix is not unimodular"),
+        # t^1 is not in <t^2, e1, e2, e3>
+        ((1, 0, 0, 1), "image does not lie in the translation lattice"),
+        ((1, 0, 0, 2), None),
+    ],
+    ids=["not-unimodular", "outside", "unimodular"],
+)
+def test_holonomy_branch_failures(e1, failure):
+    # A = diag(1, -1, -1) has order 2; e1 -> e1^a t^k with the other
+    # generators fixed respects every relation when k is even
+    fam = ZnSemidirectZ(tahara_form_order2(0))
+    spec = AutomorphismSpec(fam, (e1,) + tuple(fam.generators()[1:]))
+    assert verify_automorphism(spec) == VerificationResult(failure is None, failure)
+
+
+def test_a_unimodular_translation_matrix_forces_q_prime_to_the_order(rng):
+    # phi(t) = v t^q gives phi(t)^d = (sum_{j<d} A^(qj) v) t^(qd), whose
+    # coordinates are divisible by g = gcd(q, d): why ZnSemidirectZ does not
+    # check that phi is bijective on Z / d once T is unimodular
+    actions = [
+        a
+        for n in (1, 2, 3)
+        for a in (IntMatrix(n, n, e) for e in product((-1, 0, 1), repeat=n * n))
+        if a.is_unimodular and a != IntMatrix.identity(n) and finite_order(a)
+    ]
+    unimodular, shared = {}, 0
+    for _ in range(3000):
+        fam = ZnSemidirectZ(rng.choice(actions))
+        n, d = fam.n, finite_order(fam.action)
+        m = random_unimodular(rng, n, 1)
+        k = [rng.randint(-1, 1) for _ in range(n)]
+        k[rng.randrange(n)] = rng.choice((1, -1))  # an e_i image leaves the lattice
+        q = rng.randint(-2 * d, 2 * d)
+        t_image = tuple(rng.randint(-2, 2) for _ in range(n)) + (q,)
+        spec = AutomorphismSpec(fam, tuple(m.column(i) + (d * k[i],) for i in range(n)) + (t_image,))
+        order, _, lattice, q_read = fam._holonomy(spec)
+        assert (order, q_read) == (d, q)
+        if math.gcd(q, d) > 1:
+            assert not lattice.is_unimodular, (fam, spec.images)
+            shared += 1
+        else:
+            unimodular[d] = unimodular.get(d, 0) + lattice.is_unimodular
+    # each order of a finite-order action of rank <= 3 drew unimodular T
+    assert shared > 1000 and set(unimodular) == {2, 3, 4, 6} and min(unimodular.values()) >= 10, unimodular
 
 
 def test_finite_order_witnesses_never_walk_past_the_order(monkeypatch):

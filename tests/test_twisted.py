@@ -12,7 +12,6 @@ from reidemeister.groups import (
     rnumber_with_trace,
     tahara_form_order2,
     tahara_form_order3,
-    translation_matrix,
     verify_automorphism,
     witness,
 )
@@ -132,7 +131,7 @@ def _averaged_witness(form, alpha):
     fam = ZnSemidirectZ(form)
     spec = witness(fam, "phi_alpha", alpha)
     d = 2 if form in (tahara_form_order2(0), tahara_form_order2(1)) else 3
-    mt = translation_matrix(spec, d)
+    mt = fam._holonomy(spec)[2]  # the matrix on the translation lattice <t^d, e1..en>
     return r_class_sum(_shift(d), (_diag_one(form),), mt).div_exact(d)
 
 
@@ -148,7 +147,7 @@ def test_block_embedding_counts_factor():
     for form, d in ((tahara_form_order2(1), 2), (tahara_form_order3(0), 3)):
         fam = ZnSemidirectZ(form)
         spec = witness(fam, "phi_alpha", 2)
-        mt = translation_matrix(spec, d)
+        mt = fam._holonomy(spec)[2]
         a_tilde = _diag_one(form)
         n_block = IntMatrix.from_rows([[mt[0, 0], mt[0, 1]], [mt[1, 0], mt[1, 1]]])
         m_block = IntMatrix.from_rows([[mt[2, 2], mt[2, 3]], [mt[3, 2], mt[3, 3]]])
