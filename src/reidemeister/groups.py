@@ -84,6 +84,12 @@ class UnknownWitnessError(ValueError):
 
 _MINUS_I = IntMatrix(2, 2, (-1, 0, 0, -1))
 MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
+# The size of each memo: of spec values (verification reports, holonomy
+# readings) and of double extensions (phi_eight's decisions).  It is fixed,
+# as a long-lived caller meets a new spec value per witness parameter, and
+# small: a value is met again soon (a witness's round trip, its count and
+# labels) or, in practice, not at all.
+MEMO_SIZE = 64
 
 
 def _json_matrix(data: Mapping) -> IntMatrix:
@@ -416,20 +422,10 @@ class ZnSemidirectZ(GroupFamily):
         declared series applies).  d is the order of A, H = diag(1, A) the
         action of t on the translation lattice in the coordinates (t^d,
         e1..en), T the matrix of phi on it and q the t-exponent of phi(t);
-        a ValueError when an e_i image lies outside the translation lattice."""
-        n, images = self.n, spec.images
-        if self.actions is None or not any(img[n] for img in images[:n]):
-            return None
-        d = finite_order(self.action)
-        if d is None:
-            return None
-        cols = []
-        for img in (self.power(images[n], d),) + images[:n]:
-            if img[n] % d:
-                raise ValueError("image does not lie in the translation lattice")
-            cols.append((img[n] // d,) + img[:n])
-        h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *self.action.row(i)] for i in range(n)])
-        return d, h, IntMatrix.from_columns(cols), images[n][n]
+        a ValueError when an e_i image lies outside the translation lattice.
+        Read once per spec value (``_by_value``), so verification, the
+        formula route and the labels share one reading."""
+        return _by_value(_holonomy_reading, spec)
 
     def layer_failure(self, spec):
         holonomy = self._holonomy(spec)
@@ -479,6 +475,24 @@ class ZnSemidirectZ(GroupFamily):
             return k, least[k, r]
 
         return label
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _holonomy_reading(fam: ZnSemidirectZ, images: tuple[tuple[int, ...], ...]):
+    """``ZnSemidirectZ._holonomy`` of the spec value (fam, images)."""
+    n = fam.n
+    if fam.actions is None or not any(img[n] for img in images[:n]):
+        return None
+    d = finite_order(fam.action)
+    if d is None:
+        return None
+    cols = []
+    for img in (fam.power(images[n], d),) + images[:n]:
+        if img[n] % d:
+            raise ValueError("image does not lie in the translation lattice")
+        cols.append((img[n] // d,) + img[:n])
+    h = IntMatrix.from_rows([[1] + [0] * n] + [[0, *fam.action.row(i)] for i in range(n)])
+    return d, h, IntMatrix.from_columns(cols), images[n][n]
 
 
 # every lattice of the filiform algebra is Z^3 x|_A Z, A unipotent, (A - I)^2 != 0
@@ -684,15 +698,35 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
     central layer (the center) has a central image.  A skipped relation
     holds, so the first violated one, and the report, are those of the
     full check.
+
+    The report is a function of the spec's value, (family, images), so
+    each value is verified once and its report kept in a bounded memo
+    (``MEMO_SIZE`` values, least recently used out first).
     """
-    family = spec.family
+    return _by_value(_verify_value, spec)
+
+
+def _by_value(memo, spec: AutomorphismSpec):
+    """memo(family, images) for the spec's value, the images as tuples.  A
+    spec with an exponent that is not an int reads past the memo, since
+    1.0 == 1 would find the entry of another value."""
+    images = tuple(map(tuple, spec.images))
+    if all(type(e) is int for img in images for e in img):
+        return memo(spec.family, images)
+    return memo.__wrapped__(spec.family, images)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _verify_value(family: GroupFamily, images: tuple[tuple[int, ...], ...]) -> VerificationResult:
+    """``verify_automorphism`` of the spec value (family, images)."""
+    spec = AutomorphismSpec(family, images)
     try:
         failure = family.layer_failure(spec)
     except ValueError as exc:
         failure = str(exc)
     if failure:
         return VerificationResult(False, failure)
-    gens, images, names = family.generators(), spec.images, family.generator_names
+    gens, names = family.generators(), family.generator_names
     for i, j in family.open_relations(spec):
         relation = family.multiply(gens[j], gens[i])
         if family.multiply(images[j], images[i]) != spec.apply(relation):
@@ -722,7 +756,7 @@ def rnumber(spec: AutomorphismSpec) -> RNumber:
 
 def witness(family: GroupFamily, name: str, param: int) -> AutomorphismSpec:
     """A verified witness automorphism with a known closed-form count."""
-    if param < 1:
+    if _strict_int(param, "the witness parameter") < 1:
         raise ValueError("witness parameter must be >= 1")
     builder = _WITNESS_BUILDERS.get((type(family), name))
     if builder is None:
@@ -794,32 +828,37 @@ def tahara_form_order3(delta: int) -> IntMatrix:
     return IntMatrix.from_rows([[1, 0, delta], [0, 0, -1], [0, 1, -1]])
 
 
+# the canonical finite-order forms phi_alpha is written for, as (order, delta)
+_TAHARA_FORMS = {form(delta): (order, delta) for order, form in ((2, tahara_form_order2), (3, tahara_form_order3))
+                 for delta in (0, 1)}
+
+
 def _witness_phi_alpha(fam: ZnSemidirectZ, alpha: int) -> AutomorphismSpec:
-    a = fam.action
-    if a == tahara_form_order2(1):
+    form = _TAHARA_FORMS.get(fam.action)
+    if form is None:
+        raise UnknownWitnessError("phi_alpha requires one of the canonical finite-order forms")
+    order, delta = form
+    if order == 2 and delta:
         images = {
             "e1": (1 - 2 * alpha, 0, 0, 4 * alpha),
             "e2": (-1, -1, 2, 0),
             "e3": (1 - alpha, 1, -1, 2 * alpha),
             "t": (0, 0, 1, -1),
         }
-    elif a == tahara_form_order2(0):
+    elif order == 2:
         images = {
             "e1": (1 - 2 * alpha, 0, 0, 2),
             "e2": (0, 0, 1, 0),
             "e3": (0, 1, 1, 0),
             "t": (alpha, 0, 0, -1),
         }
-    elif a in (tahara_form_order3(0), tahara_form_order3(1)):
-        delta = 1 if a == tahara_form_order3(1) else 0
+    else:
         images = {
             "e1": (3 * alpha - 1, 0, 0, 3 * (delta * 3 * alpha + (1 - delta))),
             "e2": (delta * alpha, -1, 0, 3 * delta * alpha),
             "e3": (delta * alpha, 0, -1, 3 * delta * alpha),
             "t": ((1 - delta) * alpha, 1, 0, 1),
         }
-    else:
-        raise UnknownWitnessError("phi_alpha requires one of the canonical finite-order forms")
     return AutomorphismSpec.from_images(fam, images)
 
 
@@ -875,12 +914,11 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
     """An automorphism of the double extension with eight classes, when
     one exists: a trace-zero block solving the intertwining equation plus
     an integral solution m0, z0 of the lifting constraint.  On a spectrum
-    {8, oo} these come as values from the decision that proves it; a
-    spectrum {oo} is refused with its rule.  The parameter is not used."""
-    from . import spectra  # only phi_eight requests load the classifier
+    {8, oo} these come as values from the decision that proves it, which
+    is read once per family (``_ext_decision``); a spectrum {oo} is refused
+    with its rule.  The parameter is not used."""
     a = fam.action
-    # the family has checked A and n0, so the decision runs unchecked
-    res, lift = spectra._ext_decision(a, fam.n0)
+    res, lift = _ext_decision(fam)
     if lift is not None:
         wit, coeffs = lift
         m = wit.matrix
@@ -903,6 +941,16 @@ def _witness_phi_eight(fam: Z2MinusIExt, param: int) -> AutomorphismSpec:
         "u": (m0[0], m0[1], 0, -1),
     }
     return AutomorphismSpec.from_images(fam, images)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ext_decision(fam: Z2MinusIExt):
+    """``spectra._ext_decision`` of the family, which depends on A and n0
+    alone, not on the witness parameter."""
+    from . import spectra  # only phi_eight requests load the classifier
+
+    # the family has checked A and n0, so the decision runs unchecked
+    return spectra._ext_decision(fam.action, fam.n0)
 
 
 _WITNESS_BUILDERS = {

@@ -346,6 +346,7 @@ def test_verification_skips_exactly_the_relations_the_series_proves(monkeypatch)
             (i, j) for i, j in combinations(range(fam.slots), 2)
             if not ({i, j} <= lattice or central & {i, j})
         ]
+        groups._verify_value.cache_clear()  # a memo hit evaluates no relation
         report, pairs = _evaluated_relations(spec, monkeypatch)
         assert report.ok and pairs == expected, (fam, spec.images, pairs)
         assert fam.slots * (fam.slots - 1) // 2 - len(pairs) == _skipped_by_hand(fam), fam
@@ -359,11 +360,145 @@ def test_verification_checks_every_relation_of_a_map_leaving_the_lattice(monkeyp
         for alpha in (1, 7, 10 ** 12 + 3):
             spec = witness(fam, "phi_alpha", alpha)
             assert any(img[fam.n] for img in spec.images[:fam.n]), (fam, alpha)
+            groups._verify_value.cache_clear()  # witness() has verified this value
             report, pairs = _evaluated_relations(spec, monkeypatch)
             assert report.ok and pairs == list(combinations(range(fam.slots), 2)), (fam, alpha, pairs)
     for fam in WITNESS_CORPUS[ZnSemidirectZ, "M_m"]:
         spec = witness(fam, "M_m", 7)
         assert not any(img[fam.n] for img in spec.images[:fam.n]), fam
+
+
+# The verification memo: a report is kept per spec value (family, images).
+
+
+def _cold(spec):
+    """The report of the full check: the memo is emptied first."""
+    groups._verify_value.cache_clear()
+    return verify_automorphism(spec)
+
+
+def _memo_counts():
+    info = groups._verify_value.cache_info()
+    return info.hits, info.misses
+
+
+def test_a_round_tripped_witness_hits_the_report_of_the_original():
+    for (_, name), families in WITNESS_CORPUS.items():
+        for fam in families:
+            groups._verify_value.cache_clear()
+            spec = witness(fam, name, 7)
+            again = AutomorphismSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+            assert again.family is not spec.family and again.images == spec.images
+            assert _memo_counts() == (0, 1), fam
+            assert verify_automorphism(again) == verify_automorphism(spec) == VerificationResult(True)
+            assert _memo_counts() == (2, 1), fam
+
+
+def test_specs_differing_only_in_a_family_field_get_their_own_verdicts():
+    cases = [
+        (witness(Z2MinusIExt(FIB, (2, -1)), "phi_eight", 1), Z2MinusIExt(FIB, (0, 0))),
+        (witness(HnSemidirectZ(3, 2, 5), "M_r", 3), HnSemidirectZ(3, 1, 5)),
+        (witness(ZnSemidirectZ(-I2), "M_m", 3), ZnSemidirectZ(I2)),
+        (witness(ZnSemidirectZ(-I2), "M_m", 3), ZnSemidirectZ(parse_matrix("0,-1;1,0"))),
+    ]
+    verdicts = []
+    for spec, other in cases:
+        assert verify_automorphism(spec).ok  # in the memo
+        moved = AutomorphismSpec(other, spec.images)
+        warm = verify_automorphism(moved)
+        assert warm == _cold(moved), other
+        verdicts.append(warm.ok)
+    # the double extension with n0 = 0 and H_3 x| Z with k = 1 fail where
+    # their siblings pass; the identity action passes too
+    assert verdicts == [False, False, True, False]
+
+
+def test_a_failing_report_hits_with_its_failure_text():
+    fam = ZnSemidirectZ(tahara_form_order2(0))
+    spec = witness(fam, "phi_alpha", 3)
+    failing = [
+        (AutomorphismSpec(fam, ((3, 0, 0, 2),) + spec.images[1:]), "translation-lattice matrix is not unimodular"),
+        (AutomorphismSpec(fam, ((1, 0, 0, 1),) + spec.images[1:]), "image does not lie in the translation lattice"),
+        (AutomorphismSpec(FreeAbelian(2), ((0, 0), (0, 0))), "lattice matrix is not unimodular"),
+        (AutomorphismSpec(ZnSemidirectZ(FIB), ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
+         "relation violated: t e1 = <e1^2 e2^3 t^1>"),
+    ]
+    for bad, failure in failing:
+        cold = _cold(bad)
+        twin = AutomorphismSpec(bad.family, tuple(tuple(img) for img in bad.images))
+        warm = verify_automorphism(twin)
+        assert cold == VerificationResult(False, failure) and _memo_counts() == (1, 1), bad
+        assert warm == cold and warm.failure == cold.failure
+
+
+def test_a_spec_with_list_images_verifies_and_counts():
+    for fam, name in [(Heisenberg(3), "phi_m"), (ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha")]:
+        spec = witness(fam, name, 4)
+        listed = AutomorphismSpec(fam, [list(img) for img in spec.images])
+        assert verify_automorphism(listed) == _cold(listed) == VerificationResult(True)
+        assert rnumber(replace(listed, verified=True)) == rnumber(spec)
+
+
+def test_a_spec_with_a_float_exponent_reads_past_the_memo():
+    # 2.0 == 2, so a memo lookup would answer a float twin with the int
+    # spec's report; checked afresh, its translation lattice is no IntMatrix
+    spec = witness(ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha", 2)
+    twin = AutomorphismSpec(spec.family, tuple(tuple(map(float, img)) for img in spec.images))
+    before = _memo_counts()
+    with pytest.raises(TypeError, match="matrix entries must be integers"):
+        verify_automorphism(twin)
+    assert _memo_counts() == before
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_warm_report_equals_a_cold_one(data):
+    # witnesses, and witnesses with one exponent moved, over every family;
+    # values repeat within a draw, so the warm reports include memo hits
+    specs = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        cls, name = data.draw(st.sampled_from(list(WITNESS_CORPUS)))
+        fam = data.draw(st.sampled_from(WITNESS_CORPUS[cls, name]))
+        spec = _WITNESS_BUILDERS[cls, name](fam, data.draw(st.integers(1, 10 ** 6)))
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, fam.slots - 1)), data.draw(st.integers(0, fam.slots - 1))
+            img = list(spec.images[i])
+            img[j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+            spec = replace(spec, images=spec.images[:i] + (tuple(img),) + spec.images[i + 1:])
+        specs += [spec] * data.draw(st.integers(1, 2))
+    warm = [verify_automorphism(spec) for spec in specs]
+    assert warm == [_cold(spec) for spec in specs]
+
+
+def test_the_holonomy_branch_is_read_once_per_spec_value():
+    for fam in WITNESS_CORPUS[ZnSemidirectZ, "phi_alpha"]:
+        groups._holonomy_reading.cache_clear()
+        spec = witness(fam, "phi_alpha", 3)
+        again = replace(AutomorphismSpec.from_json_dict(spec.to_json_dict()), verified=True)
+        rnumber(again)
+        label_classes(spec, 1)
+        info = groups._holonomy_reading.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), fam
+
+
+def test_phi_eight_decides_each_double_extension_once(monkeypatch):
+    from reidemeister import spectra
+
+    decide, calls = spectra._ext_decision, []
+
+    def recording(a, n0):
+        calls.append((a, n0))
+        return decide(a, n0)
+
+    monkeypatch.setattr(spectra, "_ext_decision", recording)
+    groups._ext_decision.cache_clear()
+    families = WITNESS_CORPUS[Z2MinusIExt, "phi_eight"]
+    for param in (1, 2, 10 ** 12):
+        for fam in families:
+            witness(Z2MinusIExt(fam.action, fam.n0), "phi_eight", param)  # an equal family, built anew
+    with pytest.raises(UnknownWitnessError):
+        witness(Z2MinusIExt(parse_matrix("0,1;1,0"), (0, 0)), "phi_eight", 1)
+    assert calls == [(fam.action, fam.n0) for fam in families] + [(parse_matrix("0,1;1,0"), (0, 0))]
 
 
 def test_the_trivial_endomorphism_is_refused():
@@ -575,6 +710,25 @@ def test_witness_errors():
         witness(ZnSemidirectZ(FIB), "M_m", 1)  # needs the -I action
     with pytest.raises(UnknownWitnessError):
         witness(HnSemidirectZ(2, 1, 0), "M_r", 3)  # odd trace impossible here
+
+
+@pytest.mark.parametrize("param", [True, 2.5, 2.0, "3"])
+@pytest.mark.parametrize(
+    "fam, name",
+    [(ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha"), (Z2MinusIExt(FIB, (2, -1)), "phi_eight"),
+     (FreeAbelian(2), "negation")],
+)
+def test_witness_refuses_a_parameter_that_is_not_an_int(fam, name, param, monkeypatch):
+    # True once counted as 1 and 2.0 as 2, "3" raised a bare TypeError and
+    # 2.5 failed in the builder; each is refused before any builder runs
+    def refuse(*args):
+        raise AssertionError("the builder ran")
+
+    monkeypatch.setitem(_WITNESS_BUILDERS, (type(fam), name), refuse)
+    before = groups._verify_value.cache_info()
+    with pytest.raises(ValueError, match="^the witness parameter must be an integer, got %r$" % (param,)):
+        witness(fam, name, param)
+    assert groups._verify_value.cache_info() == before
 
 
 def test_rnumber_requires_verified_spec():

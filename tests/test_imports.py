@@ -142,3 +142,29 @@ def test_every_module_parses_at_the_declared_python_floor():
     assert modules
     for path in modules:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_module_level_cache_is_bounded():
+    # a long-lived caller meets a new key per witness parameter or matrix,
+    # so a cache kept for the life of the process must have a size
+    import importlib
+    import inspect
+
+    sizes = {}
+    for path in sorted((ROOT / "src" / "reidemeister").glob("*.py")):
+        module = importlib.import_module("reidemeister" if path.stem == "__init__" else "reidemeister." + path.stem)
+        owners = [(path.stem, module)] + [
+            ("%s.%s" % (path.stem, name), cls) for name, cls in vars(module).items()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+        ]
+        for prefix, owner in owners:
+            for name in vars(owner):
+                cached = getattr(owner, name)
+                if callable(getattr(cached, "cache_info", None)):
+                    sizes["%s.%s" % (prefix, name)] = cached.cache_info().maxsize
+    expected = {
+        "exactlin._walk", "exactlin._entries_order", "groups._series_shape",
+        "groups._verify_value", "groups._holonomy_reading", "groups._ext_decision",
+    }
+    assert expected <= set(sizes), sizes
+    assert all(size is not None for size in sizes.values()), sizes
