@@ -18,13 +18,17 @@ Only ``exactlin`` is imported up front; ``groups`` and ``spectra`` are
 imported where a subcommand uses them, so ``decide``, ``tables`` and
 ``spectrum`` on z2, z3, double-ext and hn-semidirect never load
 ``groups``, and ``rnumber`` and ``oracle`` never load ``spectra``.
+Only the requests that load ``groups`` import ``dataclasses`` (and with
+it ``inspect``), for ``AutomorphismSpec``, which callers
+``dataclasses.replace``; the other value classes are written by hand
+(``exactlin._Value``), as a decorated class costs each request its
+``exec``.
 """
 
 from __future__ import annotations
 
 import argparse
 from contextlib import redirect_stdout
-from dataclasses import replace as _dc_replace
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -206,7 +210,7 @@ def _spec_from_args(args):
         report = groups.verify_automorphism(spec)
         if not report:
             raise CliError("automorphism verification failed: %s" % report.failure)
-        return _dc_replace(spec, verified=True)
+        return groups.AutomorphismSpec(spec.family, spec.images, True)
     name = _need(args, "witness", "either --spec-json or --witness/--param is required")
     param = _need(args, "param", "--param is required with --witness")
     return groups.witness(_family_row(args).build(args), name, param)

@@ -32,7 +32,6 @@ N Z^k, k <= 4, in a pivoted basis with its box in ``twisted.HermiteBox``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import json
 import math
@@ -54,24 +53,74 @@ class MatrixParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Frozen values
+
+
+# not dataclasses: importing them loads ``inspect``, and each decorated class
+# ``exec``s its methods, about 1 ms per class in each CLI request that loads it
+class _Value:
+    """Base of the package's frozen value classes.  A subclass names its
+    fields in ``_fields`` and writes its own ``__init__``, through
+    ``object.__setattr__``.  Two values are equal when they have the same
+    class and equal field tuples, and a value hashes as its field tuple;
+    the classes on hot paths (``IntMatrix``, ``RNumber``, the spectrum
+    descriptor, the group families) write ``__eq__`` and ``__hash__`` out
+    for speed.  The base also gives the dataclass repr, refuses assignment
+    and deletion, and pickles by the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % pair for pair in zip(self._fields, self._field_values()))
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, self._field_values()
+
+
+# ---------------------------------------------------------------------------
 # IntMatrix
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Value):
     """Dense row-major matrix of arbitrary-precision integers."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 1 or cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                "expected %d entries, got %d" % (self.rows * self.cols, len(self.entries))
-            )
+        if len(entries) != rows * cols:
+            raise DimensionError("expected %d entries, got %d" % (rows * cols, len(entries)))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     # -- construction -------------------------------------------------------
 

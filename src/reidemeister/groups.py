@@ -58,7 +58,7 @@ the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 import math
@@ -71,6 +71,7 @@ from .exactlin import (
     finite_order,
     lifting_solver,
     matrix_from_json,
+    _Value,
     _power,
     _power_sum,
     _strict_int,
@@ -103,7 +104,7 @@ def _json_matrix(data: Mapping) -> IntMatrix:
 # Families
 
 
-class GroupFamily:
+class GroupFamily(_Value):
     """Base class of the family table.
 
     Each subclass is one row: its JSON tag and decoder, its group law on
@@ -131,7 +132,10 @@ class GroupFamily:
     ``verify_automorphism`` which collection relations the series already
     proves (``open_relations``).  ``tests/test_groups.py`` checks each
     series, kinds included, against ``multiply``.
-    FAMILIES maps each tag to its subclass.
+    FAMILIES maps each tag to its subclass.  The parameters are the
+    fields (``_fields``); the series, and the field tuple that equality
+    and the hash read, are written beside them in the instance
+    ``__dict__``.
     """
 
     json_tag: ClassVar[str]
@@ -145,8 +149,16 @@ class GroupFamily:
         return len(self.generator_names)
 
     def _declare(self, names, layers, route, actions=None):
-        """Set the generator names and the series."""
-        vars(self).update(generator_names=names, layers=layers, actions=actions, route=route)
+        """Set the generator names, the series and the field tuple."""
+        vars(self).update(generator_names=names, layers=layers, actions=actions, route=route, _key=self._field_values())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
     def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """The exponent tuple, checked: one int per slot."""
@@ -186,15 +198,15 @@ class GroupFamily:
     # checks (``_require_int_fields``); families with matrix parameters
     # override both directions
     def to_json_dict(self) -> dict:
-        return {"tag": self.json_tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return {"tag": self.json_tag, **{f: getattr(self, f) for f in self._fields}}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupFamily":
-        return cls(*(data[f.name] for f in fields(cls)))
+        return cls(*(data[f] for f in cls._fields))
 
     def _require_int_fields(self):
-        for f in fields(self):
-            _strict_int(getattr(self, f.name), "field %r" % f.name)
+        for f in self._fields:
+            _strict_int(getattr(self, f), "field %r" % f)
 
     # the series read off an automorphism spec of this family
     def layer_matrices(self, spec: "AutomorphismSpec") -> list[IntMatrix]:
@@ -313,12 +325,12 @@ def _series_shape(layers: tuple) -> tuple[tuple[tuple, ...], ...]:
     return tuple(leaving), all_pairs, open_pairs
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupFamily):
     json_tag = "free-abelian"
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("rank must be >= 1")
@@ -336,12 +348,12 @@ def _heis_mul(n: int, a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + n * b[0] * a[1])
 
 
-@dataclass(frozen=True)
 class Heisenberg(GroupFamily):
     json_tag = "heisenberg"
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
@@ -352,12 +364,12 @@ class Heisenberg(GroupFamily):
         return _heis_mul(self.n, a, b)
 
 
-@dataclass(frozen=True)
 class HeisenbergTimesZ(GroupFamily):
     json_tag = "heisenberg-times-z"
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
@@ -368,15 +380,15 @@ class HeisenbergTimesZ(GroupFamily):
         return _heis_mul(self.n, a[:3], b[:3]) + (a[3] + b[3],)
 
 
-@dataclass(frozen=True)
 class ZnSemidirectZ(GroupFamily):
     """Z^n x|_A Z: the lattice below the quotient <t>, on which t acts by
     A; with A = I the group is free abelian, one layer."""
 
     json_tag = "zn-semidirect-z"
-    action: IntMatrix
+    _fields = ("action",)
 
-    def __post_init__(self):
+    def __init__(self, action: IntMatrix):
+        object.__setattr__(self, "action", action)
         n = self.action.rows
         if n >= MAX_RANK:
             raise ValueError(
@@ -499,23 +511,22 @@ def _holonomy_reading(fam: ZnSemidirectZ, images: tuple[tuple[int, ...], ...]):
 THREE_STEP = ZnSemidirectZ(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
 
 
-@dataclass(frozen=True)
 class Z2MinusIExt(GroupFamily):
     """(Z^2 x|_{-I} Z) x|_psi Z with psi(v t^k) = A(v) (n0 t)^k."""
 
     json_tag = "z2-minusi-ext"
-    action: IntMatrix
-    n0: tuple[int, int]
+    _fields = ("action", "n0")
 
-    def __post_init__(self):
-        if self.action.rows != 2 or self.action.cols != 2 or not self.action.is_unimodular:
+    def __init__(self, action: IntMatrix, n0: tuple[int, int]):
+        if action.rows != 2 or action.cols != 2 or not action.is_unimodular:
             raise ValueError("the outer action must be a unimodular 2x2 matrix")
-        if len(self.n0) != 2:
+        if len(n0) != 2:
             raise ValueError("n0 must be a length-2 integer vector")
-        object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in self.n0))
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in n0))
         # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by (-I)^e A^f
         layers = (("lattice", (0, 1), "abelian"), ("quotient", (2, 3), None))
-        self._declare(("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, self.action))
+        self._declare(("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, action))
 
     # with S_A(l) = I + A + ... + A^(l-1), and S_-I(k') = [k' odd] I for every k':
     # v t^k u^l * v' t^k' u^l' = (v + (-1)^k (A^l v' + [k' odd] S_A(l) n0)) t^(k+k') u^(l+l')
@@ -552,16 +563,16 @@ class Z2MinusIExt(GroupFamily):
         return failure
 
 
-@dataclass(frozen=True)
 class HnSemidirectZ(GroupFamily):
     """H_n x|_psi Z with psi(x) = x^-1 z^k, psi(y) = y^-1 z^l, psi(z) = z."""
 
     json_tag = "hn-semidirect-z"
-    n: int
-    k: int
-    l: int
+    _fields = ("n", "k", "l")
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, l: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
         self._require_int_fields()
         if self.n < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
@@ -667,10 +678,12 @@ class AutomorphismSpec:
             raise ValueError("malformed generator image: %s" % exc) from None
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    failure: str | None = None
+class VerificationResult(_Value):
+    __slots__ = _fields = ("ok", "failure")
+
+    def __init__(self, ok: bool, failure: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -765,7 +778,7 @@ def witness(family: GroupFamily, name: str, param: int) -> AutomorphismSpec:
     report = verify_automorphism(spec)
     if not report:
         raise AssertionError("witness construction failed verification: %s" % report.failure)
-    return replace(spec, verified=True)
+    return AutomorphismSpec(spec.family, spec.images, True)
 
 
 def _witness_phi_m_htz(fam: HeisenbergTimesZ, m: int) -> AutomorphismSpec:
@@ -973,16 +986,18 @@ _WITNESS_BUILDERS = {
 MAX_BALL_SITES = 100_000
 
 
-@dataclass(frozen=True)
-class ClassLabeling:
+class ClassLabeling(_Value):
     """Twisted-class labels over the radius-r exponent ball, numbered in
     first-seen order over the sorted ball (``GroupFamily.class_labeler``).
     With R finite they are exact, and ``complete``, the ball meeting all R
     classes, is a proof; with R infinite it is False."""
 
-    ball_radius: int
-    labels: Mapping[tuple[int, ...], int]
-    complete: bool
+    __slots__ = _fields = ("ball_radius", "labels", "complete")
+
+    def __init__(self, ball_radius: int, labels: Mapping[tuple[int, ...], int], complete: bool):
+        object.__setattr__(self, "ball_radius", ball_radius)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "complete", complete)
 
     @property
     def class_count(self) -> int:

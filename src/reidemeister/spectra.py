@@ -39,7 +39,6 @@ here is the same object, looked up on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 from typing import Callable, Mapping, Sequence
 
@@ -50,6 +49,7 @@ from .exactlin import (
     lifting_solver,
     system2_orbit,
     unit_root_split,
+    _Value,
     _entries_order,
     _power_sum,
     _strict_int,
@@ -64,19 +64,38 @@ class HypothesisError(ValueError):
 # Spectrum descriptors
 
 
-@dataclass(frozen=True)
-class SpectrumDescriptor:
+class SpectrumDescriptor(_Value):
     """Canonical encoding of a Reidemeister spectrum.
 
     kind is one of r_infinity | finite | multiples | full | undecided;
     infinity is implied present in every kind.
     """
 
-    kind: str
-    values: tuple[int, ...] | None = None
-    c: int | None = None
-    candidates: tuple["SpectrumDescriptor", ...] | None = None
-    bound: int | None = None
+    __slots__ = _fields = ("kind", "values", "c", "candidates", "bound")
+
+    def __init__(
+        self,
+        kind: str,
+        values: tuple[int, ...] | None = None,
+        c: int | None = None,
+        candidates: tuple["SpectrumDescriptor", ...] | None = None,
+        bound: int | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "bound", bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.values, self.c, self.candidates, self.bound) == (
+                other.kind, other.values, other.c, other.candidates, other.bound
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.values, self.c, self.candidates, self.bound))
 
     @classmethod
     def r_infinity(cls) -> "SpectrumDescriptor":
@@ -141,15 +160,15 @@ class SpectrumDescriptor:
         raise ValueError("unknown spectrum kind %r" % self.kind)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    spectrum: SpectrumDescriptor
-    trace: tuple[str, ...]
-    evidence: Mapping | None = None
+class SpectrumResult(_Value):
+    __slots__ = _fields = ("spectrum", "trace", "evidence")
 
-    def __post_init__(self):
-        if not self.trace:
+    def __init__(self, spectrum: SpectrumDescriptor, trace: tuple[str, ...], evidence: Mapping | None = None):
+        if not trace:
             raise ValueError("classifier results must carry a nonempty trace")
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "evidence", evidence)
 
 
 # Each terminal rule id and the spectrum it proves.  ``system2:exhausted``
@@ -200,17 +219,17 @@ def _rule(trace: list[str], evidence=None) -> SpectrumResult:
 # The quadratic system for Z^2 x|_A Z
 
 
-@dataclass(frozen=True)
-class System2Witness:
+class System2Witness(_Value):
     """A solution (m, n, p) of -m^2 - np = 1, (a-d)m + bp + cn = 0."""
 
-    m: int
-    n: int
-    p: int
+    __slots__ = _fields = ("m", "n", "p")
 
-    def __post_init__(self):
-        if -self.m * self.m - self.n * self.p != 1:
+    def __init__(self, m: int, n: int, p: int):
+        if -m * m - n * p != 1:
             raise ValueError("witness fails -m^2 - np = 1")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
     @property
     def matrix(self) -> IntMatrix:
@@ -220,10 +239,12 @@ class System2Witness:
         return {"m": self.m, "n": self.n, "p": self.p, "matrix": self.matrix.to_rows()}
 
 
-@dataclass(frozen=True)
-class System2Decision:
-    outcome: str  # "witness" | "none-up-to-bound" | "proven-empty"
-    witness: System2Witness | None
+class System2Decision(_Value):
+    __slots__ = _fields = ("outcome", "witness")
+
+    def __init__(self, outcome: str, witness: System2Witness | None):
+        object.__setattr__(self, "outcome", outcome)  # "witness" | "none-up-to-bound" | "proven-empty"
+        object.__setattr__(self, "witness", witness)
 
 
 def _system2_require(a: IntMatrix):
@@ -331,12 +352,20 @@ def tahara_delta(a: IntMatrix) -> int:
 # dimension 4: Z^3 x|_A Z, hyperbolic block decision
 
 
-@dataclass(frozen=True)
-class Z3EightDecision:
-    outcome: str  # "eight" | "r-infinity" | "proven-empty"
-    witness: System2Witness | None
-    n_row: tuple[int, int] | None
-    obstruction_modulus: int | None = None
+class Z3EightDecision(_Value):
+    __slots__ = _fields = ("outcome", "witness", "n_row", "obstruction_modulus")
+
+    def __init__(
+        self,
+        outcome: str,
+        witness: System2Witness | None,
+        n_row: tuple[int, int] | None,
+        obstruction_modulus: int | None = None,
+    ):
+        object.__setattr__(self, "outcome", outcome)  # "eight" | "r-infinity" | "proven-empty"
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "n_row", n_row)
+        object.__setattr__(self, "obstruction_modulus", obstruction_modulus)
 
 
 def _eight_class_decision(

@@ -22,29 +22,36 @@ the tests (``tests/snf_reference.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 import math
 import operator
 from typing import Sequence
 
-from .exactlin import IntMatrix, _bezout, _entries_order, _strict_int
+from .exactlin import IntMatrix, _Value, _bezout, _entries_order, _strict_int
 
 
-@dataclass(frozen=True)
-class RNumber:
+class RNumber(_Value):
     """A Reidemeister number: a positive integer or infinity (value None).
 
     Arithmetic absorbs infinity: adding or multiplying with an infinite
     count stays infinite.
     """
 
-    value: int | None
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value is not None and _strict_int(self.value, "a Reidemeister number") < 1:
+    def __init__(self, value: int | None):
+        if value is not None and _strict_int(value, "a Reidemeister number") < 1:
             raise ValueError("finite Reidemeister numbers are >= 1")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __add__(self, other: "RNumber") -> "RNumber":
         if self.value is None or other.value is None:

@@ -6,8 +6,8 @@ witnesses, only ``phi_eight`` loads ``spectra``.  The module-set tests
 run each benchmarked CLI request (every README example plus the
 hyperbolic z2 matrix -6,1;-1,0) and a ``phi_eight`` request in a fresh
 interpreter through ``cli.run`` and compare the ``reidemeister.*``
-modules it leaves in ``sys.modules``; they guard against a stray
-top-level import.
+modules it leaves in ``sys.modules``, and whether ``dataclasses`` and
+``inspect`` are among them; they guard against a stray top-level import.
 """
 
 from __future__ import annotations
@@ -59,7 +59,11 @@ RUN = """
 import io, json, sys
 from reidemeister import cli
 code = cli.run(json.loads(sys.argv[1]), io.StringIO(), io.StringIO())
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "reidemeister")]))
+print(json.dumps([
+    code,
+    sorted(m for m in sys.modules if m.split(".")[0] == "reidemeister"),
+    [m for m in ("dataclasses", "inspect") if m in sys.modules],
+]))
 """
 
 
@@ -75,7 +79,10 @@ def test_a_request_loads_only_its_layers(argv, code, modules, tmp_path):
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps(witness(HeisenbergTimesZ(1), "phi_m", 2).to_json_dict()))
     argv = [str(phi) if a == "{phi_json}" else a for a in argv]
-    assert _fresh(RUN, json.dumps(argv)) == [code, sorted(modules)]
+    # AutomorphismSpec is the one dataclass (callers ``replace`` it), so
+    # exactly the requests that load groups load dataclasses, and inspect
+    stdlib = ["dataclasses", "inspect"] if "reidemeister.groups" in modules else []
+    assert _fresh(RUN, json.dumps(argv)) == [code, sorted(modules), stdlib]
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -142,6 +149,23 @@ def test_every_module_parses_at_the_declared_python_floor():
     assert modules
     for path in modules:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_only_groups_imports_dataclasses_or_inspect():
+    # the import tests above cannot see a module loaded after groups, which
+    # has already paid for dataclasses (AutomorphismSpec)
+    importers = set()
+    for path in (ROOT / "src" / "reidemeister").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("dataclasses", "inspect") for name in names):
+                importers.add(path.stem)
+    assert importers == {"groups"}
 
 
 def test_every_module_level_cache_is_bounded():
