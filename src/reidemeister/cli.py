@@ -9,20 +9,22 @@ input errors (argument errors included, as one ``error:`` line) and
 internal failures.  The bound affects only those two answers; --bound
 sets it (default DEFAULT_BOUND) and is refused above MAX_BOUND.
 
-Each ``--family`` slug builds one group from its flags (``FAMILY_TABLE``):
-``spectrum`` classifies it, ``rnumber`` and ``oracle`` take witnesses on
-it.  ``hn-semidirect`` reads ``--matrix`` (default -I) and ``--k``/``--l``
-(default 0), and has automorphisms only for the inverting action -I.
+Each ``--family`` slug builds one group from its flags (``FAMILY_TABLE``,
+a plain (make, spectrum) pair per slug): ``spectrum`` classifies it,
+``rnumber`` and ``oracle`` take witnesses on it.  ``hn-semidirect`` reads
+``--matrix`` (default -I) and ``--k``/``--l`` (default 0), and has
+automorphisms only for the inverting action -I.
 
 Only ``exactlin`` is imported up front; ``groups`` and ``spectra`` are
 imported where a subcommand uses them, so ``decide``, ``tables`` and
 ``spectrum`` on z2, z3, double-ext and hn-semidirect never load
-``groups``, and ``rnumber`` and ``oracle`` never load ``spectra``.
+``groups``, and ``rnumber`` and ``oracle`` load ``spectra`` only for the
+``phi_eight`` witness, which reads its block off a spectrum.
 Only the requests that load ``groups`` import ``dataclasses`` (and with
 it ``inspect``), for ``AutomorphismSpec``, which callers
 ``dataclasses.replace``; the other value classes are written by hand
-(``exactlin._Value``), as a decorated class costs each request its
-``exec``.
+(``exactlin._Value``), as a decorated or named-tuple class costs each
+request its ``exec``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import argparse
 from contextlib import redirect_stdout
 import json
 import sys
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .exactlin import IntMatrix, MatrixParseError, parse_matrix, parse_vector
@@ -78,10 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--k", type=int, default=0, help="central twist of x for hn-semidirect (default 0)")
     fam.add_argument("--l", type=int, default=0, help="central twist of y for hn-semidirect (default 0)")
 
-    p = sub.add_parser("rnumber", parents=[common, fam], help="Reidemeister number of one automorphism")
-    p.add_argument("--witness", help="witness id (phi_m, M_m, phi_alpha, M_r, phi_eight, target, negation)")
-    p.add_argument("--param", type=int, help="witness parameter")
-    p.add_argument("--spec-json", help="path to an automorphism JSON file ('-' for stdin)")
+    wit = argparse.ArgumentParser(add_help=False)
+    wit.add_argument("--witness", help="witness id (phi_m, M_m, phi_alpha, M_r, phi_eight, target, negation)")
+    wit.add_argument("--param", type=int, help="witness parameter")
+    wit.add_argument("--spec-json", help="path to an automorphism JSON file ('-' for stdin)")
+
+    sub.add_parser("rnumber", parents=[common, fam, wit], help="Reidemeister number of one automorphism")
 
     sub.add_parser("spectrum", parents=[common, fam], help="Reidemeister spectrum of a group")
 
@@ -90,10 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("tables", parents=[common], help="emit the classification tables")
 
-    p = sub.add_parser("oracle", parents=[common, fam], help="twisted-conjugacy labeling over a bounded ball")
-    p.add_argument("--witness", help="witness id")
-    p.add_argument("--param", type=int, help="witness parameter")
-    p.add_argument("--spec-json", help="path to an automorphism JSON file ('-' for stdin)")
+    p = sub.add_parser("oracle", parents=[common, fam, wit], help="twisted-conjugacy labeling over a bounded ball")
     p.add_argument("--radius", type=int, required=True)
     return parser
 
@@ -140,54 +140,37 @@ def _hn_family(groups, args):
     return groups.HnSemidirectZ(_n_arg(args), args.k, args.l)
 
 
-class CliFamily(NamedTuple):
-    """One row of the CLI family table: ``build(args)`` makes the group
-    family that ``--witness`` acts on, and ``classify(args, bound)``
-    computes the spectrum of that group.  ``make(groups, args)`` and
-    ``spectrum(spectra, args, bound)`` are handed their module, imported
-    only when the row is used; a row without ``spectrum`` is nilpotent."""
-
-    make: Callable
-    spectrum: Callable | None = None
-
-    def build(self, args):
-        from . import groups
-        return self.make(groups, args)
-
-    def classify(self, args, bound):
-        from . import spectra
-        if self.spectrum is None:
-            return spectra.classify_nilpotent(self.build(args))
-        return self.spectrum(spectra, args, bound)
-
-
+# slug -> (make, spectrum): ``make(groups, args)`` builds the group family
+# that ``--witness`` acts on and ``spectrum(spectra, args, bound)`` classifies
+# it, each handed its module, imported only when the row is used; a
+# nilpotent row has no ``spectrum`` and classifies the group ``make`` builds
 FAMILY_TABLE = {
-    "z2-semidirect": CliFamily(
+    "z2-semidirect": (
         lambda groups, args: groups.ZnSemidirectZ(_matrix_arg(args, 2)),
         lambda spectra, args, bound: spectra.classify_z2_semidirect(_matrix_arg(args, 2), bound),
     ),
-    "z3-semidirect": CliFamily(
+    "z3-semidirect": (
         lambda groups, args: groups.ZnSemidirectZ(_matrix_arg(args, 3)),
         lambda spectra, args, bound: spectra.classify_z3_semidirect(_matrix_arg(args, 3), bound),
     ),
-    "double-ext": CliFamily(
+    "double-ext": (
         lambda groups, args: groups.Z2MinusIExt(_matrix_arg(args, 2), _n0_arg(args)),
         lambda spectra, args, bound: spectra.classify_z2_minusI_ext(_matrix_arg(args, 2), _n0_arg(args), bound),
     ),
-    "hn-semidirect": CliFamily(
+    "hn-semidirect": (
         _hn_family,
         lambda spectra, args, bound: spectra.classify_hn_semidirect(
             _n_arg(args), _hn_action(args), bound, (args.k, args.l)
         ),
     ),
-    "free-abelian": CliFamily(lambda groups, args: groups.FreeAbelian(_n_arg(args))),
-    "heisenberg": CliFamily(lambda groups, args: groups.Heisenberg(_n_arg(args))),
-    "heisenberg-times-z": CliFamily(lambda groups, args: groups.HeisenbergTimesZ(_n_arg(args))),
-    "three-step": CliFamily(lambda groups, args: groups.THREE_STEP),
+    "free-abelian": (lambda groups, args: groups.FreeAbelian(_n_arg(args)), None),
+    "heisenberg": (lambda groups, args: groups.Heisenberg(_n_arg(args)), None),
+    "heisenberg-times-z": (lambda groups, args: groups.HeisenbergTimesZ(_n_arg(args)), None),
+    "three-step": (lambda groups, args: groups.THREE_STEP, None),
 }
 
 
-def _family_row(args) -> CliFamily:
+def _family_row(args) -> tuple:
     slug = _need(args, "family", "--family is required")
     row = FAMILY_TABLE.get(slug)
     if row is None:
@@ -213,7 +196,8 @@ def _spec_from_args(args):
         return groups.AutomorphismSpec(spec.family, spec.images, True)
     name = _need(args, "witness", "either --spec-json or --witness/--param is required")
     param = _need(args, "param", "--param is required with --witness")
-    return groups.witness(_family_row(args).build(args), name, param)
+    make, _ = _family_row(args)
+    return groups.witness(make(groups, args), name, param)
 
 
 def _envelope(result, trace, bound) -> dict:
@@ -269,7 +253,13 @@ def run(argv, stdout=None, stderr=None) -> int:
             _emit(_envelope({"rnumber": value.to_json()}, trace, bound), args.format, stdout)
             return EXIT_OK
         if args.command == "spectrum":
-            res = _family_row(args).classify(args, bound)
+            make, spectrum = _family_row(args)
+            from . import spectra
+            if spectrum is None:
+                from . import groups
+                res = spectra.classify_nilpotent(make(groups, args))
+            else:
+                res = spectrum(spectra, args, bound)
             payload = {"spectrum": res.spectrum}
             if res.evidence:
                 payload["evidence"] = dict(res.evidence)

@@ -63,10 +63,10 @@ class _Value:
     fields in ``_fields`` and writes its own ``__init__``, through
     ``object.__setattr__``.  Two values are equal when they have the same
     class and equal field tuples, and a value hashes as its field tuple;
-    the classes on hot paths (``IntMatrix``, ``RNumber``, the spectrum
-    descriptor, the group families) write ``__eq__`` and ``__hash__`` out
-    for speed.  The base also gives the dataclass repr, refuses assignment
-    and deletion, and pickles by the fields."""
+    the two hot memo keys, ``IntMatrix`` and the group families, write
+    ``__eq__`` and ``__hash__`` out for speed.  The base also gives the
+    dataclass repr, refuses assignment and deletion, and pickles by the
+    fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -720,13 +720,15 @@ def verify_automorphism(spec: AutomorphismSpec) -> VerificationResult:
 
 
 def _by_value(memo, spec: AutomorphismSpec):
-    """memo(family, images) for the spec's value, the images as tuples.  A
-    spec with an exponent that is not an int reads past the memo, since
-    1.0 == 1 would find the entry of another value."""
+    """memo(family, images) for the spec's value, the images as tuples.  An
+    exponent that is not an int is refused with a ValueError that names it,
+    since 1.0 == 1 would find the memo entry of another value."""
     images = tuple(map(tuple, spec.images))
-    if all(type(e) is int for img in images for e in img):
-        return memo(spec.family, images)
-    return memo.__wrapped__(spec.family, images)
+    for img in images:
+        for e in img:
+            if type(e) is not int:
+                _strict_int(e, "an exponent")
+    return memo(spec.family, images)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

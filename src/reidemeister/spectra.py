@@ -87,16 +87,6 @@ class SpectrumDescriptor(_Value):
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "bound", bound)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.values, self.c, self.candidates, self.bound) == (
-                other.kind, other.values, other.c, other.candidates, other.bound
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.values, self.c, self.candidates, self.bound))
-
     @classmethod
     def r_infinity(cls) -> "SpectrumDescriptor":
         return cls("r_infinity")
@@ -310,8 +300,6 @@ def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     decision = decide_system2(a, bound)
     if decision.outcome == "witness":
         return _rule(["z2:hyperbolic", "system2:witness"], {"witness": decision.witness.to_json_dict()})
-    if decision.outcome == "proven-empty":
-        return _rule(["z2:hyperbolic", "system2:proven-empty"])
     candidates = (RULES["system2:proven-empty"], RULES["system2:witness"])
     return SpectrumResult(SpectrumDescriptor.undecided(candidates, bound), ("z2:hyperbolic", "system2:exhausted"))
 

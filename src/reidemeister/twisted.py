@@ -45,14 +45,6 @@ class RNumber(_Value):
             raise ValueError("finite Reidemeister numbers are >= 1")
         object.__setattr__(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
     def __add__(self, other: "RNumber") -> "RNumber":
         if self.value is None or other.value is None:
             return INFINITE

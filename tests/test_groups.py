@@ -439,15 +439,21 @@ def test_a_spec_with_list_images_verifies_and_counts():
         assert rnumber(replace(listed, verified=True)) == rnumber(spec)
 
 
-def test_a_spec_with_a_float_exponent_reads_past_the_memo():
-    # 2.0 == 2, so a memo lookup would answer a float twin with the int
-    # spec's report; checked afresh, its translation lattice is no IntMatrix
+def test_a_spec_with_an_exponent_that_is_not_an_int_is_refused_before_the_memo():
+    # 2.0 == 2 and True == 1, so a memo lookup would answer these specs
+    # with the report of an int spec; e1 -> 0.5 e1, e2 -> 2 e2 is no
+    # automorphism of Z^2 at all
     spec = witness(ZnSemidirectZ(tahara_form_order3(1)), "phi_alpha", 2)
-    twin = AutomorphismSpec(spec.family, tuple(tuple(map(float, img)) for img in spec.images))
-    before = _memo_counts()
-    with pytest.raises(TypeError, match="matrix entries must be integers"):
-        verify_automorphism(twin)
-    assert _memo_counts() == before
+    specs = [
+        (AutomorphismSpec(spec.family, tuple(tuple(map(float, img)) for img in spec.images)), r"-?\d+\.0"),
+        (AutomorphismSpec(FreeAbelian(2), ((0.5, 0), (0, 2))), r"0\.5"),
+        (AutomorphismSpec(FreeAbelian(2), ((True, 0), (0, 1))), "True"),
+    ]
+    before = _memo_counts(), groups._holonomy_reading.cache_info()
+    for bad, exponent in specs:
+        with pytest.raises(ValueError, match="^an exponent must be an integer, got %s$" % exponent):
+            verify_automorphism(bad)
+    assert (_memo_counts(), groups._holonomy_reading.cache_info()) == before
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -710,6 +716,18 @@ def test_witness_errors():
         witness(ZnSemidirectZ(FIB), "M_m", 1)  # needs the -I action
     with pytest.raises(UnknownWitnessError):
         witness(HnSemidirectZ(2, 1, 0), "M_r", 3)  # odd trace impossible here
+
+
+@pytest.mark.parametrize("fam", [HnSemidirectZ(2, 0, 1), HnSemidirectZ(2, 2, -3), HnSemidirectZ(4, 0, 1)], ids=repr)
+def test_m_r_with_even_n_and_only_l_odd(fam):
+    # the quotient block (r+1, r/2; -2, -1) of the even-n, odd-l branch
+    for r in (2, 4, 10):
+        spec = witness(fam, "M_r", r)
+        assert fam.layer_matrices(spec)[1] == IntMatrix.from_rows([[r + 1, r // 2], [-2, -1]])
+        assert verify_automorphism(spec) and reference_verify(spec)
+        assert rnumber(spec) == RNumber(4 * r)
+        labeling = label_classes(spec, 2)
+        assert labeling.complete and labeling.class_count == 4 * r
 
 
 @pytest.mark.parametrize("param", [True, 2.5, 2.0, "3"])

@@ -153,10 +153,14 @@ def test_every_module_parses_at_the_declared_python_floor():
 
 def test_only_groups_imports_dataclasses_or_inspect():
     # the import tests above cannot see a module loaded after groups, which
-    # has already paid for dataclasses (AutomorphismSpec)
-    importers = set()
+    # has already paid for dataclasses (AutomorphismSpec); a NamedTuple or
+    # namedtuple class costs each request the exec of its methods too
+    importers, named_tuples = set(), set()
     for path in (ROOT / "src" / "reidemeister").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
+            aliases = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            if {getattr(node, "id", None), getattr(node, "attr", None), *aliases} & {"NamedTuple", "namedtuple"}:
+                named_tuples.add(path.stem)
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -166,6 +170,7 @@ def test_only_groups_imports_dataclasses_or_inspect():
             if any(name.split(".")[0] in ("dataclasses", "inspect") for name in names):
                 importers.add(path.stem)
     assert importers == {"groups"}
+    assert not named_tuples, named_tuples
 
 
 def test_every_module_level_cache_is_bounded():

@@ -49,7 +49,7 @@ from canonical_reference import (
     reference_hn_mixed,
     _find_torsion_direction,
 )
-from conftest import random_det_one, random_unimodular, unimodular_matrices
+from conftest import _compose, random_det_one, random_unimodular, unimodular_matrices
 from power_reference import reference_power
 from snf_reference import smith_normal_form, tahara_index
 from system2_reference import _system2_solutions
@@ -332,6 +332,21 @@ def test_a_block_form_keeps_its_coupling_row_and_witness():
             else:
                 assert res.trace[-1] == "system2:proven-empty"
     assert sum(outcomes.values()) == 72 * 25 and all(outcomes.values())
+
+
+def test_a_conjugated_block_form_keeps_the_answer_of_the_block(rng):
+    # P B P^-1 for B = (1, C; 0, A') and P a product of six elementary row
+    # operations: the eigenvector of 1 is now P e1, so the row Euclid of
+    # the basis change meets negative pivots and remainders that swap rows
+    hyperbolic = [IntMatrix(2, 2, e) for e in product(range(-3, 4), repeat=4) if e[0] * e[3] - e[1] * e[2] == 1]
+    hyperbolic = [a for a in hyperbolic if abs(a.trace()) > 2]
+    for _ in range(100):
+        a_prime, c_row = rng.choice(hyperbolic), (rng.randint(-2, 2), rng.randint(-2, 2))
+        block = IntMatrix(3, 3, (1, *c_row, 0, *a_prime.row(0), 0, *a_prime.row(1)))
+        signs = tuple(rng.choice((1, -1)) for _ in range(3))
+        p = _compose(3, signs, [(rng.randrange(3), rng.randrange(3), rng.randint(-2, 2)) for _ in range(6)])
+        res, ref = classify_z3_semidirect(p * block * p.inverse_unimodular()), classify_z3_semidirect(block)
+        assert (res.spectrum, res.trace[-1]) == (ref.spectrum, ref.trace[-1]), (block, p)
 
 
 # ---------------------------------------------------------------------------
