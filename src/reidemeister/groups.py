@@ -257,26 +257,60 @@ class GroupFamily(_Value):
         v + (I - X) Z^k (``HermiteBox``) is an invariant, and the twist by
         the lift of -w, v = r + (I - X) w, moves g onto it; below, only the
         lower layers move.  The label is r per layer, down to the bottom or
-        to a singular layer, below which it may join classes."""
+        to a singular layer, below which it may join classes.
+
+        The layers above the bottom one, B, are read once per coset: every
+        series has an abelian normal B that is central or leads the normal
+        form (``tests/test_oracle.py`` checks it), so g = b u, u being g with
+        its B coordinates 0, and z g phi(z)^-1 = (z b z^-1)(z u phi(z)^-1).
+        Every layer above reads the same r and w for each b, and at the
+        bottom g's B coordinates are beta + L b, beta those of u's end and L
+        the action on B of the product of the twists: the identity when B is
+        central (z b z^-1 = b), else read off one more chain per coordinate
+        of B.  A one-layer series is the coset u = 0."""
         blocks, actions, twist = self.layer_matrices(spec), self.actions, self._twister(spec)
         boxes = [_box(b) for b in blocks]
         cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in self.layers]
-        top, zero = len(blocks) - 1, (0,) * self.slots
+        top, zero, (_, bottom, kind) = len(blocks) - 1, (0,) * self.slots, self.layers[0]
+        first, last, pad = bottom[0], bottom[-1] + 1, zero[: len(bottom)]
 
         @lru_cache(None)
         def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
             return _box(reduce(lambda x, be: be[0] ** be[1] * x, zip(actions[::-1], e[::-1]), blocks[-2]))
 
-        def label(g):
+        def box_at(i, out):  # layer i's box, under the top labels out[0]
+            return box_under(out[0]) if i == top - 1 and actions else boxes[i]
+
+        def chain(g):  # the labels above B, top first, and g twisted onto them; None below a singular layer
             out = []
-            for i, cut in zip(range(top, -1, -1), cuts[::-1]):
-                box = box_under(out[0]) if i == top - 1 and actions else boxes[i]
+            for i, cut in zip(range(top, 0, -1), cuts[:0:-1]):
+                box = box_at(i, out)
                 r, w = box.reduce(g[cut])
                 out.append(r)
-                if not i or box.singular:
-                    return tuple(out)
+                if box.singular:
+                    return tuple(out), None
                 if any(w):
                     g = twist(zero[:cut.start] + tuple(-e for e in w) + zero[cut.stop:], g)
+            return tuple(out), g
+
+        @lru_cache(None)
+        def coset(u):  # (labels above B, B's box, beta, the rows of L or None for L = I)
+            out, end = chain(u)
+            if end is None:
+                return out, None, None, None
+            beta, rows = end[first:last], None
+            if kind != "central":  # the B coordinates of the end of e_s u, less beta, are column s of L
+                cols = [chain(u[:s] + (1,) + u[s + 1:])[1][first:last] for s in bottom]
+                rows = [tuple(c[i] - x for c in cols) for i, x in enumerate(beta)]
+            return out, box_at(0, out), beta, rows
+
+        def label(g):
+            out, box, beta, rows = coset(g[:first] + pad + g[last:])
+            if box is None:
+                return out
+            b = g[first:last]
+            v = b if rows is None else [sum(map(operator.mul, row, b)) for row in rows]
+            return out + (box.reduce(tuple(map(operator.add, beta, v)))[0],)
 
         return label
 
@@ -1009,7 +1043,7 @@ class ClassLabeling(_Value):
 def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
     """The twisted class of each element of the radius-r exponent ball;
     ValueError above MAX_BALL_SITES sites."""
-    if radius < 1:
+    if _strict_int(radius, "the radius") < 1:
         raise ValueError("radius must be >= 1")
     if not spec.verified:
         raise ValueError("spec must be verified first")

@@ -1,13 +1,19 @@
-"""The two-pass ball oracle, kept as the reference for ``label_classes``.
+"""Two references for ``label_classes``.
 
-It saturates the radius-(r+1) and radius-(r+2) balls from scratch with a
-tuple-keyed union-find and two ``multiply`` calls per edge, which is
-slow but short enough to audit by eye.
+The two-pass ball oracle saturates the radius-(r+1) and radius-(r+2)
+balls from scratch with a tuple-keyed union-find and two ``multiply``
+calls per edge, which is slow but short enough to audit by eye.
+
+The per-site series labeler reads each site's label off the series top
+down, with one reduce per layer and one twist per upper layer at every
+site.  ``label_classes`` does the upper layers once per coset of the
+bottom layer; its labels, numbering included, must equal these.
 """
 
+from functools import lru_cache, reduce
 from itertools import product
 
-from reidemeister.groups import AutomorphismSpec, ClassLabeling
+from reidemeister.groups import AutomorphismSpec, ClassLabeling, ZnSemidirectZ, _box
 
 
 class _UnionFind:
@@ -77,3 +83,42 @@ def reference_label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabelin
             assigned[root] = len(assigned)
         labels[g] = assigned[root]
     return ClassLabeling(radius, labels, complete)
+
+
+def reference_class_labeler(spec: AutomorphismSpec):
+    """The label of an element's twisted class, read off the series top
+    down at each site: each layer's box point r of v + (I - X) Z^k, then
+    the twist by the lift of -w, v = r + (I - X) w, and the next layer
+    down; the holonomy branch of Z^n x|_A Z keeps its own labeler."""
+    fam = spec.family
+    if isinstance(fam, ZnSemidirectZ) and fam._holonomy(spec) is not None:
+        return fam.class_labeler(spec)
+    blocks, actions, twist = fam.layer_matrices(spec), fam.actions, fam._twister(spec)
+    boxes = [_box(b) for b in blocks]
+    cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in fam.layers]
+    top, zero = len(blocks) - 1, (0,) * fam.slots
+
+    @lru_cache(None)
+    def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
+        return _box(reduce(lambda x, be: be[0] ** be[1] * x, zip(actions[::-1], e[::-1]), blocks[-2]))
+
+    def label(g):
+        out = []
+        for i, cut in zip(range(top, -1, -1), cuts[::-1]):
+            box = box_under(out[0]) if i == top - 1 and actions else boxes[i]
+            r, w = box.reduce(g[cut])
+            out.append(r)
+            if not i or box.singular:
+                return tuple(out)
+            if any(w):
+                g = twist(zero[:cut.start] + tuple(-e for e in w) + zero[cut.stop:], g)
+
+    return label
+
+
+def reference_labels(spec: AutomorphismSpec, radius: int) -> dict:
+    """The per-site labels of the radius-r ball, numbered in first-seen
+    order over the sorted ball."""
+    label, assigned = reference_class_labeler(spec), {}
+    ball = product(range(-radius, radius + 1), repeat=spec.family.slots)
+    return {g: assigned.setdefault(label(g), len(assigned)) for g in ball}

@@ -5,6 +5,7 @@ one to the last slot."""
 
 from dataclasses import replace
 from itertools import product
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from reidemeister.exactlin import IntMatrix, parse_matrix
 from reidemeister.groups import (
     FAMILIES,
+    THREE_STEP,
     AutomorphismSpec,
     FreeAbelian,
     Heisenberg,
@@ -26,7 +28,7 @@ from reidemeister.groups import (
     verify_automorphism,
     witness,
 )
-from oracle_reference import reference_label_classes
+from oracle_reference import reference_label_classes, reference_labels
 
 I2 = IntMatrix.identity(2)
 I3 = IntMatrix.identity(3)
@@ -223,3 +225,61 @@ def test_labels_are_twisted_class_invariants(data):
     z = fam.element(data.draw(st.tuples(*[st.integers(-3, 3)] * fam.slots)))
     h = fam.multiply(fam.multiply(z, g), fam.inverse(spec.apply(z)))
     assert label(h) == label(g)
+
+
+@pytest.mark.parametrize("spec", INVARIANCE_SPECS.values(), ids=INVARIANCE_SPECS.keys())
+def test_labels_equal_the_per_site_labeler(spec):
+    # labelling once per coset of the bottom layer changes no label and no
+    # number, also where R = oo and the two-pass reference pins only counts
+    assert list(label_classes(spec, 2).labels.items()) == list(reference_labels(spec, 2).items())
+
+
+@pytest.mark.parametrize(
+    "family, wid, param, radius",
+    ACCEPTANCE_CORPUS + ORACLE_SHAPES,
+    ids=lambda v: v.json_tag if hasattr(v, "json_tag") else str(v),
+)
+def test_ball_shapes_equal_the_per_site_labeler(family, wid, param, radius):
+    spec = witness(family, wid, param)
+    assert list(label_classes(spec, radius).labels.items()) == list(reference_labels(spec, radius).items())
+
+
+@pytest.mark.parametrize(
+    "family",
+    [spec.family for spec in AFFINITY_SPECS.values()] + [THREE_STEP, ZnSemidirectZ(I2), ZnSemidirectZ(I3)],
+    ids=lambda fam: repr(fam),
+)
+def test_bottom_layer_is_central_or_leads_the_normal_form(family):
+    # the precondition of labelling once per coset: g = b u, b in the bottom
+    # layer B and u with B's coordinates 0, holds when B is central or its
+    # slots come first (B is abelian and normal in every series)
+    _, slots, kind = family.layers[0]
+    assert kind == "central" or (kind == "abelian" and slots == tuple(range(len(slots))))
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [(witness(HnSemidirectZ(1, 0, 0), "M_r", 1), 3), (witness(Heisenberg(2), "phi_m", 2), 4)],
+    ids=["hn-M_r", "heisenberg-phi_m"],
+)
+def test_labeling_work_grows_with_the_upper_cosets_not_the_ball(spec, radius, monkeypatch):
+    # one chain of at most two twists (two products each) per coset of the
+    # central bottom layer, plus the phi(z)^-1 of each distinct twist; a
+    # chain per site made 8723 and 1599 products on these two balls
+    fam = spec.family
+    calls, law = [0], type(fam).multiply
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return law(self, a, b)
+
+    monkeypatch.setattr(type(fam), "multiply", counted)
+    label_classes(spec, radius)
+    cosets = (2 * radius + 1) ** (fam.slots - len(fam.layers[0][1]))
+    assert calls[0] <= 6 * cosets
+
+
+@pytest.mark.parametrize("radius", [2.0, "2", True])
+def test_label_classes_refuses_a_radius_that_is_not_an_int(radius):
+    with pytest.raises(ValueError, match=r"^the radius must be an integer, got %s$" % re.escape(repr(radius))):
+        label_classes(INVARIANCE_SPECS["heisenberg"], radius)
