@@ -9,7 +9,12 @@ The module provides:
 
 * ``IntMatrix``, an immutable dense matrix (``from_rows`` and the
   parsers take int entries only; nothing is truncated);
-* exact determinants and unimodular inverses;
+* ``_entries_mul``, the one product of row-major entry tuples, of any
+  compatible shape: ``IntMatrix.__mul__``, ``IntMatrix.apply`` and the
+  power walks all call it;
+* exact determinants, read off the entries for 1x1 and 2x2 in
+  ``IntMatrix.det`` alone and by Bareiss (``_det``) above that, and
+  unimodular inverses through the adjugate;
 * ``_power_sum`` and ``_power``, the one source of matrix powers and geometric
   sums (``IntMatrix.__pow__`` and the group laws read their bounded cache);
 * ``unit_root_split``, the eigenvalue case of a 3x3 unimodular matrix:
@@ -141,11 +146,7 @@ class IntMatrix(_Value):
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        c = len(cols)
-        if c == 0:
-            raise DimensionError("matrix needs at least one column")
-        r = len(cols[0])
-        return cls.from_rows([[cols[j][i] for j in range(c)] for i in range(r)])
+        return cls.from_rows(cols).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -165,7 +166,7 @@ class IntMatrix(_Value):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -198,12 +199,7 @@ class IntMatrix(_Value):
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError("cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix(self.rows, other.cols, _entries_mul(self.cols, other.cols, self.entries, other.entries))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
@@ -212,7 +208,7 @@ class IntMatrix(_Value):
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise DimensionError("vector length %d does not match %d columns" % (len(vec), self.cols))
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return _entries_mul(self.cols, 1, self.entries, vec)
 
     def __pow__(self, k: int) -> "IntMatrix":
         """M^k through the shared power cache; k < 0 needs M unimodular."""
@@ -220,14 +216,15 @@ class IntMatrix(_Value):
         return IntMatrix(self.rows, self.rows, _power(self.entries, k))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        return IntMatrix(self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.column(j)))
 
     def trace(self) -> int:
         self._require_square("trace")
         return sum(self[i, i] for i in range(self.rows))
 
     def det(self) -> int:
-        """1x1 and 2x2 read off the entries; larger sizes by Bareiss."""
+        """The one place 1x1 and 2x2 determinants are read off the entries;
+        larger sizes by Bareiss (``_det``)."""
         self._require_square("determinant")
         if self.rows == 1:
             return self.entries[0]
@@ -249,17 +246,15 @@ class IntMatrix(_Value):
         return adj if d == 1 else -adj
 
     def _adjugate(self) -> "IntMatrix":
-        n = self.rows
+        n, e = self.rows, self.entries
         if n == 1:
             return IntMatrix(1, 1, (1,))
-        cof = []
-        rows = self.to_rows()
-        for i in range(n):
-            for j in range(n):
-                minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-                cof.append((-1) ** (i + j) * _det(minor))
-        # adjugate is the transposed cofactor matrix
-        return IntMatrix(n, n, tuple(cof[j * n + i] for i in range(n) for j in range(n)))
+
+        def minor(i, j):  # M without row i and column j
+            return IntMatrix(n - 1, n - 1, tuple(e[r * n + c] for r in range(n) if r != i for c in range(n) if c != j))
+
+        # entry (i, j) of the adjugate is the (j, i) cofactor
+        return IntMatrix(n, n, tuple((-1) ** (i + j) * minor(j, i).det() for i in range(n) for j in range(n)))
 
     # -- text / JSON ---------------------------------------------------------
 
@@ -271,12 +266,9 @@ class IntMatrix(_Value):
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a list-of-lists copy."""
+    """Fraction-free (Bareiss) determinant of square rows, exact from 1x1
+    up; the rows are copied, not changed."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -315,25 +307,28 @@ def _power_and_sum(entries: tuple[int, ...], k: int) -> tuple[tuple[int, ...], t
     power = IntMatrix.identity(n).entries
     total = (0,) * (n * n)
     for bit in bin(abs(k))[2:]:
-        total = tuple(map(operator.add, total, _entries_mul(n, power, total)))
-        power = _entries_mul(n, power, power)
+        total = tuple(map(operator.add, total, _entries_mul(n, n, power, total)))
+        power = _entries_mul(n, n, power, power)
         if bit == "1":
             total = tuple(map(operator.add, total, power))
-            power = _entries_mul(n, power, base)
+            power = _entries_mul(n, n, power, base)
     if k < 0:
         # S_k = -(A^-1 + ... + A^k) = -A^-1 (I + A^-1 + ... + A^(k+1))
-        total = tuple(-v for v in _entries_mul(n, base, total))
+        total = tuple(-v for v in _entries_mul(n, n, base, total))
     return power, total
 
 
-def _entries_mul(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    if n == 2:
-        a, b, c, d = x
+def _entries_mul(k: int, c: int, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    """The one matrix product: x times y as row-major entries, for x with
+    k columns and y of shape k x c (a vector is c = 1).  2x2 by 2x2 is
+    written out."""
+    if k == c == 2 and len(x) == 4:
+        a, b, p, d = x
         e, f, g, h = y
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    rows = [x[i * n:(i + 1) * n] for i in range(n)]
-    cols = [y[j::n] for j in range(n)]
-    return tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
+        return (a * e + b * g, a * f + b * h, p * e + d * g, p * f + d * h)
+    rows = [x[i : i + k] for i in range(0, len(x), k)]
+    cols = [y[j::c] for j in range(c)]
+    return tuple([sum(map(operator.mul, r, col)) for r in rows for col in cols])
 
 
 @lru_cache(maxsize=1024)
@@ -343,7 +338,7 @@ def _entries_order(entries: tuple[int, ...]) -> int | None:
     n = math.isqrt(len(entries))
     power = ident = IntMatrix.identity(n).entries
     for d in range(1, 7):
-        power = _entries_mul(n, power, entries)
+        power = _entries_mul(n, n, power, entries)
         if power == ident:
             return d
     return None

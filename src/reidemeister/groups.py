@@ -817,14 +817,13 @@ def witness(family: GroupFamily, name: str, param: int) -> AutomorphismSpec:
     return AutomorphismSpec(spec.family, spec.images, True)
 
 
-def _witness_phi_m_htz(fam: HeisenbergTimesZ, m: int) -> AutomorphismSpec:
-    return AutomorphismSpec.from_images(
-        fam, {"x": (0, 1, 0, 0), "y": (1, m, 0, 0), "z": (0, 0, -1, 0), "u": (0, 0, 0, -1)}
-    )
-
-
-def _witness_phi_m_heis(fam: Heisenberg, m: int) -> AutomorphismSpec:
-    return AutomorphismSpec.from_images(fam, {"x": (0, 1, 0), "y": (1, m, 0), "z": (0, 0, -1)})
+def _witness_phi_m(fam: Heisenberg | HeisenbergTimesZ, m: int) -> AutomorphismSpec:
+    """x -> y, y -> x y^m, z -> z^-1; on Heisenberg x Z each image is
+    padded with a 0, and u -> u^-1."""
+    images = [(0, 1, 0), (1, m, 0), (0, 0, -1)]
+    if fam.slots == 4:
+        images = [img + (0,) for img in images] + [(0, 0, 0, -1)]
+    return AutomorphismSpec(fam, tuple(images))
 
 
 def _witness_target_abelian(fam: FreeAbelian, alpha: int) -> AutomorphismSpec:
@@ -1003,8 +1002,8 @@ def _ext_decision(fam: Z2MinusIExt):
 
 
 _WITNESS_BUILDERS = {
-    (HeisenbergTimesZ, "phi_m"): _witness_phi_m_htz,
-    (Heisenberg, "phi_m"): _witness_phi_m_heis,
+    (HeisenbergTimesZ, "phi_m"): _witness_phi_m,
+    (Heisenberg, "phi_m"): _witness_phi_m,
     (FreeAbelian, "target"): _witness_target_abelian,
     (FreeAbelian, "negation"): _witness_negation,
     (ZnSemidirectZ, "M_m"): _witness_m_m,

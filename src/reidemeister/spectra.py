@@ -256,7 +256,7 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
     when there is no solution.
     """
     _system2_require(a)
-    if bound < 1:
+    if _strict_int(bound, "the bound") < 1:
         raise ValueError("bound must be >= 1")
     if abs(a.trace()) < 2:
         return System2Decision("proven-empty", None)

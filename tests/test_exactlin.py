@@ -1,9 +1,10 @@
-from itertools import permutations
+from itertools import permutations, product
 import math
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from reidemeister import exactlin
 from reidemeister.exactlin import (
     DimensionError,
     IntMatrix,
@@ -96,6 +97,65 @@ def test_matrix_algebra_basics():
     assert (FIB + (-FIB)) == IntMatrix.zero(2, 2)
     assert FIB.transpose().transpose() == FIB
     assert FIB.apply((1, 0)) == (2, 3)
+
+
+def brute_product(x: IntMatrix, y: IntMatrix) -> tuple[int, ...]:
+    # independent oracle: the triple loop over rows, columns and the inner index
+    out = []
+    for i in range(x.rows):
+        for j in range(y.cols):
+            total = 0
+            for t in range(x.cols):
+                total += x[i, t] * y[t, j]
+            out.append(total)
+    return tuple(out)
+
+
+def _entry_tuple(data, n):
+    return tuple(data.draw(st.lists(_DET_ENTRIES, min_size=n, max_size=n)))
+
+
+@pytest.mark.parametrize("r, k, c", list(product(range(1, 5), repeat=3)))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_product_and_apply_match_the_triple_loop_on_every_shape(r, k, c, data):
+    x = IntMatrix(r, k, _entry_tuple(data, r * k))
+    y = IntMatrix(k, c, _entry_tuple(data, k * c))
+    expected = brute_product(x, y)
+    assert x * y == IntMatrix(r, c, expected)
+    for j in range(c):
+        assert x.apply(y.column(j)) == x.apply(list(y.column(j))) == expected[j::c]
+    with pytest.raises(DimensionError):
+        x * IntMatrix.zero(k + 1, c)
+    with pytest.raises(DimensionError):
+        x.apply((0,) * (k + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_matrix_times_its_adjugate_is_the_determinant(n, data):
+    m = IntMatrix(n, n, _entry_tuple(data, n * n))
+    scalar = IntMatrix.identity(n).scale(m.det())
+    assert m * m._adjugate() == m._adjugate() * m == scalar
+
+
+def test_products_apply_and_powers_reach_the_one_product_kernel(monkeypatch):
+    # a second product loop in IntMatrix would leave one of these at 0
+    calls, kernel = [0], exactlin._entries_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(exactlin, "_entries_mul", counted)
+    a = parse_matrix("2,1,0;1,1,4;0,3,1")
+    for use in (lambda: a * a, lambda: a.apply((1, 2, 3)), lambda: a ** 5):
+        exactlin._walk.cache_clear()
+        exactlin._entries_order.cache_clear()
+        calls[0] = 0
+        use()
+        assert calls[0] >= 1
 
 
 def test_power_sum_identity(rng):

@@ -146,6 +146,15 @@ def test_verify_phi_m():
     assert verify_automorphism(spec).ok
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_phi_m_images_on_both_heisenberg_families(m):
+    # the images each family's phi_m builder wrote out before they shared one
+    heis = {"x": (0, 1, 0), "y": (1, m, 0), "z": (0, 0, -1)}
+    htz = {"x": (0, 1, 0, 0), "y": (1, m, 0, 0), "z": (0, 0, -1, 0), "u": (0, 0, 0, -1)}
+    for fam, images in ((Heisenberg(2), heis), (HeisenbergTimesZ(3), htz)):
+        assert witness(fam, "phi_m", m) == AutomorphismSpec(fam, AutomorphismSpec.from_images(fam, images).images, True)
+
+
 def test_verify_rejects_center_doubling():
     spec = AutomorphismSpec.from_images(
         Heisenberg(3), {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 2)}

@@ -1,4 +1,5 @@
 from itertools import product
+import re
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,12 @@ def test_system2_rejects_bad_hypotheses():
         decide_system2(parse_matrix("1,1;1,0"), 10)  # det -1
     with pytest.raises(HypothesisError):
         decide_system2(parse_matrix("1,1;0,1"), 10)  # eigenvalue 1
+
+
+@pytest.mark.parametrize("bound", [2.5, True, "10"])
+def test_system2_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(ValueError, match=r"^the bound must be an integer, got %s$" % re.escape(repr(bound))):
+        decide_system2(FIB, bound)
 
 
 def test_system2_witness_invariants():
