@@ -22,9 +22,9 @@ imported where a subcommand uses them, so ``decide``, ``tables`` and
 ``phi_eight`` witness, which reads its block off a spectrum.
 Only the requests that load ``groups`` import ``dataclasses`` (and with
 it ``inspect``), for ``AutomorphismSpec``, which callers
-``dataclasses.replace``; the other value classes are written by hand
-(``exactlin._Value``), as a decorated or named-tuple class costs each
-request its ``exec``.
+``dataclasses.replace``; the other value classes declare their fields
+on one hand-written base (``exactlin._Value``), as a decorated or
+named-tuple class costs each request its ``exec``.
 """
 
 from __future__ import annotations
@@ -300,8 +300,8 @@ def run(argv, stdout=None, stderr=None) -> int:
         stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
     except AssertionError as exc:
-        # a failed internal consistency check (witness verification, the
-        # block basis change of a z3 matrix) is reported, never a traceback
+        # a witness construction that fails its own verification
+        # (groups.witness) is reported, never a traceback
         stderr.write("error: internal error: %s\n" % exc)
         return EXIT_ERROR
 

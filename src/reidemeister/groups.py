@@ -714,10 +714,7 @@ class AutomorphismSpec:
 
 class VerificationResult(_Value):
     __slots__ = _fields = ("ok", "failure")
-
-    def __init__(self, ok: bool, failure: str | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failure", failure)
+    _defaults = {"failure": None}
 
     def __bool__(self) -> bool:
         return self.ok
@@ -1028,11 +1025,6 @@ class ClassLabeling(_Value):
     classes, is a proof; with R infinite it is False."""
 
     __slots__ = _fields = ("ball_radius", "labels", "complete")
-
-    def __init__(self, ball_radius: int, labels: Mapping[tuple[int, ...], int], complete: bool):
-        object.__setattr__(self, "ball_radius", ball_radius)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "complete", complete)
 
     @property
     def class_count(self) -> int:

@@ -72,65 +72,49 @@ class SpectrumDescriptor(_Value):
     """
 
     __slots__ = _fields = ("kind", "values", "c", "candidates", "bound")
+    _defaults = dict.fromkeys(_fields[1:])
 
-    def __init__(
-        self,
-        kind: str,
-        values: tuple[int, ...] | None = None,
-        c: int | None = None,
-        candidates: tuple["SpectrumDescriptor", ...] | None = None,
-        bound: int | None = None,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "bound", bound)
-
+    # the constructors pass every field by position, the base's fast path
     @classmethod
     def r_infinity(cls) -> "SpectrumDescriptor":
-        return cls("r_infinity")
+        return cls("r_infinity", None, None, None, None)
 
     @classmethod
     def finite(cls, values: Sequence[int]) -> "SpectrumDescriptor":
-        vals = tuple(sorted(set(int(v) for v in values)))
+        vals = tuple(sorted(set(_strict_int(v, "an entry of field 'values'") for v in values)))
         if not vals or vals[0] < 1:
             raise ValueError("finite spectra need a nonempty set of positive values")
-        return cls("finite", values=vals)
+        return cls("finite", vals, None, None, None)
 
     @classmethod
     def multiples(cls, c: int) -> "SpectrumDescriptor":
-        if c < 2:
+        if _strict_int(c, "field 'c'") < 2:
             raise ValueError("multiples spectra need c >= 2")
-        return cls("multiples", c=c)
+        return cls("multiples", None, c, None, None)
 
     @classmethod
     def full(cls) -> "SpectrumDescriptor":
-        return cls("full")
+        return cls("full", None, None, None, None)
 
     @classmethod
     def undecided(cls, candidates: Sequence["SpectrumDescriptor"], bound: int) -> "SpectrumDescriptor":
         cands = tuple(candidates)
         if len(cands) != 2:
             raise ValueError("undecided spectra record exactly two candidates")
-        return cls("undecided", candidates=cands, bound=bound)
+        return cls("undecided", None, None, cands, _strict_int(bound, "field 'bound'"))
 
     def to_json_dict(self) -> dict:
-        if self.kind == "r_infinity":
-            return {"kind": "r_infinity"}
-        if self.kind == "finite":
-            return {"kind": "finite", "values": list(self.values)}
-        if self.kind == "multiples":
-            return {"kind": "multiples", "c": self.c}
-        if self.kind == "full":
-            return {"kind": "full"}
-        if self.kind == "undecided":
-            return {
-                "kind": "undecided",
-                "candidates": [c.to_json_dict() for c in self.candidates],
-                "bound": self.bound,
-            }
-        raise ValueError("unknown spectrum kind %r" % self.kind)
+        """The fields that are set, values as a list and candidates as their JSON."""
+        data = {}
+        for f in self._fields:
+            value = getattr(self, f)
+            if value is not None:
+                data[f] = value
+        if self.values is not None:
+            data["values"] = list(self.values)
+        if self.candidates is not None:
+            data["candidates"] = [c.to_json_dict() for c in self.candidates]
+        return data
 
     def render(self) -> str:
         if self.kind == "r_infinity":
@@ -217,9 +201,7 @@ class System2Witness(_Value):
     def __init__(self, m: int, n: int, p: int):
         if -m * m - n * p != 1:
             raise ValueError("witness fails -m^2 - np = 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
+        super().__init__(m, n, p)
 
     @property
     def matrix(self) -> IntMatrix:
@@ -230,11 +212,8 @@ class System2Witness(_Value):
 
 
 class System2Decision(_Value):
+    # outcome: "witness" | "none-up-to-bound" | "proven-empty"
     __slots__ = _fields = ("outcome", "witness")
-
-    def __init__(self, outcome: str, witness: System2Witness | None):
-        object.__setattr__(self, "outcome", outcome)  # "witness" | "none-up-to-bound" | "proven-empty"
-        object.__setattr__(self, "witness", witness)
 
 
 def _system2_require(a: IntMatrix):
@@ -341,19 +320,9 @@ def tahara_delta(a: IntMatrix) -> int:
 
 
 class Z3EightDecision(_Value):
+    # outcome: "eight" | "r-infinity" | "proven-empty"
     __slots__ = _fields = ("outcome", "witness", "n_row", "obstruction_modulus")
-
-    def __init__(
-        self,
-        outcome: str,
-        witness: System2Witness | None,
-        n_row: tuple[int, int] | None,
-        obstruction_modulus: int | None = None,
-    ):
-        object.__setattr__(self, "outcome", outcome)  # "eight" | "r-infinity" | "proven-empty"
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "n_row", n_row)
-        object.__setattr__(self, "obstruction_modulus", obstruction_modulus)
+    _defaults = {"obstruction_modulus": None}
 
 
 def _eight_class_decision(

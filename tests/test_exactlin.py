@@ -301,6 +301,25 @@ def test_unit_root_split_expands_to_the_characteristic_polynomial(rng):
     assert 0 < cubics < 80
 
 
+def test_unit_root_split_reads_the_principal_minors_as_det_does(rng):
+    # unit_root_split writes the 2x2 principal minors out; the cubic
+    # x^3 - tr x^2 + s2 x - det with s2 their sum through IntMatrix.det must
+    # be the product it splits into, and have no root +-1 when none is split
+    for _ in range(300):
+        m = random_unimodular(rng, 3, 3)
+        s2 = sum(IntMatrix.from_rows([[m[i, i], m[i, j]], [m[j, i], m[j, j]]]).det() for i, j in ((0, 1), (0, 2), (1, 2)))
+        cubic = [-m.det(), s2, -m.trace(), 1]  # ascending
+        ones, minus_ones, residual = unit_root_split(m)
+        if (ones, minus_ones, residual) == (0, 0, None):
+            assert all(sum(c * x**i for i, c in enumerate(cubic)) for x in (1, -1))
+            continue
+        product = [1]
+        for factor in [[-1, 1]] * ones + [[1, 1]] * minus_ones + ([[*residual, 1]] if residual else []):
+            product = [sum(product[k] * factor[i - k] for k in range(len(product)) if 0 <= i - k < len(factor))
+                       for i in range(len(product) + len(factor) - 1)]
+        assert product == cubic
+
+
 def test_eigenlattice_examples():
     full = eigenlattice(-I2, -1)
     assert full.rank == 2

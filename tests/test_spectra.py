@@ -1062,6 +1062,23 @@ def test_descriptor_json_shapes():
         SpectrumDescriptor.undecided((R_INF,), 5)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SpectrumDescriptor.finite([4.7]), "an entry of field 'values'"),
+        (lambda: SpectrumDescriptor.finite(["4"]), "an entry of field 'values'"),
+        (lambda: SpectrumDescriptor.finite([True]), "an entry of field 'values'"),
+        (lambda: SpectrumDescriptor.multiples(2.5), "field 'c'"),
+        (lambda: SpectrumDescriptor.undecided((R_INF, FOUR), 2.5), "field 'bound'"),
+    ],
+    ids=["float-value", "string-value", "bool-value", "float-c", "float-bound"],
+)
+def test_descriptor_constructors_refuse_a_field_that_is_not_an_int(build, field):
+    # int() would truncate 4.7 to {4,oo}, and 2N u {oo} would render for c = 2.5
+    with pytest.raises(ValueError, match=r"^%s must be an integer, got " % re.escape(field)):
+        build()
+
+
 def test_every_rule_id_has_one_spectrum_and_a_table_row():
     # both digest corpora, the nilpotent families and the two z3 rules no
     # corpus reaches: each result's spectrum is the one RULES gives its rule

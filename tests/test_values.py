@@ -1,15 +1,20 @@
 """Value semantics of the frozen value classes (``exactlin._Value``).
 
-Each class writes its own ``__init__``, and its own ``__eq__`` and
-``__hash__`` or, for the families, ``GroupFamily``'s, so each one is
-checked here: equality needs the same class (the memos key on families,
-and ``Heisenberg(1)`` must not find ``FreeAbelian(1)``),
-the hash is that of the field tuple (set and dict orders stay those of
-the field tuples), fields cannot be assigned or deleted, and the repr is
-the dataclass repr.
+The field-only classes take the base constructor, while ``IntMatrix``,
+``RNumber``, ``SpectrumResult`` and the families write their own
+``__init__``; ``IntMatrix`` writes its own ``__eq__`` and ``__hash__``,
+and the families take ``GroupFamily``'s.  So each class is checked here:
+equality needs the same class (the memos key on families, and
+``Heisenberg(1)`` must not find ``FreeAbelian(1)``), the hash is that of
+the field tuple (set and dict orders stay those of the field tuples),
+fields cannot be assigned or deleted, and the repr is the dataclass repr.
+The base constructor's refusals and the classes that may store through
+``object.__setattr__`` are checked at the end.
 """
 
+import ast
 import copy
+from pathlib import Path
 import pickle
 
 import pytest
@@ -108,3 +113,42 @@ def test_every_value_class_has_a_case():
     covered = {type(value) for value, _, _ in CASES}
     assert covered == set(subclasses(_Value)) - {groups.GroupFamily}
     assert set(groups.FAMILIES.values()) <= covered and len(covered) == 15
+
+
+# one class per module that takes the base constructor
+BASE_BUILT = [System2Decision, ClassLabeling]
+
+
+@pytest.mark.parametrize("cls", BASE_BUILT, ids=lambda cls: cls.__name__)
+def test_the_base_constructor_refuses_a_call_that_does_not_bind_each_field_once(cls):
+    name, fields = cls.__name__, cls._fields
+    values = list(range(len(fields)))
+    with pytest.raises(TypeError) as too_many:
+        cls(*values, 0)
+    with pytest.raises(TypeError) as unknown:
+        cls(*values, not_a_field=0)
+    with pytest.raises(TypeError) as missing:
+        cls()
+    with pytest.raises(TypeError) as repeated:
+        cls(*values, **{fields[0]: 0})
+    assert str(too_many.value) == "%s takes %d fields, got %d values" % (name, len(fields), len(fields) + 1)
+    assert str(unknown.value) == "%s got an unknown field 'not_a_field'" % name
+    assert str(missing.value) == "%s is missing field %r" % (name, fields[0])
+    assert str(repeated.value) == "%s got a repeated field %r" % (name, fields[0])
+    assert cls(*values) == cls(**dict(zip(fields, values)))
+
+
+def test_only_the_classes_that_write_their_own_init_store_through_object_setattr():
+    # a field-only class declares ``_fields`` and takes the base constructor
+    allowed = {"_Value", "IntMatrix", "RNumber", "SpectrumResult"} | {fam.__name__ for fam in groups.FAMILIES.values()}
+    found = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "reidemeister").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost class; a module-level use is under None
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and getattr(node.value, "id", None) == "object":
+                found.add(owner.get(id(node)))
+    assert found and found <= allowed, found - allowed
+    for cls in (SpectrumDescriptor, System2Decision, Z3EightDecision, VerificationResult, ClassLabeling):
+        assert "__init__" not in vars(cls), cls
