@@ -72,13 +72,13 @@ class _Value:
     (``IntMatrix``, ``twisted.RNumber``, ``spectra.SpectrumResult``) check
     their fields in their own ``__init__`` and store them there: an
     ``IntMatrix`` took 0.58 us so against 0.79 us checking and then
-    calling the base (CPython 3.11, Xeon).  The group families write
-    theirs too, as they keep fields and series in ``__dict__``.  Values are
-    equal when they have the same class and equal field tuples, and hash as
-    the field tuple; the hot memo keys, ``IntMatrix`` and the families,
-    write ``__eq__`` and ``__hash__`` out for speed.  The base also gives
-    the dataclass repr, refuses assignment and deletion, and pickles by the
-    fields."""
+    calling the base (CPython 3.11, Xeon).  The group families bind
+    through ``_bind`` too, and ``groups.GroupFamily`` keeps their fields
+    and series in ``__dict__``.  Values are equal when they have the same
+    class and equal field tuples, and hash as the field tuple; the hot
+    memo keys, ``IntMatrix`` and the families, write ``__eq__`` and
+    ``__hash__`` out for speed.  The base also gives the dataclass repr,
+    refuses assignment and deletion, and pickles by the fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -92,22 +92,26 @@ class _Value:
     def __init__(self, *args, **kwargs):
         setters = self._setters
         if kwargs or len(args) != len(setters):
-            # bind by name; omitted trailing fields take their defaults
-            cls, fields, values = self.__class__.__name__, self._fields, list(args)
-            if len(args) > len(fields):
-                raise TypeError("%s takes %d fields, got %d values" % (cls, len(fields), len(args)))
-            for f in fields[len(args):]:
-                if f not in kwargs and f not in self._defaults:
-                    raise TypeError("%s is missing field %r" % (cls, f))
-                values.append(kwargs.pop(f) if f in kwargs else self._defaults[f])
-            if kwargs:
-                f = next(iter(kwargs))
-                raise TypeError("%s got %s field %r" % (cls, "a repeated" if f in fields else "an unknown", f))
-            args = values
+            args = self._bind(args, kwargs)
         i = 0  # an index, not zip: 0.44 us for two fields against 0.60
         for value in args:
             setters[i](self, value)
             i += 1
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call, bound by name; omitted trailing fields take their defaults."""
+        name, fields, values = cls.__name__, cls._fields, list(args)
+        if len(args) > len(fields):
+            raise TypeError("%s takes %d fields, got %d values" % (name, len(fields), len(args)))
+        for f in fields[len(args):]:
+            if f not in kwargs and f not in cls._defaults:
+                raise TypeError("%s is missing field %r" % (name, f))
+            values.append(kwargs.pop(f) if f in kwargs else cls._defaults[f])
+        if kwargs:
+            f = next(iter(kwargs))
+            raise TypeError("%s got %s field %r" % (name, "a repeated" if f in fields else "an unknown", f))
+        return tuple(values)
 
     def _field_values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

@@ -51,9 +51,11 @@ commuting pair of actions as an independent check.  The matrix-backed
 laws read A^k (``exactlin._power``) and the geometric sums
 (``exactlin._power_sum``) from one bounded power cache; an action of
 finite order reduces the exponent modulo its order first, in O(1).
-Exponents, parameters and n0 must be ints: the constructors and JSON
-decoding refuse a float, a string or a boolean with a ValueError naming
-the field.
+Exponents, parameters and n0 must be ints: each family's ``_series``
+refuses a parameter, and ``element`` and ``verify_automorphism`` an
+exponent, that is a float, a string or a boolean, with a ValueError
+naming the field.  JSON decoding (``family_from_json``) also refuses a
+missing field and any key other than the tag and the family's fields.
 """
 
 from __future__ import annotations
@@ -93,13 +95,6 @@ MAX_RANK = 4  # FreeAbelian(n): the package answers for Hirsch length <= 4
 MEMO_SIZE = 64
 
 
-def _json_matrix(data: Mapping) -> IntMatrix:
-    try:
-        return matrix_from_json(data["matrix"])
-    except MatrixParseError as exc:
-        raise ValueError("field 'matrix': %s" % exc) from None
-
-
 # ---------------------------------------------------------------------------
 # Families
 
@@ -107,12 +102,15 @@ def _json_matrix(data: Mapping) -> IntMatrix:
 class GroupFamily(_Value):
     """Base class of the family table.
 
-    Each subclass is one row: its JSON tag and decoder, its group law on
-    exponent tuples, and its polycyclic series.  The law is the only
-    description of the group: its normal forms are in slot order, and the
-    base class derives the inverse and the powers from it, as
-    ``verify_automorphism`` derives the relations.  The series is set once
-    per instance (``_declare``):
+    Each subclass is one row: its JSON tag, its parameters (``_fields``),
+    its group law on exponent tuples, and its polycyclic series.  The law
+    is the only description of the group: its normal forms are in slot
+    order, and the base class derives the inverse and the powers from it,
+    as ``verify_automorphism`` derives the relations.  The base
+    constructor binds the parameters as every ``_Value`` does (keywords,
+    ``_defaults``, a ``TypeError`` naming the class for a field missing,
+    repeated or unknown); the family's one hook, ``_series``, checks them
+    and returns its generator names and its series:
 
     - ``layers``: (name, slots, kind) per layer, bottom first,
       partitioning the slots into runs of consecutive slots; conjugation
@@ -132,25 +130,34 @@ class GroupFamily(_Value):
     ``verify_automorphism`` which collection relations the series already
     proves (``open_relations``).  ``tests/test_groups.py`` checks each
     series, kinds included, against ``multiply``.
-    FAMILIES maps each tag to its subclass.  The parameters are the
-    fields (``_fields``); the series, and the field tuple that equality
-    and the hash read, are written beside them in the instance
-    ``__dict__``.
+    FAMILIES maps each tag to its subclass.  The fields, the series, and
+    the field tuple that equality and the hash read (``_key``) are kept
+    in the instance ``__dict__``.
+
+    The JSON form is the tag and then each field under its name, read
+    back by ``from_json``: a matrix field, ``action``, is written under
+    "matrix" as its rows, a vector field as an array, an int as it is.
     """
 
     json_tag: ClassVar[str]
-    generator_names: tuple[str, ...] = ()
-    layers: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    actions: tuple[IntMatrix, ...] | None = None
-    route: str = ""
+    _json_keys: ClassVar[tuple[str, ...]]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._json_keys = tuple("matrix" if f == "action" else f for f in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        d = self.__dict__
+        d.update(zip(fields, args))
+        d["generator_names"], d["layers"], d["route"], d["actions"] = self._series()
+        d["_key"] = tuple(map(d.__getitem__, fields))  # after the hook, which may normalise a field
 
     @property
     def slots(self) -> int:
         return len(self.generator_names)
-
-    def _declare(self, names, layers, route, actions=None):
-        """Set the generator names, the series and the field tuple."""
-        vars(self).update(generator_names=names, layers=layers, actions=actions, route=route, _key=self._field_values())
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -194,19 +201,24 @@ class GroupFamily(_Value):
                 result = self.multiply(result, base)
         return result
 
-    # JSON: the tag plus the integer parameters, which the constructor
-    # checks (``_require_int_fields``); families with matrix parameters
-    # override both directions
     def to_json_dict(self) -> dict:
-        return {"tag": self.json_tag, **{f: getattr(self, f) for f in self._fields}}
+        data = {"tag": self.json_tag}
+        for key, value in zip(self._json_keys, self._key):
+            data[key] = value.to_rows() if key == "matrix" else list(value) if value.__class__ is tuple else value
+        return data
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupFamily":
-        return cls(*(data[f] for f in cls._fields))
-
-    def _require_int_fields(self):
-        for f in self._fields:
-            _strict_int(getattr(self, f), "field %r" % f)
+        """The family of a JSON object; a KeyError for a missing field."""
+        keys = cls._json_keys
+        for key in data:
+            if key not in keys and key != "tag":
+                raise ValueError("family %r has no field %r" % (cls.json_tag, key))
+        try:
+            values = [matrix_from_json(data[key]) if key == "matrix" else data[key] for key in keys]
+        except MatrixParseError as exc:
+            raise ValueError("field 'matrix': %s" % exc) from None
+        return cls(*values)
 
     # the series read off an automorphism spec of this family
     def layer_matrices(self, spec: "AutomorphismSpec") -> list[IntMatrix]:
@@ -363,15 +375,14 @@ class FreeAbelian(GroupFamily):
     json_tag = "free-abelian"
     _fields = ("n",)
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-        self._require_int_fields()
-        if self.n < 1:
+    def _series(self):
+        n = _strict_int(self.n, "field 'n'")
+        if n < 1:
             raise ValueError("rank must be >= 1")
-        if self.n > MAX_RANK:
-            raise ValueError("rank %d exceeds MAX_RANK = %d, the largest Hirsch length in scope" % (self.n, MAX_RANK))
-        names = tuple("e%d" % (i + 1) for i in range(self.n))
-        self._declare(names, (("lattice", tuple(range(self.n)), "abelian"),), "rnumber:lattice")
+        if n > MAX_RANK:
+            raise ValueError("rank %d exceeds MAX_RANK = %d, the largest Hirsch length in scope" % (n, MAX_RANK))
+        names = tuple("e%d" % (i + 1) for i in range(n))
+        return names, (("lattice", tuple(range(n)), "abelian"),), "rnumber:lattice", None
 
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -386,13 +397,11 @@ class Heisenberg(GroupFamily):
     json_tag = "heisenberg"
     _fields = ("n",)
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-        self._require_int_fields()
-        if self.n < 1:
+    def _series(self):
+        if _strict_int(self.n, "field 'n'") < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         layers = (("center", (2,), "central"), ("quotient", (0, 1), None))
-        self._declare(("x", "y", "z"), layers, "rnumber:center-times-quotient")
+        return ("x", "y", "z"), layers, "rnumber:center-times-quotient", None
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a, b)
@@ -402,13 +411,11 @@ class HeisenbergTimesZ(GroupFamily):
     json_tag = "heisenberg-times-z"
     _fields = ("n",)
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-        self._require_int_fields()
-        if self.n < 1:
+    def _series(self):
+        if _strict_int(self.n, "field 'n'") < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         layers = (("center", (2, 3), "central"), ("quotient", (0, 1), None))
-        self._declare(("x", "y", "z", "u"), layers, "rnumber:center-times-quotient")
+        return ("x", "y", "z", "u"), layers, "rnumber:center-times-quotient", None
 
     def multiply(self, a, b):
         return _heis_mul(self.n, a[:3], b[:3]) + (a[3] + b[3],)
@@ -421,22 +428,21 @@ class ZnSemidirectZ(GroupFamily):
     json_tag = "zn-semidirect-z"
     _fields = ("action",)
 
-    def __init__(self, action: IntMatrix):
-        object.__setattr__(self, "action", action)
-        n = self.action.rows
+    def _series(self):
+        action = self.action
+        n = action.rows
         if n >= MAX_RANK:
             raise ValueError(
                 "a %dx%d action gives Hirsch length %d, above MAX_RANK = %d, the largest Hirsch length in scope"
-                % (n, self.action.cols, n + 1, MAX_RANK)
+                % (n, action.cols, n + 1, MAX_RANK)
             )
-        if not self.action.is_unimodular:
+        if not action.is_unimodular:
             raise ValueError("the acting matrix must be unimodular")
         names = tuple("e%d" % (i + 1) for i in range(n)) + ("t",)
-        if self.action == IntMatrix.identity(n):
-            self._declare(names, (("lattice", tuple(range(n + 1)), "abelian"),), "rnumber:lattice")
-        else:
-            layers = (("lattice", tuple(range(n)), "abelian"), ("quotient", (n,), None))
-            self._declare(names, layers, "rnumber:two-step-addition", (self.action,))
+        if action == IntMatrix.identity(n):
+            return names, (("lattice", tuple(range(n + 1)), "abelian"),), "rnumber:lattice", None
+        layers = (("lattice", tuple(range(n)), "abelian"), ("quotient", (n,), None))
+        return names, layers, "rnumber:two-step-addition", (action,)
 
     @property
     def n(self) -> int:
@@ -446,13 +452,6 @@ class ZnSemidirectZ(GroupFamily):
         n = self.n
         p = _power(self.action.entries, a[n])
         return tuple(a[i] + sum(map(operator.mul, p[i * n:(i + 1) * n], b)) for i in range(n)) + (a[n] + b[n],)
-
-    def to_json_dict(self):
-        return {"tag": self.json_tag, "matrix": self.action.to_rows()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(_json_matrix(data))
 
     # The holonomy branch: when A has finite order d, the e_i images may
     # leave the lattice, and the translation lattice <t^d, e1..en> is the
@@ -551,16 +550,16 @@ class Z2MinusIExt(GroupFamily):
     json_tag = "z2-minusi-ext"
     _fields = ("action", "n0")
 
-    def __init__(self, action: IntMatrix, n0: tuple[int, int]):
+    def _series(self):
+        action, n0 = self.action, self.n0
         if action.rows != 2 or action.cols != 2 or not action.is_unimodular:
             raise ValueError("the outer action must be a unimodular 2x2 matrix")
-        if len(n0) != 2:
-            raise ValueError("n0 must be a length-2 integer vector")
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "n0", tuple(_strict_int(v, "an entry of n0") for v in n0))
+        if n0.__class__ not in (tuple, list) or len(n0) != 2:
+            raise ValueError("field 'n0' must be an array of two integers, got %r" % (n0,))
+        self.__dict__["n0"] = tuple(_strict_int(v, "an entry of n0") for v in n0)  # a list, kept as a tuple
         # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by (-I)^e A^f
         layers = (("lattice", (0, 1), "abelian"), ("quotient", (2, 3), None))
-        self._declare(("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, action))
+        return ("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, action)
 
     # with S_A(l) = I + A + ... + A^(l-1), and S_-I(k') = [k' odd] I for every k':
     # v t^k u^l * v' t^k' u^l' = (v + (-1)^k (A^l v' + [k' odd] S_A(l) n0)) t^(k+k') u^(l+l')
@@ -578,15 +577,6 @@ class Z2MinusIExt(GroupFamily):
             return (x1 - w0, y1 - w1, k1 + k2, l1 + l2)
         return (x1 + w0, y1 + w1, k1 + k2, l1 + l2)
 
-    def to_json_dict(self):
-        return {"tag": self.json_tag, "matrix": self.action.to_rows(), "n0": list(self.n0)}
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data["n0"], list):
-            raise ValueError("field 'n0' must be an array of two integers, got %r" % (data["n0"],))
-        return cls(_json_matrix(data), tuple(data["n0"]))
-
     def layer_failure(self, spec):
         # the image of t acts on the lattice by +-A^k, k its u-exponent, and
         # must act by -I; an action of infinite order forces k = 0, and so
@@ -603,16 +593,14 @@ class HnSemidirectZ(GroupFamily):
     json_tag = "hn-semidirect-z"
     _fields = ("n", "k", "l")
 
-    def __init__(self, n: int, k: int, l: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        self._require_int_fields()
-        if self.n < 1:
+    def _series(self):
+        _strict_int(self.k, "field 'k'")
+        _strict_int(self.l, "field 'l'")
+        if _strict_int(self.n, "field 'n'") < 1:
             raise ValueError("Heisenberg parameter must be >= 1")
         # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
         layers = (("center", (2,), "central"), ("Heisenberg", (0, 1), None), ("quotient", (3,), None))
-        self._declare(("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,))
+        return ("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,)
 
     def multiply(self, a, b):
         x, y, z = b[:3]
@@ -637,8 +625,6 @@ def family_from_json(data: Mapping) -> GroupFamily:
         return cls.from_json(data)
     except KeyError as exc:
         raise ValueError("family %r lacks the field %s" % (tag, exc)) from None
-    except TypeError as exc:
-        raise ValueError("family %r has a malformed field: %s" % (tag, exc)) from None
 
 
 # ---------------------------------------------------------------------------

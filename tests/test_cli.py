@@ -451,6 +451,16 @@ def test_rnumber_spec_json_rejects_malformed_json(tmp_path, data, missing):
     assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
 
 
+def test_rnumber_spec_json_refuses_a_family_key_the_family_lacks(tmp_path):
+    # ignoring the key would print the count of the -I group, exit 0
+    doc = groups.witness(groups.HnSemidirectZ(1, 0, 0), "M_r", 1).to_json_dict()
+    doc["family"]["matrix"] = [[0, 1], [1, 0]]
+    spec_file = tmp_path / "extra.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
+    assert (code, out, err) == (EXIT_ERROR, "", "error: family 'hn-semidirect-z' has no field 'matrix'\n")
+
+
 # valid automorphism documents of each JSON family; every one answers exit 0
 SPEC_DOCS = [
     {

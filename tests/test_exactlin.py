@@ -281,8 +281,10 @@ def test_unit_root_split_rejects_bad_input():
 def test_unit_root_split_expands_to_the_characteristic_polynomial(rng):
     # (x - 1)^ones (x + 1)^minus_ones (x^2 + c1 x + c0) against det(xI - M)
     # at four points, which pins a monic cubic; with nothing split off, the
-    # cubic has no root +-1
-    cubics = 0
+    # cubic has no root +-1.  A quadratic left over has no rational root, as
+    # +-1 are the only ones and are divided out, so c1^2 != 4 c0: the
+    # complex-pair test of classify_z3_semidirect may read < or <=
+    cubics = quadratics = 0
     for _ in range(80):
         m = random_unimodular(rng, 3, 2)
         ones, minus_ones, residual = unit_root_split(m)
@@ -296,9 +298,12 @@ def test_unit_root_split_expands_to_the_characteristic_polynomial(rng):
                 if residual:
                     value *= x * x + residual[1] * x + residual[0]
                 assert value == (I3.scale(x) - m).det()
+        if residual:
+            quadratics += 1
+            assert residual[1] ** 2 != 4 * residual[0]
         p = random_unimodular(rng, 3, 1)
         assert unit_root_split(p * m * p.inverse_unimodular()) == (ones, minus_ones, residual)
-    assert 0 < cubics < 80
+    assert 0 < cubics < 80 and quadratics > 0
 
 
 def test_unit_root_split_reads_the_principal_minors_as_det_does(rng):

@@ -19,6 +19,7 @@ from reidemeister.groups import (
     Z2MinusIExt,
     ZnSemidirectZ,
     FAMILIES,
+    THREE_STEP,
     family_from_json,
     label_classes,
     minus_i_block_matrix,
@@ -923,6 +924,37 @@ def test_family_registry_json_roundtrip():
         data = json.loads(json.dumps(fam.to_json_dict()))
         assert data["tag"] == tag
         assert family_from_json(data) == fam
+
+
+# the JSON bytes of one family of each tag and of THREE_STEP: a key renamed
+# or reordered changes them, where a round trip would not notice
+JSON_BYTES = [
+    (FreeAbelian(3), '{"tag": "free-abelian", "n": 3}'),
+    (Heisenberg(2), '{"tag": "heisenberg", "n": 2}'),
+    (HeisenbergTimesZ(1), '{"tag": "heisenberg-times-z", "n": 1}'),
+    (ZnSemidirectZ(tahara_form_order3(1)), '{"tag": "zn-semidirect-z", "matrix": [[1, 0, 1], [0, 0, -1], [0, 1, -1]]}'),
+    (Z2MinusIExt(FIB, (1, -2)), '{"tag": "z2-minusi-ext", "matrix": [[2, 3], [3, 5]], "n0": [1, -2]}'),
+    (HnSemidirectZ(2, 1, 3), '{"tag": "hn-semidirect-z", "n": 2, "k": 1, "l": 3}'),
+    (THREE_STEP, '{"tag": "zn-semidirect-z", "matrix": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}'),
+]
+
+
+def test_family_json_bytes_are_pinned():
+    assert {fam.json_tag for fam, _ in JSON_BYTES} == set(FAMILIES)
+    for fam, text in JSON_BYTES:
+        assert json.dumps(fam.to_json_dict()) == text
+        assert family_from_json(json.loads(text)) == fam
+
+
+def test_family_json_refuses_a_key_the_family_lacks():
+    # a key of another family must not be dropped: a "matrix" on the -I
+    # family hn-semidirect-z would answer for the -I group
+    for fam, _ in JSON_BYTES:
+        data = fam.to_json_dict()
+        for key in ("n", "k", "l", "matrix", "n0", "action", ""):
+            if key not in data:
+                with pytest.raises(ValueError, match="^family %r has no field %r$" % (fam.json_tag, key)):
+                    family_from_json({**data, key: 1})
 
 
 @pytest.mark.parametrize(

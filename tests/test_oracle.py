@@ -201,15 +201,34 @@ def _identity(family) -> AutomorphismSpec:
     return AutomorphismSpec(family, tuple(family.generators()), verified=True)
 
 
-# every family and branch of AFFINITY_SPECS, and three specs with R = oo:
-# two identities, whose top layer is singular, and a lattice map whose one
-# layer is singular
+def _holonomy_twist(action: IntMatrix, images) -> AutomorphismSpec:
+    # phi(t) = v t^-1 on an action of order d: the top class is k mod
+    # c = gcd(2, d), and a twist by t^s moves k by 2 s, so the labeler
+    # reads s back through the inverse of 2 / c mod d / c
+    spec = AutomorphismSpec(ZnSemidirectZ(action), images)
+    assert verify_automorphism(spec) and spec.family._holonomy(spec)[3] == -1
+    return replace(spec, verified=True)
+
+
+# every family and branch of AFFINITY_SPECS, and six specs with R = oo:
+# two identities, whose top layer is singular, a lattice map whose one
+# layer is singular, and three holonomy maps with q = -1 whose top class is
+# twisted (d = 3, c = 1; d = 4, c = 2; d = 6, c = 2)
 INVARIANCE_SPECS = {
     **AFFINITY_SPECS,
     "identity-hn": _identity(HnSemidirectZ(2, 1, 3)),
     "identity-double-ext": _identity(Z2MinusIExt(WEL, (1, 0))),
     "far-translation": replace(
         AutomorphismSpec.from_images(FreeAbelian(2), {"e1": (1, 10**12), "e2": (0, 1)}), verified=True
+    ),
+    "holonomy-order3": _holonomy_twist(
+        tahara_form_order3(0), ((1, 0, 0, -3), (0, 0, -1, 0), (0, -1, 0, 0), (0, -1, 0, -1))
+    ),
+    "holonomy-order4": _holonomy_twist(
+        parse_matrix("1,0,0;0,0,-1;0,1,0"), ((-1, 0, 0, -4), (0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 1, -1))
+    ),
+    "holonomy-order6": _holonomy_twist(
+        parse_matrix("1,0,0;0,1,-1;0,1,0"), ((-1, 0, 0, -6), (0, -1, 0, 0), (0, 1, 1, 0), (0, -1, 1, -1))
     ),
 }
 LABELERS = {name: spec.family.class_labeler(spec) for name, spec in INVARIANCE_SPECS.items()}

@@ -1,15 +1,16 @@
 """Value semantics of the frozen value classes (``exactlin._Value``).
 
-The field-only classes take the base constructor, while ``IntMatrix``,
-``RNumber``, ``SpectrumResult`` and the families write their own
-``__init__``; ``IntMatrix`` writes its own ``__eq__`` and ``__hash__``,
-and the families take ``GroupFamily``'s.  So each class is checked here:
-equality needs the same class (the memos key on families, and
-``Heisenberg(1)`` must not find ``FreeAbelian(1)``), the hash is that of
-the field tuple (set and dict orders stay those of the field tuples),
-fields cannot be assigned or deleted, and the repr is the dataclass repr.
-The base constructor's refusals and the classes that may store through
-``object.__setattr__`` are checked at the end.
+The field-only classes take the base constructor, and the families bind
+their fields through it in ``GroupFamily.__init__``, while ``IntMatrix``,
+``RNumber`` and ``SpectrumResult`` write their own ``__init__``;
+``IntMatrix`` writes its own ``__eq__`` and ``__hash__``, and the families
+take ``GroupFamily``'s.  So each class is checked here: equality needs the
+same class (the memos key on families, and ``Heisenberg(1)`` must not find
+``FreeAbelian(1)``), the hash is that of the field tuple (set and dict
+orders stay those of the field tuples), fields cannot be assigned or
+deleted, and the repr is the dataclass repr.  The base constructor's
+refusals, on the field-only classes and the families, and the classes that
+may store through ``object.__setattr__`` are checked at the end.
 """
 
 import ast
@@ -113,16 +114,26 @@ def test_every_value_class_has_a_case():
     covered = {type(value) for value, _, _ in CASES}
     assert covered == set(subclasses(_Value)) - {groups.GroupFamily}
     assert set(groups.FAMILIES.values()) <= covered and len(covered) == 15
+    assert set(groups.FAMILIES.values()) <= {cls for cls, _ in BASE_BUILT}
 
 
-# one class per module that takes the base constructor
-BASE_BUILT = [System2Decision, ClassLabeling]
+# one class per module that takes the base constructor, and each family,
+# which binds through it, with valid values of the fields
+BASE_BUILT = [
+    (System2Decision, (0, 1)),
+    (ClassLabeling, (0, 1, 2)),
+    (FreeAbelian, (1,)),
+    (Heisenberg, (2,)),
+    (HeisenbergTimesZ, (1,)),
+    (ZnSemidirectZ, (M,)),
+    (Z2MinusIExt, (M, (1, 0))),
+    (HnSemidirectZ, (2, 1, 0)),
+]
 
 
-@pytest.mark.parametrize("cls", BASE_BUILT, ids=lambda cls: cls.__name__)
-def test_the_base_constructor_refuses_a_call_that_does_not_bind_each_field_once(cls):
+@pytest.mark.parametrize("cls, values", BASE_BUILT, ids=[cls.__name__ for cls, _ in BASE_BUILT])
+def test_the_base_constructor_refuses_a_call_that_does_not_bind_each_field_once(cls, values):
     name, fields = cls.__name__, cls._fields
-    values = list(range(len(fields)))
     with pytest.raises(TypeError) as too_many:
         cls(*values, 0)
     with pytest.raises(TypeError) as unknown:
@@ -140,7 +151,7 @@ def test_the_base_constructor_refuses_a_call_that_does_not_bind_each_field_once(
 
 def test_only_the_classes_that_write_their_own_init_store_through_object_setattr():
     # a field-only class declares ``_fields`` and takes the base constructor
-    allowed = {"_Value", "IntMatrix", "RNumber", "SpectrumResult"} | {fam.__name__ for fam in groups.FAMILIES.values()}
+    allowed = {"IntMatrix", "RNumber", "SpectrumResult"}
     found = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "reidemeister").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -152,3 +163,6 @@ def test_only_the_classes_that_write_their_own_init_store_through_object_setattr
     assert found and found <= allowed, found - allowed
     for cls in (SpectrumDescriptor, System2Decision, Z3EightDecision, VerificationResult, ClassLabeling):
         assert "__init__" not in vars(cls), cls
+    # a family declares its fields and its ``_series``; GroupFamily builds and encodes it
+    for cls in groups.FAMILIES.values():
+        assert not {"__init__", "to_json_dict", "from_json"} & set(vars(cls)), cls
