@@ -54,8 +54,10 @@ finite order reduces the exponent modulo its order first, in O(1).
 Exponents, parameters and n0 must be ints: each family's ``_series``
 refuses a parameter, and ``element`` and ``verify_automorphism`` an
 exponent, that is a float, a string or a boolean, with a ValueError
-naming the field.  JSON decoding (``family_from_json``) also refuses a
-missing field and any key other than the tag and the family's fields.
+naming the field, and an action that is not an ``IntMatrix``.  JSON
+decoding (``family_from_json``) also refuses a missing field and any key
+other than the tag and the family's fields, and a spec's decoding any
+top-level key other than ``family`` and ``images``.
 """
 
 from __future__ import annotations
@@ -260,31 +262,42 @@ class GroupFamily(_Value):
             return INFINITE, ("rnumber:identity-quotient",)
         return reduce(operator.mul, map(r_abelian, central), r_class_sum(shift, self.actions, below)), (self.route,)
 
-    def class_labeler(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...]], tuple]:
-        """The label of an element's twisted class, read off the series top
-        down: with the layers above fixed, a twist g -> z g phi(z)^-1 by z
-        in this layer and below moves the layer's coordinates v by (I - X) w,
-        w those of z and X the layer's block (times the action of the top
-        class, on the layer below the top).  So the box point r of
-        v + (I - X) Z^k (``HermiteBox``) is an invariant, and the twist by
-        the lift of -w, v = r + (I - X) w, moves g onto it; below, only the
-        lower layers move.  The label is r per layer, down to the bottom or
-        to a singular layer, below which it may join classes.
+    def class_labeler(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...], Sequence[tuple]], list]:
+        """``row(u, grid)``: the labels of the twisted classes of the sites
+        that agree with u off the bottom layer B and have B coordinates b,
+        for each b of grid (u's own B coordinates are not read).  One
+        site's label is its one-point row.
 
-        The layers above the bottom one, B, are read once per coset: every
-        series has an abelian normal B that is central or leads the normal
-        form (``tests/test_oracle.py`` checks it), so g = b u, u being g with
+        A label is read off the series top down: with the layers above
+        fixed, a twist g -> z g phi(z)^-1 by z in this layer and below moves
+        the layer's coordinates v by (I - X) w, w those of z and X the
+        layer's block (times the action of the top class, on the layer
+        below the top).  So the box point r of v + (I - X) Z^k
+        (``HermiteBox``) is an invariant, and the twist by the lift of -w,
+        v = r + (I - X) w, moves g onto it; below, only the lower layers
+        move.  The label is (the points above B, B's point), or (the points
+        down to a singular layer, None): below a singular layer the points
+        may join classes, and such a label never equals a full one.
+
+        The layers above B are read once per coset: every series has an
+        abelian normal B that is central or leads the normal form
+        (``tests/test_oracle.py`` checks it), so g = b u, u being g with
         its B coordinates 0, and z g phi(z)^-1 = (z b z^-1)(z u phi(z)^-1).
-        Every layer above reads the same r and w for each b, and at the
-        bottom g's B coordinates are beta + L b, beta those of u's end and L
-        the action on B of the product of the twists: the identity when B is
-        central (z b z^-1 = b), else read off one more chain per coordinate
-        of B.  A one-layer series is the coset u = 0."""
+        Every layer above reads the same r and w for each b.  A coset's
+        record holds the points above B, B's box, beta (the B coordinates
+        at the end of u's chain) and L, the action on B of the product of
+        the twists: None for the identity when B is central (z b z^-1 =
+        b), else read off one more chain per coordinate of B.  At the
+        bottom g's B coordinates are beta + L b, and only their box point
+        is read (``HermiteBox.point``), as no twist follows; the images L b
+        over a grid are computed once per distinct L.  A one-layer series
+        is the coset u = 0."""
         blocks, actions, twist = self.layer_matrices(spec), self.actions, self._twister(spec)
         boxes = [_box(b) for b in blocks]
         cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in self.layers]
         top, zero, (_, bottom, kind) = len(blocks) - 1, (0,) * self.slots, self.layers[0]
         first, last, pad = bottom[0], bottom[-1] + 1, zero[: len(bottom)]
+        images, add = lru_cache(None)(_grid_images), operator.add
 
         @lru_cache(None)
         def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
@@ -313,18 +326,17 @@ class GroupFamily(_Value):
             beta, rows = end[first:last], None
             if kind != "central":  # the B coordinates of the end of e_s u, less beta, are column s of L
                 cols = [chain(u[:s] + (1,) + u[s + 1:])[1][first:last] for s in bottom]
-                rows = [tuple(c[i] - x for c in cols) for i, x in enumerate(beta)]
+                rows = tuple(tuple(c[i] - x for c in cols) for i, x in enumerate(beta))
             return out, box_at(0, out), beta, rows
 
-        def label(g):
-            out, box, beta, rows = coset(g[:first] + pad + g[last:])
+        def row(u, grid):
+            out, box, beta, rows = coset(u[:first] + pad + u[last:])
             if box is None:
-                return out
-            b = g[first:last]
-            v = b if rows is None else [sum(map(operator.mul, row, b)) for row in rows]
-            return out + (box.reduce(tuple(map(operator.add, beta, v)))[0],)
+                return [(out, None)] * len(grid)
+            point = box.point
+            return [(out, point(tuple(map(add, beta, v)))) for v in images(rows, grid)]
 
-        return label
+        return row
 
     def _twister(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
         """(z, g) -> z g phi(z)^-1, keeping phi(z)^-1 per z while it lives."""
@@ -344,6 +356,20 @@ class GroupFamily(_Value):
 
 def _box(x: IntMatrix) -> HermiteBox:
     return HermiteBox(IntMatrix.identity(x.rows) - x)
+
+
+def _action_field(action) -> IntMatrix:
+    if action.__class__ is not IntMatrix:
+        raise ValueError("field 'action' must be an IntMatrix, got %r" % (action,))
+    return action
+
+
+def _grid_images(rows: tuple | None, grid: Sequence[tuple]) -> Sequence[tuple]:
+    """L b for each point b of grid, L given by its rows; the grid itself
+    for rows None.  Each labeler keeps its answers (``lru_cache``)."""
+    if rows is None:
+        return grid
+    return [tuple(sum(map(operator.mul, row, b)) for row in rows) for b in grid]
 
 
 @lru_cache(maxsize=64)
@@ -429,7 +455,7 @@ class ZnSemidirectZ(GroupFamily):
     _fields = ("action",)
 
     def _series(self):
-        action = self.action
+        action = _action_field(self.action)
         n = action.rows
         if n >= MAX_RANK:
             raise ValueError(
@@ -498,20 +524,27 @@ class ZnSemidirectZ(GroupFamily):
         # moves k by (1 - q) s mod d: the top class is k mod c = gcd(1 - q,
         # d), its stabilizer t^(d/c) L.  A twist by w in L moves l by
         # (I - H^k T) w, so l has a box point; the label is the least one of
-        # its orbit under t^(d/c).
+        # its orbit under t^(d/c).  The same split as the series labels: a
+        # site is b t^m, b in the lattice, and the twist by t^-s that brings
+        # the top class down to k is (A^-s b)(t^-s t^m phi(t)^s), so the
+        # coset t^m is read once, and each b costs one box point.
         d, h, lattice, q = holonomy
-        n, twist = self.n, self._twister(spec)
+        n, twist, entries = self.n, self._twister(spec), self.action.entries
         c = math.gcd(1 - q, d)
         unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
-        stabilizer, least = (0,) * n + (d // c,), {}
+        stabilizer, least, images, add = (0,) * n + (d // c,), {}, lru_cache(None)(_grid_images), operator.add
 
         def point(k, g):  # the box point of l, g = l t^k
-            return boxes[k].reduce(((g[n] - k) // d,) + g[:n])[0]
+            return boxes[k].point(((g[n] - k) // d,) + g[:n])
 
-        def label(g):
-            k = g[n] % c
-            s = (g[n] - k) // c * unit % (d // c)  # (1 - q) s = g[n] - k mod d
-            r = point(k, twist((0,) * n + (-s,), g) if s else g)
+        @lru_cache(None)
+        def coset(m):  # (k, box k, the t^d coordinate, beta, the rows of A^-s) for the coset t^m
+            k = m % c
+            s = (m - k) // c * unit % (d // c)  # (1 - q) s = m - k mod d
+            end, p = twist((0,) * n + (-s,), (0,) * n + (m,)), _power(entries, -s)
+            return k, boxes[k], (end[n] - k) // d, end[:n], tuple(p[i * n:(i + 1) * n] for i in range(n))
+
+        def label(k, r):
             if (k, r) not in least:
                 orbit = [r]
                 for _ in range(c - 1):  # x -> the box point of t^(d/c) x t^k phi(t^(d/c))^-1
@@ -519,7 +552,11 @@ class ZnSemidirectZ(GroupFamily):
                 least.update(dict.fromkeys(((k, x) for x in orbit), min(orbit)))
             return k, least[k, r]
 
-        return label
+        def row(u, grid):
+            k, box, top, beta, rows = coset(u[n])
+            return [label(k, box.point((top,) + tuple(map(add, beta, v)))) for v in images(rows, grid)]
+
+        return row
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -551,7 +588,7 @@ class Z2MinusIExt(GroupFamily):
     _fields = ("action", "n0")
 
     def _series(self):
-        action, n0 = self.action, self.n0
+        action, n0 = _action_field(self.action), self.n0
         if action.rows != 2 or action.cols != 2 or not action.is_unimodular:
             raise ValueError("the outer action must be a unimodular 2x2 matrix")
         if n0.__class__ not in (tuple, list) or len(n0) != 2:
@@ -685,6 +722,9 @@ class AutomorphismSpec:
         """Decode a spec; malformed JSON ends in one ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError("an automorphism must be a JSON object, got %s" % type(data).__name__)
+        for key in data:  # a key such as "verified" or a misspelt "imagez" must not be dropped
+            if key not in ("family", "images"):
+                raise ValueError("automorphism JSON has no key %r" % (key,))
         for key in ("family", "images"):
             if key not in data:
                 raise ValueError("automorphism JSON lacks the key %r" % key)
@@ -1018,8 +1058,12 @@ class ClassLabeling(_Value):
 
 
 def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
-    """The twisted class of each element of the radius-r exponent ball;
-    ValueError above MAX_BALL_SITES sites."""
+    """The twisted class of each element of the radius-r exponent ball,
+    numbered in first-seen order over the sorted ball; ValueError above
+    MAX_BALL_SITES sites.  The ball is labelled one row at a time: for each
+    coset of the bottom layer, the row of ``class_labeler`` labels every
+    bottom point of the ball's grid, and each label is placed by its index
+    in ball order before the one numbering pass."""
     if _strict_int(radius, "the radius") < 1:
         raise ValueError("radius must be >= 1")
     if not spec.verified:
@@ -1031,8 +1075,19 @@ def label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabeling:
             "the radius-%d oracle needs a ball of %d^%d = %d sites, above the cap of %d"
             % (radius, side, fam.slots, size, MAX_BALL_SITES)
         )
-    label, assigned = fam.class_labeler(spec), {}
-    ball = product(range(-radius, radius + 1), repeat=fam.slots)
-    labels = {g: assigned.setdefault(label(g), len(assigned)) for g in ball}
+    # one row per coset of the bottom layer B, whose slots are consecutive:
+    # the sites of a row lie `stride` apart in ball order
+    row, span, (_, bottom, _) = fam.class_labeler(spec), range(-radius, radius + 1), fam.layers[0]
+    first, last = bottom[0], bottom[-1] + 1
+    grid, pad = tuple(product(span, repeat=last - first)), (0,) * (last - first)
+    stride = side ** (fam.slots - last)
+    block, flat = len(grid) * stride, [None] * size
+    for i, pre in enumerate(product(span, repeat=first)):
+        for j, post in enumerate(product(span, repeat=fam.slots - last)):
+            start = i * block + j
+            flat[start:start + block:stride] = row(pre + pad + post, grid)
+    assigned = {}
+    numbers = [assigned.setdefault(x, len(assigned)) for x in flat]
+    labels = dict(zip(product(span, repeat=fam.slots), numbers))
     value = fam.rnumber_route(spec)[0].value
     return ClassLabeling(radius, labels, value is not None and len(assigned) == value)

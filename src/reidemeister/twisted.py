@@ -83,15 +83,18 @@ class HermiteBox:
     """N Z^k, k <= 4, in a pivoted basis: pivot i vanishes before
     coordinate i and has there d_i > 0, the gcd over the lattice vectors
     that vanish before i (d_i = 0 when none does).  Each coset v + N Z^k
-    meets the box 0 <= r_i < d_i (r_i free where d_i = 0) once; ``reduce``
-    subtracts pivots in coordinate order to reach it, and keeps its answers
-    while the box lives.  The sides multiply to |det N| when det N != 0."""
+    meets the box 0 <= r_i < d_i (r_i free where d_i = 0) once.  ``point``
+    subtracts pivots in coordinate order to reach it; ``reduce`` also
+    reads the lift w, v = r + N w, which a twist needs and a label does
+    not.  Each keeps its answers while the box lives.  The sides multiply
+    to |det N| when det N != 0."""
 
     def __init__(self, n: IntMatrix):
         k = n.rows
-        # a generator is N u followed by u
-        gens = [[*n.column(j), *(int(i == j) for i in range(k))] for j in range(k)]
-        diagonal, self._pivots, self._reduced = [], [], {}
+        # a generator is N u followed by -u, so walking (v, 0) down to
+        # (r, w) leaves v = r + N w
+        gens = [[*n.column(j), *(-int(i == j) for i in range(k))] for j in range(k)]
+        diagonal, pivots, self._zero, self._points, self._reduced = [], [], (0,) * k, {}, {}
         for i in range(k):
             pivot, rest = None, []
             for v in gens:
@@ -107,19 +110,34 @@ class HermiteBox:
             gens = rest
             diagonal.append(pivot[i] if pivot else 0)
             if pivot:
-                self._pivots.append((i, pivot[:k], pivot[k:]))
+                pivots.append((i, tuple(pivot)))
+        self._pivots = tuple(pivots)
         self.diagonal = tuple(diagonal)
         self.singular = 0 in diagonal
+
+    def _walk(self, x: Sequence[int]) -> Sequence[int]:
+        # Pivot i vanishes before coordinate i, yet a step over coordinates
+        # i on alone (a slice assignment) measured no faster at k <= 4 than
+        # the whole-vector step.  zip stops at the end of x, so a box point
+        # walks the first k coordinates of each pivot, and a lift all 2k.
+        for i, vec in self._pivots:
+            q = x[i] // vec[i]
+            if q:
+                x = [a - q * b for a, b in zip(x, vec)]
+        return x
+
+    def point(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """The box point of v + N Z^k."""
+        r = self._points.get(v)
+        if r is None:
+            r = self._points[v] = tuple(self._walk(v))
+        return r
 
     def reduce(self, v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(r, w): r the box point of v + N Z^k, and v = r + N w."""
         if v not in self._reduced:
-            r, w = v, (0,) * len(v)
-            for i, vec, pre in self._pivots:
-                q = r[i] // vec[i]
-                if q:
-                    r, w = [x - q * y for x, y in zip(r, vec)], [x + q * y for x, y in zip(w, pre)]
-            self._reduced[v] = tuple(r), tuple(w)
+            x, k = self._walk(v + self._zero), len(v)
+            self._reduced[v] = tuple(x[:k]), tuple(x[k:])
         return self._reduced[v]
 
 

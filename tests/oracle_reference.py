@@ -6,12 +6,16 @@ calls per edge, which is slow but short enough to audit by eye.
 
 The per-site series labeler reads each site's label off the series top
 down, with one reduce per layer and one twist per upper layer at every
-site.  ``label_classes`` does the upper layers once per coset of the
-bottom layer; its labels, numbering included, must equal these.
+site, and the holonomy labeler of Z^n x|_A Z twists each site down to
+its top class.  ``label_classes`` labels a row of sites at once: the
+layers above the bottom one, and the holonomy twist, are read once per
+coset of the bottom layer, and each site of the row costs one box point
+at the bottom.  Its labels, numbering included, must equal these.
 """
 
 from functools import lru_cache, reduce
 from itertools import product
+import math
 
 from reidemeister.groups import AutomorphismSpec, ClassLabeling, ZnSemidirectZ, _box
 
@@ -89,10 +93,10 @@ def reference_class_labeler(spec: AutomorphismSpec):
     """The label of an element's twisted class, read off the series top
     down at each site: each layer's box point r of v + (I - X) Z^k, then
     the twist by the lift of -w, v = r + (I - X) w, and the next layer
-    down; the holonomy branch of Z^n x|_A Z keeps its own labeler."""
+    down; the holonomy branch of Z^n x|_A Z has its own labeler."""
     fam = spec.family
     if isinstance(fam, ZnSemidirectZ) and fam._holonomy(spec) is not None:
-        return fam.class_labeler(spec)
+        return reference_holonomy_labeler(spec)
     blocks, actions, twist = fam.layer_matrices(spec), fam.actions, fam._twister(spec)
     boxes = [_box(b) for b in blocks]
     cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in fam.layers]
@@ -112,6 +116,32 @@ def reference_class_labeler(spec: AutomorphismSpec):
                 return tuple(out)
             if any(w):
                 g = twist(zero[:cut.start] + tuple(-e for e in w) + zero[cut.stop:], g)
+
+    return label
+
+
+def reference_holonomy_labeler(spec: AutomorphismSpec):
+    """The holonomy branch of Z^n x|_A Z, one site at a time: g = l t^k,
+    l in L = <t^d, e1..en>; the twist by t^-s brings the top class to k
+    mod c = gcd(1 - q, d), and the label is the least box point of l's
+    orbit under the stabilizer t^(d/c) L."""
+    fam = spec.family
+    d, h, lattice, q = fam._holonomy(spec)
+    n, twist = fam.n, fam._twister(spec)
+    c = math.gcd(1 - q, d)
+    unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
+    stabilizer = (0,) * n + (d // c,)
+
+    def point(k, g):  # the box point of l, g = l t^k
+        return boxes[k].reduce(((g[n] - k) // d,) + g[:n])[0]
+
+    def label(g):
+        k = g[n] % c
+        s = (g[n] - k) // c * unit % (d // c)  # (1 - q) s = g[n] - k mod d
+        orbit = [point(k, twist((0,) * n + (-s,), g) if s else g)]
+        for _ in range(c - 1):  # x -> the box point of t^(d/c) x t^k phi(t^(d/c))^-1
+            orbit.append(point(k, twist(stabilizer, orbit[-1][1:] + (orbit[-1][0] * d + k,))))
+        return k, min(orbit)
 
     return label
 

@@ -461,6 +461,17 @@ def test_rnumber_spec_json_refuses_a_family_key_the_family_lacks(tmp_path):
     assert (code, out, err) == (EXIT_ERROR, "", "error: family 'hn-semidirect-z' has no field 'matrix'\n")
 
 
+@pytest.mark.parametrize("key", ["imagez", "verified"])
+def test_rnumber_spec_json_refuses_a_top_level_key_it_lacks(tmp_path, key):
+    # ignoring the key would print {"rnumber":4}, exit 0
+    doc = groups.witness(groups.FreeAbelian(2), "negation", 1).to_json_dict()
+    doc[key] = True
+    spec_file = tmp_path / "extra.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = invoke(["rnumber", "--spec-json", str(spec_file)])
+    assert (code, out, err) == (EXIT_ERROR, "", "error: automorphism JSON has no key %r\n" % key)
+
+
 # valid automorphism documents of each JSON family; every one answers exit 0
 SPEC_DOCS = [
     {

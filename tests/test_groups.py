@@ -946,6 +946,24 @@ def test_family_json_bytes_are_pinned():
         assert family_from_json(json.loads(text)) == fam
 
 
+@pytest.mark.parametrize("key", ["imagez", "verified"])
+def test_spec_json_refuses_a_top_level_key_it_lacks(key):
+    # a dropped "verified" or misspelt key would decode as the plain spec
+    data = witness(FreeAbelian(2), "negation", 1).to_json_dict()
+    with pytest.raises(ValueError, match="^automorphism JSON has no key %r$" % key):
+        AutomorphismSpec.from_json_dict({**data, key: True})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ZnSemidirectZ([[1]]), lambda: Z2MinusIExt([[2, 1], [1, 1]], (0, 0))],
+    ids=["zn-semidirect-z", "z2-minusi-ext"],
+)
+def test_an_action_that_is_not_an_int_matrix_is_refused_naming_the_field(make):
+    with pytest.raises(ValueError, match=r"^field 'action' must be an IntMatrix, got \[\["):
+        make()
+
+
 def test_family_json_refuses_a_key_the_family_lacks():
     # a key of another family must not be dropped: a "matrix" on the -I
     # family hn-semidirect-z would answer for the -I group

@@ -28,6 +28,7 @@ from reidemeister.groups import (
     verify_automorphism,
     witness,
 )
+from reidemeister.twisted import HermiteBox
 from oracle_reference import reference_label_classes, reference_labels
 
 I2 = IntMatrix.identity(2)
@@ -231,7 +232,17 @@ INVARIANCE_SPECS = {
         parse_matrix("1,0,0;0,1,-1;0,1,0"), ((-1, 0, 0, -6), (0, -1, 0, 0), (0, 1, 1, 0), (0, -1, 1, -1))
     ),
 }
-LABELERS = {name: spec.family.class_labeler(spec) for name, spec in INVARIANCE_SPECS.items()}
+
+
+def _site_labeler(spec):
+    # one site's label is its one-point row
+    fam = spec.family
+    row, bottom = fam.class_labeler(spec), fam.layers[0][1]
+    cut = slice(bottom[0], bottom[-1] + 1)
+    return lambda g: row(g, (g[cut],))[0]
+
+
+LABELERS = {name: _site_labeler(spec) for name, spec in INVARIANCE_SPECS.items()}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -251,6 +262,19 @@ def test_labels_equal_the_per_site_labeler(spec):
     # labelling once per coset of the bottom layer changes no label and no
     # number, also where R = oo and the two-pass reference pins only counts
     assert list(label_classes(spec, 2).labels.items()) == list(reference_labels(spec, 2).items())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(product(INVARIANCE_SPECS, (1, 3)))))
+def test_rows_equal_the_per_site_labeler_at_other_radii(case):
+    # every spec at the radii beside test_labels_equal_the_per_site_labeler's
+    # 2: the derandomized draws meet each of the 36 cases.  A ball has at
+    # most 4 slots, 7^4 = 2401 sites at radius 3, so the test takes about a
+    # second.
+    name, radius = case
+    spec = INVARIANCE_SPECS[name]
+    assert (2 * radius + 1) ** spec.family.slots <= 7**4
+    assert list(label_classes(spec, radius).labels.items()) == list(reference_labels(spec, radius).items())
 
 
 @pytest.mark.parametrize(
@@ -296,6 +320,27 @@ def test_labeling_work_grows_with_the_upper_cosets_not_the_ball(spec, radius, mo
     label_classes(spec, radius)
     cosets = (2 * radius + 1) ** (fam.slots - len(fam.layers[0][1]))
     assert calls[0] <= 6 * cosets
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [(witness(ZnSemidirectZ(-I3), "M_m", 1), 20), (witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 1), 0)],
+    ids=["minus-I3-M_m", "tahara-order2-holonomy"],
+)
+def test_labeling_reduces_once_per_chain_not_per_site(spec, bound, monkeypatch):
+    # the lift w of HermiteBox.reduce serves the chains above the bottom
+    # layer: on -I3 at radius 2, 5 cosets of one chain and 3 probe chains
+    # for L, each of one reduce.  The bottom and the holonomy labels read
+    # box points alone; a reduce per site made 645 and 629 calls here.
+    calls, reduce = [0], HermiteBox.reduce
+
+    def counted(self, v):
+        calls[0] += 1
+        return reduce(self, v)
+
+    monkeypatch.setattr(HermiteBox, "reduce", counted)
+    label_classes(spec, 2)
+    assert calls[0] <= bound
 
 
 @pytest.mark.parametrize("radius", [2.0, "2", True])

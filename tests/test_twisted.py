@@ -183,6 +183,7 @@ def test_hermite_box_holds_one_point_of_each_coset(data):
     vector = st.tuples(*[st.integers(-40, 40)] * k)
     v, u = data.draw(vector), data.draw(vector)
     r, w = box.reduce(v)
+    assert box.point(v) == r
     assert tuple(map(sum, zip(r, n.apply(w)))) == v
     assert all(0 <= x < d for x, d in zip(r, box.diagonal) if d)
     assert box.reduce(tuple(map(sum, zip(v, n.apply(u)))))[0] == r
