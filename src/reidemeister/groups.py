@@ -80,7 +80,7 @@ from .exactlin import (
     _power_sum,
     _strict_int,
 )
-from .twisted import INFINITE, HermiteBox, RNumber, r_abelian, r_class_sum
+from .twisted import INFINITE, HermiteBox, RNumber, _one_minus, r_abelian, r_class_sum
 
 
 class UnknownWitnessError(ValueError):
@@ -257,7 +257,7 @@ class GroupFamily(_Value):
         if self.actions is None:
             return reduce(operator.mul, map(r_abelian, blocks)), (self.route,)
         *central, below, top = blocks
-        shift = IntMatrix.identity(top.rows) - top
+        shift = _one_minus(top)
         if shift.det() == 0:
             return INFINITE, ("rnumber:identity-quotient",)
         return reduce(operator.mul, map(r_abelian, central), r_class_sum(shift, self.actions, below)), (self.route,)
@@ -266,7 +266,8 @@ class GroupFamily(_Value):
         """``row(u, grid)``: the labels of the twisted classes of the sites
         that agree with u off the bottom layer B and have B coordinates b,
         for each b of grid (u's own B coordinates are not read).  One
-        site's label is its one-point row.
+        site's label is its one-point row.  Rows are shared between the
+        cosets that read the same one, so the list must not be changed.
 
         A label is read off the series top down: with the layers above
         fixed, a twist g -> z g phi(z)^-1 by z in this layer and below moves
@@ -275,73 +276,102 @@ class GroupFamily(_Value):
         below the top).  So the box point r of v + (I - X) Z^k
         (``HermiteBox``) is an invariant, and the twist by the lift of -w,
         v = r + (I - X) w, moves g onto it; below, only the lower layers
-        move.  The label is (the points above B, B's point), or (the points
-        down to a singular layer, None): below a singular layer the points
-        may join classes, and such a label never equals a full one.
+        move.  The label is (the number of the points above B, B's point),
+        or (the number of the points down to a singular layer, None): below
+        a singular layer the points may join classes, and such a label
+        never equals a full one.  The points above B are numbered in the
+        order the labeler meets them, so a label hashes as an int and a
+        point.
 
         The layers above B are read once per coset: every series has an
         abelian normal B that is central or leads the normal form
         (``tests/test_oracle.py`` checks it), so g = b u, u being g with
         its B coordinates 0, and z g phi(z)^-1 = (z b z^-1)(z u phi(z)^-1).
-        Every layer above reads the same r and w for each b.  A coset's
-        record holds the points above B, B's box, beta (the B coordinates
-        at the end of u's chain) and L, the action on B of the product of
-        the twists: None for the identity when B is central (z b z^-1 =
-        b), else read off one more chain per coordinate of B.  At the
+        Every layer above reads the same r and w for each b.  At the end of
+        u's chain B's coordinates are beta, and L, the action on B of the
+        product of the twists, is the identity when B is central (z b z^-1
+        = b), else read off one more chain per coordinate of B.  At the
         bottom g's B coordinates are beta + L b, and only their box point
-        is read (``HermiteBox.point``), as no twist follows; the images L b
-        over a grid are computed once per distinct L.  A one-layer series
-        is the coset u = 0."""
-        blocks, actions, twist = self.layer_matrices(spec), self.actions, self._twister(spec)
+        is read (``HermiteBox.point``), as no twist follows.  The box point
+        of beta + L b is that of p + L b, p the box point of beta, so a row
+        is fixed by its key (the number above B, B's box, p, L): each
+        distinct key's row is built once, over the images L b of the grid,
+        which are computed once per distinct L.  A one-layer series is the
+        coset u = 0."""
+        blocks, actions, tail, mul = self.layer_matrices(spec), self.actions, self._tail(spec), self.multiply
         boxes = [_box(b) for b in blocks]
         cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in self.layers]
         top, zero, (_, bottom, kind) = len(blocks) - 1, (0,) * self.slots, self.layers[0]
         first, last, pad = bottom[0], bottom[-1] + 1, zero[: len(bottom)]
-        images, add = lru_cache(None)(_grid_images), operator.add
+        numbers, built, images, add = {}, {}, lru_cache(None)(_grid_images), operator.add
+        # the layers above B, top first: (box, whether box_under replaces it, slots)
+        steps = [(boxes[i], i == top - 1 and bool(actions), cut) for i, cut in zip(range(top, 0, -1), cuts[:0:-1])]
 
         @lru_cache(None)
         def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
             return _box(reduce(lambda x, be: be[0] ** be[1] * x, zip(actions[::-1], e[::-1]), blocks[-2]))
 
-        def box_at(i, out):  # layer i's box, under the top labels out[0]
-            return box_under(out[0]) if i == top - 1 and actions else boxes[i]
+        @lru_cache(None)
+        def lift(start, w):  # (z, phi(z)^-1) for z the lift of -w into the layer from slot start
+            z = zero[:start] + tuple(-e for e in w) + zero[start + len(w):]
+            return z, tail(z)
 
         def chain(g):  # the labels above B, top first, and g twisted onto them; None below a singular layer
             out = []
-            for i, cut in zip(range(top, 0, -1), cuts[:0:-1]):
-                box = box_at(i, out)
+            for box, under, cut in steps:
+                if under:
+                    box = box_under(out[0])
                 r, w = box.reduce(g[cut])
                 out.append(r)
                 if box.singular:
                     return tuple(out), None
                 if any(w):
-                    g = twist(zero[:cut.start] + tuple(-e for e in w) + zero[cut.stop:], g)
+                    z, inv = lift(cut.start, w)
+                    g = mul(mul(z, g), inv)
             return tuple(out), g
 
         @lru_cache(None)
-        def coset(u):  # (labels above B, B's box, beta, the rows of L or None for L = I)
+        def coset(u):  # the key of u's row: (the number above B, B's box, beta's box point, L's rows or None)
             out, end = chain(u)
+            number = numbers.setdefault(out, len(numbers))
             if end is None:
-                return out, None, None, None
-            beta, rows = end[first:last], None
+                return number, None, None, None
+            beta, rows, box = end[first:last], None, box_under(out[0]) if top == 1 and actions else boxes[0]
             if kind != "central":  # the B coordinates of the end of e_s u, less beta, are column s of L
                 cols = [chain(u[:s] + (1,) + u[s + 1:])[1][first:last] for s in bottom]
                 rows = tuple(tuple(c[i] - x for c in cols) for i, x in enumerate(beta))
-            return out, box_at(0, out), beta, rows
+            return number, box, box.point(beta), rows
 
         def row(u, grid):
-            out, box, beta, rows = coset(u[:first] + pad + u[last:])
-            if box is None:
-                return [(out, None)] * len(grid)
-            point = box.point
-            return [(out, point(tuple(map(add, beta, v)))) for v in images(rows, grid)]
+            key = coset(u[:first] + pad + u[last:]), grid
+            labels = built.get(key)
+            if labels is None:
+                number, box, base, rows = key[0]
+                if box is None:
+                    labels = [(number, None)] * len(grid)
+                else:
+                    point = box.point
+                    labels = [(number, point(tuple(map(add, base, v)))) for v in images(rows, grid)]
+                built[key] = labels
+            return labels
 
         return row
 
-    def _twister(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
-        """(z, g) -> z g phi(z)^-1, keeping phi(z)^-1 per z while it lives."""
-        mul, tail = self.multiply, lru_cache(None)(lambda z: self.inverse(spec.apply(z)))
-        return lambda z, g: mul(mul(z, g), tail(z))
+    def _tail(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """z -> phi(z)^-1, the right factor of the twist g -> z g phi(z)^-1.
+        ``spec.apply`` takes z = g_1^a_1 ... g_n^a_n to the product of the
+        image powers phi(g_i)^a_i in slot order, so phi(z)^-1 is
+        phi(g_n)^-a_n ... phi(g_1)^-a_1.  Each power is kept per (i, a_i),
+        and phi(z)^-1 per z, while the function lives."""
+        mul, images, slots = self.multiply, spec.images, range(self.slots - 1, -1, -1)
+        power = lru_cache(None)(lambda i, e: self.power(images[i], -e))
+
+        @lru_cache(None)
+        def tail(z):
+            factors = [power(i, z[i]) for i in slots if z[i]]
+            return reduce(mul, factors) if factors else z
+
+        return tail
 
     def open_relations(self, spec: "AutomorphismSpec") -> tuple[tuple[int, int], ...]:
         """The pairs (i, j), i < j, whose collection relation the series
@@ -355,7 +385,7 @@ class GroupFamily(_Value):
 
 
 def _box(x: IntMatrix) -> HermiteBox:
-    return HermiteBox(IntMatrix.identity(x.rows) - x)
+    return HermiteBox(_one_minus(x))
 
 
 def _action_field(action) -> IntMatrix:
@@ -526,35 +556,44 @@ class ZnSemidirectZ(GroupFamily):
         # (I - H^k T) w, so l has a box point; the label is the least one of
         # its orbit under t^(d/c).  The same split as the series labels: a
         # site is b t^m, b in the lattice, and the twist by t^-s that brings
-        # the top class down to k is (A^-s b)(t^-s t^m phi(t)^s), so the
-        # coset t^m is read once, and each b costs one box point.
+        # the top class down to k is (A^-s b)(t^-s t^m phi(t)^s).  So the
+        # coset t^m is read once, to the key (k, the box point p of the end
+        # of its twist, the rows of A^-s); a site's box point is that of p
+        # plus (0, A^-s b), and each distinct key's row is built once.
         d, h, lattice, q = holonomy
-        n, twist, entries = self.n, self._twister(spec), self.action.entries
+        n, tail, mul, entries = self.n, self._tail(spec), self.multiply, self.action.entries
         c = math.gcd(1 - q, d)
         unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
-        stabilizer, least, images, add = (0,) * n + (d // c,), {}, lru_cache(None)(_grid_images), operator.add
+        stabilizer, least, built = (0,) * n + (d // c,), {}, {}
+        images, add, back = lru_cache(None)(_grid_images), operator.add, tail(stabilizer)
 
         def point(k, g):  # the box point of l, g = l t^k
             return boxes[k].point(((g[n] - k) // d,) + g[:n])
 
         @lru_cache(None)
-        def coset(m):  # (k, box k, the t^d coordinate, beta, the rows of A^-s) for the coset t^m
+        def coset(m):  # the key of t^m's row
             k = m % c
             s = (m - k) // c * unit % (d // c)  # (1 - q) s = m - k mod d
-            end, p = twist((0,) * n + (-s,), (0,) * n + (m,)), _power(entries, -s)
-            return k, boxes[k], (end[n] - k) // d, end[:n], tuple(p[i * n:(i + 1) * n] for i in range(n))
+            # the twist of t^m by t^-s is t^(m - s) phi(t^-s)^-1
+            end, p = mul((0,) * n + (m - s,), tail((0,) * n + (-s,))), _power(entries, -s)
+            return k, point(k, end), tuple(p[i * n:(i + 1) * n] for i in range(n))
 
         def label(k, r):
             if (k, r) not in least:
                 orbit = [r]
                 for _ in range(c - 1):  # x -> the box point of t^(d/c) x t^k phi(t^(d/c))^-1
-                    orbit.append(point(k, twist(stabilizer, orbit[-1][1:] + (orbit[-1][0] * d + k,))))
+                    orbit.append(point(k, mul(mul(stabilizer, orbit[-1][1:] + (orbit[-1][0] * d + k,)), back)))
                 least.update(dict.fromkeys(((k, x) for x in orbit), min(orbit)))
             return k, least[k, r]
 
         def row(u, grid):
-            k, box, top, beta, rows = coset(u[n])
-            return [label(k, box.point((top,) + tuple(map(add, beta, v)))) for v in images(rows, grid)]
+            key = coset(u[n]), grid
+            labels = built.get(key)
+            if labels is None:
+                k, (top, *beta), rows = key[0]
+                box = boxes[k].point
+                labels = built[key] = [label(k, box((top, *map(add, beta, v)))) for v in images(rows, grid)]
+            return labels
 
         return row
 

@@ -22,10 +22,8 @@ the tests (``tests/snf_reference.py``).
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
 import math
-import operator
 from typing import Sequence
 
 from .exactlin import IntMatrix, _Value, _bezout, _entries_order, _strict_int
@@ -75,8 +73,14 @@ INFINITE = RNumber(None)
 def r_abelian(m: IntMatrix) -> RNumber:
     """Reidemeister number of multiplication by M on Z^n: |det(I - M)| or infinity."""
     m._require_square("abelian Reidemeister number")
-    d = (IntMatrix.identity(m.rows) - m).det()
+    d = _one_minus(m).det()
     return INFINITE if d == 0 else RNumber(abs(d))
+
+
+def _one_minus(m: IntMatrix) -> IntMatrix:
+    """I - M for a square M, built as one matrix."""
+    n = m.rows
+    return IntMatrix(n, n, tuple(int(i % (n + 1) == 0) - x for i, x in enumerate(m.entries)))
 
 
 class HermiteBox:
@@ -157,12 +161,14 @@ def r_class_sum(shift: IntMatrix, actions: Sequence[IntMatrix], m: IntMatrix) ->
     if 0 in sides:  # det N = 0
         return INFINITE
     orders = [_entries_order(b.entries) or side for b, side in zip(actions, sides)]
-    terms = []
+    total = 0
     for exps in product(*(range(min(side, k)) for side, k in zip(sides, orders))):
         a = m
         for b, e in zip(actions[::-1], exps[::-1]):
             if e:
                 a = b ** e * a
-        count = math.prod((side - e + k - 1) // k for side, k, e in zip(sides, orders, exps))
-        terms.append(RNumber(count) * r_abelian(a))
-    return reduce(operator.add, terms)
+        d = _one_minus(a).det()  # R(a) = |d|, infinite when d = 0
+        if not d:
+            return INFINITE
+        total += abs(d) * math.prod((side - e + k - 1) // k for side, k, e in zip(sides, orders, exps))
+    return RNumber(total)

@@ -9,8 +9,9 @@ down, with one reduce per layer and one twist per upper layer at every
 site, and the holonomy labeler of Z^n x|_A Z twists each site down to
 its top class.  ``label_classes`` labels a row of sites at once: the
 layers above the bottom one, and the holonomy twist, are read once per
-coset of the bottom layer, and each site of the row costs one box point
-at the bottom.  Its labels, numbering included, must equal these.
+coset of the bottom layer, and each distinct row is built once, one box
+point per site.  Its labels, numbering included, must equal these, and
+these twist by ``inverse(apply(z))``, not by the labeler's ``_tail``.
 """
 
 from functools import lru_cache, reduce
@@ -89,6 +90,13 @@ def reference_label_classes(spec: AutomorphismSpec, radius: int) -> ClassLabelin
     return ClassLabeling(radius, labels, complete)
 
 
+def _twister(spec: AutomorphismSpec):
+    """(z, g) -> z g phi(z)^-1, with phi(z)^-1 = inverse(apply(z))."""
+    fam = spec.family
+    mul, tail = fam.multiply, lru_cache(None)(lambda z: fam.inverse(spec.apply(z)))
+    return lambda z, g: mul(mul(z, g), tail(z))
+
+
 def reference_class_labeler(spec: AutomorphismSpec):
     """The label of an element's twisted class, read off the series top
     down at each site: each layer's box point r of v + (I - X) Z^k, then
@@ -97,7 +105,7 @@ def reference_class_labeler(spec: AutomorphismSpec):
     fam = spec.family
     if isinstance(fam, ZnSemidirectZ) and fam._holonomy(spec) is not None:
         return reference_holonomy_labeler(spec)
-    blocks, actions, twist = fam.layer_matrices(spec), fam.actions, fam._twister(spec)
+    blocks, actions, twist = fam.layer_matrices(spec), fam.actions, _twister(spec)
     boxes = [_box(b) for b in blocks]
     cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in fam.layers]
     top, zero = len(blocks) - 1, (0,) * fam.slots
@@ -127,7 +135,7 @@ def reference_holonomy_labeler(spec: AutomorphismSpec):
     orbit under the stabilizer t^(d/c) L."""
     fam = spec.family
     d, h, lattice, q = fam._holonomy(spec)
-    n, twist = fam.n, fam._twister(spec)
+    n, twist = fam.n, _twister(spec)
     c = math.gcd(1 - q, d)
     unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
     stabilizer = (0,) * n + (d // c,)

@@ -343,6 +343,36 @@ def test_labeling_reduces_once_per_chain_not_per_site(spec, bound, monkeypatch):
     assert calls[0] <= bound
 
 
+@pytest.mark.parametrize("spec", INVARIANCE_SPECS.values(), ids=INVARIANCE_SPECS.keys())
+def test_twist_tail_is_the_inverse_image(spec):
+    # phi(z)^-1 as the reversed product of the inverse image powers
+    fam = spec.family
+    tail = fam._tail(spec)
+    for z in product(range(-2, 3), repeat=fam.slots):
+        assert tail(z) == fam.inverse(spec.apply(z))
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [(witness(HnSemidirectZ(1, 1, 0), "M_r", 1), 3), (witness(ZnSemidirectZ(-I2), "M_m", 1), 4)],
+    ids=["hn-M_r", "minus-I2-M_m"],
+)
+def test_labeling_builds_each_distinct_row_once(spec, radius, monkeypatch):
+    # one box point per coset of the bottom layer, of its beta, and one per
+    # site of each distinct row: both balls have 4 rows, over 343 and 9
+    # cosets.  A row per coset made 2401 and 729 calls here.
+    calls, point = [0], HermiteBox.point
+
+    def counted(self, v):
+        calls[0] += 1
+        return point(self, v)
+
+    monkeypatch.setattr(HermiteBox, "point", counted)
+    label_classes(spec, radius)
+    side, bottom = 2 * radius + 1, len(spec.family.layers[0][1])
+    assert calls[0] <= side ** (spec.family.slots - bottom) + 4 * side**bottom
+
+
 @pytest.mark.parametrize("radius", [2.0, "2", True])
 def test_label_classes_refuses_a_radius_that_is_not_an_int(radius):
     with pytest.raises(ValueError, match=r"^the radius must be an integer, got %s$" % re.escape(repr(radius))):

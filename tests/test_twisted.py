@@ -163,10 +163,8 @@ def test_class_sum_divisibility_is_loud():
         r_class_sum(_shift(2), (parse_matrix("0,1;1,0"),), parse_matrix("2,1;1,1")).div_exact(2)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_hermite_box_holds_one_point_of_each_coset(data):
-    # singular N included: a column that is a multiple of another, or N = 0
+def _draw_box_matrix(data) -> IntMatrix:
+    # N with k <= 4, singular N included: a column that is a multiple of another, or N = 0
     k = data.draw(st.integers(1, 4))
     row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
     rows = data.draw(st.lists(row, min_size=k, max_size=k))
@@ -174,8 +172,14 @@ def test_hermite_box_holds_one_point_of_each_coset(data):
         factor = data.draw(st.integers(-2, 2))
         for r in rows:
             r[-1] = factor * r[0]
-    n = IntMatrix.from_rows(rows)
-    box = HermiteBox(n)
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hermite_box_holds_one_point_of_each_coset(data):
+    n = _draw_box_matrix(data)
+    k, box = n.rows, HermiteBox(n)
     det = n.det()
     assert box.singular == (det == 0)
     if det:
@@ -187,3 +191,14 @@ def test_hermite_box_holds_one_point_of_each_coset(data):
     assert tuple(map(sum, zip(r, n.apply(w)))) == v
     assert all(0 <= x < d for x, d in zip(r, box.diagonal) if d)
     assert box.reduce(tuple(map(sum, zip(v, n.apply(u)))))[0] == r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_box_point_of_a_sum_reads_only_the_box_point_of_a_summand(data):
+    # the oracle's rows rest on it: the box point of beta + L b is that of
+    # p + L b, p the box point of beta
+    n = _draw_box_matrix(data)
+    box, vector = HermiteBox(n), st.tuples(*[st.integers(-40, 40)] * n.rows)
+    v, w = data.draw(vector), data.draw(vector)
+    assert box.point(tuple(map(sum, zip(box.point(v), w)))) == box.point(tuple(map(sum, zip(v, w))))
