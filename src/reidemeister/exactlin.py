@@ -11,7 +11,7 @@ The module provides:
   parsers take int entries only; nothing is truncated);
 * ``_entries_mul``, the one product of row-major entry tuples, of any
   compatible shape: ``IntMatrix.__mul__``, ``IntMatrix.apply`` and the
-  power walks all call it;
+  power walks all call it, and ``_one_minus``, I - M as one matrix;
 * exact determinants, read off the entries for 1x1 and 2x2 in
   ``IntMatrix.det`` alone and by Bareiss (``_det``) above that, and
   unimodular inverses through the adjugate;
@@ -368,6 +368,14 @@ def _entries_mul(k: int, c: int, x: Sequence[int], y: Sequence[int]) -> tuple[in
     return tuple([sum(map(operator.mul, r, col)) for r in rows for col in cols])
 
 
+def _one_minus(m: IntMatrix) -> IntMatrix:
+    """I - M for a square M, built as one matrix.  The sites that read
+    A - I call it too where the sign cannot matter: a cross product of two
+    negated rows, a zero test of a power."""
+    n = m.rows
+    return IntMatrix(n, n, tuple(int(i % (n + 1) == 0) - x for i, x in enumerate(m.entries)))
+
+
 @lru_cache(maxsize=1024)
 def _entries_order(entries: tuple[int, ...]) -> int | None:
     """The least d in 1..6 with A^d = I, else None, for A with these entries;
@@ -647,7 +655,7 @@ def lifting_solver(a: IntMatrix, n0: Sequence[int]) -> Callable[[IntMatrix], tup
     m0 = A^-1 (t - (I - A) z0) / 2.  For a solution M of the quadratic
     system, A M A = M, so M -> MA adds (I - A) M n0 to t and does not
     change whether M lifts."""
-    ainv, shift = a.inverse_unimodular(), IntMatrix.identity(2) - a
+    ainv, shift = a.inverse_unimodular(), _one_minus(a)
     shifts = [(z0, shift.apply(z0)) for z0 in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
     def solve(m: IntMatrix) -> tuple[int, ...] | None:

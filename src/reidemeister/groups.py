@@ -76,11 +76,12 @@ from .exactlin import (
     lifting_solver,
     matrix_from_json,
     _Value,
+    _one_minus,
     _power,
     _power_sum,
     _strict_int,
 )
-from .twisted import INFINITE, HermiteBox, RNumber, _one_minus, r_abelian, r_class_sum
+from .twisted import INFINITE, HermiteBox, RNumber, r_abelian, r_class_sum
 
 
 class UnknownWitnessError(ValueError):
@@ -266,8 +267,7 @@ class GroupFamily(_Value):
         """``row(u, grid)``: the labels of the twisted classes of the sites
         that agree with u off the bottom layer B and have B coordinates b,
         for each b of grid (u's own B coordinates are not read).  One
-        site's label is its one-point row.  Rows are shared between the
-        cosets that read the same one, so the list must not be changed.
+        site's label is its one-point row.  The rows are built by ``_rows``.
 
         A label is read off the series top down: with the layers above
         fixed, a twist g -> z g phi(z)^-1 by z in this layer and below moves
@@ -291,25 +291,21 @@ class GroupFamily(_Value):
         u's chain B's coordinates are beta, and L, the action on B of the
         product of the twists, is the identity when B is central (z b z^-1
         = b), else read off one more chain per coordinate of B.  At the
-        bottom g's B coordinates are beta + L b, and only their box point
-        is read (``HermiteBox.point``), as no twist follows.  The box point
-        of beta + L b is that of p + L b, p the box point of beta, so a row
-        is fixed by its key (the number above B, B's box, p, L): each
-        distinct key's row is built once, over the images L b of the grid,
-        which are computed once per distinct L.  A one-layer series is the
-        coset u = 0."""
+        bottom g's B coordinates are beta + L b, and no twist follows, so
+        the key of u's row is (the number above B, B's box, the box point
+        of beta, L).  A one-layer series is the coset u = 0."""
         blocks, actions, tail, mul = self.layer_matrices(spec), self.actions, self._tail(spec), self.multiply
         boxes = [_box(b) for b in blocks]
         cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in self.layers]
         top, zero, (_, bottom, kind) = len(blocks) - 1, (0,) * self.slots, self.layers[0]
-        first, last, pad = bottom[0], bottom[-1] + 1, zero[: len(bottom)]
-        numbers, built, images, add = {}, {}, lru_cache(None)(_grid_images), operator.add
-        # the layers above B, top first: (box, whether box_under replaces it, slots)
-        steps = [(boxes[i], i == top - 1 and bool(actions), cut) for i, cut in zip(range(top, 0, -1), cuts[:0:-1])]
+        first, last, pad, numbers = bottom[0], bottom[-1] + 1, zero[: len(bottom)], {}
 
         @lru_cache(None)
         def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
             return _box(reduce(lambda x, be: be[0] ** be[1] * x, zip(actions[::-1], e[::-1]), blocks[-2]))
+
+        def box_of(i, out):  # layer i's box, out the labels above it, top first
+            return box_under(out[0]) if i == top - 1 and actions else boxes[i]
 
         @lru_cache(None)
         def lift(start, w):  # (z, phi(z)^-1) for z the lift of -w into the layer from slot start
@@ -318,9 +314,8 @@ class GroupFamily(_Value):
 
         def chain(g):  # the labels above B, top first, and g twisted onto them; None below a singular layer
             out = []
-            for box, under, cut in steps:
-                if under:
-                    box = box_under(out[0])
+            for i in range(top, 0, -1):
+                box, cut = box_of(i, out), cuts[i]
                 r, w = box.reduce(g[cut])
                 out.append(r)
                 if box.singular:
@@ -330,43 +325,29 @@ class GroupFamily(_Value):
                     g = mul(mul(z, g), inv)
             return tuple(out), g
 
-        @lru_cache(None)
         def coset(u):  # the key of u's row: (the number above B, B's box, beta's box point, L's rows or None)
+            u = u[:first] + pad + u[last:]
             out, end = chain(u)
             number = numbers.setdefault(out, len(numbers))
             if end is None:
                 return number, None, None, None
-            beta, rows, box = end[first:last], None, box_under(out[0]) if top == 1 and actions else boxes[0]
+            beta, rows, box = end[first:last], None, box_of(0, out)
             if kind != "central":  # the B coordinates of the end of e_s u, less beta, are column s of L
                 cols = [chain(u[:s] + (1,) + u[s + 1:])[1][first:last] for s in bottom]
                 rows = tuple(tuple(c[i] - x for c in cols) for i, x in enumerate(beta))
             return number, box, box.point(beta), rows
 
-        def row(u, grid):
-            key = coset(u[:first] + pad + u[last:]), grid
-            labels = built.get(key)
-            if labels is None:
-                number, box, base, rows = key[0]
-                if box is None:
-                    labels = [(number, None)] * len(grid)
-                else:
-                    point = box.point
-                    labels = [(number, point(tuple(map(add, base, v)))) for v in images(rows, grid)]
-                built[key] = labels
-            return labels
-
-        return row
+        return _rows(coset, lambda number, r: (number, r))
 
     def _tail(self, spec: "AutomorphismSpec") -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """z -> phi(z)^-1, the right factor of the twist g -> z g phi(z)^-1.
         ``spec.apply`` takes z = g_1^a_1 ... g_n^a_n to the product of the
         image powers phi(g_i)^a_i in slot order, so phi(z)^-1 is
-        phi(g_n)^-a_n ... phi(g_1)^-a_1.  Each power is kept per (i, a_i),
-        and phi(z)^-1 per z, while the function lives."""
+        phi(g_n)^-a_n ... phi(g_1)^-a_1.  Each power is kept per (i, a_i)
+        while the function lives."""
         mul, images, slots = self.multiply, spec.images, range(self.slots - 1, -1, -1)
         power = lru_cache(None)(lambda i, e: self.power(images[i], -e))
 
-        @lru_cache(None)
         def tail(z):
             factors = [power(i, z[i]) for i in slots if z[i]]
             return reduce(mul, factors) if factors else z
@@ -394,12 +375,35 @@ def _action_field(action) -> IntMatrix:
     return action
 
 
-def _grid_images(rows: tuple | None, grid: Sequence[tuple]) -> Sequence[tuple]:
-    """L b for each point b of grid, L given by its rows; the grid itself
-    for rows None.  Each labeler keeps its answers (``lru_cache``)."""
-    if rows is None:
-        return grid
-    return [tuple(sum(map(operator.mul, row, b)) for row in rows) for b in grid]
+def _rows(key_of: Callable, label: Callable) -> Callable[[tuple[int, ...], Sequence[tuple]], list]:
+    """``row(u, grid)`` of a labeler: the row of u is fixed by its key,
+    key_of(u) = (tag, box, p, rows of L or None), and is the label
+    label(tag, the box point of p + L b) of each b of grid (L = I for rows
+    None), or label(tag, None) for each b when box is None.  Each distinct
+    (key, grid) is built once and handed to every coset that reads it, so
+    the list must not be changed; the images L b are computed once per
+    (L, grid).  Only the box point is read at the bottom
+    (``HermiteBox.point``): the box point of p + L b equals that of
+    beta + L b whenever p is the box point of beta."""
+    built, images, add = {}, {}, operator.add
+
+    def row(u, grid):
+        key = key_of(u), grid
+        labels = built.get(key)
+        if labels is None:
+            tag, box, base, rows = key[0]
+            if box is None:
+                labels = [label(tag, None)] * len(grid)
+            else:
+                point, moved = box.point, images.get((rows, grid))
+                if moved is None:
+                    moved = images[rows, grid] = grid if rows is None else [
+                        tuple(sum(map(operator.mul, r, b)) for r in rows) for b in grid]
+                labels = [label(tag, point(tuple(map(add, base, v)))) for v in moved]
+            built[key] = labels
+        return labels
+
+    return row
 
 
 @lru_cache(maxsize=64)
@@ -444,6 +448,11 @@ class FreeAbelian(GroupFamily):
         return tuple(x + y for x, y in zip(a, b))
 
 
+def _heisenberg_parameter(n) -> None:
+    if _strict_int(n, "field 'n'") < 1:
+        raise ValueError("Heisenberg parameter must be >= 1")
+
+
 def _heis_mul(n: int, a: tuple, b: tuple) -> tuple:
     # yx = xy z^n, z central: moving x^a2 left past y^b1 costs z^(n a2 b1)
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + n * b[0] * a[1])
@@ -454,8 +463,7 @@ class Heisenberg(GroupFamily):
     _fields = ("n",)
 
     def _series(self):
-        if _strict_int(self.n, "field 'n'") < 1:
-            raise ValueError("Heisenberg parameter must be >= 1")
+        _heisenberg_parameter(self.n)
         layers = (("center", (2,), "central"), ("quotient", (0, 1), None))
         return ("x", "y", "z"), layers, "rnumber:center-times-quotient", None
 
@@ -468,8 +476,7 @@ class HeisenbergTimesZ(GroupFamily):
     _fields = ("n",)
 
     def _series(self):
-        if _strict_int(self.n, "field 'n'") < 1:
-            raise ValueError("Heisenberg parameter must be >= 1")
+        _heisenberg_parameter(self.n)
         layers = (("center", (2, 3), "central"), ("quotient", (0, 1), None))
         return ("x", "y", "z", "u"), layers, "rnumber:center-times-quotient", None
 
@@ -557,26 +564,25 @@ class ZnSemidirectZ(GroupFamily):
         # its orbit under t^(d/c).  The same split as the series labels: a
         # site is b t^m, b in the lattice, and the twist by t^-s that brings
         # the top class down to k is (A^-s b)(t^-s t^m phi(t)^s).  So the
-        # coset t^m is read once, to the key (k, the box point p of the end
-        # of its twist, the rows of A^-s); a site's box point is that of p
-        # plus (0, A^-s b), and each distinct key's row is built once.
+        # key of t^m's row is (k, its box, the box point of the end of its
+        # twist, A^-s under a zero row for the t^d coordinate).
         d, h, lattice, q = holonomy
         n, tail, mul, entries = self.n, self._tail(spec), self.multiply, self.action.entries
         c = math.gcd(1 - q, d)
         unit, boxes = pow((1 - q) // c, -1, d // c), [_box(h ** k * lattice) for k in range(c)]
-        stabilizer, least, built = (0,) * n + (d // c,), {}, {}
-        images, add, back = lru_cache(None)(_grid_images), operator.add, tail(stabilizer)
+        stabilizer, least = (0,) * n + (d // c,), {}
+        back = tail(stabilizer)
 
         def point(k, g):  # the box point of l, g = l t^k
             return boxes[k].point(((g[n] - k) // d,) + g[:n])
 
-        @lru_cache(None)
-        def coset(m):  # the key of t^m's row
+        def coset(u):  # the key of the row of t^m, m = u[n]
+            m = u[n]
             k = m % c
             s = (m - k) // c * unit % (d // c)  # (1 - q) s = m - k mod d
             # the twist of t^m by t^-s is t^(m - s) phi(t^-s)^-1
             end, p = mul((0,) * n + (m - s,), tail((0,) * n + (-s,))), _power(entries, -s)
-            return k, point(k, end), tuple(p[i * n:(i + 1) * n] for i in range(n))
+            return k, boxes[k], point(k, end), ((0,) * n,) + tuple(p[i * n:(i + 1) * n] for i in range(n))
 
         def label(k, r):
             if (k, r) not in least:
@@ -586,16 +592,7 @@ class ZnSemidirectZ(GroupFamily):
                 least.update(dict.fromkeys(((k, x) for x in orbit), min(orbit)))
             return k, least[k, r]
 
-        def row(u, grid):
-            key = coset(u[n]), grid
-            labels = built.get(key)
-            if labels is None:
-                k, (top, *beta), rows = key[0]
-                box = boxes[k].point
-                labels = built[key] = [label(k, box((top, *map(add, beta, v)))) for v in images(rows, grid)]
-            return labels
-
-        return row
+        return _rows(coset, label)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -672,8 +669,7 @@ class HnSemidirectZ(GroupFamily):
     def _series(self):
         _strict_int(self.k, "field 'k'")
         _strict_int(self.l, "field 'l'")
-        if _strict_int(self.n, "field 'n'") < 1:
-            raise ValueError("Heisenberg parameter must be >= 1")
+        _heisenberg_parameter(self.n)
         # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
         layers = (("center", (2,), "central"), ("Heisenberg", (0, 1), None), ("quotient", (3,), None))
         return ("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,)

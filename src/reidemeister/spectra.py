@@ -51,6 +51,7 @@ from .exactlin import (
     unit_root_split,
     _Value,
     _entries_order,
+    _one_minus,
     _power_sum,
     _strict_int,
 )
@@ -351,7 +352,7 @@ def _z3_lifting_test(
     modulus lcm(8, |det(I - A')|), and it is invariant under Q -> QA', as
     C Q A' (I - A') (I - A')^-1 = C Q A' is integral.
     """
-    shift = IntMatrix.identity(2) - a_prime
+    shift = _one_minus(a_prime)
     det_shift = shift.det()
     a0, a1, a2, a3 = a_prime.entries
     j0, j1, j2, j3 = shift._adjugate().entries
@@ -400,7 +401,7 @@ def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
     unimodular U with U v = e1, and the basis is the columns of U^-1; a
     block form has v = e1 and U = I, so it maps to itself.
     """
-    r0, r1, r2 = (a - IntMatrix.identity(3)).to_rows()
+    r0, r1, r2 = _one_minus(a).to_rows()
     for x, y in ((r0, r1), (r0, r2), (r1, r2)):
         v = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
         if any(v):
@@ -450,8 +451,8 @@ def classify_z3_semidirect(a: IntMatrix, bound: int | None = None) -> SpectrumRe
     if mult_one == 3:
         if a == ident:
             return _rule(["z3:abelian", "nilpotent:lattice"])
-        shifted = a - ident
-        if shifted * shifted == IntMatrix.zero(3, 3):
+        shift = _one_minus(a)
+        if not any((shift * shift).entries):
             return _rule(["z3:unipotent-two-step", "nilpotent:heisenberg-times-z"])
         return _rule(["z3:unipotent-three-step", "nilpotent:three-step"])
 
@@ -649,7 +650,7 @@ def classify_nilpotent(family) -> SpectrumResult:
     name = "lattice" if tag == "free-abelian" else tag
     if tag == "zn-semidirect-z":
         steps = {1: ("lattice",), 2: ("lattice", "heisenberg"), 3: ("lattice", "heisenberg-times-z", "three-step")}
-        shifted = power = family.action - IntMatrix.identity(family.n)
+        shifted = power = _one_minus(family.action)
         for step in steps.get(family.n, ()):
             if not any(power.entries):
                 name = step

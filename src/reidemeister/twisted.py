@@ -26,7 +26,7 @@ from itertools import product
 import math
 from typing import Sequence
 
-from .exactlin import IntMatrix, _Value, _bezout, _entries_order, _strict_int
+from .exactlin import IntMatrix, _Value, _bezout, _entries_order, _one_minus, _strict_int
 
 
 class RNumber(_Value):
@@ -75,12 +75,6 @@ def r_abelian(m: IntMatrix) -> RNumber:
     m._require_square("abelian Reidemeister number")
     d = _one_minus(m).det()
     return INFINITE if d == 0 else RNumber(abs(d))
-
-
-def _one_minus(m: IntMatrix) -> IntMatrix:
-    """I - M for a square M, built as one matrix."""
-    n = m.rows
-    return IntMatrix(n, n, tuple(int(i % (n + 1) == 0) - x for i, x in enumerate(m.entries)))
 
 
 class HermiteBox:

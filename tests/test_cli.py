@@ -126,6 +126,13 @@ def test_argument_errors_end_in_one_error_line(argv, message, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_rnumber_refuses_a_heisenberg_parameter_below_one(n):
+    code, out, err = invoke(["rnumber", "--family", "heisenberg", "--n=" + n, "--witness", "phi_m", "--param", "1"])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: Heisenberg parameter must be >= 1\n"
+
+
 def test_help_and_version_still_exit_zero(capsys):
     code, out, err = invoke(["--version"])
     assert code == EXIT_OK and out.strip() and err == ""

@@ -1,5 +1,6 @@
 from itertools import permutations, product
 import math
+import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -14,6 +15,7 @@ from reidemeister.exactlin import (
     unit_root_split,
     _bezout,
     _det,
+    _one_minus,
     _power,
     _power_sum,
 )
@@ -83,6 +85,13 @@ def test_det_reads_small_sizes_off_the_entries_as_bareiss_does(m):
     d = _det(m.to_rows())
     assert m.det() == d == brute_det(m)
     assert m.is_unimodular == (d in (1, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_minus_is_identity_minus_the_matrix(n):
+    rng = random.Random(n)
+    for m in [IntMatrix.identity(n), -IntMatrix.identity(n)] + [random_matrix(rng, n, 10 ** 20) for _ in range(20)]:
+        assert _one_minus(m) == IntMatrix.identity(n) - m
 
 
 def test_det_rejects_non_square():

@@ -1010,6 +1010,23 @@ def test_integer_families_refuse_non_integer_parameters(build):
         build()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (FreeAbelian, "rank must be >= 1"),
+        (Heisenberg, "Heisenberg parameter must be >= 1"),
+        (HeisenbergTimesZ, "Heisenberg parameter must be >= 1"),
+        (lambda n: HnSemidirectZ(n, 0, 0), "Heisenberg parameter must be >= 1"),
+    ],
+    ids=["free-abelian", "heisenberg", "heisenberg-times-z", "hn-semidirect-z"],
+)
+def test_families_refuse_a_parameter_below_one(build, message, n):
+    # Heisenberg(0) would be Z^3 under a Heisenberg law, and count R = 2
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build(n)
+
+
 def test_free_abelian_rank_is_capped_at_the_hirsch_length_in_scope():
     assert FreeAbelian(4).slots == 4
     for n in (5, 10 ** 6):

@@ -354,13 +354,18 @@ def test_twist_tail_is_the_inverse_image(spec):
 
 @pytest.mark.parametrize(
     "spec, radius",
-    [(witness(HnSemidirectZ(1, 1, 0), "M_r", 1), 3), (witness(ZnSemidirectZ(-I2), "M_m", 1), 4)],
-    ids=["hn-M_r", "minus-I2-M_m"],
+    [
+        (witness(HnSemidirectZ(1, 1, 0), "M_r", 1), 3),
+        (witness(ZnSemidirectZ(-I2), "M_m", 1), 4),
+        (witness(ZnSemidirectZ(tahara_form_order2(0)), "phi_alpha", 1), 3),
+    ],
+    ids=["hn-M_r", "minus-I2-M_m", "holonomy-phi_alpha"],
 )
 def test_labeling_builds_each_distinct_row_once(spec, radius, monkeypatch):
     # one box point per coset of the bottom layer, of its beta, and one per
-    # site of each distinct row: both balls have 4 rows, over 343 and 9
-    # cosets.  A row per coset made 2401 and 729 calls here.
+    # site of each distinct row, besides the few of the holonomy orbit
+    # minimum: the balls have 4, 4 and 2 rows, over 343, 9 and 7 cosets.  A
+    # row per coset made 2401, 729 and 2401 or more calls here.
     calls, point = [0], HermiteBox.point
 
     def counted(self, v):

@@ -893,6 +893,12 @@ def test_decision_tests_each_class_of_one_period_once(monkeypatch, a_prime, modu
 # classify_hn_semidirect
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_hn_refuses_a_heisenberg_parameter_below_one(n):
+    with pytest.raises(HypothesisError, match="^the Heisenberg parameter must be >= 1$"):
+        classify_hn_semidirect(n, (0, 0), 50)
+
+
 def test_hn_twist_table():
     assert classify_hn_semidirect(3, (1, 0), 50).spectrum == SpectrumDescriptor.multiples(4)
     assert classify_hn_semidirect(3, (4, 7), 50).spectrum == SpectrumDescriptor.multiples(4)
