@@ -21,6 +21,10 @@ The module provides:
   the multiplicities of 1 and -1 in its characteristic polynomial and the
   quadratic factor left over (irrational eigenvalues are never
   materialised; a 2x2 case is read off det and trace);
+* ``_strict_int`` and the validators of the hypotheses that ``groups``
+  and ``spectra`` share, each raising ``HypothesisError`` from one place:
+  ``_unimodular`` (an n x n action of determinant +-1), ``_int_pair`` and
+  ``_heisenberg_parameter`` (n >= 1);
 * finite-order detection;
 * ``system2_orbit``, every solution of the quadratic system as one orbit
   +-Q0 eps^k, or a proof that there is none, and ``least_solution``, the
@@ -46,6 +50,11 @@ from typing import Callable, Sequence
 
 class DimensionError(ValueError):
     """Operand shapes do not match the operation."""
+
+
+class HypothesisError(ValueError):
+    """The input violates a hypothesis of the group or decision asked for;
+    ``spectra`` re-exports it."""
 
 
 class MatrixParseError(ValueError):
@@ -427,6 +436,37 @@ def _strict_int(value, field: str) -> int:
     return value
 
 
+def _unimodular(a: IntMatrix, n: int, role: str) -> int:
+    """The determinant, +-1, of the n x n matrix a; a HypothesisError naming
+    the role of a (``the acting matrix``, say) when it has another shape or
+    determinant."""
+    if a.rows != n or a.cols != n:
+        raise HypothesisError("%s must be a %dx%d matrix, got %dx%d" % (role, n, n, a.rows, a.cols))
+    d = a.det()
+    if d not in (1, -1):
+        raise HypothesisError("%s must be unimodular" % role)
+    return d
+
+
+def _int_pair(values, name: str) -> tuple[int, int]:
+    """The tuple of an array (a tuple or a list) of two ints; each entry is
+    checked by ``_strict_int``."""
+    if values.__class__ not in (tuple, list):
+        raise HypothesisError("%s must be an array of two integers, got %r" % (name, values))
+    for v in values:
+        _strict_int(v, "an entry of " + name)
+    if len(values) != 2:
+        raise HypothesisError("%s must have exactly two entries, got %d" % (name, len(values)))
+    return tuple(values)
+
+
+def _heisenberg_parameter(n, name: str) -> None:
+    """The floor of the n of H_n, yx = xy z^n; ``name`` names n in the
+    message of a value that is not an int."""
+    if _strict_int(n, name) < 1:
+        raise HypothesisError("Heisenberg parameter must be >= 1")
+
+
 MINUS_SIGN = "−"  # tolerated in input, normalised to ASCII '-'
 
 
@@ -500,11 +540,9 @@ def finite_order(m: IntMatrix) -> int | None:
     In GL2(Z) and GL3(Z) every finite element order lies in {1,2,3,4,6},
     so the direct check is complete for dim <= 3.
     """
-    m._require_square("finite order")
     if m.rows > 3:
         raise DimensionError("finite order check is only valid for dim <= 3")
-    if m.det() not in (1, -1):
-        raise ValueError("finite order requires a unimodular matrix")
+    _unimodular(m, m.rows, "the matrix")
     return _entries_order(m.entries)
 
 

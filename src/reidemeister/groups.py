@@ -54,7 +54,11 @@ finite order reduces the exponent modulo its order first, in O(1).
 Exponents, parameters and n0 must be ints: each family's ``_series``
 refuses a parameter, and ``element`` and ``verify_automorphism`` an
 exponent, that is a float, a string or a boolean, with a ValueError
-naming the field, and an action that is not an ``IntMatrix``.  JSON
+naming the field, and an action that is not an ``IntMatrix``.  The
+unimodular action, n0 and the Heisenberg n are checked by the
+``exactlin`` validators that ``spectra`` calls too (``_unimodular``,
+``_int_pair``, ``_heisenberg_parameter``), with one ``HypothesisError``
+text each.  JSON
 decoding (``family_from_json``) also refuses a missing field and any key
 other than the tag and the family's fields, and a spec's decoding any
 top-level key other than ``family`` and ``images``.
@@ -76,12 +80,15 @@ from .exactlin import (
     lifting_solver,
     matrix_from_json,
     _Value,
+    _heisenberg_parameter,
+    _int_pair,
     _one_minus,
     _power,
     _power_sum,
     _strict_int,
+    _unimodular,
 )
-from .twisted import INFINITE, HermiteBox, RNumber, r_abelian, r_class_sum
+from .twisted import INFINITE, HermiteBox, RNumber, class_matrix, r_abelian, r_class_sum
 
 
 class UnknownWitnessError(ValueError):
@@ -290,7 +297,9 @@ class GroupFamily(_Value):
         Every layer above reads the same r and w for each b.  At the end of
         u's chain B's coordinates are beta, and L, the action on B of the
         product of the twists, is the identity when B is central (z b z^-1
-        = b), else read off one more chain per coordinate of B.  At the
+        = b).  Else B lies right under the top (``tests/test_oracle.py``
+        checks it too), the one twist is by the top lift z = -w, and L is
+        its action read off ``actions`` (``twisted.class_matrix``).  At the
         bottom g's B coordinates are beta + L b, and no twist follows, so
         the key of u's row is (the number above B, B's box, the box point
         of beta, L).  A one-layer series is the coset u = 0."""
@@ -299,10 +308,11 @@ class GroupFamily(_Value):
         cuts = [slice(slots[0], slots[-1] + 1) for _, slots, _ in self.layers]
         top, zero, (_, bottom, kind) = len(blocks) - 1, (0,) * self.slots, self.layers[0]
         first, last, pad, numbers = bottom[0], bottom[-1] + 1, zero[: len(bottom)], {}
+        ident = IntMatrix.identity(len(bottom))
 
         @lru_cache(None)
         def box_under(e):  # the layer below the top, on which the top class e acts by B_1^e_1 B_2^e_2
-            return _box(reduce(lambda x, be: be[0] ** be[1] * x, zip(actions[::-1], e[::-1]), blocks[-2]))
+            return _box(class_matrix(actions, e, blocks[-2]))
 
         def box_of(i, out):  # layer i's box, out the labels above it, top first
             return box_under(out[0]) if i == top - 1 and actions else boxes[i]
@@ -312,29 +322,29 @@ class GroupFamily(_Value):
             z = zero[:start] + tuple(-e for e in w) + zero[start + len(w):]
             return z, tail(z)
 
-        def chain(g):  # the labels above B, top first, and g twisted onto them; None below a singular layer
-            out = []
+        def chain(g):  # the labels above B, top first, g twisted onto them, the last lift; None below a singular layer
+            out, w = [], None
             for i in range(top, 0, -1):
                 box, cut = box_of(i, out), cuts[i]
                 r, w = box.reduce(g[cut])
                 out.append(r)
                 if box.singular:
-                    return tuple(out), None
+                    return tuple(out), None, None
                 if any(w):
                     z, inv = lift(cut.start, w)
                     g = mul(mul(z, g), inv)
-            return tuple(out), g
+            return tuple(out), g, w
 
         def coset(u):  # the key of u's row: (the number above B, B's box, beta's box point, L's rows or None)
             u = u[:first] + pad + u[last:]
-            out, end = chain(u)
+            out, end, w = chain(u)
             number = numbers.setdefault(out, len(numbers))
             if end is None:
                 return number, None, None, None
             beta, rows, box = end[first:last], None, box_of(0, out)
-            if kind != "central":  # the B coordinates of the end of e_s u, less beta, are column s of L
-                cols = [chain(u[:s] + (1,) + u[s + 1:])[1][first:last] for s in bottom]
-                rows = tuple(tuple(c[i] - x for c in cols) for i, x in enumerate(beta))
+            if kind != "central" and w is not None:  # B lies under the top, and the top lift -w acts on it by L
+                act = class_matrix(actions, [-e for e in w], ident)
+                rows = tuple(act.row(i) for i in range(act.rows))
             return number, box, box.point(beta), rows
 
         return _rows(coset, lambda number, r: (number, r))
@@ -448,11 +458,6 @@ class FreeAbelian(GroupFamily):
         return tuple(x + y for x, y in zip(a, b))
 
 
-def _heisenberg_parameter(n) -> None:
-    if _strict_int(n, "field 'n'") < 1:
-        raise ValueError("Heisenberg parameter must be >= 1")
-
-
 def _heis_mul(n: int, a: tuple, b: tuple) -> tuple:
     # yx = xy z^n, z central: moving x^a2 left past y^b1 costs z^(n a2 b1)
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + n * b[0] * a[1])
@@ -463,7 +468,7 @@ class Heisenberg(GroupFamily):
     _fields = ("n",)
 
     def _series(self):
-        _heisenberg_parameter(self.n)
+        _heisenberg_parameter(self.n, "field 'n'")
         layers = (("center", (2,), "central"), ("quotient", (0, 1), None))
         return ("x", "y", "z"), layers, "rnumber:center-times-quotient", None
 
@@ -476,7 +481,7 @@ class HeisenbergTimesZ(GroupFamily):
     _fields = ("n",)
 
     def _series(self):
-        _heisenberg_parameter(self.n)
+        _heisenberg_parameter(self.n, "field 'n'")
         layers = (("center", (2, 3), "central"), ("quotient", (0, 1), None))
         return ("x", "y", "z", "u"), layers, "rnumber:center-times-quotient", None
 
@@ -499,8 +504,7 @@ class ZnSemidirectZ(GroupFamily):
                 "a %dx%d action gives Hirsch length %d, above MAX_RANK = %d, the largest Hirsch length in scope"
                 % (n, action.cols, n + 1, MAX_RANK)
             )
-        if not action.is_unimodular:
-            raise ValueError("the acting matrix must be unimodular")
+        _unimodular(action, n, "the acting matrix")
         names = tuple("e%d" % (i + 1) for i in range(n)) + ("t",)
         if action == IntMatrix.identity(n):
             return names, (("lattice", tuple(range(n + 1)), "abelian"),), "rnumber:lattice", None
@@ -624,12 +628,9 @@ class Z2MinusIExt(GroupFamily):
     _fields = ("action", "n0")
 
     def _series(self):
-        action, n0 = _action_field(self.action), self.n0
-        if action.rows != 2 or action.cols != 2 or not action.is_unimodular:
-            raise ValueError("the outer action must be a unimodular 2x2 matrix")
-        if n0.__class__ not in (tuple, list) or len(n0) != 2:
-            raise ValueError("field 'n0' must be an array of two integers, got %r" % (n0,))
-        self.__dict__["n0"] = tuple(_strict_int(v, "an entry of n0") for v in n0)  # a list, kept as a tuple
+        action = _action_field(self.action)
+        _unimodular(action, 2, "the outer action")
+        self.__dict__["n0"] = _int_pair(self.n0, "n0")  # a list, kept as a tuple
         # the class of t^e u^f in Z^2 / (I - Q) Z^2 acts on the lattice by (-I)^e A^f
         layers = (("lattice", (0, 1), "abelian"), ("quotient", (2, 3), None))
         return ("e1", "e2", "t", "u"), layers, "rnumber:quotient-class-sum", (_MINUS_I, action)
@@ -669,7 +670,7 @@ class HnSemidirectZ(GroupFamily):
     def _series(self):
         _strict_int(self.k, "field 'k'")
         _strict_int(self.l, "field 'l'")
-        _heisenberg_parameter(self.n)
+        _heisenberg_parameter(self.n, "field 'n'")
         # the class of t^e in Z / (1 - q) Z acts on H_n / Z(H_n) by (-I)^e
         layers = (("center", (2,), "central"), ("Heisenberg", (0, 1), None), ("quotient", (3,), None))
         return ("x", "y", "z", "t"), layers, "rnumber:two-step-addition", (_MINUS_I,)

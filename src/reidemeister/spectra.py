@@ -32,9 +32,13 @@ which reads it off the trace's last id, and each table row
 (``TABLE_ROWS``) names the rule ids that end there.  ``classify_nilpotent``
 and the unipotent rows of the ladders end in ``nilpotent:<name>``.
 ``classify_nilpotent`` recognises a family by its ``json_tag``, so this
-module does not import ``groups``.  The three-step group Z^3 x|_J Z, J the
-Jordan block of eigenvalue 1, is ``groups.THREE_STEP``; ``THREE_STEP``
-here is the same object, looked up on first use.
+module does not import ``groups``.  An input outside a classifier's
+hypotheses raises ``exactlin.HypothesisError``, re-exported here; a
+unimodular action, an int pair and the Heisenberg floor are checked by
+the ``exactlin`` validators that ``groups`` calls too, with one text each.
+The three-step group Z^3 x|_J Z, J the Jordan block of eigenvalue 1, is
+``groups.THREE_STEP``; ``THREE_STEP`` here is the same object, looked up
+on first use.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import math
 from typing import Callable, Mapping, Sequence
 
 from .exactlin import (
+    HypothesisError,
     IntMatrix,
     finite_order,
     least_solution,
@@ -51,14 +56,13 @@ from .exactlin import (
     unit_root_split,
     _Value,
     _entries_order,
+    _heisenberg_parameter,
+    _int_pair,
     _one_minus,
     _power_sum,
     _strict_int,
+    _unimodular,
 )
-
-
-class HypothesisError(ValueError):
-    """The input violates the case hypotheses of the requested decision."""
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +256,7 @@ def decide_system2(a: IntMatrix, bound: int) -> System2Decision:
 
 def classify_z2_semidirect(a: IntMatrix, bound: int) -> SpectrumResult:
     """Spectrum of Z^2 x|_A Z by the eigenvalue case ladder."""
-    if a.rows != 2 or not a.is_square:
-        raise HypothesisError("expected a 2x2 matrix")
-    d, tr = a.det(), a.trace()
-    if d not in (1, -1):
-        raise HypothesisError("the acting matrix must be unimodular")
+    d, tr = _unimodular(a, 2, "the acting matrix"), a.trace()
     ident = IntMatrix.identity(2)
 
     if (d, tr) == (1, 2):
@@ -304,10 +304,7 @@ def tahara_delta(a: IntMatrix) -> int:
     L, and on Z[C_d] it is the all-ones matrix, so only the second case
     has an entry of S_d prime to d, in any basis.
     """
-    if a.rows != 3 or a.cols != 3:
-        raise HypothesisError("the delta invariant lives on 3x3 matrices")
-    if not a.is_unimodular:
-        raise HypothesisError("the matrix must be unimodular")
+    _unimodular(a, 3, "the acting matrix")
     if unit_root_split(a)[0] != 1:
         raise HypothesisError("eigenvalue 1 must be simple")
     order = finite_order(a)
@@ -383,10 +380,7 @@ def decide_z3_eight(a_prime: IntMatrix, c_row: Sequence[int]) -> Z3EightDecision
     _system2_require(a_prime)
     if abs(a_prime.trace()) < 2:
         raise HypothesisError("the block must have real eigenvalues different from +-1")
-    c_row = tuple(_strict_int(v, "an entry of the coupling row") for v in c_row)
-    if len(c_row) != 2:
-        raise HypothesisError("the coupling row must have two entries")
-    lifts, modulus = _z3_lifting_test(a_prime, c_row)
+    lifts, modulus = _z3_lifting_test(a_prime, _int_pair(c_row, "the coupling row"))
     outcome, wit, n_row = _eight_class_decision(a_prime, lifts)
     return Z3EightDecision(outcome, wit, n_row, modulus if outcome == "r-infinity" else None)
 
@@ -406,8 +400,6 @@ def _simple_one_block(a: IntMatrix) -> tuple[IntMatrix, tuple[int, int]]:
         v = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
         if any(v):
             break
-    else:
-        raise HypothesisError("eigenvalue 1 must be simple")
     g = math.gcd(*v) * (1 if next(e for e in v if e) > 0 else -1)
     v = [e // g for e in v]
     u = IntMatrix.identity(3).to_rows()
@@ -436,10 +428,7 @@ def _order_two_block(delta: int, trace: list[str]) -> SpectrumResult:
 def classify_z3_semidirect(a: IntMatrix, bound: int | None = None) -> SpectrumResult:
     """Spectrum of Z^3 x|_A Z by the eigenvalue case ladder.  The bound
     is unused: the hyperbolic block is decided exactly."""
-    if a.rows != 3 or not a.is_square:
-        raise HypothesisError("expected a 3x3 matrix")
-    if a.det() not in (1, -1):
-        raise HypothesisError("the acting matrix must be unimodular")
+    _unimodular(a, 3, "the acting matrix")
     ident = IntMatrix.identity(3)
     mult_one, mult_minus_one, residual = unit_root_split(a)
 
@@ -497,12 +486,8 @@ def classify_z2_minusI_ext(a: IntMatrix, n0: Sequence[int], bound: int | None = 
     """Spectrum of (Z^2 x|_{-I} Z) x|_psi Z with psi acting by A and
     twisting the inner generator by n0.  The bound is unused: the
     hyperbolic case is decided exactly."""
-    n0 = tuple(_strict_int(v, "an entry of n0") for v in n0)
-    if len(n0) != 2:
-        raise HypothesisError("n0 must have exactly two entries, got %d" % len(n0))
-    if a.rows != 2 or not a.is_unimodular:
-        raise HypothesisError("the outer action must be a unimodular 2x2 matrix")
-    return _ext_decision(a, n0)[0]
+    _unimodular(a, 2, "the outer action")
+    return _ext_decision(a, _int_pair(n0, "n0"))[0]
 
 
 def _ext_decision(
@@ -563,24 +548,20 @@ def classify_hn_semidirect(
     pair already gives the twists, so it takes no ``central_twists``.
     The bound is unused: every case is decided by its rule.
     """
-    if _strict_int(n, "the Heisenberg parameter") < 1:
-        raise HypothesisError("the Heisenberg parameter must be >= 1")
-    ident = IntMatrix.identity(2)
+    _heisenberg_parameter(n, "the Heisenberg parameter")
+    twists = _int_pair(central_twists, "the central twists")
     if not isinstance(action, IntMatrix):
-        if any(_twist_pair(central_twists)):
+        if any(twists):
             raise HypothesisError("a (k, l) action gives the central twists itself; give them once")
-        return _classify_hn_twists(n, *_twist_pair(action))
-    a = action
-    if a.rows != 2 or not a.is_unimodular:
-        raise HypothesisError("the induced action must be a unimodular 2x2 matrix")
-    cx, cy = _twist_pair(central_twists)
+        return _classify_hn_twists(n, *_int_pair(action, "the central twists"))
+    a, ident = action, IntMatrix.identity(2)
+    d, tr = _unimodular(a, 2, "the induced action"), a.trace()
     if a == -ident:
-        return _classify_hn_twists(n, cx, cy)
-    d, tr = a.det(), a.trace()
+        return _classify_hn_twists(n, *twists)
     if (d, tr) == (1, 2):
         return _rule(["hn:unipotent-action", "nilpotent:heisenberg-times-z" if a == ident else "nilpotent:three-step"])
     if (d, tr) == (-1, 0):
-        return _classify_hn_mixed(n, a, cx, cy)
+        return _classify_hn_mixed(n, a, *twists)
     return _rule(["hn:no-eigenvalue-one"])
 
 
@@ -588,13 +569,6 @@ def _classify_hn_twists(n: int, k: int, l: int) -> SpectrumResult:
     if n % 2 == 1 or (k % 2 == 0 and l % 2 == 0):
         return _rule(["hn:inverting-action", "hn:lifting-unconstrained"])
     return _rule(["hn:inverting-action", "hn:lifting-parity"])
-
-
-def _twist_pair(values: Sequence[int]) -> tuple[int, int]:
-    values = tuple(_strict_int(v, "a central twist") for v in values)
-    if len(values) != 2:
-        raise HypothesisError("the central twists must have exactly two entries, got %d" % len(values))
-    return values
 
 
 def _classify_hn_mixed(n: int, a: IntMatrix, cx: int, cy: int) -> SpectrumResult:

@@ -6,7 +6,8 @@ and the count is |det(I - M)| when nonzero, infinite otherwise
 (``r_abelian``).  The formula routes multiply such counts across a
 central layer, and sum them across a quotient with one sum,
 ``r_class_sum``: the sum of R(B M) over the classes of Z^k / N Z^k, B
-the matrix a class induces on the lattice.  That is the addition formula
+the matrix a class induces on the lattice (``class_matrix``, which the
+class labels of ``groups`` read too).  That is the addition formula
 over a free abelian quotient; divided by the order of a finite holonomy
 group, it is the averaging formula.
 
@@ -139,6 +140,15 @@ class HermiteBox:
         return self._reduced[v]
 
 
+def class_matrix(actions: Sequence[IntMatrix], exps: Sequence[int], m: IntMatrix) -> IntMatrix:
+    """B_1^e_1 ... B_k^e_k M, B_i the action of the i-th quotient
+    generator: the product by which the class e acts on M's lattice."""
+    for b, e in zip(actions[::-1], exps[::-1]):
+        if e:
+            m = b ** e * m
+    return m
+
+
 def r_class_sum(shift: IntMatrix, actions: Sequence[IntMatrix], m: IntMatrix) -> RNumber:
     """Sum of R(B_1^e_1 ... B_k^e_k M) over the classes e of Z^k / N Z^k,
     N = shift, k = 1 or 2; infinite when det N = 0.
@@ -157,11 +167,7 @@ def r_class_sum(shift: IntMatrix, actions: Sequence[IntMatrix], m: IntMatrix) ->
     orders = [_entries_order(b.entries) or side for b, side in zip(actions, sides)]
     total = 0
     for exps in product(*(range(min(side, k)) for side, k in zip(sides, orders))):
-        a = m
-        for b, e in zip(actions[::-1], exps[::-1]):
-            if e:
-                a = b ** e * a
-        d = _one_minus(a).det()  # R(a) = |d|, infinite when d = 0
+        d = _one_minus(class_matrix(actions, exps, m)).det()  # R(a) = |d|, infinite when d = 0
         if not d:
             return INFINITE
         total += abs(d) * math.prod((side - e + k - 1) // k for side, k, e in zip(sides, orders, exps))

@@ -729,6 +729,69 @@ def test_text_format_renders():
     assert "trace:" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line, exit_code",
+    [
+        (["--family", "free-abelian", "--n", "2"], "spectrum: N u {oo}", EXIT_OK),
+        (["--family", "z2-semidirect", "--matrix=-6,1;-1,0"], "spectrum: undecided({oo} | {4,oo}, bound 10000)",
+         EXIT_UNDECIDED),
+    ],
+    ids=["full", "undecided"],
+)
+def test_text_format_renders_every_spectrum_kind(argv, line, exit_code):
+    code, out, err = invoke(["spectrum", *argv, "--format", "text"])
+    assert code == exit_code and err == ""
+    assert line in out.splitlines()
+
+
+DEEP_ARRAY = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rnumber", "--family", "heisenberg", "--n", "1", "--witness", "phi_m", "--param", "1", "--bound", "0"],
+         "bound must be >= 1"),
+        (["rnumber", "--spec-json", "{deep}"], "automorphism JSON is nested too deeply"),
+        (["spectrum", "--family", "z2-semidirect", "--matrix", "[[1,2],[3"],
+         "invalid JSON matrix at position 9: Expecting ',' delimiter"),
+        (["spectrum", "--family", "z2-semidirect", "--matrix", DEEP_ARRAY], "JSON matrix is nested too deeply"),
+        (["spectrum", "--family", "double-ext", "--matrix", "5,2;2,1", "--n0", "1;2"],
+         "expected a single row vector, got 2 rows"),
+    ],
+    ids=["bound-zero", "spec-json-deep", "matrix-json-truncated", "matrix-json-deep", "n0-two-rows"],
+)
+def test_input_mistakes_end_in_their_one_error_line(argv, message, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_ARRAY)
+    code, out, err = invoke([str(deep) if a == "{deep}" else a for a in argv])
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: %s\n" % message
+
+
+# each mistake in the flags that build a group, and the one line that refuses it
+GROUP_MISTAKES = [
+    (["--family", "double-ext", "--matrix", "5,2;2,1", "--n0", "1,2,3"], "phi_eight",
+     "n0 must have exactly two entries, got 3"),
+    (["--family", "hn-semidirect", "--n", "0"], "M_r", "Heisenberg parameter must be >= 1"),
+    (["--family", "z2-semidirect", "--matrix", "2,0;0,1"], "M_m", "the acting matrix must be unimodular"),
+    (["--family", "z3-semidirect", "--matrix", "2,0,0;0,1,0;0,0,1"], "M_m", "the acting matrix must be unimodular"),
+    (["--family", "double-ext", "--matrix", "2,0;0,1", "--n0", "1,0"], "phi_eight",
+     "the outer action must be unimodular"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, witness_id, message", GROUP_MISTAKES, ids=["n0-three-entries", "hn-n-zero", "z2-det", "z3-det", "ext-det"]
+)
+def test_a_group_mistake_ends_in_the_same_line_whatever_the_subcommand(flags, witness_id, message):
+    witness_flags = ["--witness", witness_id, "--param", "1"]
+    for argv in (["spectrum", *flags], ["rnumber", *flags, *witness_flags],
+                 ["oracle", *flags, *witness_flags, "--radius", "1"]):
+        code, out, err = invoke(argv)
+        assert (code, out, err) == (EXIT_ERROR, "", "error: %s\n" % message), argv
+
+
 @pytest.mark.parametrize("source", ["--bound"])
 def test_bound_above_the_cap_exits_at_once(source):
     started = time.perf_counter()

@@ -1,13 +1,17 @@
+import ast
 from itertools import permutations, product
 import math
+from pathlib import Path
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from reidemeister import exactlin
+from reidemeister import exactlin, spectra
 from reidemeister.exactlin import (
     DimensionError,
+    HypothesisError,
     IntMatrix,
     MatrixParseError,
     finite_order,
@@ -15,9 +19,12 @@ from reidemeister.exactlin import (
     unit_root_split,
     _bezout,
     _det,
+    _heisenberg_parameter,
+    _int_pair,
     _one_minus,
     _power,
     _power_sum,
+    _unimodular,
 )
 from canonical_reference import centralizer_exponent
 from snf_reference import coset_representatives, eigenlattice, kernel_lattice, smith_normal_form
@@ -362,6 +369,8 @@ def test_finite_order_examples():
     assert finite_order(-I3) == 2
     with pytest.raises(DimensionError):
         finite_order(IntMatrix.identity(4))
+    with pytest.raises(HypothesisError, match="^the matrix must be unimodular$"):
+        finite_order(parse_matrix("2,0;0,1"))
 
 
 def test_finite_order_power_property(rng):
@@ -429,3 +438,44 @@ def test_parse_matrix_errors_name_position():
         parse_matrix("[[1,2],[3]]")
     with pytest.raises(MatrixParseError):
         parse_matrix("")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _unimodular(IntMatrix(2, 3, (1,) * 6), 2, "the action"), HypothesisError,
+         "the action must be a 2x2 matrix, got 2x3"),
+        (lambda: _int_pair(5, "n0"), HypothesisError, "n0 must be an array of two integers, got 5"),
+        (lambda: _int_pair(iter((1, 2)), "n0"), HypothesisError, "n0 must be an array of two integers, got <"),
+        (lambda: _int_pair((True, 2), "n0"), ValueError, "an entry of n0 must be an integer, got True"),
+        (lambda: _heisenberg_parameter(1.0, "field 'n'"), ValueError, "field 'n' must be an integer, got 1.0"),
+    ],
+    ids=["not-square", "pair-not-array", "pair-iterator", "pair-bool", "floor-float"],
+)
+def test_the_shared_validators_refuse_with_one_text_each(call, error, message):
+    # the classifier and family tests pin the other texts, through the callers
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()
+
+
+def test_the_shared_validators_return_what_they_accept():
+    assert (_unimodular(FIB, 2, "the action"), _unimodular(parse_matrix("0,1;1,0"), 2, "the action")) == (1, -1)
+    assert _int_pair([3, -4], "n0") == _int_pair((3, -4), "n0") == (3, -4)
+
+
+def test_only_the_shared_validators_raise_the_shared_hypotheses():
+    # each of the three hypotheses that groups and spectra share is refused
+    # by one function: no other raise in the package carries its text
+    phrases = ("unimodular", "two entries", "Heisenberg parameter must")
+    raisers = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "reidemeister").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost function; a module-level raise is under None
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                texts = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                if any(phrase in text for text in texts for phrase in phrases):
+                    raisers.add((path.stem, owner.get(id(node))))
+    assert raisers == {("exactlin", "_unimodular"), ("exactlin", "_int_pair"), ("exactlin", "_heisenberg_parameter")}
+    assert spectra.HypothesisError is HypothesisError and issubclass(HypothesisError, ValueError)

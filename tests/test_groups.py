@@ -6,7 +6,7 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from reidemeister.exactlin import IntMatrix, finite_order, parse_matrix
+from reidemeister.exactlin import HypothesisError, IntMatrix, finite_order, parse_matrix
 from reidemeister import groups
 from reidemeister.groups import (
     AutomorphismSpec,
@@ -1025,6 +1025,19 @@ def test_families_refuse_a_parameter_below_one(build, message, n):
     # Heisenberg(0) would be Z^3 under a Heisenberg law, and count R = 2
     with pytest.raises(ValueError, match="^%s$" % message):
         build(n)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ZnSemidirectZ(parse_matrix("2,0;0,1")), "the acting matrix must be unimodular"),
+        (lambda: Z2MinusIExt(parse_matrix("2,0;0,1"), (0, 0)), "the outer action must be unimodular"),
+    ],
+    ids=["zn-semidirect-z", "z2-minusi-ext"],
+)
+def test_matrix_families_refuse_an_action_that_is_not_unimodular(build, message):
+    with pytest.raises(HypothesisError, match="^%s$" % message):
+        build()
 
 
 def test_free_abelian_rank_is_capped_at_the_hirsch_length_in_scope():

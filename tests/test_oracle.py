@@ -295,9 +295,13 @@ def test_ball_shapes_equal_the_per_site_labeler(family, wid, param, radius):
 def test_bottom_layer_is_central_or_leads_the_normal_form(family):
     # the precondition of labelling once per coset: g = b u, b in the bottom
     # layer B and u with B's coordinates 0, holds when B is central or its
-    # slots come first (B is abelian and normal in every series)
+    # slots come first (B is abelian and normal in every series); a
+    # non-central B of several layers lies right under the top, on which
+    # the top lift acts by the declared actions
     _, slots, kind = family.layers[0]
     assert kind == "central" or (kind == "abelian" and slots == tuple(range(len(slots))))
+    if kind != "central" and len(family.layers) > 1:
+        assert len(family.layers) == 2 and family.actions is not None
 
 
 @pytest.mark.parametrize(
@@ -324,14 +328,19 @@ def test_labeling_work_grows_with_the_upper_cosets_not_the_ball(spec, radius, mo
 
 @pytest.mark.parametrize(
     "spec, bound",
-    [(witness(ZnSemidirectZ(-I3), "M_m", 1), 20), (witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 1), 0)],
-    ids=["minus-I3-M_m", "tahara-order2-holonomy"],
+    [
+        (witness(ZnSemidirectZ(-I3), "M_m", 1), 5),
+        (witness(Z2MinusIExt(WEL, (0, 0)), "phi_eight", 1), 25),
+        (witness(ZnSemidirectZ(tahara_form_order2(1)), "phi_alpha", 1), 0),
+    ],
+    ids=["minus-I3-M_m", "double-ext-phi_eight", "tahara-order2-holonomy"],
 )
 def test_labeling_reduces_once_per_chain_not_per_site(spec, bound, monkeypatch):
     # the lift w of HermiteBox.reduce serves the chains above the bottom
-    # layer: on -I3 at radius 2, 5 cosets of one chain and 3 probe chains
-    # for L, each of one reduce.  The bottom and the holonomy labels read
-    # box points alone; a reduce per site made 645 and 629 calls here.
+    # layer: at radius 2, one reduce per coset, 5 on -I3 and 25 on the
+    # double extension, as L is read off the declared actions.  The bottom
+    # and the holonomy labels read box points alone; a reduce per site made
+    # 645 and 629 calls on -I3 and the holonomy spec.
     calls, reduce = [0], HermiteBox.reduce
 
     def counted(self, v):

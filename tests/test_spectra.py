@@ -100,6 +100,33 @@ def test_system2_refuses_a_bound_that_is_not_an_int(bound):
         decide_system2(FIB, bound)
 
 
+DIAG_2_1 = parse_matrix("2,0;0,1")
+DIAG_2_1_1 = parse_matrix("2,0,0;0,1,0;0,0,1")
+
+# a refusal of each classifier hypothesis, with its exact text
+HYPOTHESIS_REFUSALS = {
+    "system2-shape": (lambda: decide_system2(I3, 10), "the quadratic system is defined for 2x2 matrices"),
+    "z2-shape": (lambda: classify_z2_semidirect(I3, 10), "the acting matrix must be a 2x2 matrix, got 3x3"),
+    "z2-det": (lambda: classify_z2_semidirect(DIAG_2_1, 10), "the acting matrix must be unimodular"),
+    "tahara-shape": (lambda: tahara_delta(I2), "the acting matrix must be a 3x3 matrix, got 2x2"),
+    "tahara-det": (lambda: tahara_delta(DIAG_2_1_1), "the acting matrix must be unimodular"),
+    "z3-block-trace": (lambda: decide_z3_eight(ROT4, (0, 0)),
+                       "the block must have real eigenvalues different from +-1"),
+    "z3-coupling-row": (lambda: decide_z3_eight(FIB, (1, 2, 3)),
+                        "the coupling row must have exactly two entries, got 3"),
+    "z3-shape": (lambda: classify_z3_semidirect(I2), "the acting matrix must be a 3x3 matrix, got 2x2"),
+    "z3-det": (lambda: classify_z3_semidirect(DIAG_2_1_1), "the acting matrix must be unimodular"),
+    "ext-det": (lambda: classify_z2_minusI_ext(DIAG_2_1, (0, 0)), "the outer action must be unimodular"),
+    "hn-det": (lambda: classify_hn_semidirect(2, DIAG_2_1, 50), "the induced action must be unimodular"),
+}
+
+
+@pytest.mark.parametrize("call, message", HYPOTHESIS_REFUSALS.values(), ids=HYPOTHESIS_REFUSALS.keys())
+def test_classifiers_refuse_inputs_outside_their_hypotheses(call, message):
+    with pytest.raises(HypothesisError, match="^%s$" % re.escape(message)):
+        call()
+
+
 def test_system2_witness_invariants():
     for a in (FIB, NIET, parse_matrix("1,1;1,2"), parse_matrix("3,2;4,3")):
         decision = decide_system2(a, 50)
@@ -895,7 +922,7 @@ def test_decision_tests_each_class_of_one_period_once(monkeypatch, a_prime, modu
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_hn_refuses_a_heisenberg_parameter_below_one(n):
-    with pytest.raises(HypothesisError, match="^the Heisenberg parameter must be >= 1$"):
+    with pytest.raises(HypothesisError, match="^Heisenberg parameter must be >= 1$"):
         classify_hn_semidirect(n, (0, 0), 50)
 
 
